@@ -14,6 +14,7 @@ import argparse
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -248,17 +249,30 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _report_demands(path, report: forecast.ForecastReport) -> list[int]:
+    """Realized demands of a forecast report, rounded half-up as the policy rounds."""
+    for row_number, value in enumerate(report.actual, start=2):
+        if not (math.isfinite(value) and value >= 0):
+            raise ParameterError(
+                f"{path}: row {row_number}: actual demand must be finite and non-negative, "
+                f"got {value}"
+            )
+    return [policy.round_units(v) for v in report.actual]
+
+
 def cmd_optimize(args) -> int:
     report = forecast.read_forecast_csv(args.report)
-    demands = [int(round(v)) for v in report.actual]
+    demands = _report_demands(args.report, report)
     y_hat = list(report.predicted)
     costs = _costs(args)
     start_weekday = report.dates[0].weekday() if report.dates else 0
 
+    # each grid is swept once; the choices and the sweep CSVs share its rows
     target_grid = (_parse_grid(args.target_grid) if args.target_grid
                    else list(range(args.initial, 2 * args.initial + 1, 10)))
-    target = policy.optimize_target(y_hat, demands, args.initial, costs, target_grid,
-                                    args.shelf_life, args.objective)
+    target_rows = policy.target_sweep(y_hat, demands, args.initial, costs, target_grid,
+                                      args.shelf_life)
+    target = policy.best_candidate(target_rows, args.objective)
     if args.reorder_grid:
         # candidates above the learned target are infeasible; drop them
         reorder_grid = [s for s in _parse_grid(args.reorder_grid) if s <= target]
@@ -274,9 +288,7 @@ def cmd_optimize(args) -> int:
         schedule = policy.Schedule(kind=kind, start_weekday=start_weekday)
         sweeps[kind] = policy.reorder_sweep(y_hat, demands, args.initial, costs, target,
                                             reorder_grid, schedule, args.shelf_life)
-        levels[kind] = policy.optimize_reorder(y_hat, demands, args.initial, costs, target,
-                                               reorder_grid, schedule, args.shelf_life,
-                                               args.objective)
+        levels[kind] = policy.best_candidate(sweeps[kind], args.objective)
 
     run_dir = _run_dir(args, "optimize")
     _write_manifest(
@@ -302,11 +314,7 @@ def cmd_optimize(args) -> int:
         )
         handle.write("\n")
 
-    policy.write_sweep_csv(
-        run_dir / "target_sweep.csv", "target",
-        policy.target_sweep(y_hat, demands, args.initial, costs, target_grid,
-                            args.shelf_life),
-    )
+    policy.write_sweep_csv(run_dir / "target_sweep.csv", "target", target_rows)
     for kind in ("daily", "semiweekly"):
         policy.write_sweep_csv(run_dir / f"reorder_sweep_{kind}.csv", "reorder_level",
                                sweeps[kind])
@@ -319,7 +327,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_compare(args) -> int:
     report = forecast.read_forecast_csv(args.report)
-    demands = [int(round(v)) for v in report.actual]
+    demands = _report_demands(args.report, report)
     y_hat = list(report.predicted)
     costs = _costs(args)
     start_weekday = report.dates[0].weekday() if report.dates else 0

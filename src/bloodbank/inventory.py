@@ -9,9 +9,16 @@ and charged as wastage.  The period cost is
     delivery * (order placed) + holding * end inventory
     + urgent * shortage units + wastage * expired units.
 
+``step`` advances one trajectory and ``simulate`` folds it over a stream.
+``step_batch`` runs the same period for K trajectories at once on a
+``(K, shelf_life - 1)`` age array that share one demand but differ in their
+orders, so a policy grid is simulated in one pass instead of K loops over
+``step``.  Single trajectories still go through ``step``: on one row the
+array kernel spends more time in per-call overhead than ``step`` takes.
+
 ``brute_force_unit_sim`` re-runs the same dynamics tracking every physical
 unit individually and exists purely as a verification oracle for
-``simulate``.
+``simulate`` and ``step_batch``.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ __all__ = [
     "CostParams",
     "PeriodOutcome",
     "step",
+    "step_batch",
     "simulate",
     "brute_force_unit_sim",
     "young_stock",
@@ -52,6 +60,19 @@ class CostParams:
         for name in ("routine_delivery", "holding", "urgent", "wastage"):
             if getattr(self, name) < 0.0:
                 raise ParameterError(f"{name} must be non-negative")
+
+    def period_cost(self, placed, end_inventory, urgent, expired):
+        """Cost of one period; takes scalars or equally shaped arrays.
+
+        The terms are added in this fixed order so that scalar and array
+        callers get bit-identical totals.
+        """
+        return (
+            self.routine_delivery * placed
+            + self.holding * end_inventory
+            + self.urgent * urgent
+            + self.wastage * expired
+        )
 
 
 @dataclass(frozen=True)
@@ -123,9 +144,13 @@ class PeriodOutcome:
 
 
 def _check_units(name: str, value: int) -> int:
-    if value != int(value) or value < 0:
-        raise ParameterError(f"{name} must be a non-negative integer, got {value}")
-    return int(value)
+    try:
+        units = int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, None, text
+        units = None
+    if units is None or units != value or units < 0:
+        raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
+    return units
 
 
 def step(
@@ -153,12 +178,7 @@ def step(
     urgent = remaining - take_arrivals
 
     end_inventory = int(new_counts.sum())
-    cost = (
-        costs.routine_delivery * (1 if z > 0 else 0)
-        + costs.holding * end_inventory
-        + costs.urgent * urgent
-        + costs.wastage * expired
-    )
+    cost = costs.period_cost(z > 0, end_inventory, urgent, expired)
     outcome = PeriodOutcome(
         order_placed=z > 0,
         order_qty=z,
@@ -169,6 +189,33 @@ def step(
         cost=cost,
     )
     return AgeProfile(new_counts, m), outcome
+
+
+def step_batch(
+    counts: np.ndarray, orders: np.ndarray, demand
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``step`` for K trajectories at once, without validation or costing.
+
+    ``counts`` is a ``(K, shelf_life - 1)`` int64 array laid out like
+    ``AgeProfile.counts`` in each row, ``orders`` the ``(K,)`` non-negative
+    int64 arrivals and ``demand`` the one non-negative integer demand they
+    share.  Returns the new counts and the ``(K,)`` expired and urgent units;
+    the end inventory is the row sum of the new counts.
+    """
+    # oldest-first issue from the prior stock, as in ``step``
+    oldest_first = counts[:, ::-1]
+    older_cum = np.cumsum(oldest_first, axis=1) - oldest_first
+    take = np.minimum(oldest_first, np.maximum(demand - older_cum, 0))
+    survivors = (oldest_first - take)[:, ::-1]
+
+    new_counts = np.empty_like(counts)
+    new_counts[:, 1:] = survivors[:, :-1]
+    expired = survivors[:, -1]
+    remaining = demand - take.sum(axis=1)
+    take_arrivals = np.minimum(remaining, orders)  # arrivals are issued last
+    new_counts[:, 0] = orders - take_arrivals
+    urgent = remaining - take_arrivals
+    return new_counts, expired, urgent
 
 
 def simulate(
@@ -269,12 +316,19 @@ def read_stream_csv(path) -> list[int]:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["period", "units"]:
-            raise SchemaError(f"stream header must be period,units: {header}")
+            raise SchemaError(f"{path}: stream header must be period,units: {header}")
         values = []
         for row_number, row in enumerate(reader, start=2):
             if len(row) != 2:
-                raise SchemaError(f"row {row_number}: expected 2 columns, got {len(row)}")
-            values.append(int(row[1]))
+                raise SchemaError(
+                    f"{path}: row {row_number}: expected 2 columns, got {len(row)}")
+            try:
+                values.append(_check_units("units", int(row[1])))
+            except (ValueError, ParameterError):
+                raise SchemaError(
+                    f"{path}: row {row_number}: units must be a non-negative integer, "
+                    f"got {row[1]!r}"
+                ) from None
     return values
 
 

@@ -10,6 +10,14 @@ demand itself (the gold standard), sweeping candidate grids.
 A semiweekly variant places orders only on Mondays and Thursdays; the forecast
 at an order point covers every period until the next delivery (Tue-Thu after a
 Monday order, Fri-Mon after a Thursday order).
+
+``target_sweep`` and ``reorder_sweep`` advance every candidate of a grid
+together through ``inventory.step_batch``, one period at a time, with the
+order rule applied to the vector of stock levels; each candidate's cost is
+added period by period, as a fold over ``step`` adds it, so the rows are
+bit-identical to simulating each candidate alone.  ``run_policy``,
+``evaluate_strategy`` and ``cost_under_actual`` follow a single trajectory
+and keep calling ``step``, which is faster than the array kernel on one row.
 """
 
 from __future__ import annotations
@@ -21,7 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .inventory import AgeProfile, CostParams, PeriodOutcome, simulate, step, young_stock
+from .inventory import (
+    AgeProfile,
+    CostParams,
+    PeriodOutcome,
+    _check_units,
+    simulate,
+    step,
+    step_batch,
+    young_stock,
+)
 
 __all__ = [
     "Schedule",
@@ -33,6 +50,7 @@ __all__ = [
     "run_policy",
     "cost_under_actual",
     "target_sweep",
+    "best_candidate",
     "optimize_target",
     "reorder_sweep",
     "optimize_reorder",
@@ -44,8 +62,8 @@ __all__ = [
     "read_sweep_csv",
 ]
 
-ORDER_WEEKDAYS = (0, 3)  # orders may be placed on Mondays and Thursdays
-_BLOCK_AFTER = {0: 3, 3: 4}  # Monday order covers 3 days, Thursday order 4
+# semiweekly orders are placed on Mondays, covering 3 days, and Thursdays, covering 4
+_BLOCK_AFTER = {0: 3, 3: 4}
 
 
 @dataclass(frozen=True)
@@ -131,31 +149,43 @@ def _as_profile(initial, demands, shelf_life: int) -> AgeProfile:
     return young_stock(int(initial), max(mean_demand, 1.0), shelf_life)
 
 
-def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
-               shelf_life: int = 32) -> PolicyRun:
-    """Simulate the target/reorder rule over aligned forecast/demand streams."""
+def _aligned(y_hat, demands) -> tuple[list[float], list]:
     y_hat = [float(v) for v in y_hat]
     demands = list(demands)
     if len(y_hat) != len(demands):
         raise ParameterError(
             f"stream length mismatch: {len(y_hat)} forecasts vs {len(demands)} demands"
         )
-    profile = _as_profile(initial, demands, shelf_life)
-    horizon = len(demands)
-    schedule = params.schedule
+    return y_hat, demands
 
-    def decide(i: int, level: int) -> int:
+
+def _order_plan(y_hat: list[float], schedule: Schedule) -> tuple[list[int], list[bool]]:
+    """Rounded forecast units an order would cover, and whether one may be placed.
+
+    Daily orders cover one period.  Semiweekly orders are placed only on
+    Mondays and Thursdays and cover every period up to the next delivery,
+    cut at the end of the horizon.
+    """
+    horizon = len(y_hat)
+    units, order_days = [], []
+    for i in range(horizon):
+        block = 1
         if schedule.kind == "semiweekly":
-            placement = (schedule.start_weekday + i - 1) % 7
-            if placement not in ORDER_WEEKDAYS:
-                return 0
-            block = min(_BLOCK_AFTER[placement], horizon - i)
-        else:
-            block = 1
-        forecast = round_units(sum(y_hat[i : i + block]))
-        return order_quantity(level, forecast, params)
+            block = _BLOCK_AFTER.get((schedule.start_weekday + i - 1) % 7, 0)
+        order_days.append(block > 0)
+        units.append(round_units(sum(y_hat[i : min(i + block, horizon)])) if block else 0)
+    return units, order_days
 
-    return _drive(profile, demands, costs, decide)
+
+def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
+               shelf_life: int = 32) -> PolicyRun:
+    """Simulate the target/reorder rule over aligned forecast/demand streams."""
+    y_hat, demands = _aligned(y_hat, demands)
+    profile = _as_profile(initial, demands, shelf_life)
+    units, order_days = _order_plan(y_hat, params.schedule)
+    return _drive(profile, demands, costs,
+                  lambda i, level: order_quantity(level, units[i], params) if order_days[i]
+                  else 0)
 
 
 def cost_under_actual(demands, initial, costs: CostParams, shelf_life: int = 32) -> float:
@@ -168,6 +198,44 @@ def cost_under_actual(demands, initial, costs: CostParams, shelf_life: int = 32)
     return average
 
 
+def _sweep(y_hat, demands, initial, costs: CostParams, shelf_life: int, schedule: Schedule,
+           candidates: list[int], target: int | None = None) -> list[tuple[int, float, float]]:
+    """(candidate, average cost, |gold - cost|) rows, all candidates advanced together.
+
+    ``target=None`` is the target sweep's rule: every period orders the
+    forecast capped at each candidate target, with no reorder gate.
+    Otherwise the candidates are reorder levels ``s`` under ``target``, and on
+    order days a candidate whose stock ``I`` is below ``s`` orders
+    ``clamp(forecast, s - I, target - I)``.
+    """
+    y_hat, demands = _aligned(y_hat, demands)
+    demands = [_check_units("demand", y) for y in demands]
+    profile = _as_profile(initial, demands, shelf_life)
+    gold = cost_under_actual(demands, profile, costs, shelf_life)
+    units, order_days = _order_plan(y_hat, schedule)
+
+    grid = np.asarray(candidates, dtype=np.int64)
+    caps = grid if target is None else target
+    counts = np.tile(profile.counts, (grid.size, 1))
+    level = counts.sum(axis=1)
+    no_orders = np.zeros(grid.size, dtype=np.int64)
+    total = np.zeros(grid.size)
+    for y, forecast, may_order in zip(demands, units, order_days):
+        if not may_order:
+            orders = no_orders
+        elif target is None:
+            orders = np.maximum(np.minimum(forecast, caps - level), 0)
+        else:
+            lifted = np.minimum(np.maximum(forecast, grid - level), caps - level)
+            orders = np.where(level < grid, lifted, 0)
+        counts, expired, urgent = step_batch(counts, orders, y)
+        level = counts.sum(axis=1)
+        # a running total adds the periods in the order a fold over step does
+        total += costs.period_cost(orders > 0, level, urgent, expired)
+    averages = (total / len(demands)).tolist()
+    return [(c, avg, abs(gold - avg)) for c, avg in zip(candidates, averages)]
+
+
 def target_sweep(y_hat, demands, initial, costs: CostParams, target_grid,
                  shelf_life: int = 32) -> list[tuple[int, float, float]]:
     """(target, average cost, |gold - cost|) for every candidate target.
@@ -175,24 +243,24 @@ def target_sweep(y_hat, demands, initial, costs: CostParams, target_grid,
     Candidate orders are the rounded daily forecasts capped so stock never
     exceeds the target.
     """
-    y_hat = [float(v) for v in y_hat]
-    demands = list(demands)
-    if len(y_hat) != len(demands):
-        raise ParameterError(
-            f"stream length mismatch: {len(y_hat)} forecasts vs {len(demands)} demands"
-        )
     targets = sorted(set(int(t) for t in target_grid))
     if not targets:
         raise ParameterError("target grid is empty")
-    profile = _as_profile(initial, demands, shelf_life)
-    gold = cost_under_actual(demands, profile, costs, shelf_life)
-    units = [round_units(v) for v in y_hat]
-    rows = []
-    for target in targets:
-        run = _drive(profile, demands, costs,
-                     lambda i, level: max(0, min(units[i], target - level)))
-        rows.append((target, run.average_cost, abs(gold - run.average_cost)))
-    return rows
+    return _sweep(y_hat, demands, initial, costs, shelf_life, Schedule(), targets)
+
+
+def best_candidate(rows: list[tuple[int, float, float]], objective: str = "match_gold") -> int:
+    """Candidate of the sweep row with the best objective.
+
+    ``objective="match_gold"`` minimises |gold - cost| (the third column),
+    ``"min_cost"`` the average cost itself.  Ties go to the smallest candidate.
+    """
+    if objective not in ("match_gold", "min_cost"):
+        raise ParameterError(f"unknown objective {objective!r}")
+    if not rows:
+        raise ParameterError("no sweep rows to choose from")
+    key = 2 if objective == "match_gold" else 1
+    return min(rows, key=lambda row: (row[key], row[0]))[0]
 
 
 def optimize_target(y_hat, demands, initial, costs: CostParams, target_grid,
@@ -202,15 +270,8 @@ def optimize_target(y_hat, demands, initial, costs: CostParams, target_grid,
     ``objective="min_cost"`` instead picks the cheapest candidate outright.
     Ties go to the smallest target.
     """
-    if objective not in ("match_gold", "min_cost"):
-        raise ParameterError(f"unknown objective {objective!r}")
     rows = target_sweep(y_hat, demands, initial, costs, target_grid, shelf_life)
-    key = 2 if objective == "match_gold" else 1
-    best = rows[0]
-    for row in rows[1:]:
-        if row[key] < best[key]:
-            best = row
-    return best[0]
+    return best_candidate(rows, objective)
 
 
 def reorder_sweep(y_hat, demands, initial, costs: CostParams, target: int, reorder_grid,
@@ -224,30 +285,19 @@ def reorder_sweep(y_hat, demands, initial, costs: CostParams, target: int, reord
         raise ParameterError(
             f"reorder candidate {levels[-1]} exceeds the inventory target {target}"
         )
-    profile = _as_profile(initial, demands, shelf_life)
-    gold = cost_under_actual(demands, profile, costs, shelf_life)
-    rows = []
-    for level in levels:
-        params = PolicyParams(inventory_target=target, reorder_level=level, schedule=schedule)
-        run = run_policy(y_hat, demands, profile, costs, params, shelf_life)
-        rows.append((level, run.average_cost, abs(gold - run.average_cost)))
-    return rows
+    if levels[0] < 0:
+        raise ParameterError("inventory target and reorder level must be non-negative")
+    target = _check_units("inventory target", target)
+    return _sweep(y_hat, demands, initial, costs, shelf_life, schedule, levels, target)
 
 
 def optimize_reorder(y_hat, demands, initial, costs: CostParams, target: int, reorder_grid,
                      schedule: Schedule = Schedule(), shelf_life: int = 32,
                      objective: str = "match_gold") -> int:
     """Reorder level whose simulated cost best matches the gold standard."""
-    if objective not in ("match_gold", "min_cost"):
-        raise ParameterError(f"unknown objective {objective!r}")
     rows = reorder_sweep(y_hat, demands, initial, costs, target, reorder_grid,
                          schedule, shelf_life)
-    key = 2 if objective == "match_gold" else 1
-    best = rows[0]
-    for row in rows[1:]:
-        if row[key] < best[key]:
-            best = row
-    return best[0]
+    return best_candidate(rows, objective)
 
 
 @dataclass(frozen=True)

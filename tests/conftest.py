@@ -2,8 +2,14 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bloodbank.datagen import CovariateSpec, GenConfig, generate_full
+
+# property tests draw the same examples on every run and keep the suite fast
+settings.register_profile("bloodbank", derandomize=True, deadline=None, max_examples=100,
+                          database=None)
+settings.load_profile("bloodbank")
 
 MONDAY = dt.date(2010, 1, 4)
 

@@ -1,11 +1,27 @@
+import datetime as dt
 import json
+import math
 
+import numpy as np
 import pytest
 
 from bloodbank.cli import main
-from bloodbank.forecast import read_dataset_csv, read_forecast_csv
-from bloodbank.inventory import read_stream_csv, read_trajectory_csv, write_stream_csv
-from bloodbank.policy import read_comparison_csv, read_sweep_csv
+from bloodbank.errors import SchemaError
+from bloodbank.forecast import (
+    ForecastReport,
+    read_dataset_csv,
+    read_forecast_csv,
+    write_forecast_csv,
+)
+from bloodbank.inventory import (
+    CostParams,
+    read_stream_csv,
+    read_trajectory_csv,
+    step,
+    write_stream_csv,
+    young_stock,
+)
+from bloodbank.policy import evaluate_strategy, read_comparison_csv, read_sweep_csv
 from bloodbank.timeseries import read_decomposition_csv
 
 
@@ -134,6 +150,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "5" in err and "7" in err
 
+    @pytest.mark.parametrize("cell", ["2.5", "abc", "", "-3"])
+    def test_bad_units_cell_fails_cleanly(self, tmp_path, capsys, cell):
+        orders = tmp_path / "orders.csv"
+        demands = tmp_path / "demands.csv"
+        write_stream(orders, [5] * 3)
+        demands.write_text(f"period,units\n1,5\n2,{cell}\n3,5\n")
+        with pytest.raises(SchemaError, match="row 3"):
+            read_stream_csv(demands)
+        code = run(["simulate", "--orders", orders, "--demands", demands,
+                    "--out-dir", tmp_path / "sim"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(demands) in err and "row 3" in err and "units" in err
+        assert "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -185,6 +216,109 @@ class TestOptimizeCompare:
                     "--out-dir", tmp_path / "cmp3"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+COSTS = CostParams()
+
+
+def _half_up(value):
+    return max(0, int(math.floor(value + 0.5)))
+
+
+@pytest.fixture(scope="module")
+def half_unit_report(tmp_path_factory):
+    """A 120-day report whose actuals include x.5 values, starting on a Wednesday."""
+    rng = np.random.default_rng(8)
+    actual = rng.integers(20, 40, size=120) + np.where(rng.random(120) < 0.4, 0.5, 0.0)
+    actual[:4] = [0.5, 2.5, 20.5, 31.5]  # banker's rounding would give 0, 2, 20, 32
+    predicted = actual + rng.normal(0.0, 4.0, size=120)
+    start = dt.date(2010, 1, 6)
+    path = tmp_path_factory.mktemp("report") / "report.csv"
+    write_forecast_csv(path, ForecastReport(
+        dates=[start + dt.timedelta(days=i) for i in range(120)],
+        actual=actual, predicted=predicted))
+    return path
+
+
+class TestSingleSweepOptimize:
+    @pytest.mark.parametrize("objective", ["match_gold", "min_cost"])
+    def test_choices_and_rows_match_independent_folds(self, half_unit_report, tmp_path,
+                                                      objective):
+        out = tmp_path / "opt"
+        assert run(["optimize", "--report", half_unit_report, "--initial", 150,
+                    "--target-grid", "60:300:30", "--reorder-grid", "0:300:25",
+                    "--objective", objective, "--out-dir", out]) == 0
+        doc = json.loads((out / "policy.json").read_text())
+        report = read_forecast_csv(half_unit_report)
+        demands = [_half_up(v) for v in report.actual]
+        y_hat = list(report.predicted)
+        horizon = len(demands)
+        start_weekday = doc["start_weekday"]
+        assert start_weekday == 2
+        profile = young_stock(150, sum(demands) / horizon, 32)
+
+        def fold(decide):
+            state, level, total = profile, profile.total, 0.0
+            for i, y in enumerate(demands):
+                state, outcome = step(state, decide(i, level), y, COSTS)
+                level = outcome.end_inventory
+                total += outcome.cost
+            return total / horizon
+
+        def reorder_rule(target, floor, kind):
+            def decide(i, level):
+                block = 1 if kind == "daily" else {0: 3, 3: 4}.get(
+                    (start_weekday + i - 1) % 7, 0)
+                if not block or level >= floor:
+                    return 0
+                units = _half_up(sum(y_hat[i: min(i + block, horizon)]))
+                return min(max(units, floor - level), target - level)
+            return decide
+
+        gold = fold(lambda i, level: demands[i])
+        key = 2 if objective == "match_gold" else 1
+        target = doc["inventory_target"]
+        sweeps = {
+            "target_sweep": (target, lambda t: fold(
+                lambda i, level: max(0, min(_half_up(y_hat[i]), t - level)))),
+            "reorder_sweep_daily": (doc["reorder_daily"],
+                                    lambda s: fold(reorder_rule(target, s, "daily"))),
+            "reorder_sweep_semiweekly": (doc["reorder_semiweekly"],
+                                         lambda s: fold(reorder_rule(target, s, "semiweekly"))),
+        }
+        for name, (choice, average_of) in sweeps.items():
+            rows = read_sweep_csv(out / f"{name}.csv")
+            assert choice == min(rows, key=lambda row: (row[key], row[0]))[0], name
+            for candidate, average, gap in rows:
+                expected = average_of(candidate)
+                assert (average, gap) == (expected, abs(gold - expected)), (name, candidate)
+
+    def test_compare_rounds_actuals_half_up(self, half_unit_report, tmp_path):
+        out = tmp_path / "cmp"
+        assert run(["compare", "--report", half_unit_report, "--target", 300,
+                    "--reorder-daily", 100, "--reorder-semiweekly", 150, "--initial", 150,
+                    "--out-dir", out]) == 0
+        report = read_forecast_csv(half_unit_report)
+        gold = evaluate_strategy("gold", None, [_half_up(v) for v in report.actual], 150,
+                                 COSTS, start_weekday=2)
+        table = read_comparison_csv(out / "comparison.csv")
+        assert table["gold"]["days_with_orders"] == gold.days_with_orders == 120
+        assert table["gold"]["total_cost"] == gold.total_cost
+
+    @pytest.mark.parametrize("bad", ["-3.0", "nan", "inf"])
+    def test_bad_actual_fails_cleanly(self, half_unit_report, tmp_path, capsys, bad):
+        lines = half_unit_report.read_text().splitlines()
+        date, _, predicted = lines[5].split(",")
+        lines[5] = f"{date},{bad},{predicted}"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for command in (["optimize"], ["compare", "--target", 300, "--reorder-daily", 100,
+                                       "--reorder-semiweekly", 150]):
+            code = run([*command, "--report", path, "--initial", 150,
+                        "--out-dir", tmp_path / command[0]])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "row 6" in err and "Traceback" not in err
 
 
 class TestConfigFile:

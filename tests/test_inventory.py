@@ -55,6 +55,13 @@ class TestStep:
         with pytest.raises(ParameterError):
             step(AgeProfile.empty(4), 0, -2, COSTS)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 2.5, None, "7"])
+    def test_non_integer_inputs_name_the_field(self, bad):
+        with pytest.raises(ParameterError, match="order_qty"):
+            step(AgeProfile.empty(4), bad, 0, COSTS)
+        with pytest.raises(ParameterError, match="demand"):
+            step(AgeProfile.empty(4), 0, bad, COSTS)
+
     def test_cost_recomputation(self):
         rng = np.random.default_rng(3)
         state = AgeProfile(rng.integers(0, 6, size=7), shelf_life=8)

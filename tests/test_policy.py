@@ -6,6 +6,7 @@ from bloodbank.inventory import AgeProfile, CostParams, simulate, young_stock
 from bloodbank.policy import (
     PolicyParams,
     Schedule,
+    best_candidate,
     comparison_table,
     cost_under_actual,
     evaluate_strategy,
@@ -142,6 +143,23 @@ class TestOptimizeTarget:
         with pytest.raises(ParameterError):
             optimize_target([1.0], [1], 10, COSTS, [])
 
+    @pytest.mark.parametrize("y_hat, demands", [
+        ([1.0], [1, 2]),  # forecast/demand length mismatch
+        ([1.0, 2.0], [1, -2]),
+        ([1.0, 2.0], [1, float("inf")]),
+    ])
+    def test_sweep_inputs_validated(self, y_hat, demands):
+        with pytest.raises(ParameterError):
+            target_sweep(y_hat, demands, 10, COSTS, [10, 20])
+
+
+def test_best_candidate_ties_go_to_smallest():
+    rows = [(30, 5.0, 1.0), (10, 7.0, 1.0), (20, 5.0, 2.0)]
+    assert best_candidate(rows) == 10
+    assert best_candidate(rows, "min_cost") == 20
+    with pytest.raises(ParameterError):
+        best_candidate(rows, "cheapest")
+
 
 class TestOptimizeReorder:
     def test_under_forecast_bias_needs_floor(self):
@@ -176,6 +194,18 @@ class TestOptimizeReorder:
     def test_grid_exceeding_target_rejected(self):
         with pytest.raises(ParameterError):
             optimize_reorder([1.0], [1], 10, COSTS, 50, [0, 60])
+
+    @pytest.mark.parametrize("y_hat, demands, target, grid", [
+        ([1.0], [1, 2], 50, [0, 10]),  # forecast/demand length mismatch
+        ([1.0, 2.0], [1, 2], 50, [-10, 10]),  # negative reorder candidate
+        ([1.0, 2.0], [1, 2], 50, []),  # empty grid
+        ([1.0, 2.0], [1, 2.5], 50, [0, 10]),  # fractional demand
+        ([1.0, 2.0], [1, float("nan")], 50, [0, 10]),
+        ([1.0, 2.0], [1, 2], 50.5, [0, 10]),  # fractional target
+    ])
+    def test_sweep_inputs_validated(self, y_hat, demands, target, grid):
+        with pytest.raises(ParameterError):
+            reorder_sweep(y_hat, demands, 10, COSTS, target, grid)
 
     def test_sweep_matches_brute_force(self):
         rng = np.random.default_rng(9)
