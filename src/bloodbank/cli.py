@@ -14,7 +14,6 @@ import argparse
 import datetime as dt
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -60,6 +59,15 @@ def _write_manifest(run_dir: Path, command: str, config: dict, inputs: list, out
     with open(run_dir / "manifest.json", "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def _load_json(path):
+    """Parsed content of a JSON file; SchemaError naming the file if it is not JSON."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _config_dict(args, keys: list[str]) -> dict:
@@ -202,8 +210,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    with open(args.model) as handle:
-        model = forecast.hybrid_from_dict(json.load(handle))
+    doc = _load_json(args.model)
+    try:
+        model = forecast.hybrid_from_dict(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{args.model}: {exc}") from exc
     records = forecast.read_dataset_csv(args.data)
     if args.horizon < 0:
         raise ParameterError("horizon must be non-negative")
@@ -250,12 +261,14 @@ def cmd_simulate(args) -> int:
 
 
 def _report_demands(path, report: forecast.ForecastReport) -> list[int]:
-    """Realized demands of a forecast report, rounded half-up as the policy rounds."""
+    """Realized demands of a forecast report, rounded half-up as the policy rounds.
+
+    The reader has already rejected non-finite cells.
+    """
     for row_number, value in enumerate(report.actual, start=2):
-        if not (math.isfinite(value) and value >= 0):
+        if value < 0:
             raise ParameterError(
-                f"{path}: row {row_number}: actual demand must be finite and non-negative, "
-                f"got {value}"
+                f"{path}: row {row_number}: actual demand must be non-negative, got {value}"
             )
     return [policy.round_units(v) for v in report.actual]
 
@@ -333,13 +346,18 @@ def cmd_compare(args) -> int:
     start_weekday = report.dates[0].weekday() if report.dates else 0
 
     if args.policy:
-        with open(args.policy) as handle:
-            doc = json.load(handle)
-        if doc.get("format") != "bloodbank.policy":
-            raise SchemaError(f"not a policy document: format={doc.get('format')!r}")
-        target = int(doc["inventory_target"])
-        reorder_daily = int(doc["reorder_daily"])
-        reorder_semiweekly = int(doc["reorder_semiweekly"])
+        doc = _load_json(args.policy)
+        if not isinstance(doc, dict) or doc.get("format") != "bloodbank.policy":
+            raise SchemaError(f"{args.policy}: not a policy document")
+        levels = []
+        for key in ("inventory_target", "reorder_daily", "reorder_semiweekly"):
+            if key not in doc:
+                raise SchemaError(f"{args.policy}: policy document is missing key {key!r}")
+            if type(doc[key]) is not int:
+                raise SchemaError(f"{args.policy}: {key} must be a whole number, "
+                                  f"got {doc[key]!r}")
+            levels.append(doc[key])
+        target, reorder_daily, reorder_semiweekly = levels
     else:
         if args.target is None or args.reorder_daily is None or args.reorder_semiweekly is None:
             raise ParameterError(
@@ -490,10 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        with open(args.config) as handle:
-            overrides = json.load(handle)
+        overrides = _load_json(args.config)
         if not isinstance(overrides, dict):
-            raise SchemaError("config file must hold a JSON object")
+            raise SchemaError(f"{args.config}: config file must hold a JSON object")
         # file values fill in anything the command line left at its default
         explicit = {token.split("=")[0].lstrip("-").replace("-", "_")
                     for token in argv if token.startswith("--")}

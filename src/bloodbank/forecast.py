@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,6 +350,64 @@ def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.da
     return out
 
 
+def _fit_predict(
+    dec: Decomposition,
+    X_train: np.ndarray,
+    X_future: np.ndarray,
+    names: list[str],
+    gbrt_config: gbrt.GbrtConfig,
+    period: int,
+) -> tuple[gbrt.Ensemble, np.ndarray]:
+    """Boost the residuals of ``dec`` and forecast the days after its window.
+
+    Equals ``fit_hybrid`` then ``predict_daily`` on the same window, without
+    decomposing or building the feature matrix again.
+    """
+    ensemble = gbrt.train(gbrt.FeatureMatrix(X_train, names), dec.residual, gbrt_config)
+    base = stl_extend(dec, X_future.shape[0], period, "drift")
+    return ensemble, base + gbrt.predict(ensemble, gbrt.FeatureMatrix(X_future, names))
+
+
+def _cv_scores(
+    records: list[DailyRecord],
+    grid: list[tuple[StlConfig, gbrt.GbrtConfig]],
+    k: int,
+    feature_names: list[str] | None,
+    period: int,
+) -> list[float]:
+    """Mean forward-chained validation RMSE of every grid point.
+
+    Each fold window is decomposed once per distinct StlConfig, and the
+    feature matrix is built once for all folds.
+    """
+    n = len(records)
+    bounds = [round(j * n / (k + 1)) for j in range(k + 2)]
+    if min(b - a for a, b in zip(bounds, bounds[1:])) < 2 * period:
+        raise ParameterError(
+            f"{n} records split {k + 1} ways leaves a fold shorter than two cycles"
+        )
+    _check_contiguous(records)
+    # fit_hybrid reads the names from its training window; every window starts
+    # at records[0] and the last one holds all the others
+    names = feature_names if feature_names is not None else feature_names_of(records[: bounds[k]])
+    if not names:
+        raise ParameterError("at least one feature is required")
+    X = records_to_matrix(records, names).values
+    fold_scores: list[list[float]] = [[] for _ in grid]
+    for j in range(1, k + 1):
+        lo, hi = bounds[j], bounds[j + 1]
+        series = demand_series(records[:lo], period)
+        actual = [r.demand for r in records[lo:hi]]
+        decompositions: dict[StlConfig, Decomposition] = {}
+        for scores, (stl_config, gbrt_config) in zip(fold_scores, grid):
+            if stl_config not in decompositions:
+                decompositions[stl_config] = stl_decompose(series, stl_config)
+            _, preds = _fit_predict(decompositions[stl_config], X[:lo], X[lo:hi], names,
+                                    gbrt_config, period)
+            scores.append(rmse(preds, actual))
+    return [float(np.mean(scores)) for scores in fold_scores]
+
+
 def cv_rmse(
     records: list[DailyRecord],
     stl_config: StlConfig,
@@ -363,20 +422,7 @@ def cv_rmse(
     1..j and scores block j+1, so validation data always follows its training
     window.
     """
-    n = len(records)
-    bounds = [round(j * n / (k + 1)) for j in range(k + 2)]
-    if min(b - a for a, b in zip(bounds, bounds[1:])) < 2 * period:
-        raise ParameterError(
-            f"{n} records split {k + 1} ways leaves a fold shorter than two cycles"
-        )
-    scores = []
-    for j in range(1, k + 1):
-        train = records[: bounds[j]]
-        valid = records[bounds[j] : bounds[j + 1]]
-        model = fit_hybrid(train, stl_config, gbrt_config, feature_names, period)
-        preds = predict_daily(model, valid)
-        scores.append(rmse(preds, [r.demand for r in valid]))
-    return float(np.mean(scores))
+    return _cv_scores(records, [(stl_config, gbrt_config)], k, feature_names, period)[0]
 
 
 def grid_search_cv(
@@ -391,8 +437,9 @@ def grid_search_cv(
         raise ParameterError("the configuration grid is empty")
     best_score = np.inf
     best = grid[0]
-    for stl_config, gbrt_config in grid:
-        score = cv_rmse(records, stl_config, gbrt_config, k, feature_names, period)
+    for (stl_config, gbrt_config), score in zip(
+        grid, _cv_scores(records, grid, k, feature_names, period)
+    ):
         if score < best_score:
             best_score = score
             best = (stl_config, gbrt_config)
@@ -411,7 +458,8 @@ def iterative_feature_selection(
 
     Each round fits on the leading portion of the records, scores the held-out
     tail, and keeps only features whose normalized importance clears the
-    threshold.  Returns the feature set of the best-scoring round.
+    threshold.  Returns the feature set of the best-scoring round.  The
+    training window is decomposed once; only the boosting repeats.
     """
     if not 0.0 < importance_threshold < 1.0:
         raise ParameterError(
@@ -422,25 +470,53 @@ def iterative_feature_selection(
     train, holdout = records[:cut], records[cut:]
     if len(train) < 2 * period or not holdout:
         raise ParameterError("not enough records to split off a holdout")
+    _check_contiguous(records)
     actual = [r.demand for r in holdout]
 
-    current = feature_names_of(records)
+    all_names = feature_names_of(records)
+    if not all_names:
+        raise ParameterError("at least one feature is required")
+    X = records_to_matrix(records, all_names).values
+    dec = stl_decompose(demand_series(train, period), stl_config)
+    current = all_names
     best_rmse = np.inf
     best_set = current
     while True:
-        model = fit_hybrid(train, stl_config, gbrt_config, current, period)
-        score = rmse(predict_daily(model, holdout), actual)
+        cols = [all_names.index(name) for name in current]
+        ensemble, preds = _fit_predict(dec, X[:cut, cols], X[cut:, cols], current,
+                                       gbrt_config, period)
+        score = rmse(preds, actual)
         if score < best_rmse:
             best_rmse = score
             best_set = current
         else:
             break
-        importance = gbrt.variable_importance(model.residual_model)
+        importance = gbrt.variable_importance(ensemble)
         survivors = [f for f in current if importance.get(f, 0.0) >= importance_threshold]
         if not survivors or survivors == current:
             break
         current = survivors
     return best_set
+
+
+def _date_cell(path, row_number: int, column: str, text: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: row {row_number}, column {column}: {exc}") from exc
+
+
+def _number_cell(path, row_number: int, column: str, text: str) -> float:
+    """The finite number in one CSV cell; SchemaError naming the cell otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise SchemaError(
+            f"{path}: row {row_number}, column {column}: not a number: {text!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}: row {row_number}, column {column}: not finite: {text!r}")
+    return value
 
 
 def read_dataset_csv(path) -> list[DailyRecord]:
@@ -449,28 +525,23 @@ def read_dataset_csv(path) -> list[DailyRecord]:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[0] != "date" or header[1] != "demand":
-            raise SchemaError(f"dataset header must start with date,demand: {header}")
+            raise SchemaError(f"{path}: dataset header must start with date,demand: {header}")
         names = header[2:]
         records = []
         for row_number, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise SchemaError(
-                    f"row {row_number}: expected {len(header)} columns, got {len(row)}"
+                    f"{path}: row {row_number}: expected {len(header)} columns, got {len(row)}"
                 )
-            try:
-                day = dt.date.fromisoformat(row[0])
-            except ValueError as exc:
-                raise SchemaError(f"row {row_number}, column date: {exc}") from exc
-            try:
-                demand = float(row[1])
-            except ValueError as exc:
-                raise SchemaError(f"row {row_number}, column demand: {exc}") from exc
-            features = {}
-            for name, cell in zip(names, row[2:]):
-                features[name] = float(cell) if cell != "" else float("nan")
+            day = _date_cell(path, row_number, "date", row[0])
+            demand = _number_cell(path, row_number, "demand", row[1])
+            features = {
+                name: _number_cell(path, row_number, name, cell) if cell != "" else float("nan")
+                for name, cell in zip(names, row[2:])
+            }
             records.append(DailyRecord(date=day, demand=demand, features=features))
     if not records:
-        raise SchemaError("dataset has no rows")
+        raise SchemaError(f"{path}: dataset has no rows")
     return records
 
 
@@ -501,14 +572,14 @@ def read_forecast_csv(path) -> ForecastReport:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["date", "actual", "predicted"]:
-            raise SchemaError(f"unexpected forecast header: {header}")
+            raise SchemaError(f"{path}: unexpected forecast header: {header}")
         dates, actual, predicted = [], [], []
         for row_number, row in enumerate(reader, start=2):
             if len(row) != 3:
-                raise SchemaError(f"row {row_number}: expected 3 columns, got {len(row)}")
-            dates.append(dt.date.fromisoformat(row[0]))
-            actual.append(float(row[1]))
-            predicted.append(float(row[2]))
+                raise SchemaError(f"{path}: row {row_number}: expected 3 columns, got {len(row)}")
+            dates.append(_date_cell(path, row_number, "date", row[0]))
+            actual.append(_number_cell(path, row_number, "actual", row[1]))
+            predicted.append(_number_cell(path, row_number, "predicted", row[2]))
     return ForecastReport(dates=dates, actual=np.asarray(actual), predicted=np.asarray(predicted))
 
 
@@ -538,22 +609,35 @@ def hybrid_to_dict(model: HybridModel) -> dict:
 
 
 def hybrid_from_dict(doc: dict) -> HybridModel:
-    if doc.get("format") != "bloodbank.hybrid":
-        raise SchemaError(f"not a hybrid model document: format={doc.get('format')!r}")
+    if not isinstance(doc, dict) or doc.get("format") != "bloodbank.hybrid":
+        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+        raise SchemaError(f"not a hybrid model document: format={found!r}")
     if doc.get("version") != 1:
         raise SchemaError(f"unsupported hybrid model version {doc.get('version')!r}")
-    dec = Decomposition(
-        trend=np.asarray(doc["decomposition"]["trend"]),
-        seasonal=np.asarray(doc["decomposition"]["seasonal"]),
-        residual=np.asarray(doc["decomposition"]["residual"]),
-    )
-    return HybridModel(
-        period=int(doc["period"]),
-        stl_config=StlConfig(**doc["stl_config"]),
-        decomposition=dec,
-        train_start=dt.date.fromisoformat(doc["train_start"]),
-        train_end=dt.date.fromisoformat(doc["train_end"]),
-        residual_model=gbrt.ensemble_from_dict(doc["residual_model"]),
-        feature_names=list(doc["feature_names"]),
-        trend_mode=doc.get("trend_mode", "drift"),
-    )
+    try:
+        components = doc["decomposition"]
+        model = HybridModel(
+            period=int(doc["period"]),
+            stl_config=StlConfig(**doc["stl_config"]),
+            decomposition=Decomposition(
+                trend=np.asarray(components["trend"]),
+                seasonal=np.asarray(components["seasonal"]),
+                residual=np.asarray(components["residual"]),
+            ),
+            train_start=dt.date.fromisoformat(doc["train_start"]),
+            train_end=dt.date.fromisoformat(doc["train_end"]),
+            residual_model=gbrt.ensemble_from_dict(doc["residual_model"]),
+            feature_names=list(doc["feature_names"]),
+            trend_mode=doc.get("trend_mode", "drift"),
+        )
+    except KeyError as exc:
+        raise SchemaError(f"hybrid model document is missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed hybrid model document: {exc}") from exc
+    days = (model.train_end - model.train_start).days + 1
+    if len(model.decomposition) != days:
+        raise SchemaError(
+            f"decomposition has {len(model.decomposition)} days but the training window "
+            f"{model.train_start}..{model.train_end} has {days}"
+        )
+    return model

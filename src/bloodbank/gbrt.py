@@ -6,6 +6,15 @@ with a missing value follow a per-node default direction learned during the
 search.  Leaf weights are the closed-form Newton step -G / (H + lambda).
 Boosting applies shrinkage and optional row/column subsampling; identical
 seeds produce bit-identical ensembles.
+
+``train`` sorts every column once; a round takes its row subsample out of
+that order, which stays sorted.  A node searches all of its features in one
+pass: it holds a (features, rows) array of row indices sorted per feature,
+takes cumulative gradient and hessian sums along each row, and scores both
+missing-value directions at every boundary between distinct present values.
+The first maximum in feature-major order wins, so ties go to the lowest
+feature, then to its smallest threshold.  The children's index arrays are cut
+from the node's with one boolean mask.
 """
 
 from __future__ import annotations
@@ -161,135 +170,102 @@ def split_gain(
     return 0.5 * (gl * gl / dl + gr * gr / dr - (gl + gr) ** 2 / dp) - gamma
 
 
-@dataclass
-class _Split:
-    feature: int
-    threshold: float
-    default_left: bool
-    gain: float
-
-
-def _best_split_for_feature(
-    values: np.ndarray,
-    sorted_rows: np.ndarray,
-    n_present: int,
-    g: np.ndarray,
-    h: np.ndarray,
+def _gains(
+    gl: np.ndarray,
+    hl: np.ndarray,
     g_total: float,
     h_total: float,
     reg_lambda: float,
     gamma: float,
     min_child_weight: float,
-) -> tuple[float, float, bool]:
-    """Best (gain, threshold, default_left) over one feature, or gain=-inf."""
-    present = sorted_rows[:n_present]
-    if n_present < 2:
-        return -np.inf, 0.0, True
-    vals = values[present]
-    boundaries = np.nonzero(vals[:-1] < vals[1:])[0]
-    if boundaries.size == 0:
-        return -np.inf, 0.0, True
-    cg = np.cumsum(g[present])
-    ch = np.cumsum(h[present])
-    gl = cg[boundaries]
-    hl = ch[boundaries]
-    g_present, h_present = cg[-1], ch[-1]
-    g_miss = g_total - g_present
-    h_miss = h_total - h_present
-
-    def gains(gl_side: np.ndarray, hl_side: np.ndarray) -> np.ndarray:
-        gr_side = g_total - gl_side
-        hr_side = h_total - hl_side
-        valid = (
-            (hl_side >= min_child_weight)
-            & (hr_side >= min_child_weight)
-            & (hl_side + reg_lambda > 0.0)
-            & (hr_side + reg_lambda > 0.0)
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = 0.5 * (
-                gl_side**2 / (hl_side + reg_lambda)
-                + gr_side**2 / (hr_side + reg_lambda)
-                - (g_total**2) / (h_total + reg_lambda)
-            ) - gamma
-        return np.where(valid & np.isfinite(raw), raw, -np.inf)
-
-    gains_left = gains(gl + g_miss, hl + h_miss)  # missing rows routed left
-    gains_right = gains(gl, hl)
-    best = np.maximum(gains_left, gains_right)
-    pos = int(np.argmax(best))  # first max -> smallest threshold on ties
-    if not np.isfinite(best[pos]):
-        return -np.inf, 0.0, True
-    cut = boundaries[pos]
-    threshold = 0.5 * (vals[cut] + vals[cut + 1])
-    default_left = bool(gains_left[pos] >= gains_right[pos])
-    return float(best[pos]), float(threshold), default_left
+) -> np.ndarray:
+    """Split gain for each left-child total (gl, hl); -inf where a child is invalid."""
+    gr = g_total - gl
+    hr = h_total - hl
+    valid = (
+        (hl >= min_child_weight)
+        & (hr >= min_child_weight)
+        & (hl + reg_lambda > 0.0)
+        & (hr + reg_lambda > 0.0)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = 0.5 * (
+            gl**2 / (hl + reg_lambda)
+            + gr**2 / (hr + reg_lambda)
+            - (g_total**2) / (h_total + reg_lambda)
+        ) - gamma
+    return np.where(valid & np.isfinite(raw), raw, -np.inf)
 
 
 def _grow(
-    X: np.ndarray,
+    vals: np.ndarray,
+    order: np.ndarray,
+    features: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
-    sorted_rows: dict[int, np.ndarray],
-    n_present: dict[int, int],
-    missing_mask: np.ndarray,
+    goes_left: np.ndarray,
     depth: int,
     config: GbrtConfig,
 ) -> TreeNode:
-    any_feature = next(iter(sorted_rows))
-    rows = sorted_rows[any_feature]
-    cover = rows.size
+    """Grow the subtree over one node's rows.
+
+    ``order[i]`` lists the node's rows sorted by column ``features[i]``, NaN
+    last, and ``vals[i]`` holds that column's values in the same order.
+    ``goes_left`` is a scratch mask indexed by row.
+    """
+    rows = order[0]
     g_total = float(g[rows].sum())
     h_total = float(h[rows].sum())
-    node = TreeNode(weight=leaf_weight(g_total, h_total, config.reg_lambda), cover=cover)
-
+    node = TreeNode(weight=leaf_weight(g_total, h_total, config.reg_lambda), cover=rows.size)
     if config.max_depth is not None and depth >= config.max_depth:
         return node
 
-    best: _Split | None = None
-    for feature in sorted(sorted_rows):
-        gain, threshold, default_left = _best_split_for_feature(
-            X[:, feature],
-            sorted_rows[feature],
-            n_present[feature],
-            g,
-            h,
-            g_total,
-            h_total,
-            config.reg_lambda,
-            config.gamma,
-            config.min_child_weight,
-        )
-        if best is None or gain > best.gain:
-            best = _Split(feature, threshold, default_left, gain)
-    if best is None or best.gain <= 0.0:
+    # every feature at once: a candidate cut lies between two distinct present
+    # values; ``at`` is its flat index into the (features, rows) sums below
+    n_features, m = order.shape
+    flat = np.flatnonzero(vals[:, :-1] < vals[:, 1:])
+    if flat.size == 0:
+        return node
+    feature = flat // (m - 1)
+    at = flat + feature
+    cg = np.cumsum(g[order], axis=1)
+    ch = np.cumsum(h[order], axis=1)
+    last_present = np.count_nonzero(~np.isnan(vals), axis=1) - 1
+    g_miss = (g_total - cg[np.arange(n_features), last_present])[feature]
+    h_miss = (h_total - ch[np.arange(n_features), last_present])[feature]
+    gl = cg.ravel()[at]
+    hl = ch.ravel()[at]
+    split_args = (g_total, h_total, config.reg_lambda, config.gamma, config.min_child_weight)
+    gains_left = _gains(gl + g_miss, hl + h_miss, *split_args)  # missing rows routed left
+    gains_right = _gains(gl, hl, *split_args)
+    best = np.maximum(gains_left, gains_right)
+    # first max: the lowest feature wins ties, then its smallest threshold
+    k = int(np.argmax(best))
+    if not best[k] > 0.0:
         return node
 
-    col = X[:, best.feature]
-    goes_left = np.zeros(X.shape[0], dtype=bool)
-    goes_left[rows] = np.where(
-        np.isnan(col[rows]), best.default_left, col[rows] < best.threshold
-    )
-
-    left_sorted: dict[int, np.ndarray] = {}
-    right_sorted: dict[int, np.ndarray] = {}
-    left_present: dict[int, int] = {}
-    right_present: dict[int, int] = {}
-    for feature, order in sorted_rows.items():
-        mask = goes_left[order]
-        lo, ro = order[mask], order[~mask]
-        left_sorted[feature] = lo
-        right_sorted[feature] = ro
-        left_present[feature] = int(lo.size - missing_mask[lo, feature].sum())
-        right_present[feature] = int(ro.size - missing_mask[ro, feature].sum())
-
-    node.feature = best.feature
-    node.threshold = best.threshold
-    node.default_left = best.default_left
-    node.gain = best.gain
-    node.left = _grow(X, g, h, left_sorted, left_present, missing_mask, depth + 1, config)
-    node.right = _grow(X, g, h, right_sorted, right_present, missing_mask, depth + 1, config)
+    f = feature[k]
+    c = at[k] - f * m
+    node.feature = int(features[f])
+    node.threshold = float(0.5 * (vals[f, c] + vals[f, c + 1]))
+    node.default_left = bool(gains_left[k] >= gains_right[k])
+    node.gain = float(best[k])
+    col = vals[f]
+    goes_left[order[f]] = np.where(np.isnan(col), node.default_left, col < node.threshold)
+    left = goes_left[order]
+    right = ~left
+    node.left = _grow(vals[left].reshape(n_features, -1), order[left].reshape(n_features, -1),
+                      features, g, h, goes_left, depth + 1, config)
+    node.right = _grow(vals[right].reshape(n_features, -1), order[right].reshape(n_features, -1),
+                       features, g, h, goes_left, depth + 1, config)
     return node
+
+
+def _sorted_columns(values: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's rows in value order (stable, NaN last) and its values in that order."""
+    values_t = values.T[features]
+    order = np.argsort(values_t, axis=1, kind="stable")
+    return np.take_along_axis(values_t, order, axis=1), order
 
 
 def build_tree(
@@ -308,19 +284,12 @@ def build_tree(
         )
     if g.size == 0:
         raise ParameterError("cannot build a tree on an empty row set")
-    if feature_indices is None:
-        feature_indices = range(X.n_cols)
-
-    values = X.values
-    missing = np.isnan(values)
-    sorted_rows: dict[int, np.ndarray] = {}
-    n_present: dict[int, int] = {}
-    for feature in feature_indices:
-        feature = int(feature)
-        order = np.argsort(values[:, feature], kind="stable")  # NaN sorts last
-        sorted_rows[feature] = order
-        n_present[feature] = int(X.n_rows - missing[:, feature].sum())
-    return _grow(values, g, h, sorted_rows, n_present, missing, 0, config)
+    features = np.unique(np.arange(X.n_cols) if feature_indices is None
+                         else np.asarray(feature_indices, dtype=int))
+    if features.size == 0:
+        raise ParameterError("cannot build a tree on an empty feature set")
+    vals, order = _sorted_columns(X.values, features)
+    return _grow(vals, order, features, g, h, np.zeros(X.n_rows, dtype=bool), 0, config)
 
 
 def _tree_apply(node: TreeNode, values: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
@@ -361,21 +330,29 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
         config=config,
     )
 
+    # sort every column once; a round's rows are filtered out of this order,
+    # which keeps them sorted, ties in row order and NaN last
+    all_cols = np.arange(d)
+    presorted_vals, presorted = _sorted_columns(X.values, all_cols)
+    goes_left = np.zeros(n, dtype=bool)
     for _ in range(config.n_rounds):
+        rows = None
         if config.subsample_rows < 1.0:
             n_sub = max(1, int(round(config.subsample_rows * n)))
-            rows = np.sort(rng.choice(n, size=n_sub, replace=False))
-        else:
-            rows = np.arange(n)
+            rows = rng.choice(n, size=n_sub, replace=False)
+        cols, vals, order = all_cols, presorted_vals, presorted
         if config.subsample_cols < 1.0:
             n_cols = max(1, int(round(config.subsample_cols * d)))
             cols = np.sort(rng.choice(d, size=n_cols, replace=False))
-        else:
-            cols = np.arange(d)
+            vals, order = vals[cols], order[cols]
+        if rows is not None:
+            in_round = np.zeros(n, dtype=bool)
+            in_round[rows] = True
+            keep = in_round[order]
+            vals, order = vals[keep].reshape(cols.size, -1), order[keep].reshape(cols.size, -1)
 
-        g, h = gradients_squared_error(y[rows], predictions[rows])
-        sub = FeatureMatrix(X.values[rows], X.feature_names)
-        tree = build_tree(sub, g, h, config, feature_indices=cols)
+        g, h = gradients_squared_error(y, predictions)
+        tree = _grow(vals, order, cols, g, h, goes_left, 0, config)
         predictions += config.learning_rate * tree_predict(tree, X.values)
         model.trees.append(tree)
     return model

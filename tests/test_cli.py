@@ -321,6 +321,95 @@ class TestSingleSweepOptimize:
             assert "row 6" in err and "Traceback" not in err
 
 
+def replace_cell(source, target, row_number, column, text):
+    """Copy a CSV file with one cell replaced; row 1 is the header."""
+    lines = source.read_text().splitlines()
+    cells = lines[row_number - 1].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[row_number - 1] = ",".join(cells)
+    target.write_text("\n".join(lines) + "\n")
+    return target
+
+
+def assert_clean_failure(capsys, code, *fragments):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert str(fragment) in err, (fragment, err)
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("cell", ["abc", "inf", "1.5.2"])
+    def test_train_rejects_bad_feature_cell(self, dataset, tmp_path, capsys, cell):
+        bad = replace_cell(dataset, tmp_path / "bad.csv", 9, "prev_week_demand", cell)
+        with pytest.raises(SchemaError, match="row 9, column prev_week_demand"):
+            read_dataset_csv(bad)
+        code = run(["train", "--data", bad, "--train-days", 350, "--rounds", 2,
+                    "--out-dir", tmp_path / "train"])
+        assert_clean_failure(capsys, code, bad, "row 9", "prev_week_demand")
+
+    @pytest.mark.parametrize("column, cell", [
+        ("date", "2010-13-45"), ("date", "tuesday"), ("actual", "many"),
+        ("predicted", "nan"), ("actual", "inf"), ("predicted", "-inf"),
+    ])
+    def test_optimize_and_compare_reject_bad_report_cell(self, half_unit_report, tmp_path,
+                                                          capsys, column, cell):
+        bad = replace_cell(half_unit_report, tmp_path / "bad.csv", 7, column, cell)
+        with pytest.raises(SchemaError, match="row 7"):
+            read_forecast_csv(bad)
+        for command in (["optimize"], ["compare", "--target", 300, "--reorder-daily", 100,
+                                       "--reorder-semiweekly", 150]):
+            code = run([*command, "--report", bad, "--initial", 150,
+                        "--out-dir", tmp_path / command[0]])
+            assert_clean_failure(capsys, code, bad, "row 7")
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda doc: doc.pop("decomposition"), "missing key 'decomposition'"),
+        (lambda doc: doc.pop("train_end"), "missing key 'train_end'"),
+        (lambda doc: doc["residual_model"].pop("trees"), "missing key 'trees'"),
+        (lambda doc: doc["residual_model"]["trees"][0].pop("left"), "missing key 'left'"),
+        (lambda doc: doc["decomposition"].update(
+            {k: v[:-1] for k, v in doc["decomposition"].items()}), "has 349 days"),
+        (lambda doc: doc["decomposition"]["trend"].pop(), "equally long"),
+        (lambda doc: doc.update(train_start="2010-02-30"), "malformed"),
+        (lambda doc: doc["stl_config"].update(s_windw=7), "malformed"),
+    ])
+    def test_forecast_rejects_damaged_model(self, trained, dataset, tmp_path, capsys,
+                                            damage, message):
+        doc = json.loads((trained / "model.json").read_text())
+        damage(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code = run(["forecast", "--model", path, "--data", dataset, "--horizon", 5,
+                    "--out-dir", tmp_path / "fc"])
+        assert_clean_failure(capsys, code, path, message)
+
+    def test_forecast_rejects_truncated_json(self, trained, dataset, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text((trained / "model.json").read_text()[:500])
+        code = run(["forecast", "--model", path, "--data", dataset, "--horizon", 5,
+                    "--out-dir", tmp_path / "fc"])
+        assert_clean_failure(capsys, code, path, "not valid JSON")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"format": "bloodbank.policy", "inventory_target": 300, "reorder_daily": 100},
+         "missing key 'reorder_semiweekly'"),
+        ({"format": "bloodbank.policy", "inventory_target": "lots", "reorder_daily": 100,
+          "reorder_semiweekly": 150}, "inventory_target must be a whole number"),
+        ({"format": "bloodbank.policy", "inventory_target": 300, "reorder_daily": 100.7,
+          "reorder_semiweekly": 150}, "reorder_daily must be a whole number, got 100.7"),
+        ([1, 2], "not a policy document"),
+    ])
+    def test_compare_rejects_damaged_policy(self, half_unit_report, tmp_path, capsys,
+                                            doc, message):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        code = run(["compare", "--report", half_unit_report, "--policy", path,
+                    "--initial", 150, "--out-dir", tmp_path / "cmp"])
+        assert_clean_failure(capsys, code, path, message)
+
+
 class TestConfigFile:
     def test_file_fills_defaults_flags_win(self, tmp_path):
         config = tmp_path / "config.json"

@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from bloodbank import forecast
 from bloodbank.datagen import CovariateSpec, GenConfig, generate
 from bloodbank.errors import ParameterError, SchemaError
 from bloodbank.forecast import (
@@ -29,7 +30,7 @@ from bloodbank.forecast import (
     write_dataset_csv,
     write_forecast_csv,
 )
-from bloodbank.gbrt import Ensemble, GbrtConfig
+from bloodbank.gbrt import Ensemble, GbrtConfig, variable_importance
 from bloodbank.timeseries import Decomposition, StlConfig
 
 MONDAY = dt.date(2010, 1, 4)
@@ -310,6 +311,117 @@ class TestGridSearch:
         aligned = cv_rmse(records[1:], StlConfig(), config, k=3)
         lagged = cv_rmse(shifted, StlConfig(), config, k=3)
         assert lagged >= aligned
+
+
+def reference_cv_rmse(records, stl_config, gbrt_config, k, feature_names=None, period=7):
+    """Forward-chained CV with one full fit_hybrid and predict_daily per fold."""
+    n = len(records)
+    bounds = [round(j * n / (k + 1)) for j in range(k + 2)]
+    scores = []
+    for j in range(1, k + 1):
+        train, valid = records[: bounds[j]], records[bounds[j] : bounds[j + 1]]
+        model = fit_hybrid(train, stl_config, gbrt_config, feature_names, period)
+        scores.append(rmse(predict_daily(model, valid), [r.demand for r in valid]))
+    return float(np.mean(scores))
+
+
+def reference_feature_selection(records, stl_config, gbrt_config, threshold):
+    """Feature selection that refits the whole hybrid model every round.
+
+    Returns the selected set and the held-out RMSE of every round.
+    """
+    cut = len(records) - max(1, round(0.2 * len(records)))
+    train, holdout = records[:cut], records[cut:]
+    current = list(records[0].features)
+    best_rmse, best_set, scores = np.inf, current, []
+    while True:
+        model = fit_hybrid(train, stl_config, gbrt_config, current)
+        score = rmse(predict_daily(model, holdout), [r.demand for r in holdout])
+        scores.append(score)
+        if score >= best_rmse:
+            break
+        best_rmse, best_set = score, current
+        importance = variable_importance(model.residual_model)
+        survivors = [f for f in current if importance.get(f, 0.0) >= threshold]
+        if not survivors or survivors == current:
+            break
+        current = survivors
+    return best_set, scores
+
+
+@pytest.fixture(scope="module")
+def gappy_records(small_records):
+    """Two years with a few missing cells in one feature."""
+    rng = np.random.default_rng(4)
+    out = []
+    for record in small_records[:560]:
+        features = dict(record.features)
+        if rng.random() < 0.05:
+            features["lab_lag1"] = float("nan")
+        out.append(DailyRecord(date=record.date, demand=record.demand, features=features))
+    return out
+
+
+CV_GRID = [
+    (stl, gbrt_config)
+    for stl in (StlConfig(), StlConfig(t_window=91, n_outer=0))
+    for gbrt_config in (
+        GbrtConfig(n_rounds=8, max_depth=2, seed=1),
+        GbrtConfig(n_rounds=5, max_depth=None, subsample_rows=0.7, subsample_cols=0.5,
+                   min_child_weight=5.0, gamma=0.5, seed=3),
+    )
+]
+
+
+class TestSharedCvLoop:
+    @pytest.mark.parametrize("feature_names", [None, ["lab_lag1", "lab_lag7", "dow_mon"]])
+    def test_grid_scores_equal_per_point_loop(self, gappy_records, feature_names):
+        expected = [reference_cv_rmse(gappy_records, stl, g, 3, feature_names)
+                    for stl, g in CV_GRID]
+        assert forecast._cv_scores(gappy_records, CV_GRID, 3, feature_names, 7) == expected
+        for (stl, g), score in zip(CV_GRID, expected):
+            assert cv_rmse(gappy_records, stl, g, k=3, feature_names=feature_names) == score
+        winner = CV_GRID[int(np.argmin(expected))]
+        assert grid_search_cv(gappy_records, CV_GRID, k=3, feature_names=feature_names) == winner
+
+    # (grid point, threshold): pruned to one feature in two rounds, to three
+    # features in three rounds with subsampling, and no pruning at all
+    @pytest.mark.parametrize("point, threshold", [(0, 0.1), (3, 0.005), (2, 0.05)])
+    def test_feature_selection_equals_refit_loop(self, gappy_records, monkeypatch, point,
+                                                 threshold):
+        stl, gbrt_config = CV_GRID[point]
+        expected = reference_feature_selection(gappy_records, stl, gbrt_config, threshold)
+        scores = []
+
+        def recorded(pred, actual):
+            scores.append(rmse(pred, actual))
+            return scores[-1]
+
+        monkeypatch.setattr(forecast, "rmse", recorded)
+        selected = iterative_feature_selection(gappy_records, stl, gbrt_config, threshold)
+        assert (selected, scores) == expected
+
+    def test_each_window_decomposed_once(self, gappy_records, monkeypatch):
+        calls = []
+        original = forecast.stl_decompose
+
+        def counted(series, config):
+            calls.append((series.start_date, len(series), config))
+            return original(series, config)
+
+        monkeypatch.setattr(forecast, "stl_decompose", counted)
+        grid_search_cv(gappy_records, CV_GRID, k=3)
+        assert len(calls) == len(set(calls)) == 3 * 2  # folds x distinct StlConfigs
+        calls.clear()
+        iterative_feature_selection(gappy_records, *CV_GRID[0], importance_threshold=0.05)
+        assert len(calls) == 1
+
+    def test_non_contiguous_records_rejected(self, gappy_records):
+        records = gappy_records[:200] + gappy_records[201:]
+        with pytest.raises(ParameterError, match="contiguous"):
+            cv_rmse(records, *CV_GRID[0], k=3)
+        with pytest.raises(ParameterError, match="contiguous"):
+            iterative_feature_selection(records, *CV_GRID[0])
 
 
 class TestFeatureSelection:
