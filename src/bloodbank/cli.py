@@ -505,22 +505,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(path, key: str, value, action: argparse.Action):
+    """A config-file value converted as its flag's command-line text would be."""
+    if value is None and action.default is None:
+        return None
+    try:
+        if action.type is None and not isinstance(value, str):
+            raise ValueError(value)
+        converted = action.type(str(value)) if action.type else value
+        if action.choices is not None and converted not in action.choices:
+            raise ValueError(value)
+    except ValueError:
+        raise SchemaError(f"{path}: {key}: {value!r} is not a valid value for "
+                          f"{action.option_strings[-1]}") from None
+    return converted
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``; the values of a ``--config`` file replace flag defaults.
+
+    The file's values become the subcommand's defaults and argv is parsed
+    again, so every flag given on the command line wins, abbreviated or not.
+    """
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        overrides = _load_json(args.config)
-        if not isinstance(overrides, dict):
-            raise SchemaError(f"{args.config}: config file must hold a JSON object")
-        # file values fill in anything the command line left at its default
-        explicit = {token.split("=")[0].lstrip("-").replace("-", "_")
-                    for token in argv if token.startswith("--")}
-        for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise ParameterError(f"config file sets unknown option {key!r}")
-            if attr not in explicit:
-                setattr(args, attr, value)
-    return args
+    if not getattr(args, "config", None):
+        return args
+    overrides = _load_json(args.config)
+    if not isinstance(overrides, dict):
+        raise SchemaError(f"{args.config}: config file must hold a JSON object")
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command_parser = commands.choices[args.command]
+    flags = {a.dest: a for a in command_parser._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
+    for key, value in overrides.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise ParameterError(f"{args.config}: config file sets unknown option {key!r}")
+        defaults[action.dest] = _config_value(args.config, key, value, action)
+    command_parser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,11 +1,12 @@
-"""Hybrid demand model: seasonal-trend decomposition plus boosted residuals.
+"""Demand models: seasonal-trend decomposition plus a model of its residual.
 
 The decomposition captures the trend and day-of-week cycle of the demand
-series; a gradient-boosted ensemble then predicts the decomposition residual
-from lagged operational features.  A forecast for a future day is the
-extended trend+seasonal value plus the predicted residual.  Two reference
-models share the surface: decomposition-only (residual forecast zero) and
-decomposition plus ordinary least squares on the same features.
+series; a residual model predicts the decomposition residual from lagged
+operational features.  A forecast is the extended trend+seasonal value plus
+the predicted residual.  ``HybridModel`` is the one model type; its residual
+model is the boosted ensemble of the hybrid (``fit_hybrid``), least squares on
+the same features (``fit_stl_linear``) or none (``fit_stl_only``).  All three
+share one fit and one prediction path; only the hybrid is serialized.
 """
 
 from __future__ import annotations
@@ -13,19 +14,18 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import gbrt
 from .errors import ParameterError, SchemaError
+from .policy import _SEMIWEEKLY_BLOCKS
 from .timeseries import Decomposition, Series, StlConfig, stl_decompose, stl_extend
 
 __all__ = [
     "DailyRecord",
     "HybridModel",
-    "StlOnlyModel",
-    "StlLinearModel",
     "ForecastReport",
     "fit_hybrid",
     "predict_daily",
@@ -70,6 +70,13 @@ def feature_names_of(records: list[DailyRecord]) -> list[str]:
     return names
 
 
+def _resolved_names(records: list[DailyRecord], feature_names: list[str] | None) -> list[str]:
+    names = list(feature_names) if feature_names is not None else feature_names_of(records)
+    if not names:
+        raise ParameterError("at least one feature is required")
+    return names
+
+
 def _check_contiguous(records: list[DailyRecord]) -> None:
     for prev, cur in zip(records, records[1:]):
         if cur.date != prev.date + dt.timedelta(days=1):
@@ -97,34 +104,19 @@ def demand_series(records: list[DailyRecord], period: int = 7) -> Series:
 
 @dataclass
 class HybridModel:
+    """A decomposition of the training window plus a model of its residual.
+
+    ``residual_model`` is a boosted ``gbrt.Ensemble``, the least-squares
+    coefficients of the linear reference (intercept first), or ``None`` for
+    decomposition alone.
+    """
+
     period: int
     stl_config: StlConfig
     decomposition: Decomposition
     train_start: dt.date
     train_end: dt.date
-    residual_model: gbrt.Ensemble
-    feature_names: list[str]
-    trend_mode: str = "drift"
-
-
-@dataclass
-class StlOnlyModel:
-    period: int
-    stl_config: StlConfig
-    decomposition: Decomposition
-    train_start: dt.date
-    train_end: dt.date
-    trend_mode: str = "drift"
-
-
-@dataclass
-class StlLinearModel:
-    period: int
-    stl_config: StlConfig
-    decomposition: Decomposition
-    train_start: dt.date
-    train_end: dt.date
-    coefficients: np.ndarray  # intercept first
+    residual_model: gbrt.Ensemble | np.ndarray | None
     feature_names: list[str]
     trend_mode: str = "drift"
 
@@ -144,6 +136,32 @@ class ForecastReport:
         return mape(self.predicted, self.actual)
 
 
+def _fit(train: list[DailyRecord], stl_config: StlConfig, feature_names: list[str] | None,
+         period: int, trend_mode: str, fit_residual) -> HybridModel:
+    """Decompose the demand series, then fit ``fit_residual(X, residual)``.
+
+    ``fit_residual=None`` fits no residual model and reads no features.
+    """
+    if len(train) < 2 * period:
+        raise ParameterError(
+            f"{len(train)} training days is fewer than two cycles of {period}"
+        )
+    _check_contiguous(train)
+    names = [] if fit_residual is None else _resolved_names(train, feature_names)
+    dec = stl_decompose(demand_series(train, period), stl_config)
+    residual_model = fit_residual(records_to_matrix(train, names), dec.residual) if names else None
+    return HybridModel(
+        period=period,
+        stl_config=stl_config,
+        decomposition=dec,
+        train_start=train[0].date,
+        train_end=train[-1].date,
+        residual_model=residual_model,
+        feature_names=names,
+        trend_mode=trend_mode,
+    )
+
+
 def fit_hybrid(
     train: list[DailyRecord],
     stl_config: StlConfig,
@@ -153,66 +171,8 @@ def fit_hybrid(
     trend_mode: str = "drift",
 ) -> HybridModel:
     """Decompose the demand series, then boost the residuals on the features."""
-    if len(train) < 2 * period:
-        raise ParameterError(
-            f"{len(train)} training days is fewer than two cycles of {period}"
-        )
-    _check_contiguous(train)
-    names = feature_names if feature_names is not None else feature_names_of(train)
-    if not names:
-        raise ParameterError("at least one feature is required")
-    dec = stl_decompose(demand_series(train, period), stl_config)
-    X = records_to_matrix(train, names)
-    residual_model = gbrt.train(X, dec.residual, gbrt_config)
-    return HybridModel(
-        period=period,
-        stl_config=stl_config,
-        decomposition=dec,
-        train_start=train[0].date,
-        train_end=train[-1].date,
-        residual_model=residual_model,
-        feature_names=list(names),
-        trend_mode=trend_mode,
-    )
-
-
-def _check_future(
-    future: list[DailyRecord], train_end: dt.date
-) -> None:
-    if future[0].date != train_end + dt.timedelta(days=1):
-        raise ParameterError(
-            f"forecast must start at {train_end + dt.timedelta(days=1)}, "
-            f"got {future[0].date}"
-        )
-    _check_contiguous(future)
-
-
-def predict_daily(model: HybridModel, future: list[DailyRecord]) -> np.ndarray:
-    """Raw daily forecasts (may be negative; callers clamp at the order step)."""
-    if not future:
-        return np.empty(0)
-    _check_future(future, model.train_end)
-    base = stl_extend(model.decomposition, len(future), model.period, model.trend_mode)
-    X = records_to_matrix(future, model.feature_names)
-    return base + gbrt.predict(model.residual_model, X)
-
-
-def predict_in_sample(model: HybridModel, train: list[DailyRecord]) -> np.ndarray:
-    """Fitted values over the training window: trend + seasonal + boosted residual."""
-    if not train:
-        return np.empty(0)
-    if train[0].date != model.train_start or train[-1].date != model.train_end:
-        raise ParameterError(
-            f"records span {train[0].date}..{train[-1].date} but the model was "
-            f"trained on {model.train_start}..{model.train_end}"
-        )
-    _check_contiguous(train)
-    X = records_to_matrix(train, model.feature_names)
-    return (
-        model.decomposition.trend
-        + model.decomposition.seasonal
-        + gbrt.predict(model.residual_model, X)
-    )
+    return _fit(train, stl_config, feature_names, period, trend_mode,
+                lambda X, residual: gbrt.train(X, residual, gbrt_config))
 
 
 def fit_stl_only(
@@ -220,23 +180,20 @@ def fit_stl_only(
     stl_config: StlConfig,
     period: int = 7,
     trend_mode: str = "drift",
-) -> StlOnlyModel:
-    _check_contiguous(train)
-    dec = stl_decompose(demand_series(train, period), stl_config)
-    return StlOnlyModel(
-        period=period,
-        stl_config=stl_config,
-        decomposition=dec,
-        train_start=train[0].date,
-        train_end=train[-1].date,
-        trend_mode=trend_mode,
-    )
+) -> HybridModel:
+    """Decomposition alone: the residual forecast is zero."""
+    return _fit(train, stl_config, None, period, trend_mode, None)
 
 
-def predict_stl_only(model: StlOnlyModel, horizon: int) -> np.ndarray:
-    if horizon == 0:
-        return np.empty(0)
-    return stl_extend(model.decomposition, horizon, model.period, model.trend_mode)
+def _design(values: np.ndarray) -> np.ndarray:
+    return np.column_stack([np.ones(values.shape[0]), values])
+
+
+def _least_squares(X: gbrt.FeatureMatrix, residual: np.ndarray) -> np.ndarray:
+    if np.isnan(X.values).any():
+        raise ParameterError("linear baseline does not accept missing feature values")
+    coefficients, *_ = np.linalg.lstsq(_design(X.values), residual, rcond=None)
+    return coefficients
 
 
 def fit_stl_linear(
@@ -245,36 +202,55 @@ def fit_stl_linear(
     feature_names: list[str] | None = None,
     period: int = 7,
     trend_mode: str = "drift",
-) -> StlLinearModel:
+) -> HybridModel:
     """Same decomposition, residuals fit with ordinary least squares."""
-    _check_contiguous(train)
-    names = feature_names if feature_names is not None else feature_names_of(train)
-    dec = stl_decompose(demand_series(train, period), stl_config)
-    X = records_to_matrix(train, names).values
-    if np.isnan(X).any():
-        raise ParameterError("linear baseline does not accept missing feature values")
-    design = np.column_stack([np.ones(X.shape[0]), X])
-    coefficients, *_ = np.linalg.lstsq(design, dec.residual, rcond=None)
-    return StlLinearModel(
-        period=period,
-        stl_config=stl_config,
-        decomposition=dec,
-        train_start=train[0].date,
-        train_end=train[-1].date,
-        coefficients=coefficients,
-        feature_names=list(names),
-        trend_mode=trend_mode,
-    )
+    return _fit(train, stl_config, feature_names, period, trend_mode, _least_squares)
 
 
-def predict_stl_linear(model: StlLinearModel, future: list[DailyRecord]) -> np.ndarray:
+def _predicted_residual(model: HybridModel, records: list[DailyRecord]):
+    """The residual model's prediction for ``records``; 0.0 without one."""
+    if model.residual_model is None:
+        return 0.0
+    X = records_to_matrix(records, model.feature_names)
+    if isinstance(model.residual_model, gbrt.Ensemble):
+        return gbrt.predict(model.residual_model, X)
+    return _design(X.values) @ model.residual_model
+
+
+def predict_daily(model: HybridModel, future: list[DailyRecord]) -> np.ndarray:
+    """Raw daily forecasts (may be negative; callers clamp at the order step)."""
     if not future:
         return np.empty(0)
-    _check_future(future, model.train_end)
+    start = model.train_end + dt.timedelta(days=1)
+    if future[0].date != start:
+        raise ParameterError(f"forecast must start at {start}, got {future[0].date}")
+    _check_contiguous(future)
     base = stl_extend(model.decomposition, len(future), model.period, model.trend_mode)
-    X = records_to_matrix(future, model.feature_names).values
-    design = np.column_stack([np.ones(X.shape[0]), X])
-    return base + design @ model.coefficients
+    return base + _predicted_residual(model, future)
+
+
+predict_stl_linear = predict_daily
+
+
+def predict_in_sample(model: HybridModel, train: list[DailyRecord]) -> np.ndarray:
+    """Fitted values over the training window: trend + seasonal + predicted residual."""
+    if not train:
+        return np.empty(0)
+    if train[0].date != model.train_start or train[-1].date != model.train_end:
+        raise ParameterError(
+            f"records span {train[0].date}..{train[-1].date} but the model was "
+            f"trained on {model.train_start}..{model.train_end}"
+        )
+    _check_contiguous(train)
+    dec = model.decomposition
+    return dec.trend + dec.seasonal + _predicted_residual(model, train)
+
+
+def predict_stl_only(model: HybridModel, horizon: int) -> np.ndarray:
+    """The extended trend + seasonal values: the decomposition-only forecast."""
+    if horizon == 0:
+        return np.empty(0)
+    return stl_extend(model.decomposition, horizon, model.period, model.trend_mode)
 
 
 def rmse(pred, actual) -> float:
@@ -323,9 +299,6 @@ def lagged_cross_correlation(x, y, lag: int) -> float:
     return float((a * b).sum() / denom)
 
 
-_BLOCK_STARTS = {1: 3, 4: 4}  # Tuesday starts a 3-day block, Friday a 4-day block
-
-
 def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.date, float]]:
     """Sum daily values into Tue-Thu and Fri-Mon blocks labeled by start date.
 
@@ -338,7 +311,7 @@ def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.da
     i = 0
     while i < len(daily):
         day, _ = daily[i]
-        length = _BLOCK_STARTS.get(day.weekday())
+        length = _SEMIWEEKLY_BLOCKS.get(day.weekday())
         if length is None:
             i += 1  # leading partial block
             continue
@@ -389,9 +362,7 @@ def _cv_scores(
     _check_contiguous(records)
     # fit_hybrid reads the names from its training window; every window starts
     # at records[0] and the last one holds all the others
-    names = feature_names if feature_names is not None else feature_names_of(records[: bounds[k]])
-    if not names:
-        raise ParameterError("at least one feature is required")
+    names = _resolved_names(records[: bounds[k]], feature_names)
     X = records_to_matrix(records, names).values
     fold_scores: list[list[float]] = [[] for _ in grid]
     for j in range(1, k + 1):
@@ -473,9 +444,7 @@ def iterative_feature_selection(
     _check_contiguous(records)
     actual = [r.demand for r in holdout]
 
-    all_names = feature_names_of(records)
-    if not all_names:
-        raise ParameterError("at least one feature is required")
+    all_names = _resolved_names(records, None)
     X = records_to_matrix(records, all_names).values
     dec = stl_decompose(demand_series(train, period), stl_config)
     current = all_names
@@ -583,7 +552,13 @@ def read_forecast_csv(path) -> ForecastReport:
     return ForecastReport(dates=dates, actual=np.asarray(actual), predicted=np.asarray(predicted))
 
 
+_COMPONENTS = ("trend", "seasonal", "residual")
+
+
 def hybrid_to_dict(model: HybridModel) -> dict:
+    """The ``bloodbank.hybrid`` v1 document of a boosted model."""
+    if not isinstance(model.residual_model, gbrt.Ensemble):
+        raise ParameterError("only a model with a boosted residual can be serialized")
     return {
         "format": "bloodbank.hybrid",
         "version": 1,
@@ -591,18 +566,9 @@ def hybrid_to_dict(model: HybridModel) -> dict:
         "trend_mode": model.trend_mode,
         "train_start": model.train_start.isoformat(),
         "train_end": model.train_end.isoformat(),
-        "stl_config": {
-            "s_window": model.stl_config.s_window,
-            "t_window": model.stl_config.t_window,
-            "n_inner": model.stl_config.n_inner,
-            "n_outer": model.stl_config.n_outer,
-            "loess_degree": model.stl_config.loess_degree,
-        },
-        "decomposition": {
-            "trend": model.decomposition.trend.tolist(),
-            "seasonal": model.decomposition.seasonal.tolist(),
-            "residual": model.decomposition.residual.tolist(),
-        },
+        "stl_config": asdict(model.stl_config),
+        "decomposition": {name: getattr(model.decomposition, name).tolist()
+                          for name in _COMPONENTS},
         "feature_names": list(model.feature_names),
         "residual_model": gbrt.ensemble_to_dict(model.residual_model),
     }
@@ -615,15 +581,13 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
     if doc.get("version") != 1:
         raise SchemaError(f"unsupported hybrid model version {doc.get('version')!r}")
     try:
+        if type(doc["period"]) is not int:
+            raise SchemaError(f"period must be a whole number, got {doc['period']!r}")
         components = doc["decomposition"]
         model = HybridModel(
-            period=int(doc["period"]),
+            period=doc["period"],
             stl_config=StlConfig(**doc["stl_config"]),
-            decomposition=Decomposition(
-                trend=np.asarray(components["trend"]),
-                seasonal=np.asarray(components["seasonal"]),
-                residual=np.asarray(components["residual"]),
-            ),
+            decomposition=Decomposition(*(np.asarray(components[name]) for name in _COMPONENTS)),
             train_start=dt.date.fromisoformat(doc["train_start"]),
             train_end=dt.date.fromisoformat(doc["train_end"]),
             residual_model=gbrt.ensemble_from_dict(doc["residual_model"]),

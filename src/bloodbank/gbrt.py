@@ -431,17 +431,28 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(data: dict) -> TreeNode:
+def _exact(value, kind: type, name: str):
+    """A JSON value of exactly ``kind`` (bool is not an int); SchemaError otherwise."""
+    if type(value) is not kind:
+        expected = "true or false" if kind is bool else "a whole number"
+        raise SchemaError(f"split {name} must be {expected}, got {value!r}")
+    return value
+
+
+def _node_from_dict(data: dict, n_features: int) -> TreeNode:
     if "weight" in data:
         return TreeNode(weight=float(data["weight"]))
+    feature = _exact(data["feature"], int, "feature")
+    if not 0 <= feature < n_features:
+        raise SchemaError(f"split feature {feature} is not a column of {n_features} features")
     return TreeNode(
-        feature=int(data["feature"]),
+        feature=feature,
         threshold=float(data["threshold"]),
-        default_left=bool(data["default_left"]),
+        default_left=_exact(data["default_left"], bool, "default_left"),
         gain=float(data.get("gain", 0.0)),
-        cover=int(data.get("cover", 0)),
-        left=_node_from_dict(data["left"]),
-        right=_node_from_dict(data["right"]),
+        cover=_exact(data.get("cover", 0), int, "cover"),
+        left=_node_from_dict(data["left"], n_features),
+        right=_node_from_dict(data["right"], n_features),
     )
 
 
@@ -475,11 +486,12 @@ def ensemble_from_dict(doc: dict) -> Ensemble:
     if doc.get("version") != MODEL_VERSION:
         raise SchemaError(f"unsupported ensemble version {doc.get('version')!r}")
     config = GbrtConfig(**doc["config"]) if "config" in doc else None
+    names = list(doc["feature_names"])
     return Ensemble(
-        trees=[_node_from_dict(tree) for tree in doc["trees"]],
+        trees=[_node_from_dict(tree, len(names)) for tree in doc["trees"]],
         learning_rate=float(doc["learning_rate"]),
         base_score=float(doc["base_score"]),
-        feature_names=list(doc["feature_names"]),
+        feature_names=names,
         config=config,
     )
 

@@ -9,7 +9,9 @@ and charged as wastage.  The period cost is
     delivery * (order placed) + holding * end inventory
     + urgent * shortage units + wastage * expired units.
 
-``step`` advances one trajectory and ``simulate`` folds it over a stream.
+``step`` advances one trajectory; ``_fold`` is the one loop over it, with the
+order of each period chosen from the stock level it sees, and ``simulate``
+folds it over a given order stream.
 ``step_batch`` runs the same period for K trajectories at once on a
 ``(K, shelf_life - 1)`` age array that share one demand but differ in their
 orders, so a policy grid is simulated in one pass instead of K loops over
@@ -218,6 +220,25 @@ def step_batch(
     return new_counts, expired, urgent
 
 
+def _fold(
+    initial: AgeProfile, demands, costs: CostParams, order_fn
+) -> tuple[list[PeriodOutcome], float]:
+    """Run ``step`` over ``demands``; period ``i`` orders ``order_fn(i, level)``.
+
+    ``level`` is the stock the order decision sees: the initial total, then
+    the previous period's end inventory.  Also returns the mean cost.
+    """
+    state = initial
+    level = initial.total
+    outcomes: list[PeriodOutcome] = []
+    for i, y in enumerate(demands):
+        state, outcome = step(state, order_fn(i, level), y, costs)
+        level = outcome.end_inventory
+        outcomes.append(outcome)
+    average = sum(o.cost for o in outcomes) / len(outcomes) if outcomes else 0.0
+    return outcomes, average
+
+
 def simulate(
     initial: AgeProfile, orders, demands, costs: CostParams
 ) -> tuple[list[PeriodOutcome], float]:
@@ -228,13 +249,7 @@ def simulate(
         raise ParameterError(
             f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands"
         )
-    state = initial
-    outcomes: list[PeriodOutcome] = []
-    for z, y in zip(orders, demands):
-        state, outcome = step(state, z, y, costs)
-        outcomes.append(outcome)
-    average = sum(o.cost for o in outcomes) / len(outcomes) if outcomes else 0.0
-    return outcomes, average
+    return _fold(initial, demands, costs, lambda i, level: orders[i])
 
 
 def brute_force_unit_sim(

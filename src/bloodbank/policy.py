@@ -17,7 +17,8 @@ order rule applied to the vector of stock levels; each candidate's cost is
 added period by period, as a fold over ``step`` adds it, so the rows are
 bit-identical to simulating each candidate alone.  ``run_policy``,
 ``evaluate_strategy`` and ``cost_under_actual`` follow a single trajectory
-and keep calling ``step``, which is faster than the array kernel on one row.
+through ``inventory._fold``, the one loop over ``step``, which is faster than
+the array kernel on one row.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .inventory import (
     CostParams,
     PeriodOutcome,
     _check_units,
+    _fold,
     simulate,
-    step,
     step_batch,
     young_stock,
 )
@@ -62,8 +63,9 @@ __all__ = [
     "read_sweep_csv",
 ]
 
-# semiweekly orders are placed on Mondays, covering 3 days, and Thursdays, covering 4
-_BLOCK_AFTER = {0: 3, 3: 4}
+# semiweekly deliveries by weekday (Monday=0) and the days each covers: Tuesday
+# (ordered Monday) covers Tue-Thu, Friday (ordered Thursday) covers Fri-Mon
+_SEMIWEEKLY_BLOCKS = {1: 3, 4: 4}
 
 
 @dataclass(frozen=True)
@@ -121,24 +123,20 @@ def order_quantity(inventory: int, forecast_units: int, params: PolicyParams) ->
 class PolicyRun:
     outcomes: list[PeriodOutcome]
     average_cost: float
-    orders: list[int]
-    prior_inventory: list[int]  # stock level each order decision saw
+    initial_level: int
+
+    @property
+    def orders(self) -> list[int]:
+        return [o.order_qty for o in self.outcomes]
+
+    @property
+    def prior_inventory(self) -> list[int]:
+        """Stock level each order decision saw."""
+        return [self.initial_level, *(o.end_inventory for o in self.outcomes)][:-1]
 
 
 def _drive(initial: AgeProfile, demands, costs: CostParams, order_fn) -> PolicyRun:
-    state = initial
-    outcomes: list[PeriodOutcome] = []
-    orders: list[int] = []
-    prior: list[int] = []
-    for i, y in enumerate(demands):
-        level = state.total
-        z = order_fn(i, level)
-        state, outcome = step(state, z, y, costs)
-        outcomes.append(outcome)
-        orders.append(z)
-        prior.append(level)
-    average = sum(o.cost for o in outcomes) / len(outcomes) if outcomes else 0.0
-    return PolicyRun(outcomes=outcomes, average_cost=average, orders=orders, prior_inventory=prior)
+    return PolicyRun(*_fold(initial, demands, costs, order_fn), initial.total)
 
 
 def _as_profile(initial, demands, shelf_life: int) -> AgeProfile:
@@ -171,7 +169,7 @@ def _order_plan(y_hat: list[float], schedule: Schedule) -> tuple[list[int], list
     for i in range(horizon):
         block = 1
         if schedule.kind == "semiweekly":
-            block = _BLOCK_AFTER.get((schedule.start_weekday + i - 1) % 7, 0)
+            block = _SEMIWEEKLY_BLOCKS.get((schedule.start_weekday + i) % 7, 0)
         order_days.append(block > 0)
         units.append(round_units(sum(y_hat[i : min(i + block, horizon)])) if block else 0)
     return units, order_days

@@ -374,6 +374,19 @@ class TestMalformedInputs:
         (lambda doc: doc["decomposition"]["trend"].pop(), "equally long"),
         (lambda doc: doc.update(train_start="2010-02-30"), "malformed"),
         (lambda doc: doc["stl_config"].update(s_windw=7), "malformed"),
+        # numbers and flags are taken as written, never coerced
+        (lambda doc: doc.update(period=7.9), "period must be a whole number, got 7.9"),
+        (lambda doc: doc.update(period=True), "period must be a whole number, got True"),
+        (lambda doc: doc["residual_model"]["trees"][0].update(feature=2.7),
+         "split feature must be a whole number, got 2.7"),
+        (lambda doc: doc["residual_model"]["trees"][0].update(default_left="false"),
+         "split default_left must be true or false, got 'false'"),
+        (lambda doc: doc["residual_model"]["trees"][0].update(default_left=0),
+         "split default_left must be true or false, got 0"),
+        (lambda doc: doc["residual_model"]["trees"][0].update(cover=12.5),
+         "split cover must be a whole number, got 12.5"),
+        (lambda doc: doc["residual_model"]["trees"][0].update(feature=-1),
+         "split feature -1 is not a column"),
     ])
     def test_forecast_rejects_damaged_model(self, trained, dataset, tmp_path, capsys,
                                             damage, message):
@@ -425,6 +438,61 @@ class TestConfigFile:
         config.write_text(json.dumps({"dayz": 60}))
         assert run(["generate", "--config", config, "--out-dir", tmp_path / "x"]) == 2
         assert "dayz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file_value", ["30", 30], ids=["text", "number"])
+    def test_abbreviated_flag_beats_file(self, dataset, tmp_path, file_value):
+        # argparse accepts --train for --train-days; the flag must still win
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train_days": file_value, "rounds": 2}))
+        out = tmp_path / "train"
+        assert run(["train", "--data", dataset, "--train", 40, "--config", config,
+                    "--out-dir", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["train_days"] == 40
+        assert manifest["config"]["rounds"] == 2  # from the file
+
+    def test_file_values_go_through_flag_types(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"days": "60", "noise_sd": 3}))
+        out = tmp_path / "gen"
+        assert run(["generate", "--config", config, "--out-dir", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["days"] == 60
+        assert manifest["config"]["noise_sd"] == 3.0
+        assert type(manifest["config"]["noise_sd"]) is float
+
+    def test_manifest_config_replays(self, dataset, tmp_path):
+        # a manifest records unset options as null; they replay as unset
+        first, second = tmp_path / "one", tmp_path / "two"
+        assert run(["decompose", "--data", dataset, "--s-window", 13, "--out-dir", first]) == 0
+        recorded = json.loads((first / "manifest.json").read_text())["config"]
+        assert recorded["t_window"] is None
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(recorded))
+        assert run(["decompose", "--data", dataset, "--config", config, "--out-dir", second]) == 0
+        assert json.loads((second / "manifest.json").read_text())["config"] == recorded
+        assert ((first / "decomposition.csv").read_bytes()
+                == (second / "decomposition.csv").read_bytes())
+
+    @pytest.mark.parametrize("command, key, value", [
+        (["train", "--train-days", 40], "rounds", 2.5),
+        (["train", "--train-days", 40], "rounds", True),
+        (["train", "--train-days", 40], "learning_rate", "fast"),
+        (["generate"], "start_date", 20080107),
+    ])
+    def test_rejected_file_value_names_file_and_key(self, dataset, tmp_path, capsys,
+                                                    command, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        extra = ["--data", dataset] if command[0] == "train" else []
+        code = run([*command, *extra, "--config", config, "--out-dir", tmp_path / "x"])
+        assert_clean_failure(capsys, code, config, key, repr(value))
+
+    def test_rejected_choice(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"objective": "cheapest"}))
+        code = run(["optimize", "--report", tmp_path / "none.csv", "--config", config])
+        assert_clean_failure(capsys, code, config, "objective", "'cheapest'")
 
 
 def test_stream_csv_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bloodbank.errors import ParameterError, SchemaError
 from bloodbank.forecast import (
     DailyRecord,
     ForecastReport,
+    HybridModel,
     aggregate_semiweekly,
     cv_rmse,
     fit_hybrid,
@@ -271,6 +273,82 @@ class TestHybrid:
         actual = [r.demand for r in test_part]
         alone = fit_stl_only(train_part, StlConfig())
         assert rmse(predictions, actual) < rmse(predict_stl_only(alone, 60), actual)
+
+
+def prediction_digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+# sha256 of the float64 prediction bytes, recorded when each reference model
+# still had a class of its own; linear in-sample is trend + seasonal + design
+# @ coefficients, computed from that code's fitted components
+PINNED_PREDICTIONS = {
+    "drift": {
+        "hybrid_daily": "d7cc440d7e9017393d03959d296fa043a1712d6bfdea8ae4781bb7f87f443052",
+        "hybrid_in_sample": "8ee71a0663aadfb9841a9459951d52f10655d1ca5701d34ca62205d6070e41f3",
+        "linear_daily": "fffc4a20183b49147249f0cc18ee39330364dd03bea983a9a5353187064ef061",
+        "linear_in_sample": "5531b7a4598dd9d2e0eda6bfc4423abed1949c7af40140c769d5d9f8928ba793",
+        "stl_only": "0909ad89a8f7af7f00438c770bf46f8da5015770542670014b9b47315ef9983f",
+    },
+    "flat": {
+        "hybrid_daily": "7f03853e1f5b5df56d662f07b3339242d99ed74593828fcabdff782110616ac3",
+        "hybrid_in_sample": "8ee71a0663aadfb9841a9459951d52f10655d1ca5701d34ca62205d6070e41f3",
+        "linear_daily": "7110af24c96a2c55d606181c190a343bb88238f527edf458385f2cfaca29b5e9",
+        "linear_in_sample": "5531b7a4598dd9d2e0eda6bfc4423abed1949c7af40140c769d5d9f8928ba793",
+        "stl_only": "ab507f01dda02d97ca3f7d6bfd4cb864a0c6ac1c915ec6ac614b78d559b1088e",
+    },
+}
+
+
+class TestOneModelType:
+    """The hybrid and both reference models are one HybridModel."""
+
+    STL = StlConfig(s_window=15, t_window=91)
+    GBRT = GbrtConfig(n_rounds=25, max_depth=3, subsample_rows=0.8, subsample_cols=0.9, seed=11)
+
+    @pytest.mark.parametrize("trend_mode", ["drift", "flat"])
+    def test_predictions_keep_pinned_bytes(self, small_records, trend_mode):
+        train_part, future = small_records[:364], small_records[364:392]
+        hybrid = fit_hybrid(train_part, self.STL, self.GBRT, trend_mode=trend_mode)
+        linear = fit_stl_linear(train_part, self.STL, trend_mode=trend_mode)
+        alone = fit_stl_only(train_part, self.STL, trend_mode=trend_mode)
+        digests = {
+            "hybrid_daily": prediction_digest(predict_daily(hybrid, future)),
+            "hybrid_in_sample": prediction_digest(predict_in_sample(hybrid, train_part)),
+            "linear_daily": prediction_digest(predict_stl_linear(linear, future)),
+            "linear_in_sample": prediction_digest(predict_in_sample(linear, train_part)),
+            "stl_only": prediction_digest(predict_stl_only(alone, len(future))),
+        }
+        assert digests == PINNED_PREDICTIONS[trend_mode]
+
+    def test_kinds_share_the_decomposition(self, small_records):
+        train_part, future = small_records[:364], small_records[364:392]
+        hybrid = fit_hybrid(train_part, self.STL, self.GBRT)
+        linear = fit_stl_linear(train_part, self.STL)
+        alone = fit_stl_only(train_part, self.STL)
+        assert all(type(m) is HybridModel for m in (hybrid, linear, alone))
+        for model in (linear, alone):
+            for name in ("trend", "seasonal", "residual"):
+                assert np.array_equal(getattr(model.decomposition, name),
+                                      getattr(hybrid.decomposition, name))
+        assert isinstance(hybrid.residual_model, Ensemble)
+        assert linear.residual_model.shape == (len(linear.feature_names) + 1,)
+        assert alone.residual_model is None and alone.feature_names == []
+        # decomposition alone predicts the extension through the shared path too
+        assert np.array_equal(predict_daily(alone, future), predict_stl_only(alone, len(future)))
+
+    def test_reference_models_share_the_fit_checks(self, small_records):
+        for fit in (fit_stl_only, fit_stl_linear):
+            with pytest.raises(ParameterError, match="two cycles"):
+                fit(small_records[:13], self.STL)
+            with pytest.raises(ParameterError, match="contiguous"):
+                fit(small_records[:100] + small_records[101:200], self.STL)
+
+    def test_only_the_boosted_model_serializes(self, small_records):
+        train_part = small_records[:364]
+        for model in (fit_stl_linear(train_part, self.STL), fit_stl_only(train_part, self.STL)):
+            with pytest.raises(ParameterError, match="boosted"):
+                hybrid_to_dict(model)
 
 
 class TestGridSearch:

@@ -1,7 +1,10 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 
 from bloodbank.errors import ParameterError
+from bloodbank.forecast import aggregate_semiweekly
 from bloodbank.inventory import AgeProfile, CostParams, simulate, young_stock
 from bloodbank.policy import (
     PolicyParams,
@@ -274,6 +277,24 @@ class TestRunPolicy:
         for i, z in enumerate(run.orders):
             if z > 0:
                 assert (start_weekday + i - 1) % 7 in (MONDAY, THURSDAY)
+
+    @pytest.mark.parametrize("start_weekday", range(7))
+    def test_semiweekly_orders_cover_the_forecast_blocks(self, start_weekday):
+        # one calendar: each semiweekly order covers one aggregate_semiweekly block
+        first_day = dt.date(2010, 1, 4) + dt.timedelta(days=start_weekday)
+        y_hat = [40.25 + 3 * i for i in range(23)]
+        days = [first_day + dt.timedelta(days=i) for i in range(len(y_hat))]
+        # demand empties the stock every period, so each order is the forecast itself
+        params = PolicyParams(10_000, 1, Schedule("semiweekly", start_weekday))
+        run = run_policy(y_hat, [10_000] * len(y_hat), 0, COSTS, params)
+        ordered = {day: z for day, z in zip(days, run.orders) if z > 0}
+        blocks = dict(aggregate_semiweekly(list(zip(days, y_hat))))
+        assert len(blocks) >= 5
+        # only the trailing block, cut at the horizon, has no aggregate
+        assert {day: z for day, z in ordered.items() if day in blocks} == {
+            day: round_units(total) for day, total in blocks.items()}
+        assert len(ordered) - len(blocks) <= 1
+        assert {day.weekday() for day in ordered} <= {1, 4}  # Tuesday and Friday deliveries
 
     def test_stream_mismatch(self):
         with pytest.raises(ParameterError):
