@@ -1,11 +1,12 @@
 """Command-line pipeline: generate, decompose, train, forecast, simulate,
 optimize, compare.
 
-Every run gets its own output directory containing a ``manifest.json`` (the
-resolved configuration, SHA-256 of every input file, and the package version)
-written before any artifact, so a run can always be audited and replayed.
-Values may come from a JSON config file via ``--config``; explicit flags win
-over file values.
+Every run gets its own output directory, made on its first write.  Each
+artifact is written under a temporary name and renamed into place, and the
+``manifest.json`` (the resolved configuration, SHA-256 of every input file,
+the package version, the outputs and whether the run finished) is written
+last, so every output it lists exists and is complete.  Values may come from
+a JSON config file via ``--config``; explicit flags win over file values.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from . import __version__, datagen, forecast, gbrt, inventory, policy, timeserie
 from .errors import ParameterError, SchemaError
 
 OUTPUT_ROOT_ENV = "BLOODBANK_RUNS"
+# the flags that name input files, and the parsed values that are not config
+_INPUT_FLAGS = ("data", "model", "orders", "demands", "report", "policy")
+_NOT_CONFIG = ("command", "func", "out_dir", "config")
 
 
 def _sha256(path: Path) -> str:
@@ -34,31 +38,80 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _run_dir(args, command: str) -> Path:
+def _run_dir(args) -> Path:
     if args.out_dir:
         path = Path(args.out_dir)
     else:
         root = Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
         stamp = dt.datetime.now(dt.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-        path = root / f"{command}-{stamp}"
+        path = root / f"{args.command}-{stamp}"
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_manifest(run_dir: Path, command: str, config: dict, inputs: list, outputs: list) -> None:
-    manifest = {
-        "command": command,
-        "package": {"name": "bloodbank", "version": __version__},
-        "config": config,
-        "inputs": {
-            str(path): {"sha256": _sha256(Path(path)), "bytes": Path(path).stat().st_size}
-            for path in inputs
-        },
-        "outputs": outputs,
-    }
-    with open(run_dir / "manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+def _write_json(path, doc, sort_keys: bool = False) -> None:
+    with open(path, "w") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=sort_keys)
         handle.write("\n")
+
+
+def _replace(path: Path, writer, *values) -> None:
+    """``writer(temporary, *values)``, then rename the temporary file to ``path``."""
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        writer(temporary, *values)
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
+class _Run:
+    """One command's run directory; ``main`` enters it around the command.
+
+    The directory is made on the first write, so a command that fails before
+    writing leaves nothing behind.  Inputs are hashed then, before any output
+    could replace one.  On exit the manifest records ``status`` ``ok``, or
+    ``failed`` with the exception class.
+    """
+
+    def __init__(self, args):
+        self.args = args
+        self.dir = None
+        self.inputs = {}
+        self.outputs = []
+
+    def write(self, name: str, writer, *values) -> Path:
+        """Commit ``writer(path, *values)`` as output ``name``; return its path."""
+        if self.dir is None:
+            self.dir = _run_dir(self.args)
+            paths = [getattr(self.args, flag, None) for flag in _INPUT_FLAGS]
+            self.inputs = {str(p): {"sha256": _sha256(Path(p)), "bytes": Path(p).stat().st_size}
+                           for p in paths if p}
+        path = self.dir / name
+        _replace(path, writer, *values)
+        self.outputs.append(name)
+        return path
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if self.dir is not None:
+            status = ({"status": "ok"} if kind is None
+                      else {"status": "failed", "error": kind.__name__})
+            _write_manifest(self, status)
+
+
+def _write_manifest(run: _Run, status: dict) -> None:
+    manifest = {
+        "command": run.args.command,
+        "package": {"name": "bloodbank", "version": __version__},
+        "config": {k: v for k, v in vars(run.args).items() if k not in _NOT_CONFIG},
+        "inputs": run.inputs,
+        "outputs": run.outputs,
+        **status,
+    }
+    _replace(run.dir / "manifest.json", _write_json, manifest, True)  # keys sorted
 
 
 def _load_json(path):
@@ -68,10 +121,6 @@ def _load_json(path):
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-
-
-def _config_dict(args, keys: list[str]) -> dict:
-    return {key: getattr(args, key) for key in keys}
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -117,45 +166,43 @@ def _gbrt_config(args) -> gbrt.GbrtConfig:
     )
 
 
-def cmd_generate(args) -> int:
+def _report(records, predicted) -> forecast.ForecastReport:
+    return forecast.ForecastReport(
+        dates=[r.date for r in records],
+        actual=np.array([r.demand for r in records], dtype=float),
+        predicted=predicted,
+    )
+
+
+def cmd_generate(args, run: _Run) -> None:
+    try:
+        start_date = dt.date.fromisoformat(args.start_date)
+    except ValueError:
+        raise ParameterError(
+            f"--start-date must be a date as YYYY-MM-DD, got {args.start_date!r}") from None
     config = datagen.GenConfig(
         n_days=args.days,
         base_level=args.base_level,
         trend_slope=args.trend_slope,
         noise_sd=args.noise_sd,
         seed=args.seed,
-        start_date=dt.date.fromisoformat(args.start_date),
-    )
-    run_dir = _run_dir(args, "generate")
-    _write_manifest(
-        run_dir, "generate",
-        _config_dict(args, ["days", "base_level", "trend_slope", "noise_sd", "seed", "start_date"]),
-        [], ["dataset.csv", "dataset_truth.csv"],
+        start_date=start_date,
     )
     records, truth = datagen.generate_full(config)
-    forecast.write_dataset_csv(run_dir / "dataset.csv", records)
-    datagen.write_truth_csv(run_dir / "dataset_truth.csv", config, truth)
-    print(f"wrote {len(records)} days to {run_dir / 'dataset.csv'}")
-    return 0
+    path = run.write("dataset.csv", forecast.write_dataset_csv, records)
+    run.write("dataset_truth.csv", datagen.write_truth_csv, config, truth)
+    print(f"wrote {len(records)} days to {path}")
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args, run: _Run) -> None:
     records = forecast.read_dataset_csv(args.data)
     series = forecast.demand_series(records, args.period)
     dec = timeseries.stl_decompose(series, _stl_config(args))
-    run_dir = _run_dir(args, "decompose")
-    _write_manifest(
-        run_dir, "decompose",
-        _config_dict(args, ["data", "period", "s_window", "t_window", "n_inner", "n_outer",
-                            "loess_degree"]),
-        [args.data], ["decomposition.csv"],
-    )
-    timeseries.write_decomposition_csv(run_dir / "decomposition.csv", series, dec)
-    print(f"wrote decomposition of {len(series)} days to {run_dir / 'decomposition.csv'}")
-    return 0
+    path = run.write("decomposition.csv", timeseries.write_decomposition_csv, series, dec)
+    print(f"wrote decomposition of {len(series)} days to {path}")
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, run: _Run) -> None:
     records = forecast.read_dataset_csv(args.data)
     if not 0 < args.train_days <= len(records):
         raise ParameterError(
@@ -165,51 +212,19 @@ def cmd_train(args) -> int:
     holdout = records[args.train_days :]
     model = forecast.fit_hybrid(train_part, _stl_config(args), _gbrt_config(args),
                                 period=args.period)
-
-    run_dir = _run_dir(args, "train")
-    outputs = ["model.json", "train_report.csv"]
+    path = run.write("model.json", _write_json, forecast.hybrid_to_dict(model))
+    run.write("train_report.csv", forecast.write_forecast_csv,
+              _report(train_part, forecast.predict_in_sample(model, train_part)))
     if holdout:
-        outputs += ["holdout_report.csv", "metrics.csv"]
-    _write_manifest(
-        run_dir, "train",
-        _config_dict(args, ["data", "train_days", "period", "s_window", "t_window", "n_inner",
-                            "n_outer", "loess_degree", "rounds", "learning_rate", "max_depth",
-                            "min_child_weight", "subsample_rows", "subsample_cols", "reg_lambda",
-                            "gamma", "seed"]),
-        [args.data], outputs,
-    )
-    with open(run_dir / "model.json", "w") as handle:
-        json.dump(forecast.hybrid_to_dict(model), handle, indent=2)
-        handle.write("\n")
-
-    fitted = forecast.predict_in_sample(model, train_part)
-    forecast.write_forecast_csv(
-        run_dir / "train_report.csv",
-        forecast.ForecastReport(
-            dates=[r.date for r in train_part],
-            actual=np.array([r.demand for r in train_part], dtype=float),
-            predicted=fitted,
-        ),
-    )
-
-    if holdout:
-        predicted = forecast.predict_daily(model, holdout)
-        report = forecast.ForecastReport(
-            dates=[r.date for r in holdout],
-            actual=np.array([r.demand for r in holdout], dtype=float),
-            predicted=predicted,
-        )
-        forecast.write_forecast_csv(run_dir / "holdout_report.csv", report)
-        with open(run_dir / "metrics.csv", "w", newline="") as handle:
-            handle.write("metric,value\n")
-            handle.write(f"rmse,{report.rmse!r}\n")
-            handle.write(f"mape_percent,{100.0 * report.mape!r}\n")
+        report = _report(holdout, forecast.predict_daily(model, holdout))
+        run.write("holdout_report.csv", forecast.write_forecast_csv, report)
+        run.write("metrics.csv", Path.write_text,
+                  f"metric,value\nrmse,{report.rmse!r}\nmape_percent,{100.0 * report.mape!r}\n")
         print(f"holdout rmse {report.rmse:.3f}, mape {100 * report.mape:.2f}%")
-    print(f"wrote model to {run_dir / 'model.json'}")
-    return 0
+    print(f"wrote model to {path}")
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args, run: _Run) -> None:
     doc = _load_json(args.model)
     try:
         model = forecast.hybrid_from_dict(doc)
@@ -224,21 +239,12 @@ def cmd_forecast(args) -> int:
             f"data supplies only {len(future)} days after {model.train_end}, "
             f"horizon needs {args.horizon}"
         )
-    predicted = forecast.predict_daily(model, future)
-    report = forecast.ForecastReport(
-        dates=[r.date for r in future],
-        actual=np.array([r.demand for r in future], dtype=float),
-        predicted=predicted,
-    )
-    run_dir = _run_dir(args, "forecast")
-    _write_manifest(run_dir, "forecast", _config_dict(args, ["model", "data", "horizon"]),
-                    [args.model, args.data], ["forecast.csv"])
-    forecast.write_forecast_csv(run_dir / "forecast.csv", report)
-    print(f"wrote {len(future)} forecast days to {run_dir / 'forecast.csv'}")
-    return 0
+    path = run.write("forecast.csv", forecast.write_forecast_csv,
+                     _report(future, forecast.predict_daily(model, future)))
+    print(f"wrote {len(future)} forecast days to {path}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, run: _Run) -> None:
     orders = inventory.read_stream_csv(args.orders)
     demands = inventory.read_stream_csv(args.demands)
     if len(orders) != len(demands):
@@ -248,37 +254,29 @@ def cmd_simulate(args) -> int:
     mean_demand = sum(demands) / len(demands) if demands else 1.0
     profile = inventory.young_stock(args.initial, max(mean_demand, 1.0), args.shelf_life)
     outcomes, average = inventory.simulate(profile, orders, demands, _costs(args))
-    run_dir = _run_dir(args, "simulate")
-    _write_manifest(
-        run_dir, "simulate",
-        _config_dict(args, ["orders", "demands", "initial", "shelf_life", "cost_order",
-                            "cost_holding", "cost_urgent", "cost_wastage"]),
-        [args.orders, args.demands], ["trajectory.csv"],
-    )
-    inventory.write_trajectory_csv(run_dir / "trajectory.csv", outcomes)
+    run.write("trajectory.csv", inventory.write_trajectory_csv, outcomes)
     print(f"simulated {len(outcomes)} periods, average cost {average:.2f}")
-    return 0
 
 
-def _report_demands(path, report: forecast.ForecastReport) -> list[int]:
-    """Realized demands of a forecast report, rounded half-up as the policy rounds.
+def _read_report(path) -> tuple[list[float], list[int], int]:
+    """Forecasts, realized demands and first weekday of a forecast report.
 
-    The reader has already rejected non-finite cells.
+    Demands are rounded half-up as the policy rounds.  The reader has already
+    rejected non-finite cells.
     """
+    report = forecast.read_forecast_csv(path)
     for row_number, value in enumerate(report.actual, start=2):
         if value < 0:
             raise ParameterError(
                 f"{path}: row {row_number}: actual demand must be non-negative, got {value}"
             )
-    return [policy.round_units(v) for v in report.actual]
-
-
-def cmd_optimize(args) -> int:
-    report = forecast.read_forecast_csv(args.report)
-    demands = _report_demands(args.report, report)
-    y_hat = list(report.predicted)
-    costs = _costs(args)
     start_weekday = report.dates[0].weekday() if report.dates else 0
+    return list(report.predicted), [policy.round_units(v) for v in report.actual], start_weekday
+
+
+def cmd_optimize(args, run: _Run) -> None:
+    y_hat, demands, start_weekday = _read_report(args.report)
+    costs = _costs(args)
 
     # each grid is swept once; the choices and the sweep CSVs share its rows
     target_grid = (_parse_grid(args.target_grid) if args.target_grid
@@ -303,47 +301,27 @@ def cmd_optimize(args) -> int:
                                             reorder_grid, schedule, args.shelf_life)
         levels[kind] = policy.best_candidate(sweeps[kind], args.objective)
 
-    run_dir = _run_dir(args, "optimize")
-    _write_manifest(
-        run_dir, "optimize",
-        _config_dict(args, ["report", "initial", "shelf_life", "target_grid", "reorder_grid",
-                            "objective", "cost_order", "cost_holding", "cost_urgent",
-                            "cost_wastage"]),
-        [args.report],
-        ["policy.json", "target_sweep.csv", "reorder_sweep_daily.csv",
-         "reorder_sweep_semiweekly.csv"],
-    )
-    with open(run_dir / "policy.json", "w") as handle:
-        json.dump(
-            {
-                "format": "bloodbank.policy",
-                "version": 1,
-                "inventory_target": target,
-                "reorder_daily": levels["daily"],
-                "reorder_semiweekly": levels["semiweekly"],
-                "start_weekday": start_weekday,
-            },
-            handle, indent=2,
-        )
-        handle.write("\n")
-
-    policy.write_sweep_csv(run_dir / "target_sweep.csv", "target", target_rows)
+    run.write("policy.json", _write_json, {
+        "format": "bloodbank.policy",
+        "version": 1,
+        "inventory_target": target,
+        "reorder_daily": levels["daily"],
+        "reorder_semiweekly": levels["semiweekly"],
+        "start_weekday": start_weekday,
+    })
+    run.write("target_sweep.csv", policy.write_sweep_csv, "target", target_rows)
     for kind in ("daily", "semiweekly"):
-        policy.write_sweep_csv(run_dir / f"reorder_sweep_{kind}.csv", "reorder_level",
-                               sweeps[kind])
+        run.write(f"reorder_sweep_{kind}.csv", policy.write_sweep_csv, "reorder_level",
+                  sweeps[kind])
     print(
         f"inventory target {target}, reorder daily {levels['daily']}, "
         f"semiweekly {levels['semiweekly']}"
     )
-    return 0
 
 
-def cmd_compare(args) -> int:
-    report = forecast.read_forecast_csv(args.report)
-    demands = _report_demands(args.report, report)
-    y_hat = list(report.predicted)
+def cmd_compare(args, run: _Run) -> None:
+    y_hat, demands, start_weekday = _read_report(args.report)
     costs = _costs(args)
-    start_weekday = report.dates[0].weekday() if report.dates else 0
 
     if args.policy:
         doc = _load_json(args.policy)
@@ -382,28 +360,18 @@ def cmd_compare(args) -> int:
                                  params=policy.PolicyParams(target, reorder_semiweekly),
                                  start_weekday=start_weekday, shelf_life=args.shelf_life),
     ]
-    run_dir = _run_dir(args, "compare")
-    inputs = [args.report] + ([args.policy] if args.policy else [])
-    _write_manifest(
-        run_dir, "compare",
-        _config_dict(args, ["report", "policy", "initial", "shelf_life", "target",
-                            "reorder_daily", "reorder_semiweekly", "baseline_target",
-                            "cost_order", "cost_holding", "cost_urgent", "cost_wastage"]),
-        inputs, ["comparison.csv", "comparison.txt"],
-    )
-    policy.write_comparison_csv(run_dir / "comparison.csv", summaries)
     table = policy.comparison_table(summaries)
-    with open(run_dir / "comparison.txt", "w") as handle:
-        handle.write(table + "\n")
+    run.write("comparison.csv", policy.write_comparison_csv, summaries)
+    run.write("comparison.txt", Path.write_text, table + "\n")
     print(table)
-    return 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", default=None,
                         help=f"output directory (default: ${OUTPUT_ROOT_ENV} or ./runs)")
     parser.add_argument("--config", default=None,
-                        help="JSON file with default values for any flag")
+                        help="JSON file with default values for optional flags; "
+                             "required flags must be given on the command line")
 
 
 def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
@@ -551,13 +519,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config_file(parser, argv)
-        return args.func(args)
+        with _Run(args) as run:
+            args.func(args, run)
     except (ParameterError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc.filename2 or exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -574,6 +574,10 @@ def hybrid_to_dict(model: HybridModel) -> dict:
     }
 
 
+def _finite_values(values: list, label: str) -> np.ndarray:
+    return np.array([gbrt._finite(value, label) for value in values])
+
+
 def hybrid_from_dict(doc: dict) -> HybridModel:
     if not isinstance(doc, dict) or doc.get("format") != "bloodbank.hybrid":
         found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
@@ -587,7 +591,9 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
         model = HybridModel(
             period=doc["period"],
             stl_config=StlConfig(**doc["stl_config"]),
-            decomposition=Decomposition(*(np.asarray(components[name]) for name in _COMPONENTS)),
+            decomposition=Decomposition(*(
+                _finite_values(components[name], f"decomposition {name} value")
+                for name in _COMPONENTS)),
             train_start=dt.date.fromisoformat(doc["train_start"]),
             train_end=dt.date.fromisoformat(doc["train_end"]),
             residual_model=gbrt.ensemble_from_dict(doc["residual_model"]),

@@ -20,6 +20,7 @@ from the node's with one boolean mask.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -439,17 +440,24 @@ def _exact(value, kind: type, name: str):
     return value
 
 
+def _finite(value, name: str) -> float:
+    """A finite JSON number (bool is not one) as a float; SchemaError otherwise."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise SchemaError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _node_from_dict(data: dict, n_features: int) -> TreeNode:
     if "weight" in data:
-        return TreeNode(weight=float(data["weight"]))
+        return TreeNode(weight=_finite(data["weight"], "leaf weight"))
     feature = _exact(data["feature"], int, "feature")
     if not 0 <= feature < n_features:
         raise SchemaError(f"split feature {feature} is not a column of {n_features} features")
     return TreeNode(
         feature=feature,
-        threshold=float(data["threshold"]),
+        threshold=_finite(data["threshold"], "split threshold"),
         default_left=_exact(data["default_left"], bool, "default_left"),
-        gain=float(data.get("gain", 0.0)),
+        gain=_finite(data.get("gain", 0.0), "split gain"),
         cover=_exact(data.get("cover", 0), int, "cover"),
         left=_node_from_dict(data["left"], n_features),
         right=_node_from_dict(data["right"], n_features),
@@ -489,8 +497,8 @@ def ensemble_from_dict(doc: dict) -> Ensemble:
     names = list(doc["feature_names"])
     return Ensemble(
         trees=[_node_from_dict(tree, len(names)) for tree in doc["trees"]],
-        learning_rate=float(doc["learning_rate"]),
-        base_score=float(doc["base_score"]),
+        learning_rate=_finite(doc["learning_rate"], "learning_rate"),
+        base_score=_finite(doc["base_score"], "base_score"),
         feature_names=names,
         config=config,
     )

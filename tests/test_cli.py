@@ -58,6 +58,12 @@ class TestGenerate:
         assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
         assert (a / "dataset_truth.csv").read_bytes() == (b / "dataset_truth.csv").read_bytes()
 
+    def test_bad_start_date_fails_cleanly(self, tmp_path, capsys):
+        code = run(["generate", "--days", 30, "--start-date", "2008-13-01",
+                    "--out-dir", tmp_path / "gen"])
+        assert_clean_failure(capsys, code, "--start-date", "'2008-13-01'")
+        assert not (tmp_path / "gen").exists()
+
 
 class TestDecompose:
     def test_writes_decomposition(self, dataset, tmp_path):
@@ -331,6 +337,12 @@ def replace_cell(source, target, row_number, column, text):
     return target
 
 
+def first_leaf(node):
+    while "weight" not in node:
+        node = node["left"]
+    return node
+
+
 def assert_clean_failure(capsys, code, *fragments):
     assert code == 2
     err = capsys.readouterr().err
@@ -387,6 +399,21 @@ class TestMalformedInputs:
          "split cover must be a whole number, got 12.5"),
         (lambda doc: doc["residual_model"]["trees"][0].update(feature=-1),
          "split feature -1 is not a column"),
+        # float fields take finite JSON numbers only
+        (lambda doc: doc["residual_model"]["trees"][0].update(threshold="0.5"),
+         "split threshold must be a finite number, got '0.5'"),
+        (lambda doc: doc["residual_model"]["trees"][0].update(gain=float("nan")),
+         "split gain must be a finite number, got nan"),
+        (lambda doc: first_leaf(doc["residual_model"]["trees"][0]).update(weight=False),
+         "leaf weight must be a finite number, got False"),
+        (lambda doc: doc["residual_model"].update(learning_rate=True),
+         "learning_rate must be a finite number, got True"),
+        (lambda doc: doc["residual_model"].update(base_score=float("inf")),
+         "base_score must be a finite number, got inf"),
+        (lambda doc: doc["decomposition"]["trend"].__setitem__(0, "12"),
+         "decomposition trend value must be a finite number, got '12'"),
+        (lambda doc: doc["decomposition"]["residual"].__setitem__(5, None),
+         "decomposition residual value must be a finite number, got None"),
     ])
     def test_forecast_rejects_damaged_model(self, trained, dataset, tmp_path, capsys,
                                             damage, message):
@@ -487,6 +514,16 @@ class TestConfigFile:
         extra = ["--data", dataset] if command[0] == "train" else []
         code = run([*command, *extra, "--config", config, "--out-dir", tmp_path / "x"])
         assert_clean_failure(capsys, code, config, key, repr(value))
+
+    def test_file_cannot_supply_required_flags(self, dataset, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": str(dataset), "train_days": 50}))
+        with pytest.raises(SystemExit) as exit_info:
+            run(["train", "--config", config, "--out-dir", tmp_path / "train"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "required" in err and "--data" in err and "--train-days" in err
+        assert not (tmp_path / "train").exists()
 
     def test_rejected_choice(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -1,0 +1,99 @@
+"""The run directory every command writes: atomic outputs, manifest last."""
+
+import json
+
+import pytest
+
+from bloodbank.cli import build_parser, main
+from bloodbank.inventory import write_stream_csv
+
+COMMANDS = ("generate", "decompose", "train", "forecast", "simulate", "optimize", "compare")
+
+
+def run(args):
+    return main([str(a) for a in args])
+
+
+def manifest(run_dir):
+    return json.loads((run_dir / "manifest.json").read_text())
+
+
+def command_flags(command):
+    """The dests of a subcommand's flags, read from the parser."""
+    (subparsers,) = build_parser()._subparsers._group_actions
+    actions = subparsers.choices[command]._actions
+    return {a.dest for a in actions if a.option_strings and a.dest != "help"}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """One small successful run of every subcommand; command -> run directory."""
+    root = tmp_path_factory.mktemp("runs")
+    d = {command: root / command for command in COMMANDS}
+    data = d["generate"] / "dataset.csv"
+    write_stream_csv(root / "orders.csv", [30] * 20)
+    write_stream_csv(root / "demands.csv", [28] * 20)
+    commands = [
+        ["generate", "--days", 150, "--seed", 3],
+        ["decompose", "--data", data],
+        ["train", "--data", data, "--train-days", 120, "--rounds", 3],
+        ["forecast", "--model", d["train"] / "model.json", "--data", data, "--horizon", 10],
+        ["simulate", "--orders", root / "orders.csv", "--demands", root / "demands.csv",
+         "--initial", 200],
+        ["optimize", "--report", d["train"] / "train_report.csv", "--initial", 150,
+         "--target-grid", "150:300:50", "--reorder-grid", "0:300:50"],
+        ["compare", "--report", d["train"] / "holdout_report.csv",
+         "--policy", d["optimize"] / "policy.json", "--initial", 150],
+    ]
+    for command in commands:
+        assert run([*command, "--out-dir", d[command[0]]]) == 0
+    return d
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_config_is_the_parsed_flags(runs, command):
+    doc = manifest(runs[command])
+    assert doc["command"] == command
+    assert doc["status"] == "ok" and "error" not in doc
+    assert set(doc["config"]) == command_flags(command) - {"out_dir", "config"}
+    assert doc["outputs"] and all((runs[command] / name).is_file() for name in doc["outputs"])
+    assert not list(runs[command].glob(".*.tmp"))
+
+
+def test_inputs_are_the_given_file_flags(runs):
+    assert manifest(runs["generate"])["inputs"] == {}
+    assert set(manifest(runs["forecast"])["inputs"]) == {
+        str(runs["train"] / "model.json"), str(runs["generate"] / "dataset.csv")}
+    assert set(manifest(runs["compare"])["inputs"]) == {
+        str(runs["train"] / "holdout_report.csv"), str(runs["optimize"] / "policy.json")}
+
+
+def test_output_path_that_is_a_directory_fails_cleanly(runs, tmp_path, capsys):
+    out = tmp_path / "train"
+    (out / "train_report.csv").mkdir(parents=True)
+    code = run(["train", "--data", runs["generate"] / "dataset.csv", "--train-days", 120,
+                "--rounds", 3, "--out-dir", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and str(out / "train_report.csv") in err
+    doc = manifest(out)
+    assert doc["status"] == "failed" and doc["error"] == "IsADirectoryError"
+    assert doc["outputs"] == ["model.json"]
+    assert all((out / name).is_file() for name in doc["outputs"])
+    assert json.loads((out / "model.json").read_text())["format"] == "bloodbank.hybrid"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "model.json",
+                                                     "train_report.csv"]
+
+
+@pytest.mark.parametrize("args", [
+    ["decompose", "--data", "missing.csv"],
+    ["train", "--data", "{data}", "--train-days", 9999],
+    ["generate", "--days", 30, "--start-date", "2008-13-01"],
+], ids=["missing-file", "bad-parameter", "bad-date"])
+def test_failure_before_first_write_leaves_nothing(runs, tmp_path, monkeypatch, args):
+    monkeypatch.setenv("BLOODBANK_RUNS", str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
+    data = runs["generate"] / "dataset.csv"
+    assert run([str(a).format(data=data) for a in args]) == 2
+    assert list(tmp_path.iterdir()) == []
