@@ -65,13 +65,28 @@ def _replace(path: Path, writer, *values) -> None:
         temporary.unlink(missing_ok=True)
 
 
+def _remove_earlier_outputs(run_dir: Path, inputs) -> None:
+    """Delete the outputs an earlier manifest in ``run_dir`` lists, except ``inputs``."""
+    path = run_dir / "manifest.json"
+    doc = _load_json(path) if path.exists() else {"outputs": []}
+    names = doc.get("outputs") if isinstance(doc, dict) else None
+    if not isinstance(names, list) or not all(
+            isinstance(n, str) and n not in ("", "..") and Path(n).name == n for n in names):
+        raise SchemaError(f"{path}: outputs must be a list of file names")
+    keep = {Path(p).resolve() for p in inputs}
+    for output in (run_dir / name for name in names):
+        if output.resolve() not in keep:
+            output.unlink(missing_ok=True)
+
+
 class _Run:
     """One command's run directory; ``main`` enters it around the command.
 
     The directory is made on the first write, so a command that fails before
     writing leaves nothing behind.  Inputs are hashed then, before any output
-    could replace one.  On exit the manifest records ``status`` ``ok``, or
-    ``failed`` with the exception class.
+    could replace one, and an earlier run's outputs there are removed.  On
+    exit the manifest records ``status`` ``ok``, or ``failed`` with the
+    exception class.
     """
 
     def __init__(self, args):
@@ -87,6 +102,7 @@ class _Run:
             paths = [getattr(self.args, flag, None) for flag in _INPUT_FLAGS]
             self.inputs = {str(p): {"sha256": _sha256(Path(p)), "bytes": Path(p).stat().st_size}
                            for p in paths if p}
+            _remove_earlier_outputs(self.dir, self.inputs)
         path = self.dir / name
         _replace(path, writer, *values)
         self.outputs.append(name)

@@ -9,14 +9,12 @@ and charged as wastage.  The period cost is
     delivery * (order placed) + holding * end inventory
     + urgent * shortage units + wastage * expired units.
 
-``step`` advances one trajectory; ``_fold`` is the one loop over it, with the
-order of each period chosen from the stock level it sees, and ``simulate``
-folds it over a given order stream.
-``step_batch`` runs the same period for K trajectories at once on a
-``(K, shelf_life - 1)`` age array that share one demand but differ in their
-orders, so a policy grid is simulated in one pass instead of K loops over
-``step``.  Single trajectories still go through ``step``: on one row the
-array kernel spends more time in per-call overhead than ``step`` takes.
+``_fold`` is the one single-trajectory loop: ``_period`` on a plain list of
+age counts, which on 31 buckets costs a fraction of numpy's per-call
+overhead, with each order chosen from the stock level it sees.  ``simulate``
+and ``step`` (one period behind an ``AgeProfile``) are folds of it.
+``step_batch`` runs the same period for K trajectories that share one demand
+on a ``(K, shelf_life - 1)`` age array, so a policy grid takes one pass.
 
 ``brute_force_unit_sim`` re-runs the same dynamics tracking every physical
 unit individually and exists purely as a verification oracle for
@@ -125,8 +123,8 @@ def young_stock(total: int, mean_demand: float, shelf_life: int = 32) -> AgeProf
     counts = np.zeros(shelf_life - 1, dtype=np.int64)
     if total == 0:
         return AgeProfile(counts, shelf_life)
-    if mean_demand <= 0:
-        raise ParameterError("mean_demand must be positive to spread stock")
+    if not 0 < mean_demand < math.inf:  # also NaN
+        raise ParameterError(f"mean_demand must be positive and finite, got {mean_demand!r}")
     n_ages = min(int(math.ceil(total / mean_demand)), shelf_life - 1)
     base, extra = divmod(total, n_ages)
     counts[:n_ages] = base
@@ -155,42 +153,31 @@ def _check_units(name: str, value: int) -> int:
     return units
 
 
+def _period(counts: list, z: int, y: int) -> tuple[int, int]:
+    """One FIFO period on a list laid out like ``AgeProfile.counts``; (urgent, expired)."""
+    need = y
+    for j in range(len(counts) - 1, -1, -1):  # issue oldest first until demand is met
+        units = counts[j]
+        if units:
+            if units >= need:
+                counts[j] = units - need
+                need = 0
+                break
+            counts[j] = 0
+            need -= units
+    expired = counts.pop()  # age shelf_life - 1 survivors reach the limit
+    take_arrivals = min(need, z)  # arrivals are issued last
+    counts.insert(0, z - take_arrivals)
+    return need - take_arrivals, expired
+
+
 def step(
     state: AgeProfile, order_qty: int, demand: int, costs: CostParams
 ) -> tuple[AgeProfile, PeriodOutcome]:
     """Advance one period: arrivals, FIFO issue, urgent top-up, aging, expiry."""
-    z = _check_units("order_qty", order_qty)
-    y = _check_units("demand", demand)
-    prior = state.counts
-    m = state.shelf_life
-
-    # issue oldest first: demand left over before reaching age bucket j is
-    # y minus everything already taken from older buckets
-    oldest_first = prior[::-1]
-    older_cum = np.cumsum(oldest_first) - oldest_first
-    take = np.minimum(oldest_first, np.maximum(y - older_cum, 0))
-    survivors = (oldest_first - take)[::-1]  # back in age order
-
-    new_counts = np.zeros(m - 1, dtype=np.int64)
-    new_counts[1:] = survivors[:-1]  # each surviving bucket ages one period
-    expired = int(survivors[-1])  # age m-1 survivors reach the limit
-    remaining = y - int(take.sum())
-    take_arrivals = min(remaining, z)  # arrivals are issued last
-    new_counts[0] = z - take_arrivals
-    urgent = remaining - take_arrivals
-
-    end_inventory = int(new_counts.sum())
-    cost = costs.period_cost(z > 0, end_inventory, urgent, expired)
-    outcome = PeriodOutcome(
-        order_placed=z > 0,
-        order_qty=z,
-        demand=y,
-        urgent=urgent,
-        expired=expired,
-        end_inventory=end_inventory,
-        cost=cost,
-    )
-    return AgeProfile(new_counts, m), outcome
+    counts = state.counts.tolist()
+    (outcome,), _ = _fold(counts, [demand], costs, lambda i, level: order_qty)
+    return AgeProfile(np.array(counts, dtype=np.int64), state.shelf_life), outcome
 
 
 def step_batch(
@@ -220,21 +207,21 @@ def step_batch(
     return new_counts, expired, urgent
 
 
-def _fold(
-    initial: AgeProfile, demands, costs: CostParams, order_fn
-) -> tuple[list[PeriodOutcome], float]:
-    """Run ``step`` over ``demands``; period ``i`` orders ``order_fn(i, level)``.
+def _fold(counts: list, demands, costs: CostParams, order_fn) -> tuple[list[PeriodOutcome], float]:
+    """Outcomes and mean cost of ``_period`` on the list ``counts`` for each demand.
 
-    ``level`` is the stock the order decision sees: the initial total, then
-    the previous period's end inventory.  Also returns the mean cost.
+    Period ``i`` orders ``order_fn(i, level)``: ``level`` is the initial total,
+    then the previous period's end inventory.
     """
-    state = initial
-    level = initial.total
+    level = sum(counts)
     outcomes: list[PeriodOutcome] = []
     for i, y in enumerate(demands):
-        state, outcome = step(state, order_fn(i, level), y, costs)
-        level = outcome.end_inventory
-        outcomes.append(outcome)
+        z = _check_units("order_qty", order_fn(i, level))
+        y = _check_units("demand", y)
+        urgent, expired = _period(counts, z, y)
+        level += z - (y - urgent) - expired
+        cost = costs.period_cost(z > 0, level, urgent, expired)
+        outcomes.append(PeriodOutcome(z > 0, z, y, urgent, expired, level, cost))
     average = sum(o.cost for o in outcomes) / len(outcomes) if outcomes else 0.0
     return outcomes, average
 
@@ -242,14 +229,12 @@ def _fold(
 def simulate(
     initial: AgeProfile, orders, demands, costs: CostParams
 ) -> tuple[list[PeriodOutcome], float]:
-    """Fold ``step`` over aligned order/demand streams; also return mean cost."""
-    orders = list(orders)
-    demands = list(demands)
+    """Fold ``_period`` over aligned order/demand streams; also return mean cost."""
+    orders, demands = list(orders), list(demands)
     if len(orders) != len(demands):
         raise ParameterError(
-            f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands"
-        )
-    return _fold(initial, demands, costs, lambda i, level: orders[i])
+            f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
+    return _fold(initial.counts.tolist(), demands, costs, lambda i, level: orders[i])
 
 
 def brute_force_unit_sim(

@@ -96,6 +96,14 @@ class TestSimulate:
         with pytest.raises(ParameterError):
             simulate(AgeProfile.empty(8), [1, 2], [1], COSTS)
 
+    @pytest.mark.parametrize("bad", [-1, 2.5, float("nan")])
+    @pytest.mark.parametrize("period", [1, 7])
+    def test_bad_order_at_a_later_period_names_the_field(self, bad, period):
+        orders = [4] * 8
+        orders[period] = bad
+        with pytest.raises(ParameterError, match="order_qty"):
+            simulate(young_stock(20, 4.0, shelf_life=8), orders, [4] * 8, COSTS)
+
     def test_conservation_every_period(self):
         rng = np.random.default_rng(17)
         state = AgeProfile(rng.integers(0, 5, size=7), shelf_life=8)

@@ -2,7 +2,10 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bloodbank import policy as policy_module
 from bloodbank.errors import ParameterError
 from bloodbank.forecast import aggregate_semiweekly
 from bloodbank.inventory import AgeProfile, CostParams, simulate, young_stock
@@ -296,6 +299,38 @@ class TestRunPolicy:
         assert len(ordered) - len(blocks) <= 1
         assert {day.weekday() for day in ordered} <= {1, 4}  # Tuesday and Friday deliveries
 
+    @given(initial=st.integers(0, 500), data=st.data())
+    def test_orders_clamped_to_the_band(self, initial, data):
+        # an order is placed only on a delivery day below s, and s - I <= z <= S - I
+        y_hat = data.draw(st.lists(st.floats(0.0, 300.0), min_size=1, max_size=30))
+        demands = data.draw(st.lists(st.integers(0, 200), min_size=len(y_hat),
+                                     max_size=len(y_hat)))
+        target = data.draw(st.integers(0, 600))
+        floor = data.draw(st.integers(0, target))
+        kind = data.draw(st.sampled_from(["daily", "semiweekly"]))
+        start_weekday = data.draw(st.integers(0, 6))
+        params = PolicyParams(target, floor, Schedule(kind, start_weekday))
+        run = run_policy(y_hat, demands, initial, COSTS, params)
+        for i, (level, z) in enumerate(zip(run.prior_inventory, run.orders)):
+            delivery_day = kind == "daily" or (start_weekday + i) % 7 in (1, 4)  # Tue, Fri
+            if level >= floor or not delivery_day:
+                assert z == 0
+            else:
+                assert floor - level <= z <= target - level
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, float("nan")])
+    def test_bad_order_at_a_later_period_names_the_field(self, monkeypatch, bad):
+        seen = []
+
+        def order_quantity(inventory, forecast_units, params):
+            seen.append(inventory)
+            return bad if len(seen) == 4 else 0
+
+        monkeypatch.setattr(policy_module, "order_quantity", order_quantity)
+        with pytest.raises(ParameterError, match="order_qty"):
+            run_policy([5.0] * 8, [5] * 8, 40, COSTS, PolicyParams(100, 50))
+        assert len(seen) == 4
+
     def test_stream_mismatch(self):
         with pytest.raises(ParameterError):
             run_policy([1.0], [1, 2], 10, COSTS, PolicyParams(100, 0))
@@ -348,6 +383,15 @@ class TestEvaluateStrategy:
         params = PolicyParams(inventory_target=780 + max(demands) + 10, reorder_level=781)
         daily = evaluate_strategy("daily", y_hat, demands, 780, COSTS, params=params)
         assert dataclasses.replace(daily, strategy="gold") == gold
+
+    @pytest.mark.parametrize("initial", [40, young_stock(40, 5.0)], ids=["units", "profile"])
+    @pytest.mark.parametrize("strategy", ["gold", "baseline", "daily", "semiweekly"])
+    def test_nan_demand_at_a_later_period_raises(self, strategy, initial):
+        demands = [5] * 10
+        demands[6] = float("nan")
+        with pytest.raises(ParameterError):
+            evaluate_strategy(strategy, [5.0] * 10, demands, initial, COSTS,
+                              params=PolicyParams(100, 50), baseline_target=60)
 
     def test_unknown_strategy(self):
         with pytest.raises(ParameterError):

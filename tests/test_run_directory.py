@@ -1,6 +1,7 @@
 """The run directory every command writes: atomic outputs, manifest last."""
 
 import json
+import shutil
 
 import pytest
 
@@ -97,3 +98,43 @@ def test_failure_before_first_write_leaves_nothing(runs, tmp_path, monkeypatch, 
     data = runs["generate"] / "dataset.csv"
     assert run([str(a).format(data=data) for a in args]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_rerun_removes_the_earlier_outputs(runs, tmp_path):
+    data = runs["generate"] / "dataset.csv"  # 150 days
+    out = tmp_path / "train"
+    assert run(["train", "--data", data, "--train-days", 120, "--rounds", 3,
+                "--out-dir", out]) == 0
+    assert "holdout_report.csv" in manifest(out)["outputs"]
+    (out / "notes.txt").write_text("not an output")
+    # no holdout is left after 150 training days, so no holdout report is written
+    assert run(["train", "--data", data, "--train-days", 150, "--rounds", 3,
+                "--out-dir", out]) == 0
+    assert manifest(out)["outputs"] == ["model.json", "train_report.csv"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "model.json",
+                                                     "notes.txt", "train_report.csv"]
+
+
+def test_earlier_output_read_as_input_is_kept(runs, tmp_path):
+    out = tmp_path / "train"
+    shutil.copytree(runs["train"], out)
+    assert run(["compare", "--report", out / "holdout_report.csv",
+                "--policy", runs["optimize"] / "policy.json", "--initial", 150,
+                "--out-dir", out]) == 0
+    assert manifest(out)["outputs"] == ["comparison.csv", "comparison.txt"]
+    assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "comparison.txt",
+                                                     "holdout_report.csv", "manifest.json"]
+
+
+@pytest.mark.parametrize("doc", [{"outputs": ["../outside.txt"]}, {"outputs": "model.json"},
+                                 ["model.json"]], ids=["parent-path", "not-a-list", "not-object"])
+def test_damaged_earlier_manifest_fails_cleanly(runs, tmp_path, capsys, doc):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps(doc))
+    (tmp_path / "outside.txt").write_text("kept")
+    assert run(["decompose", "--data", runs["generate"] / "dataset.csv", "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(out / "manifest.json") in err
+    assert (tmp_path / "outside.txt").read_text() == "kept"
+    assert manifest(out)["status"] == "failed" and manifest(out)["outputs"] == []
