@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .errors import ParameterError, SchemaError
 from .timeseries import (
     Series,
-    Decomposition,
     StlConfig,
     loess_smooth,
     stl_decompose,
@@ -18,21 +17,13 @@ from .timeseries import (
 )
 from .gbrt import (
     FeatureMatrix,
-    TreeNode,
-    Ensemble,
     GbrtConfig,
-    gradients_squared_error,
-    leaf_weight,
-    split_gain,
-    build_tree,
     train,
     predict,
     variable_importance,
 )
 from .forecast import (
     DailyRecord,
-    HybridModel,
-    ForecastReport,
     fit_hybrid,
     predict_daily,
     aggregate_semiweekly,
@@ -40,12 +31,10 @@ from .forecast import (
     iterative_feature_selection,
     rmse,
     mape,
-    lagged_cross_correlation,
 )
 from .inventory import (
     AgeProfile,
     CostParams,
-    PeriodOutcome,
     step,
     simulate,
     brute_force_unit_sim,
@@ -54,11 +43,9 @@ from .inventory import (
 from .policy import (
     Schedule,
     PolicyParams,
-    StrategySummary,
     order_quantity,
-    cost_under_actual,
     optimize_target,
     optimize_reorder,
     evaluate_strategy,
 )
-from .datagen import CovariateSpec, GenConfig, generate, generate_full
+from .datagen import CovariateSpec, GenConfig, generate

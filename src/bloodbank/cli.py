@@ -350,6 +350,11 @@ def cmd_compare(args, run: _Run) -> None:
             if type(doc[key]) is not int:
                 raise SchemaError(f"{args.policy}: {key} must be a whole number, "
                                   f"got {doc[key]!r}")
+            if doc[key] < 0:
+                raise SchemaError(f"{args.policy}: {key} must be non-negative, got {doc[key]}")
+            if levels and doc[key] > levels[0]:
+                raise SchemaError(f"{args.policy}: {key} {doc[key]} exceeds "
+                                  f"inventory_target {levels[0]}")
             levels.append(doc[key])
         target, reorder_daily, reorder_semiweekly = levels
     else:

@@ -81,8 +81,11 @@ class GenConfig:
             raise ParameterError("n_days must be positive")
         if len(self.weekday_effects) != 7:
             raise ParameterError("weekday_effects must list 7 values, Monday first")
-        if self.noise_sd < 0.0:
-            raise ParameterError("noise_sd must be non-negative")
+        if not 0.0 <= self.noise_sd < math.inf:  # also NaN
+            raise ParameterError(f"noise_sd must be non-negative and finite, got {self.noise_sd}")
+        for name in ("base_level", "trend_slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         names = [c.name for c in self.covariates]
         if len(set(names)) != len(names):
             raise ParameterError("covariate names must be unique")

@@ -21,7 +21,8 @@ import numpy as np
 from . import gbrt
 from .errors import ParameterError, SchemaError
 from .policy import _SEMIWEEKLY_BLOCKS
-from .timeseries import Decomposition, Series, StlConfig, stl_decompose, stl_extend
+from .timeseries import (TREND_MODES, Decomposition, Series, StlConfig, stl_decompose,
+                         stl_extend)
 
 __all__ = [
     "DailyRecord",
@@ -40,7 +41,6 @@ __all__ = [
     "iterative_feature_selection",
     "rmse",
     "mape",
-    "lagged_cross_correlation",
     "read_dataset_csv",
     "write_dataset_csv",
     "write_forecast_csv",
@@ -277,28 +277,6 @@ def mape(pred, actual) -> float:
     return float(np.mean(np.abs(pred - actual) / np.abs(actual)))
 
 
-def lagged_cross_correlation(x, y, lag: int) -> float:
-    """Pearson correlation of x_t against y_(t-lag) over the overlapping range."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ParameterError("inputs must be 1-d")
-    if lag >= 0:
-        a, b = x[lag:], y[: y.size - lag]
-    else:
-        a, b = x[: x.size + lag], y[-lag:]
-    n = min(a.size, b.size)
-    a, b = a[:n], b[:n]
-    if n < 3:
-        raise ParameterError(f"only {n} overlapping points after shifting by {lag}")
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = np.sqrt((a**2).sum() * (b**2).sum())
-    if denom == 0.0:
-        raise ParameterError("zero variance in the overlapping range")
-    return float((a * b).sum() / denom)
-
-
 def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.date, float]]:
     """Sum daily values into Tue-Thu and Fri-Mon blocks labeled by start date.
 
@@ -489,7 +467,7 @@ def _number_cell(path, row_number: int, column: str, text: str) -> float:
 
 
 def read_dataset_csv(path) -> list[DailyRecord]:
-    """Columns: date, demand, then one column per feature; empty cells = missing."""
+    """Columns: date (every day, no gap), demand, then one per feature; empty = missing."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -503,6 +481,9 @@ def read_dataset_csv(path) -> list[DailyRecord]:
                     f"{path}: row {row_number}: expected {len(header)} columns, got {len(row)}"
                 )
             day = _date_cell(path, row_number, "date", row[0])
+            if records and day != records[-1].date + dt.timedelta(days=1):
+                raise SchemaError(f"{path}: row {row_number}, column date: {day} does not "
+                                  f"follow {records[-1].date}; dates must be contiguous")
             demand = _number_cell(path, row_number, "demand", row[1])
             features = {
                 name: _number_cell(path, row_number, name, cell) if cell != "" else float("nan")
@@ -597,7 +578,7 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
             train_start=dt.date.fromisoformat(doc["train_start"]),
             train_end=dt.date.fromisoformat(doc["train_end"]),
             residual_model=gbrt.ensemble_from_dict(doc["residual_model"]),
-            feature_names=list(doc["feature_names"]),
+            feature_names=doc["feature_names"],
             trend_mode=doc.get("trend_mode", "drift"),
         )
     except KeyError as exc:
@@ -610,4 +591,12 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
             f"decomposition has {len(model.decomposition)} days but the training window "
             f"{model.train_start}..{model.train_end} has {days}"
         )
+    if not 2 <= model.period <= days // 2:
+        raise SchemaError(f"period must lie in 2..{days // 2} so that {days} training days "
+                          f"hold two cycles, got {model.period}")
+    if model.trend_mode not in TREND_MODES:
+        raise SchemaError(f"trend_mode must be one of {TREND_MODES}, got {model.trend_mode!r}")
+    if model.feature_names != model.residual_model.feature_names:
+        raise SchemaError(f"feature_names {model.feature_names} differ from the residual "
+                          f"model's {model.residual_model.feature_names}")
     return model

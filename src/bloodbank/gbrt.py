@@ -19,7 +19,6 @@ from the node's with one boolean mask.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -41,8 +40,6 @@ __all__ = [
     "variable_importance",
     "ensemble_to_dict",
     "ensemble_from_dict",
-    "save_ensemble",
-    "load_ensemble",
 ]
 
 MODEL_FORMAT = "bloodbank.ensemble"
@@ -100,11 +97,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
-
 
 @dataclass(frozen=True)
 class GbrtConfig:
@@ -125,14 +117,14 @@ class GbrtConfig:
             raise ParameterError(f"learning_rate must lie in (0, 1], got {self.learning_rate}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ParameterError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-        if self.min_child_weight < 0.0:
-            raise ParameterError("min_child_weight must be non-negative")
+        for name in ("min_child_weight", "reg_lambda", "gamma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also NaN
+                raise ParameterError(f"{name} must be non-negative and finite, got {value}")
         for name in ("subsample_rows", "subsample_cols"):
             frac = getattr(self, name)
             if not 0.0 < frac <= 1.0:
                 raise ParameterError(f"{name} must lie in (0, 1], got {frac}")
-        if self.reg_lambda < 0.0 or self.gamma < 0.0:
-            raise ParameterError("reg_lambda and gamma must be non-negative")
 
 
 @dataclass
@@ -392,32 +384,6 @@ def variable_importance(model: Ensemble) -> dict[str, float]:
     return {name: value / grand_total for name, value in totals.items()}
 
 
-def training_objective(model: Ensemble, X: FeatureMatrix, y, n_trees: int | None = None) -> float:
-    """Squared-error loss plus the complexity penalty of the first n trees.
-
-    The L2 penalty applies to leaf values as they enter the prediction, i.e.
-    after shrinkage; measured this way the objective never increases across
-    boosting rounds when gamma is zero and no subsampling is active.
-    """
-    y = np.asarray(y, dtype=float)
-    trees = model.trees if n_trees is None else model.trees[:n_trees]
-    preds = np.full(X.n_rows, model.base_score)
-    penalty = 0.0
-    reg_lambda = model.config.reg_lambda if model.config else 0.0
-    gamma = model.config.gamma if model.config else 0.0
-    shrinkage = model.learning_rate
-
-    def leaf_penalty(node: TreeNode) -> float:
-        if node.is_leaf:
-            return gamma + 0.5 * reg_lambda * (shrinkage * node.weight) ** 2
-        return leaf_penalty(node.left) + leaf_penalty(node.right)
-
-    for tree in trees:
-        preds += shrinkage * tree_predict(tree, X.values)
-        penalty += leaf_penalty(tree)
-    return float(0.5 * ((y - preds) ** 2).sum() + penalty)
-
-
 def _node_to_dict(node: TreeNode) -> dict:
     if node.is_leaf:
         return {"weight": node.weight}
@@ -489,27 +455,20 @@ def ensemble_to_dict(model: Ensemble) -> dict:
 
 
 def ensemble_from_dict(doc: dict) -> Ensemble:
-    if doc.get("format") != MODEL_FORMAT:
-        raise SchemaError(f"not an ensemble document: format={doc.get('format')!r}")
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+        raise SchemaError(f"not an ensemble document: format={found!r}")
     if doc.get("version") != MODEL_VERSION:
         raise SchemaError(f"unsupported ensemble version {doc.get('version')!r}")
     config = GbrtConfig(**doc["config"]) if "config" in doc else None
-    names = list(doc["feature_names"])
+    names = doc["feature_names"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise SchemaError(f"feature_names must be a list of names, got {names!r}")
     return Ensemble(
         trees=[_node_from_dict(tree, len(names)) for tree in doc["trees"]],
         learning_rate=_finite(doc["learning_rate"], "learning_rate"),
         base_score=_finite(doc["base_score"], "base_score"),
-        feature_names=names,
+        feature_names=list(names),
         config=config,
     )
 
-
-def save_ensemble(path, model: Ensemble) -> None:
-    with open(path, "w") as handle:
-        json.dump(ensemble_to_dict(model), handle, indent=2)
-        handle.write("\n")
-
-
-def load_ensemble(path) -> Ensemble:
-    with open(path) as handle:
-        return ensemble_from_dict(json.load(handle))

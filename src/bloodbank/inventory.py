@@ -41,8 +41,6 @@ __all__ = [
     "brute_force_unit_sim",
     "young_stock",
     "write_trajectory_csv",
-    "read_trajectory_csv",
-    "write_stream_csv",
     "read_stream_csv",
 ]
 
@@ -58,8 +56,9 @@ class CostParams:
 
     def __post_init__(self) -> None:
         for name in ("routine_delivery", "holding", "urgent", "wastage"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also NaN
+                raise ParameterError(f"{name} must be non-negative and finite, got {value}")
 
     def period_cost(self, placed, end_inventory, urgent, expired):
         """Cost of one period; takes scalars or equally shaped arrays.
@@ -118,6 +117,8 @@ def young_stock(total: int, mean_demand: float, shelf_life: int = 32) -> AgeProf
     ordering exactly the realized demand keeps the level constant with no
     expiry.
     """
+    if shelf_life < 2:  # before it sizes the counts or divides
+        raise ParameterError(f"shelf_life must be >= 2, got {shelf_life}")
     if total < 0:
         raise ParameterError("total stock must be non-negative")
     counts = np.zeros(shelf_life - 1, dtype=np.int64)
@@ -302,15 +303,6 @@ def write_trajectory_csv(path, outcomes) -> None:
             )
 
 
-def write_stream_csv(path, values) -> None:
-    """Columns: period, units (one order or demand quantity per period)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["period", "units"])
-        for i, value in enumerate(values, start=1):
-            writer.writerow([i, _check_units("units", value)])
-
-
 def read_stream_csv(path) -> list[int]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -331,28 +323,3 @@ def read_stream_csv(path) -> list[int]:
                 ) from None
     return values
 
-
-def read_trajectory_csv(path) -> list[PeriodOutcome]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        expected = ["period", "order", "demand", "urgent", "expired", "end_inventory", "cost"]
-        if header != expected:
-            raise SchemaError(f"unexpected trajectory header: {header}")
-        outcomes = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != 7:
-                raise SchemaError(f"row {row_number}: expected 7 columns, got {len(row)}")
-            order_qty = int(row[1])
-            outcomes.append(
-                PeriodOutcome(
-                    order_placed=order_qty > 0,
-                    order_qty=order_qty,
-                    demand=int(row[2]),
-                    urgent=int(row[3]),
-                    expired=int(row[4]),
-                    end_inventory=int(row[5]),
-                    cost=float(row[6]),
-                )
-            )
-    return outcomes

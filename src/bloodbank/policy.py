@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError
+from .errors import ParameterError
 from .inventory import (
     AgeProfile,
     CostParams,
@@ -58,9 +58,7 @@ __all__ = [
     "evaluate_strategy",
     "comparison_table",
     "write_comparison_csv",
-    "read_comparison_csv",
     "write_sweep_csv",
-    "read_sweep_csv",
 ]
 
 # semiweekly deliveries by weekday (Monday=0) and the days each covers: Tuesday
@@ -124,15 +122,6 @@ class PolicyRun:
     outcomes: list[PeriodOutcome]
     average_cost: float
     initial_level: int
-
-    @property
-    def orders(self) -> list[int]:
-        return [o.order_qty for o in self.outcomes]
-
-    @property
-    def prior_inventory(self) -> list[int]:
-        """Stock level each order decision saw."""
-        return [self.initial_level, *(o.end_inventory for o in self.outcomes)][:-1]
 
 
 def _drive(initial: AgeProfile, demands, costs: CostParams, order_fn) -> PolicyRun:
@@ -436,25 +425,6 @@ def write_comparison_csv(path, summaries: list[StrategySummary]) -> None:
             writer.writerow(row)
 
 
-def read_comparison_csv(path) -> dict[str, dict[str, float | None]]:
-    """Mapping strategy -> field -> value (None where unavailable)."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0] != "field":
-            raise SchemaError(f"unexpected comparison header: {header}")
-        strategies = header[1:]
-        table: dict[str, dict[str, float | None]] = {name: {} for name in strategies}
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"row {row_number}: expected {len(header)} columns, got {len(row)}"
-                )
-            for name, cell in zip(strategies, row[1:]):
-                table[name][row[0]] = float(cell) if cell != "" else None
-    return table
-
-
 def write_sweep_csv(path, label: str, rows: list[tuple[int, float, float]]) -> None:
     """Columns: <label>, average_cost, objective."""
     with open(path, "w", newline="") as handle:
@@ -463,16 +433,3 @@ def write_sweep_csv(path, label: str, rows: list[tuple[int, float, float]]) -> N
         for candidate, average, objective in rows:
             writer.writerow([candidate, repr(float(average)), repr(float(objective))])
 
-
-def read_sweep_csv(path) -> list[tuple[int, float, float]]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) != 3 or header[1:] != ["average_cost", "objective"]:
-            raise SchemaError(f"unexpected sweep header: {header}")
-        rows = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise SchemaError(f"row {row_number}: expected 3 columns, got {len(row)}")
-            rows.append((int(row[0]), float(row[1]), float(row[2])))
-    return rows

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError
+from .errors import ParameterError
 
 __all__ = [
     "Series",
@@ -27,7 +27,6 @@ __all__ = [
     "stl_decompose",
     "stl_extend",
     "write_decomposition_csv",
-    "read_decomposition_csv",
 ]
 
 
@@ -52,10 +51,6 @@ class Series:
 
     def dates(self) -> list[dt.date]:
         return [self.start_date + dt.timedelta(days=i) for i in range(len(self))]
-
-    @property
-    def end_date(self) -> dt.date:
-        return self.start_date + dt.timedelta(days=len(self) - 1)
 
 
 @dataclass(frozen=True)
@@ -369,6 +364,10 @@ def stl_decompose(series: Series, config: StlConfig | None = None) -> Decomposit
     return Decomposition(trend=trend, seasonal=seasonal, residual=residual)
 
 
+# the trend projections ``stl_extend`` knows
+TREND_MODES = ("drift", "flat")
+
+
 def stl_extend(
     dec: Decomposition, horizon: int, period: int, trend_mode: str = "drift"
 ) -> np.ndarray:
@@ -381,7 +380,7 @@ def stl_extend(
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    if trend_mode not in ("drift", "flat"):
+    if trend_mode not in TREND_MODES:
         raise ParameterError(f"unknown trend_mode {trend_mode!r}")
     n = len(dec)
     if n < period:
@@ -419,20 +418,3 @@ def write_decomposition_csv(path, series: Series, dec: Decomposition) -> None:
                  repr(float(re))]
             )
 
-
-def read_decomposition_csv(path) -> tuple[list[dt.date], np.ndarray, Decomposition]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["date", "observed", "trend", "seasonal", "residual"]:
-            raise SchemaError(f"unexpected decomposition header: {header}")
-        dates: list[dt.date] = []
-        columns: list[list[float]] = [[], [], [], []]
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise SchemaError(f"row {row_number}: expected 5 columns, got {len(row)}")
-            dates.append(dt.date.fromisoformat(row[0]))
-            for j in range(4):
-                columns[j].append(float(row[j + 1]))
-    observed, trend, seasonal, residual = (np.asarray(c) for c in columns)
-    return dates, observed, Decomposition(trend=trend, seasonal=seasonal, residual=residual)

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 
 import numpy as np
@@ -37,3 +38,15 @@ def small_records(small_synthetic):
 def make_series(n, period=7, seed=0, level=90.0, noise=1.0):
     rng = np.random.default_rng(seed)
     return level + noise * rng.normal(size=n)
+
+
+def read_csv(path):
+    """Header and data rows of a CSV file, every cell as written."""
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    return header, rows
+
+
+def write_stream(path, values):
+    """An order or demand stream file as ``simulate`` reads it."""
+    path.write_text("period,units\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values, 1)))

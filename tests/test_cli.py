@@ -13,24 +13,25 @@ from bloodbank.forecast import (
     read_forecast_csv,
     write_forecast_csv,
 )
-from bloodbank.inventory import (
-    CostParams,
-    read_stream_csv,
-    read_trajectory_csv,
-    step,
-    write_stream_csv,
-    young_stock,
-)
-from bloodbank.policy import evaluate_strategy, read_comparison_csv, read_sweep_csv
-from bloodbank.timeseries import read_decomposition_csv
+from bloodbank.inventory import CostParams, read_stream_csv, step, young_stock
+from bloodbank.policy import evaluate_strategy
+from conftest import read_csv, write_stream
 
 
 def run(args):
     return main([str(a) for a in args])
 
 
-def write_stream(path, values):
-    write_stream_csv(path, values)
+def sweep_rows(path):
+    """(candidate, average cost, objective) rows of a sweep CSV."""
+    return [(int(c), float(cost), float(gap)) for c, cost, gap in read_csv(path)[1]]
+
+
+def comparison(path):
+    """strategy -> field -> value of a comparison CSV; None where the cell is empty."""
+    header, rows = read_csv(path)
+    return {name: {row[0]: float(row[j]) if row[j] else None for row in rows}
+            for j, name in enumerate(header[1:], start=1)}
 
 
 @pytest.fixture(scope="module")
@@ -69,9 +70,11 @@ class TestDecompose:
     def test_writes_decomposition(self, dataset, tmp_path):
         out = tmp_path / "dec"
         assert run(["decompose", "--data", dataset, "--out-dir", out]) == 0
-        dates, observed, dec = read_decomposition_csv(out / "decomposition.csv")
-        assert len(dates) == 420
-        recon = dec.trend + dec.seasonal + dec.residual
+        header, rows = read_csv(out / "decomposition.csv")
+        assert header == ["date", "observed", "trend", "seasonal", "residual"]
+        assert len(rows) == 420
+        observed, trend, seasonal, residual = np.array([row[1:] for row in rows], dtype=float).T
+        recon = trend + seasonal + residual
         assert max(abs(recon - observed)) <= 1e-9 * max(abs(observed))
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
@@ -140,10 +143,11 @@ class TestSimulate:
         code = run(["simulate", "--orders", orders, "--demands", demands,
                     "--initial", 780, "--out-dir", out])
         assert code == 0
-        outcomes = read_trajectory_csv(out / "trajectory.csv")
-        assert len(outcomes) == 60
-        assert all(o.end_inventory == 780 for o in outcomes)
-        assert all(o.cost == 880.0 for o in outcomes)
+        header, rows = read_csv(out / "trajectory.csv")
+        periods = [dict(zip(header, row)) for row in rows]
+        assert len(periods) == 60
+        assert all(int(p["end_inventory"]) == 780 for p in periods)
+        assert all(float(p["cost"]) == 880.0 for p in periods)
 
     def test_mismatched_streams_name_both_lengths(self, tmp_path, capsys):
         orders = tmp_path / "orders.csv"
@@ -194,16 +198,16 @@ class TestOptimizeCompare:
         doc = json.loads((opt / "policy.json").read_text())
         assert doc["format"] == "bloodbank.policy"
         assert 0 <= doc["reorder_daily"] <= doc["inventory_target"]
-        sweep = read_sweep_csv(opt / "target_sweep.csv")
+        sweep = sweep_rows(opt / "target_sweep.csv")
         assert any(target == doc["inventory_target"] for target, _, _ in sweep)
-        assert read_sweep_csv(opt / "reorder_sweep_semiweekly.csv")
+        assert sweep_rows(opt / "reorder_sweep_semiweekly.csv")
 
         cmp_dir = root / "cmp"
         code = run(["compare", "--report", train_dir / "holdout_report.csv",
                     "--policy", opt / "policy.json", "--initial", 780,
                     "--out-dir", cmp_dir])
         assert code == 0
-        table = read_comparison_csv(cmp_dir / "comparison.csv")
+        table = comparison(cmp_dir / "comparison.csv")
         assert set(table) == {"baseline", "gold", "daily", "semiweekly"}
         text = (cmp_dir / "comparison.txt").read_text()
         assert "semiweekly" in text and "days with orders" in text
@@ -293,7 +297,7 @@ class TestSingleSweepOptimize:
                                          lambda s: fold(reorder_rule(target, s, "semiweekly"))),
         }
         for name, (choice, average_of) in sweeps.items():
-            rows = read_sweep_csv(out / f"{name}.csv")
+            rows = sweep_rows(out / f"{name}.csv")
             assert choice == min(rows, key=lambda row: (row[key], row[0]))[0], name
             for candidate, average, gap in rows:
                 expected = average_of(candidate)
@@ -307,7 +311,7 @@ class TestSingleSweepOptimize:
         report = read_forecast_csv(half_unit_report)
         gold = evaluate_strategy("gold", None, [_half_up(v) for v in report.actual], 150,
                                  COSTS, start_weekday=2)
-        table = read_comparison_csv(out / "comparison.csv")
+        table = comparison(out / "comparison.csv")
         assert table["gold"]["days_with_orders"] == gold.days_with_orders == 120
         assert table["gold"]["total_cost"] == gold.total_cost
 
@@ -534,7 +538,7 @@ class TestConfigFile:
 
 def test_stream_csv_round_trip(tmp_path):
     path = tmp_path / "stream.csv"
-    write_stream_csv(path, [5, 0, 93, 12])
+    write_stream(path, [5, 0, 93, 12])
     assert read_stream_csv(path) == [5, 0, 93, 12]
 
 

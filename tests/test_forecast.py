@@ -20,7 +20,6 @@ from bloodbank.forecast import (
     hybrid_from_dict,
     hybrid_to_dict,
     iterative_feature_selection,
-    lagged_cross_correlation,
     mape,
     predict_daily,
     predict_in_sample,
@@ -75,40 +74,6 @@ class TestMetrics:
         perm = rng.permutation(50)
         assert rmse(pred, actual) == pytest.approx(rmse(pred[perm], actual[perm]))
         assert mape(pred, actual) == pytest.approx(mape(pred[perm], actual[perm]))
-
-
-class TestLaggedCrossCorrelation:
-    def test_exact_shift_scores_one(self):
-        rng = np.random.default_rng(1)
-        base = rng.normal(size=200)
-        x = base[7:]
-        y = base[:-7]
-        # x_t equals y_(t-7+7) -> correlation 1 at lag 7... build directly:
-        x_full = np.concatenate([np.zeros(7), base])[: base.size]
-        assert lagged_cross_correlation(x_full[7:], base[: base.size - 7], 0) == pytest.approx(1.0)
-        # canonical form: x today equals y seven days ago
-        x2 = base.copy()
-        y2 = np.concatenate([base[7:], rng.normal(size=7)])
-        assert lagged_cross_correlation(x2, y2, 7) == pytest.approx(1.0, abs=1e-9)
-
-    def test_independent_noise_is_small(self):
-        rng = np.random.default_rng(42)
-        x = rng.normal(size=1000)
-        y = rng.normal(size=1000)
-        for lag in range(0, 8):
-            assert abs(lagged_cross_correlation(x, y, lag)) < 0.1
-
-    def test_lag_zero_identical(self):
-        x = np.arange(10.0)
-        assert lagged_cross_correlation(x, x, 0) == pytest.approx(1.0)
-
-    def test_insufficient_overlap(self):
-        with pytest.raises(ParameterError):
-            lagged_cross_correlation([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 2)
-
-    def test_zero_variance(self):
-        with pytest.raises(ParameterError):
-            lagged_cross_correlation([1.0] * 10, list(range(10)), 0)
 
 
 class TestSemiweeklyAggregation:

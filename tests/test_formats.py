@@ -1,0 +1,327 @@
+"""Every file the CLI reads fails closed; every file it writes reads back equal.
+
+A malformed input of any of the seven commands (a bad ``--config`` file, CSV
+cell or JSON document) must exit 2 with a message that names the file and no
+traceback.  The property tests write each CSV and JSON format the pipeline
+produces from drawn values and read it back through ``conftest.read_csv`` or
+the package's own reader.
+"""
+
+import datetime as dt
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bloodbank import forecast, gbrt, inventory, policy
+from bloodbank.cli import _write_json, main
+from bloodbank.datagen import GenConfig, generate, generate_full, write_truth_csv
+from bloodbank.errors import ParameterError
+from bloodbank.timeseries import Decomposition, Series, StlConfig, write_decomposition_csv
+from conftest import read_csv, write_stream
+
+MONDAY = dt.date(2010, 1, 4)
+POLICY = {"format": "bloodbank.policy", "version": 1, "inventory_target": 300,
+          "reorder_daily": 100, "reorder_semiweekly": 150, "start_weekday": 2}
+
+
+def run(args):
+    return main([str(a) for a in args])
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """One valid input file of each kind; flag -> path."""
+    root = tmp_path_factory.mktemp("inputs")
+    assert run(["generate", "--days", 160, "--seed", 6, "--out-dir", root / "gen"]) == 0
+    data = root / "gen" / "dataset.csv"
+    assert run(["train", "--data", data, "--train-days", 120, "--rounds", 3,
+                "--out-dir", root / "train"]) == 0
+    write_stream(root / "orders.csv", [30] * 20)
+    write_stream(root / "demands.csv", [28] * 20)
+    (root / "policy.json").write_text(json.dumps(POLICY))
+    return {"--data": data, "--model": root / "train" / "model.json",
+            "--orders": root / "orders.csv", "--demands": root / "demands.csv",
+            "--report": root / "train" / "holdout_report.csv", "--policy": root / "policy.json"}
+
+
+def command_line(command, files):
+    """A valid command line of ``command`` over ``files``, without ``--out-dir``."""
+    return [command, *{
+        "generate": ["--days", 30],
+        "decompose": ["--data", files["--data"]],
+        "train": ["--data", files["--data"], "--train-days", 120, "--rounds", 2],
+        "forecast": ["--model", files["--model"], "--data", files["--data"], "--horizon", 5],
+        "simulate": ["--orders", files["--orders"], "--demands", files["--demands"]],
+        "optimize": ["--report", files["--report"], "--initial", 150],
+        "compare": ["--report", files["--report"], "--policy", files["--policy"],
+                    "--initial", 150],
+    }[command]]
+
+
+COMMANDS = ("generate", "decompose", "train", "forecast", "simulate", "optimize", "compare")
+
+
+def text(content):
+    return lambda source, target: target.write_text(content)
+
+
+def cell(row_number, column, value):
+    """Replace one cell; row 1 is the header."""
+    def damage(source, target):
+        header, rows = read_csv(source)
+        rows[row_number - 2][header.index(column)] = value
+        target.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    return damage
+
+
+def drop_row(row_number):
+    def damage(source, target):
+        lines = source.read_text().splitlines(keepends=True)
+        target.write_text("".join(lines[: row_number - 1] + lines[row_number:]))
+    return damage
+
+
+def edit_json(change):
+    def damage(source, target):
+        doc = json.loads(source.read_text())
+        change(doc)
+        target.write_text(json.dumps(doc))
+    return damage
+
+
+BAD_CONFIGS = [(command, "--config", text(content), message)
+               for command in COMMANDS
+               for content, message in (('{"days": ', "not valid JSON"),
+                                        ("[1, 2]", "must hold a JSON object"),
+                                        ('{"no_such_flag": 1}', "'no_such_flag'"))]
+
+BAD_FILES = [
+    # CSV cells
+    ("decompose", "--data", cell(9, "demand", "abc"), "row 9, column demand"),
+    ("train", "--data", cell(9, "prev_week_demand", "inf"), "row 9, column prev_week_demand"),
+    ("forecast", "--data", cell(140, "date", "2008-02-30"), "row 140, column date"),
+    ("simulate", "--demands", cell(4, "units", "2.5"), "row 4"),
+    ("simulate", "--orders", cell(3, "units", "-1"), "row 3"),
+    ("optimize", "--report", cell(7, "predicted", "nan"), "row 7, column predicted"),
+    ("compare", "--report", cell(7, "actual", "many"), "row 7, column actual"),
+    # a missing day would shift every later row onto the wrong date
+    ("decompose", "--data", drop_row(11), "row 11, column date"),
+    ("train", "--data", drop_row(11), "dates must be contiguous"),
+    ("forecast", "--data", drop_row(130), "dates must be contiguous"),
+    # model documents
+    ("forecast", "--model", text('{"format": '), "not valid JSON"),
+    ("forecast", "--model", edit_json(lambda doc: doc.update(residual_model=3)),
+     "not an ensemble document"),
+    ("forecast", "--model", edit_json(lambda doc: doc.update(period=0)), "period must lie"),
+    ("forecast", "--model", edit_json(lambda doc: doc.update(period=-7)), "period must lie"),
+    ("forecast", "--model", edit_json(lambda doc: doc.update(period=61)), "period must lie"),
+    ("forecast", "--model", edit_json(lambda doc: doc.update(trend_mode="linear")),
+     "trend_mode must be one of"),
+    ("forecast", "--model", edit_json(lambda doc: doc["feature_names"].reverse()), "differ"),
+    ("forecast", "--model", edit_json(lambda doc: doc["residual_model"].update(
+        feature_names="abc")), "feature_names must be a list"),
+    ("forecast", "--model", edit_json(lambda doc: doc["residual_model"]["config"].update(
+        reg_lambda=math.nan)), "reg_lambda"),
+    # policy documents
+    ("compare", "--policy", text("{"), "not valid JSON"),
+    ("compare", "--policy", edit_json(lambda doc: doc.update(reorder_daily=-5)),
+     "reorder_daily must be non-negative"),
+    ("compare", "--policy", edit_json(lambda doc: doc.update(inventory_target=-1)),
+     "inventory_target must be non-negative"),
+    ("compare", "--policy", edit_json(lambda doc: doc.update(reorder_semiweekly=301)),
+     "reorder_semiweekly 301 exceeds inventory_target 300"),
+]
+
+
+@pytest.mark.parametrize("command, flag, damage, message", BAD_CONFIGS + BAD_FILES)
+def test_bad_input_fails_closed_naming_the_file(inputs, tmp_path, capsys, command, flag,
+                                                damage, message):
+    argv = command_line(command, inputs)
+    source = inputs.get(flag)  # None for --config
+    bad = tmp_path / f"bad{source.suffix if source else '.json'}"
+    damage(source, bad)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = bad
+    else:
+        argv += [flag, bad]
+    code = run([*argv, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert str(bad) in err and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, make, field", [
+    ("generate", "--noise-sd", "nan", GenConfig, "noise_sd"),
+    ("generate", "--noise-sd", "inf", GenConfig, "noise_sd"),
+    ("generate", "--base-level", "nan", GenConfig, "base_level"),
+    ("generate", "--trend-slope", "inf", GenConfig, "trend_slope"),
+    ("generate", "--trend-slope", "-inf", GenConfig, "trend_slope"),
+    ("optimize", "--cost-holding", "nan", inventory.CostParams, "holding"),
+    ("optimize", "--cost-urgent", "inf", inventory.CostParams, "urgent"),
+    ("compare", "--cost-wastage", "nan", inventory.CostParams, "wastage"),
+    ("train", "--reg-lambda", "nan", gbrt.GbrtConfig, "reg_lambda"),
+    ("train", "--gamma", "nan", gbrt.GbrtConfig, "gamma"),
+    ("train", "--min-child-weight", "nan", gbrt.GbrtConfig, "min_child_weight"),
+    ("train", "--min-child-weight", "inf", gbrt.GbrtConfig, "min_child_weight"),
+])
+def test_non_finite_number_fails_closed(inputs, tmp_path, capsys, command, flag, value, make,
+                                        field):
+    with pytest.raises(ParameterError, match=field):
+        make(**{field: float(value)})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({flag[2:]: value}))
+    for given_as in ([f"{flag}={value}"], ["--config", config]):
+        code = run([*command_line(command, inputs), *given_as, "--out-dir", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and field in err, err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shelf_life", [1, 0, -3])
+@pytest.mark.parametrize("command", ["simulate", "optimize", "compare"])
+def test_shelf_life_below_two_fails_closed(inputs, tmp_path, capsys, command, shelf_life):
+    code = run([*command_line(command, inputs), "--shelf-life", shelf_life,
+                "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    assert f"shelf_life must be >= 2, got {shelf_life}" in err
+
+
+# the properties: what a writer puts in a file reads back equal
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+days = st.integers(0, 3000).map(lambda i: MONDAY + dt.timedelta(days=i))
+
+
+@pytest.fixture(scope="module")
+def out_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("formats") / "file"
+
+
+@given(st.lists(st.tuples(finite, st.one_of(st.none(), finite)), min_size=1, max_size=30), days)
+def test_dataset_csv_reads_back_equal(out_file, rows, start):
+    records = [forecast.DailyRecord(start + dt.timedelta(days=i), demand,
+                                    {"f": math.nan if f is None else f})
+               for i, (demand, f) in enumerate(rows)]
+    forecast.write_dataset_csv(out_file, records)
+    loaded = forecast.read_dataset_csv(out_file)
+    assert [(r.date, r.demand) for r in loaded] == [(r.date, r.demand) for r in records]
+    assert np.array_equal([r.features["f"] for r in loaded],
+                          [r.features["f"] for r in records], equal_nan=True)
+
+
+@given(st.lists(st.tuples(finite, finite), max_size=30), days)
+def test_forecast_csv_reads_back_equal(out_file, rows, start):
+    actual = np.array([a for a, _ in rows], dtype=float)
+    predicted = np.array([p for _, p in rows], dtype=float)
+    dates = [start + dt.timedelta(days=i) for i in range(len(rows))]
+    forecast.write_forecast_csv(out_file, forecast.ForecastReport(dates, actual, predicted))
+    loaded = forecast.read_forecast_csv(out_file)
+    assert loaded.dates == dates
+    assert np.array_equal(loaded.actual, actual) and np.array_equal(loaded.predicted, predicted)
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32), st.floats(-1e6, 1e6))
+def test_truth_csv_reads_back_equal(out_file, n_days, seed, base_level):
+    config = GenConfig(n_days=n_days, seed=seed, base_level=base_level)
+    _, truth = generate_full(config)
+    write_truth_csv(out_file, config, truth)
+    header, rows = read_csv(out_file)
+    names = sorted(truth.covariate_series)
+    assert header == ["date", "trend", "weekday_effect", "covariate_effect", "noise", *names]
+    assert [row[0] for row in rows] == [
+        (config.start_date + dt.timedelta(days=i)).isoformat() for i in range(n_days)]
+    columns = np.array([row[1:] for row in rows], dtype=float).T
+    expected = [truth.trend, truth.weekday, truth.covariate_effect, truth.noise,
+                *(truth.covariate_series[name] for name in names)]
+    assert all(np.array_equal(a, b) for a, b in zip(columns, expected))
+
+
+@given(st.lists(st.tuples(finite, finite, finite, finite), min_size=1, max_size=30), days)
+def test_decomposition_csv_reads_back_equal(out_file, rows, start):
+    observed, trend, seasonal, residual = np.array(rows, dtype=float).T
+    write_decomposition_csv(out_file, Series(start, observed, 2),
+                            Decomposition(trend, seasonal, residual))
+    header, lines = read_csv(out_file)
+    assert header == ["date", "observed", "trend", "seasonal", "residual"]
+    assert [line[0] for line in lines] == [
+        (start + dt.timedelta(days=i)).isoformat() for i in range(len(rows))]
+    assert np.array_equal(np.array([line[1:] for line in lines], dtype=float), np.array(rows))
+
+
+units = st.integers(0, 10**6)
+
+
+@given(st.lists(st.tuples(units, units, units, units, units, finite), max_size=30))
+def test_trajectory_csv_reads_back_equal(out_file, rows):
+    outcomes = [inventory.PeriodOutcome(z > 0, z, y, urgent, expired, level, cost)
+                for z, y, urgent, expired, level, cost in rows]
+    inventory.write_trajectory_csv(out_file, outcomes)
+    header, lines = read_csv(out_file)
+    assert header == ["period", "order", "demand", "urgent", "expired", "end_inventory", "cost"]
+    assert [[*map(int, line[:6]), float(line[6])] for line in lines] == [
+        [i, *row] for i, row in enumerate(rows, start=1)]
+
+
+@given(st.lists(st.tuples(units, finite, finite), max_size=30))
+def test_sweep_csv_reads_back_equal(out_file, rows):
+    policy.write_sweep_csv(out_file, "target", rows)
+    header, lines = read_csv(out_file)
+    assert header == ["target", "average_cost", "objective"]
+    assert [(int(c), float(a), float(o)) for c, a, o in lines] == rows
+
+
+@given(st.lists(st.integers(0, 60), min_size=1, max_size=40), st.integers(0, 6))
+def test_comparison_csv_reads_back_equal(out_file, demands, start_weekday):
+    costs = inventory.CostParams()
+    summaries = [
+        policy.evaluate_strategy("gold", None, demands, 50, costs, start_weekday=start_weekday),
+        policy.evaluate_strategy("baseline", None, demands, 50, costs, baseline_target=90,
+                                 start_weekday=start_weekday),
+    ]
+    policy.write_comparison_csv(out_file, summaries)
+    header, lines = read_csv(out_file)
+    assert header == ["field", "gold", "baseline"]
+    for line in lines:
+        for summary, written in zip(summaries, line[1:]):
+            value = getattr(summary, line[0])
+            assert (written == "") if value is None else np.array_equal(
+                float(written), value, equal_nan=True), line
+
+
+@pytest.fixture(scope="module")
+def train_records():
+    return generate(GenConfig(n_days=60, seed=9))
+
+
+@given(st.integers(0, 4), st.integers(1, 3), st.integers(0, 2**16),
+       st.sampled_from(["drift", "flat"]))
+def test_model_json_reads_back_equal(out_file, train_records, n_rounds, max_depth, seed,
+                                     trend_mode):
+    config = gbrt.GbrtConfig(n_rounds=n_rounds, max_depth=max_depth, seed=seed,
+                             subsample_rows=0.8)
+    model = forecast.fit_hybrid(train_records[:49], StlConfig(), config, trend_mode=trend_mode)
+    _write_json(out_file, forecast.hybrid_to_dict(model))
+    loaded = forecast.hybrid_from_dict(json.loads(out_file.read_text()))
+    assert forecast.hybrid_to_dict(loaded) == forecast.hybrid_to_dict(model)
+    future = train_records[49:]
+    assert np.array_equal(forecast.predict_daily(loaded, future),
+                          forecast.predict_daily(model, future))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@given(st.dictionaries(st.text(), json_values, max_size=6), st.booleans())
+def test_policy_and_manifest_json_read_back_equal(out_file, doc, sort_keys):
+    _write_json(out_file, doc, sort_keys)
+    assert json.loads(out_file.read_text()) == doc

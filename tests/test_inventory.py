@@ -6,12 +6,12 @@ from bloodbank.inventory import (
     AgeProfile,
     CostParams,
     brute_force_unit_sim,
-    read_trajectory_csv,
     simulate,
     step,
     write_trajectory_csv,
     young_stock,
 )
+from conftest import read_csv
 
 COSTS = CostParams()  # delivery 100, holding 1, urgent 300, wastage 50
 
@@ -186,6 +186,13 @@ class TestYoungStock:
         assert profile.total == 100
         assert profile.counts.size == 4
 
+    @pytest.mark.parametrize("total", [0, 780])
+    @pytest.mark.parametrize("shelf_life", [1, 0, -3])
+    def test_shelf_life_below_two_rejected_first(self, total, shelf_life):
+        # checked before the shelf life sizes the age counts or divides the stock
+        with pytest.raises(ParameterError, match=f"shelf_life must be >= 2, got {shelf_life}"):
+            young_stock(total, 93.0, shelf_life)
+
 
 def test_age_profile_validation():
     with pytest.raises(ParameterError):
@@ -202,4 +209,8 @@ def test_trajectory_csv_round_trip(tmp_path):
     outcomes, _ = simulate(initial, orders, demands, COSTS)
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(path, outcomes)
-    assert read_trajectory_csv(path) == outcomes
+    header, rows = read_csv(path)
+    assert header == ["period", "order", "demand", "urgent", "expired", "end_inventory", "cost"]
+    assert [[*map(int, row[:6]), float(row[6])] for row in rows] == [
+        [i, o.order_qty, o.demand, o.urgent, o.expired, o.end_inventory, o.cost]
+        for i, o in enumerate(outcomes, start=1)]

@@ -19,17 +19,26 @@ from bloodbank.policy import (
     optimize_reorder,
     optimize_target,
     order_quantity,
-    read_comparison_csv,
     reorder_sweep,
     round_units,
     run_policy,
     target_sweep,
     write_comparison_csv,
 )
+from conftest import read_csv
 
 COSTS = CostParams()
 MONDAY = 0
 THURSDAY = 3
+
+
+def orders_of(run):
+    return [o.order_qty for o in run.outcomes]
+
+
+def prior_levels(run):
+    """Stock level each order decision saw."""
+    return [run.initial_level, *(o.end_inventory for o in run.outcomes)][:-1]
 
 
 class TestOrderQuantity:
@@ -176,7 +185,7 @@ class TestOptimizeReorder:
         best = optimize_reorder(y_hat, demands, 780, COSTS, target, range(0, 1601, 20))
         assert best > 0
         run = run_policy(y_hat, demands, 780, COSTS, PolicyParams(target, best))
-        lifted = [i for i, z in enumerate(run.orders)
+        lifted = [i for i, z in enumerate(orders_of(run))
                   if z > 0 and z > round_units(y_hat[i])]
         assert lifted  # the floor actively lifts some orders
 
@@ -254,7 +263,7 @@ class TestRunPolicy:
         y_hat = (np.asarray(demands) + rng.normal(0, 10, size=300)).tolist()
         params = PolicyParams(inventory_target=1100, reorder_level=850)
         run = run_policy(y_hat, demands, 780, COSTS, params)
-        for level, z in zip(run.prior_inventory, run.orders):
+        for level, z in zip(prior_levels(run), orders_of(run)):
             if level >= 850:
                 assert z == 0
             else:
@@ -266,7 +275,7 @@ class TestRunPolicy:
         y_hat = (np.asarray(demands) + 15.0).tolist()  # over-forecast pushes at the cap
         params = PolicyParams(inventory_target=1000, reorder_level=900)
         run = run_policy(y_hat, demands, 780, COSTS, params)
-        for level, z in zip(run.prior_inventory, run.orders):
+        for level, z in zip(prior_levels(run), orders_of(run)):
             if z > 0:
                 assert level + z <= 1000
 
@@ -277,7 +286,7 @@ class TestRunPolicy:
         start_weekday = 5  # first period is a Saturday
         params = PolicyParams(1400, 1200, Schedule("semiweekly", start_weekday))
         run = run_policy(y_hat, demands, 780, COSTS, params)
-        for i, z in enumerate(run.orders):
+        for i, z in enumerate(orders_of(run)):
             if z > 0:
                 assert (start_weekday + i - 1) % 7 in (MONDAY, THURSDAY)
 
@@ -290,7 +299,7 @@ class TestRunPolicy:
         # demand empties the stock every period, so each order is the forecast itself
         params = PolicyParams(10_000, 1, Schedule("semiweekly", start_weekday))
         run = run_policy(y_hat, [10_000] * len(y_hat), 0, COSTS, params)
-        ordered = {day: z for day, z in zip(days, run.orders) if z > 0}
+        ordered = {day: z for day, z in zip(days, orders_of(run)) if z > 0}
         blocks = dict(aggregate_semiweekly(list(zip(days, y_hat))))
         assert len(blocks) >= 5
         # only the trailing block, cut at the horizon, has no aggregate
@@ -311,7 +320,7 @@ class TestRunPolicy:
         start_weekday = data.draw(st.integers(0, 6))
         params = PolicyParams(target, floor, Schedule(kind, start_weekday))
         run = run_policy(y_hat, demands, initial, COSTS, params)
-        for i, (level, z) in enumerate(zip(run.prior_inventory, run.orders)):
+        for i, (level, z) in enumerate(zip(prior_levels(run), orders_of(run))):
             delivery_day = kind == "daily" or (start_weekday + i) % 7 in (1, 4)  # Tue, Fri
             if level >= floor or not delivery_day:
                 assert z == 0
@@ -420,7 +429,9 @@ def test_comparison_outputs(tmp_path, small_records):
 
     path = tmp_path / "comparison.csv"
     write_comparison_csv(path, summaries)
-    loaded = read_comparison_csv(path)
-    assert loaded["gold"]["cost_mean"] == pytest.approx(summaries[1].cost_mean)
-    assert loaded["baseline"]["urgent_mean"] is None
-    assert loaded["daily"]["total_cost"] == pytest.approx(summaries[2].total_cost)
+    header, rows = read_csv(path)
+    assert header == ["field", "baseline", "gold", "daily", "semiweekly"]
+    loaded = {row[0]: row[1:] for row in rows}
+    assert float(loaded["cost_mean"][1]) == pytest.approx(summaries[1].cost_mean)
+    assert loaded["urgent_mean"][0] == ""
+    assert float(loaded["total_cost"][2]) == pytest.approx(summaries[2].total_cost)

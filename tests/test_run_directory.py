@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from bloodbank.cli import build_parser, main
-from bloodbank.inventory import write_stream_csv
+from conftest import write_stream
 
 COMMANDS = ("generate", "decompose", "train", "forecast", "simulate", "optimize", "compare")
 
@@ -32,8 +32,8 @@ def runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("runs")
     d = {command: root / command for command in COMMANDS}
     data = d["generate"] / "dataset.csv"
-    write_stream_csv(root / "orders.csv", [30] * 20)
-    write_stream_csv(root / "demands.csv", [28] * 20)
+    write_stream(root / "orders.csv", [30] * 20)
+    write_stream(root / "demands.csv", [28] * 20)
     commands = [
         ["generate", "--days", 150, "--seed", 3],
         ["decompose", "--data", data],

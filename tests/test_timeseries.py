@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bloodbank.errors import ParameterError
 from bloodbank.timeseries import (
@@ -10,11 +12,11 @@ from bloodbank.timeseries import (
     Series,
     StlConfig,
     loess_smooth,
-    read_decomposition_csv,
     stl_decompose,
     stl_extend,
     write_decomposition_csv,
 )
+from conftest import read_csv
 
 MONDAY = dt.date(2010, 1, 4)
 
@@ -135,6 +137,16 @@ class TestStlDecompose:
         scale = np.maximum(np.abs(y), 1.0)
         assert np.max(np.abs(dec.reconstruct() - y) / scale) <= 1e-9
 
+    @given(st.integers(2, 7), st.integers(0, 2), st.data())
+    def test_reconstruction_identity_on_any_finite_series(self, period, n_outer, data):
+        # magnitudes near the float limit overflow the loess sums, so stay below 1e100
+        y = np.array(data.draw(st.lists(st.floats(-1e100, 1e100), min_size=2 * period,
+                                        max_size=6 * period)))
+        dec = stl_decompose(Series(MONDAY, y, period), StlConfig(n_outer=n_outer))
+        # trend + seasonal + residual rounds at most a few times per element
+        bound = 8 * np.finfo(float).eps * (np.abs(y) + np.abs(dec.trend) + np.abs(dec.seasonal))
+        assert np.all(np.abs(dec.trend + dec.seasonal + dec.residual - y) <= bound)
+
     def test_shift_equivariance(self):
         rng = np.random.default_rng(12)
         y = 50.0 + np.tile([0, 1, 2, 3, 2, 1, 0], 30) + rng.normal(size=210)
@@ -242,9 +254,11 @@ def test_decomposition_csv_round_trip(tmp_path):
     dec = stl_decompose(series, StlConfig())
     path = tmp_path / "dec.csv"
     write_decomposition_csv(path, series, dec)
-    dates, observed, loaded = read_decomposition_csv(path)
-    assert dates[0] == MONDAY and len(dates) == 70
+    header, rows = read_csv(path)
+    assert header == ["date", "observed", "trend", "seasonal", "residual"]
+    assert [row[0] for row in rows] == [day.isoformat() for day in series.dates()]
+    observed, trend, seasonal, residual = np.array([row[1:] for row in rows], dtype=float).T
     assert np.array_equal(observed, y)
-    assert np.array_equal(loaded.trend, dec.trend)
-    assert np.array_equal(loaded.seasonal, dec.seasonal)
-    assert np.array_equal(loaded.residual, dec.residual)
+    assert np.array_equal(trend, dec.trend)
+    assert np.array_equal(seasonal, dec.seasonal)
+    assert np.array_equal(residual, dec.residual)
