@@ -130,7 +130,8 @@ def generate_full(config: GenConfig) -> tuple[list[DailyRecord], GroundTruth]:
     weekday_index = np.array(
         [(config.start_date + dt.timedelta(days=int(t))).weekday() for t in days]
     )
-    trend = config.base_level + config.trend_slope * days
+    with np.errstate(over="ignore"):  # an infinite trend fails the range check below
+        trend = config.base_level + config.trend_slope * days
     weekday = np.asarray(config.weekday_effects)[weekday_index]
     covariate_effect = np.zeros(n + 7)
     for spec in config.covariates:
@@ -139,6 +140,9 @@ def generate_full(config: GenConfig) -> tuple[list[DailyRecord], GroundTruth]:
         covariate_effect += spec.response(lagged)
 
     raw = trend + weekday + covariate_effect + noise
+    if not -2.0**53 < raw.min() <= raw.max() < 2.0**53:  # also NaN; past it casts are inexact
+        raise ParameterError("generated demand leaves the exact int range |demand| < 2**53; "
+                             "reduce base_level, trend_slope or noise_sd")
     demand = np.maximum(0, np.floor(raw + 0.5)).astype(np.int64)
 
     records: list[DailyRecord] = []

@@ -568,10 +568,14 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
     try:
         if type(doc["period"]) is not int:
             raise SchemaError(f"period must be a whole number, got {doc['period']!r}")
+        stl = doc["stl_config"]
+        for key, value in stl.items() if isinstance(stl, dict) else ():
+            if type(value) is not int and not (key == "t_window" and value is None):
+                raise SchemaError(f"stl_config {key} must be a whole number, got {value!r}")
         components = doc["decomposition"]
         model = HybridModel(
             period=doc["period"],
-            stl_config=StlConfig(**doc["stl_config"]),
+            stl_config=StlConfig(**stl),
             decomposition=Decomposition(*(
                 _finite_values(components[name], f"decomposition {name} value")
                 for name in _COMPONENTS)),

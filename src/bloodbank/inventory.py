@@ -1,4 +1,4 @@
-"""Age-stratified FIFO inventory state machine for perishable units.
+"""FIFO inventory state machine for perishable units.
 
 Each period runs the same event sequence: ordered units arrive as the
 freshest stock, demand is issued oldest-first, unmet demand is covered by a
@@ -9,16 +9,20 @@ and charged as wastage.  The period cost is
     delivery * (order placed) + holding * end inventory
     + urgent * shortage units + wastage * expired units.
 
-``_fold`` is the one single-trajectory loop: ``_period`` on a plain list of
-age counts, which on 31 buckets costs a fraction of numpy's per-call
-overhead, with each order chosen from the stock level it sees.  ``simulate``
-and ``step`` (one period behind an ``AgeProfile``) are folds of it.
-``step_batch`` runs the same period for K trajectories that share one demand
-on a ``(K, shelf_life - 1)`` age array, so a policy grid takes one pass.
+With oldest-first issue and a fixed shelf life ``L`` no age buckets are
+needed: the cumulative arrivals ``C(t)`` and the units ``gone`` by issue or
+expiry describe the stock exactly, the cumulative-curve view of a FIFO queue
+(Nahmias, Operations Research 30(4), 1982).  A period is five integer
+operations on them (``_advance``), with ``C(t - L + 1)`` read from a ring of
+the last ``L - 1`` values of ``C``.  ``_fold`` runs it on plain ints for one
+trajectory, each order chosen from the stock level it sees; ``simulate`` is
+a fold of it and ``step`` one period behind an ``AgeProfile``, converted at
+the boundary.  The sweeps run ``_advance`` on ``(K,)`` vectors, and
+``step_batch`` is one period of it on age-count rows.
 
 ``brute_force_unit_sim`` re-runs the same dynamics tracking every physical
 unit individually and exists purely as a verification oracle for
-``simulate`` and ``step_batch``.
+``simulate``, ``step`` and ``step_batch``.
 """
 
 from __future__ import annotations
@@ -154,31 +158,44 @@ def _check_units(name: str, value: int) -> int:
     return units
 
 
-def _period(counts: list, z: int, y: int) -> tuple[int, int]:
-    """One FIFO period on a list laid out like ``AgeProfile.counts``; (urgent, expired)."""
-    need = y
-    for j in range(len(counts) - 1, -1, -1):  # issue oldest first until demand is met
-        units = counts[j]
-        if units:
-            if units >= need:
-                counts[j] = units - need
-                need = 0
-                break
-            counts[j] = 0
-            need -= units
-    expired = counts.pop()  # age shelf_life - 1 survivors reach the limit
-    take_arrivals = min(need, z)  # arrivals are issued last
-    counts.insert(0, z - take_arrivals)
-    return need - take_arrivals, expired
+def _ring(counts: np.ndarray) -> np.ndarray:
+    """Cumulative arrivals of ``AgeProfile.counts`` rows, as a ring read from period 0.
+
+    Units of age ``j + 1`` arrived at period ``-1 - j``; slot ``t % (L - 1)`` holds
+    ``C(t - L + 1)``, and ``(K, L - 1)`` counts give a ``(L - 1, K)`` ring.
+    """
+    return np.cumsum(counts[..., ::-1], axis=-1).T
+
+
+def _counts(ring: np.ndarray, gone) -> np.ndarray:
+    """``AgeProfile.counts`` rows of a ``_ring`` one period on, with ``gone`` units out."""
+    left = np.maximum(np.concatenate((ring[:1], ring[:0:-1])) - gone, 0)  # newest first
+    left[:-1] -= left[1:]
+    return left.T
+
+
+def _advance(ring: np.ndarray, t: int, arrived, gone, orders, demand):
+    """Period ``t`` of K trajectories; ``arrived`` is ``C(t - 1)``, ``gone`` the units out.
+
+    Swaps ``C(t - L + 1)`` in the ring for ``C(t)``.  Returns the new ``arrived`` and
+    ``gone`` (the end inventory is their difference) and the urgent and expired units.
+    """
+    arrived = arrived + orders
+    taken = np.minimum(gone + demand, arrived)  # oldest first, arrivals last
+    slot = t % len(ring)
+    expired = np.maximum(ring[slot] - taken, 0)  # cohorts reaching the shelf-life limit
+    ring[slot] = arrived
+    return arrived, taken + expired, demand - (taken - gone), expired
 
 
 def step(
     state: AgeProfile, order_qty: int, demand: int, costs: CostParams
 ) -> tuple[AgeProfile, PeriodOutcome]:
     """Advance one period: arrivals, FIFO issue, urgent top-up, aging, expiry."""
-    counts = state.counts.tolist()
-    (outcome,), _ = _fold(counts, [demand], costs, lambda i, level: order_qty)
-    return AgeProfile(np.array(counts, dtype=np.int64), state.shelf_life), outcome
+    ring = _ring(state.counts).tolist()
+    (outcome,), _ = _fold(ring, [demand], costs, lambda i, level: order_qty)
+    counts = _counts(np.array(ring), ring[0] - outcome.end_inventory)
+    return AgeProfile(counts, state.shelf_life), outcome
 
 
 def step_batch(
@@ -186,41 +203,34 @@ def step_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``step`` for K trajectories at once, without validation or costing.
 
-    ``counts`` is a ``(K, shelf_life - 1)`` int64 array laid out like
-    ``AgeProfile.counts`` in each row, ``orders`` the ``(K,)`` non-negative
-    int64 arrivals and ``demand`` the one non-negative integer demand they
-    share.  Returns the new counts and the ``(K,)`` expired and urgent units;
-    the end inventory is the row sum of the new counts.
+    ``counts`` holds ``(K, shelf_life - 1)`` int64 rows laid out like
+    ``AgeProfile.counts``, ``orders`` the ``(K,)`` arrivals and ``demand`` the one
+    demand they share.  Returns the new counts and the ``(K,)`` expired and urgent units.
     """
-    # oldest-first issue from the prior stock, as in ``step``
-    oldest_first = counts[:, ::-1]
-    older_cum = np.cumsum(oldest_first, axis=1) - oldest_first
-    take = np.minimum(oldest_first, np.maximum(demand - older_cum, 0))
-    survivors = (oldest_first - take)[:, ::-1]
-
-    new_counts = np.empty_like(counts)
-    new_counts[:, 1:] = survivors[:, :-1]
-    expired = survivors[:, -1]
-    remaining = demand - take.sum(axis=1)
-    take_arrivals = np.minimum(remaining, orders)  # arrivals are issued last
-    new_counts[:, 0] = orders - take_arrivals
-    urgent = remaining - take_arrivals
-    return new_counts, expired, urgent
+    ring = _ring(counts)
+    _, gone, urgent, expired = _advance(ring, 0, ring[-1], 0, orders, demand)
+    return _counts(ring, gone), expired, urgent
 
 
-def _fold(counts: list, demands, costs: CostParams, order_fn) -> tuple[list[PeriodOutcome], float]:
-    """Outcomes and mean cost of ``_period`` on the list ``counts`` for each demand.
+def _fold(ring: list, demands, costs: CostParams, order_fn) -> tuple[list[PeriodOutcome], float]:
+    """Outcomes and mean cost of ``_advance``'s period on a ``_ring`` of plain ints, in place.
 
-    Period ``i`` orders ``order_fn(i, level)``: ``level`` is the initial total,
-    then the previous period's end inventory.
+    Period ``i`` orders ``order_fn(i, level)``: the initial total, then the last end inventory.
     """
-    level = sum(counts)
+    arrived = level = ring[-1]
+    gone, size = 0, len(ring)
     outcomes: list[PeriodOutcome] = []
     for i, y in enumerate(demands):
         z = _check_units("order_qty", order_fn(i, level))
         y = _check_units("demand", y)
-        urgent, expired = _period(counts, z, y)
-        level += z - (y - urgent) - expired
+        arrived += z
+        taken = min(gone + y, arrived)
+        urgent = y - (taken - gone)
+        slot = i % size
+        expired = max(ring[slot] - taken, 0)
+        ring[slot] = arrived
+        gone = taken + expired
+        level = arrived - gone
         cost = costs.period_cost(z > 0, level, urgent, expired)
         outcomes.append(PeriodOutcome(z > 0, z, y, urgent, expired, level, cost))
     average = sum(o.cost for o in outcomes) / len(outcomes) if outcomes else 0.0
@@ -230,12 +240,12 @@ def _fold(counts: list, demands, costs: CostParams, order_fn) -> tuple[list[Peri
 def simulate(
     initial: AgeProfile, orders, demands, costs: CostParams
 ) -> tuple[list[PeriodOutcome], float]:
-    """Fold ``_period`` over aligned order/demand streams; also return mean cost."""
+    """Fold one period over aligned order/demand streams; also return mean cost."""
     orders, demands = list(orders), list(demands)
     if len(orders) != len(demands):
         raise ParameterError(
             f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
-    return _fold(initial.counts.tolist(), demands, costs, lambda i, level: orders[i])
+    return _fold(_ring(initial.counts).tolist(), demands, costs, lambda i, level: orders[i])
 
 
 def brute_force_unit_sim(
@@ -246,12 +256,10 @@ def brute_force_unit_sim(
     Every physical unit carries its own age; issue is strictly oldest-first
     and units are discarded the period they reach ``shelf_life``.
     """
-    orders = list(orders)
-    demands = list(demands)
+    orders, demands = list(orders), list(demands)
     if len(orders) != len(demands):
         raise ParameterError(
-            f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands"
-        )
+            f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
     ages = np.sort(np.asarray(list(initial_ages), dtype=np.int64))
     if ages.size and (ages.min() < 1 or ages.max() > shelf_life - 1):
         raise ParameterError("initial unit ages must lie in 1..shelf_life-1")
@@ -269,23 +277,9 @@ def brute_force_unit_sim(
         expired = int((ages >= shelf_life).sum())
         ages = ages[ages < shelf_life]
         end_inventory = int(ages.size)
-        cost = (
-            costs.routine_delivery * (1 if z > 0 else 0)
-            + costs.holding * end_inventory
-            + costs.urgent * urgent
-            + costs.wastage * expired
-        )
-        outcomes.append(
-            PeriodOutcome(
-                order_placed=z > 0,
-                order_qty=z,
-                demand=y,
-                urgent=urgent,
-                expired=expired,
-                end_inventory=end_inventory,
-                cost=cost,
-            )
-        )
+        cost = (costs.routine_delivery * (1 if z > 0 else 0) + costs.holding * end_inventory
+                + costs.urgent * urgent + costs.wastage * expired)
+        outcomes.append(PeriodOutcome(z > 0, z, y, urgent, expired, end_inventory, cost))
     average = sum(o.cost for o in outcomes) / len(outcomes) if outcomes else 0.0
     return outcomes, average
 
@@ -295,12 +289,10 @@ def write_trajectory_csv(path, outcomes) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
-            ["period", "order", "demand", "urgent", "expired", "end_inventory", "cost"]
-        )
+            ["period", "order", "demand", "urgent", "expired", "end_inventory", "cost"])
         for i, o in enumerate(outcomes, start=1):
             writer.writerow(
-                [i, o.order_qty, o.demand, o.urgent, o.expired, o.end_inventory, repr(o.cost)]
-            )
+                [i, o.order_qty, o.demand, o.urgent, o.expired, o.end_inventory, repr(o.cost)])
 
 
 def read_stream_csv(path) -> list[int]:

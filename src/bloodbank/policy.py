@@ -12,13 +12,13 @@ at an order point covers every period until the next delivery (Tue-Thu after a
 Monday order, Fri-Mon after a Thursday order).
 
 ``target_sweep`` and ``reorder_sweep`` advance every candidate of a grid
-together through ``inventory.step_batch``, one period at a time, with the
-order rule applied to the vector of stock levels; each candidate's cost is
-added period by period, as a fold over ``step`` adds it, so the rows are
-bit-identical to simulating each candidate alone.  ``run_policy``,
-``evaluate_strategy`` and ``cost_under_actual`` follow a single trajectory
-through ``inventory._fold``, the one plain-Python loop over a list of age
-counts, which is several times faster than an array period on one row.
+together through ``inventory._advance``, one period at a time on the
+candidates' cumulative arrivals, with the order rule applied to the vector of
+stock levels; each candidate's cost is added period by period, as a fold over
+``step`` adds it, so the rows are bit-identical to simulating each candidate
+alone.  ``run_policy``, ``evaluate_strategy`` and ``cost_under_actual`` follow
+a single trajectory through ``inventory._fold``, the same period on plain
+ints, which is several times faster than an array period on one row.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from .inventory import (
     AgeProfile,
     CostParams,
     PeriodOutcome,
+    _advance,
     _check_units,
     _fold,
+    _ring,
     simulate,
-    step_batch,
     young_stock,
 )
 
@@ -125,7 +126,8 @@ class PolicyRun:
 
 
 def _drive(initial: AgeProfile, demands, costs: CostParams, order_fn) -> PolicyRun:
-    return PolicyRun(*_fold(initial.counts.tolist(), demands, costs, order_fn), initial.total)
+    return PolicyRun(*_fold(_ring(initial.counts).tolist(), demands, costs, order_fn),
+                     initial.total)
 
 
 def _as_profile(initial, demands, shelf_life: int) -> AgeProfile:
@@ -203,20 +205,21 @@ def _sweep(y_hat, demands, initial, costs: CostParams, shelf_life: int, schedule
 
     grid = np.asarray(candidates, dtype=np.int64)
     caps = grid if target is None else target
-    counts = np.tile(profile.counts, (grid.size, 1))
-    level = counts.sum(axis=1)
-    no_orders = np.zeros(grid.size, dtype=np.int64)
-    total = np.zeros(grid.size)
-    for y, forecast, may_order in zip(demands, units, order_days):
+    if profile.total + len(demands) * int(np.max(caps)) + max(demands) >= 2**63:
+        raise ParameterError("candidates too large: cumulative arrivals would overflow int64")
+    ring = np.tile(_ring(profile.counts)[:, None], grid.size)  # (shelf_life - 1, K)
+    level = arrived = np.full(grid.size, profile.total)
+    gone, total = 0, np.zeros(grid.size)
+    for t, (y, forecast, may_order) in enumerate(zip(demands, units, order_days)):
         if not may_order:
-            orders = no_orders
+            orders = 0
         elif target is None:
             orders = np.maximum(np.minimum(forecast, caps - level), 0)
         else:
             lifted = np.minimum(np.maximum(forecast, grid - level), caps - level)
             orders = np.where(level < grid, lifted, 0)
-        counts, expired, urgent = step_batch(counts, orders, y)
-        level = counts.sum(axis=1)
+        arrived, gone, urgent, expired = _advance(ring, t, arrived, gone, orders, y)
+        level = arrived - gone
         # a running total adds the periods in the order a fold over step does
         total += costs.period_cost(orders > 0, level, urgent, expired)
     averages = (total / len(demands)).tolist()

@@ -129,6 +129,8 @@ def _window_starts(xs: np.ndarray, q: int) -> np.ndarray:
     # xs sorted ascending: the q nearest neighbors of each point form a
     # contiguous block, found with a single forward sweep
     n = xs.size
+    if np.array_equal(xs, np.arange(n)):  # every STL smoother: the sweep's closed form
+        return np.clip(np.arange(n) - q // 2, 0, max(n - q, 0))
     starts = np.empty(n, dtype=np.intp)
     s = 0
     for i in range(n):

@@ -119,6 +119,11 @@ BAD_FILES = [
     ("forecast", "--model", edit_json(lambda doc: doc.update(period=0)), "period must lie"),
     ("forecast", "--model", edit_json(lambda doc: doc.update(period=-7)), "period must lie"),
     ("forecast", "--model", edit_json(lambda doc: doc.update(period=61)), "period must lie"),
+    *[("forecast", "--model", edit_json(lambda doc, key=key, value=value:
+                                         doc["stl_config"].update({key: value})),
+       f"stl_config {key} must be a whole number, got {value!r}")
+      for key, value in (("s_window", 7.5), ("s_window", True), ("t_window", 13.0),
+                         ("n_inner", "2"), ("n_outer", 1.0), ("loess_degree", 1.5))],
     ("forecast", "--model", edit_json(lambda doc: doc.update(trend_mode="linear")),
      "trend_mode must be one of"),
     ("forecast", "--model", edit_json(lambda doc: doc["feature_names"].reverse()), "differ"),
@@ -181,6 +186,23 @@ def test_non_finite_number_fails_closed(inputs, tmp_path, capsys, command, flag,
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err and field in err, err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--base-level", "1e300"),
+    ("--base-level", "-1e17"),
+    ("--trend-slope", "1e308"),
+    ("--noise-sd", "1e200"),
+])
+def test_generated_demand_out_of_exact_range_fails_closed(tmp_path, capsys, flag, value):
+    # a finite but huge demand once cast to a wrapped int64 and exited 0
+    code = run(["generate", "--days", 5, f"{flag}={value}", "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err and "Warning" not in err, err
+    assert "base_level, trend_slope or noise_sd" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ParameterError, match="2\\*\\*53"):
+        generate_full(GenConfig(n_days=5, base_level=2.0**54))
 
 
 @pytest.mark.parametrize("shelf_life", [1, 0, -3])

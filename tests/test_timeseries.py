@@ -11,6 +11,7 @@ from bloodbank.timeseries import (
     Decomposition,
     Series,
     StlConfig,
+    _window_starts,
     loess_smooth,
     stl_decompose,
     stl_extend,
@@ -97,6 +98,33 @@ class TestLoess:
     def test_non_increasing_xs_rejected(self):
         with pytest.raises(ParameterError):
             loess_smooth([0.0, 0.0, 1.0], [1.0, 2.0, 3.0], span=1.0)
+
+
+def sweep_window_starts(xs, q):
+    """First index of each point's q-nearest-neighbour block, by the forward sweep
+    (a tie keeps the earlier start)."""
+    n, s, starts = len(xs), 0, []
+    for i in range(n):
+        while s + q < n and xs[i] - xs[s] > xs[s + q] - xs[i]:
+            s += 1
+        starts.append(s)
+    return starts
+
+
+def test_integer_abscissae_window_starts_equal_the_sweep():
+    # every STL smoother passes xs = arange(n) and takes the closed form
+    for n in range(2, 200):
+        xs = np.arange(n, dtype=float)
+        for q in range(1, n):
+            assert _window_starts(xs, q).tolist() == sweep_window_starts(range(n), q), (n, q)
+
+
+@given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=40, unique=True),
+       st.data())
+def test_window_starts_on_arbitrary_abscissae(values, data):
+    xs = np.array(sorted(values))
+    q = data.draw(st.integers(1, xs.size - 1))
+    assert _window_starts(xs, q).tolist() == sweep_window_starts(xs, q)
 
 
 def weekday_array(start, n):
