@@ -213,7 +213,10 @@ def cmd_generate(args, run: _Run) -> None:
 def cmd_decompose(args, run: _Run) -> None:
     records = forecast.read_dataset_csv(args.data)
     series = forecast.demand_series(records, args.period)
-    dec = timeseries.stl_decompose(series, _stl_config(args))
+    try:
+        dec = timeseries.stl_decompose(series, _stl_config(args))
+    except ParameterError as exc:
+        raise ParameterError(f"{args.data}: demand: {exc}") from None
     path = run.write("decomposition.csv", timeseries.write_decomposition_csv, series, dec)
     print(f"wrote decomposition of {len(series)} days to {path}")
 
@@ -226,8 +229,11 @@ def cmd_train(args, run: _Run) -> None:
         )
     train_part = records[: args.train_days]
     holdout = records[args.train_days :]
-    model = forecast.fit_hybrid(train_part, _stl_config(args), _gbrt_config(args),
-                                period=args.period)
+    try:
+        model = forecast.fit_hybrid(train_part, _stl_config(args), _gbrt_config(args),
+                                    period=args.period)
+    except ParameterError as exc:
+        raise ParameterError(f"{args.data}: demand: {exc}") from None
     path = run.write("model.json", _write_json, forecast.hybrid_to_dict(model))
     run.write("train_report.csv", forecast.write_forecast_csv,
               _report(train_part, forecast.predict_in_sample(model, train_part)))

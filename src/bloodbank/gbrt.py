@@ -10,11 +10,12 @@ seeds produce bit-identical ensembles.
 ``train`` sorts every column once; a round takes its row subsample out of
 that order, which stays sorted.  A node searches all of its features in one
 pass: it holds a (features, rows) array of row indices sorted per feature,
-takes cumulative gradient and hessian sums along each row, and scores both
-missing-value directions at every boundary between distinct present values.
-The first maximum in feature-major order wins, so ties go to the lowest
-feature, then to its smallest threshold.  The children's index arrays are cut
-from the node's with one boolean mask.
+takes cumulative gradient sums along each row, and scores both missing-value
+directions at every boundary between distinct present values.  The first
+maximum in feature-major order wins, so ties go to the lowest feature, then to
+its smallest threshold.  Squared error's hessian is 1, so ``train`` counts rows
+instead; leaves take their rows without cutting the node's arrays, and when a
+round uses every row they write its predictions, so no tree is walked.
 """
 
 from __future__ import annotations
@@ -191,25 +192,28 @@ def _gains(
 
 
 def _grow(
-    vals: np.ndarray,
+    vals: np.ndarray | None,
     order: np.ndarray,
     features: np.ndarray,
     g: np.ndarray,
-    h: np.ndarray,
+    h: np.ndarray | None,
     goes_left: np.ndarray,
     depth: int,
     config: GbrtConfig,
+    out: np.ndarray | None = None,
 ) -> TreeNode:
     """Grow the subtree over one node's rows.
 
-    ``order[i]`` lists the node's rows sorted by column ``features[i]``, NaN
-    last, and ``vals[i]`` holds that column's values in the same order.
-    ``goes_left`` is a scratch mask indexed by row.
+    ``order[i]`` lists the node's rows sorted by column ``features[i]``, NaN last,
+    and ``vals[i]`` (None at a leaf) holds their values.  ``h=None`` is the unit
+    hessian, ``goes_left`` a scratch row mask, ``out`` (if given) each row's leaf weight.
     """
     rows = order[0]
     g_total = float(g[rows].sum())
-    h_total = float(h[rows].sum())
+    h_total = float(rows.size if h is None else h[rows].sum())
     node = TreeNode(weight=leaf_weight(g_total, h_total, config.reg_lambda), cover=rows.size)
+    if out is not None:
+        out[rows] = node.weight
     if config.max_depth is not None and depth >= config.max_depth:
         return node
 
@@ -221,16 +225,22 @@ def _grow(
         return node
     feature = flat // (m - 1)
     at = flat + feature
+    last_present = np.full(n_features, m - 1)
+    tail = np.isnan(vals[:, -1])  # NaN sorts last: only these columns have missing rows
+    last_present[tail] = np.count_nonzero(~np.isnan(vals[tail]), axis=1) - 1
+    ends = np.arange(n_features), last_present
     cg = np.cumsum(g[order], axis=1)
-    ch = np.cumsum(h[order], axis=1)
-    last_present = np.count_nonzero(~np.isnan(vals), axis=1) - 1
-    g_miss = (g_total - cg[np.arange(n_features), last_present])[feature]
-    h_miss = (h_total - ch[np.arange(n_features), last_present])[feature]
+    g_miss = (g_total - cg[ends])[feature]  # not 0 without NaN: its last bit sets default_left
     gl = cg.ravel()[at]
-    hl = ch.ravel()[at]
-    split_args = (g_total, h_total, config.reg_lambda, config.gamma, config.min_child_weight)
-    gains_left = _gains(gl + g_miss, hl + h_miss, *split_args)  # missing rows routed left
-    gains_right = _gains(gl, hl, *split_args)
+    if h is None:  # a unit hessian's running sums are row counts
+        hl, h_present = at - feature * m + 1, last_present + 1
+    else:
+        ch = np.cumsum(h[order], axis=1)
+        hl, h_present = ch.ravel()[at], ch[ends]
+    h_miss = (h_total - h_present)[feature]
+    gains = _gains(np.concatenate((gl + g_miss, gl)), np.concatenate((hl + h_miss, hl)),
+                   g_total, h_total, config.reg_lambda, config.gamma, config.min_child_weight)
+    gains_left, gains_right = gains[:at.size], gains[at.size:]  # missing rows routed left, right
     best = np.maximum(gains_left, gains_right)
     # first max: the lowest feature wins ties, then its smallest threshold
     k = int(np.argmax(best))
@@ -245,12 +255,15 @@ def _grow(
     node.gain = float(best[k])
     col = vals[f]
     goes_left[order[f]] = np.where(np.isnan(col), node.default_left, col < node.threshold)
-    left = goes_left[order]
-    right = ~left
-    node.left = _grow(vals[left].reshape(n_features, -1), order[left].reshape(n_features, -1),
-                      features, g, h, goes_left, depth + 1, config)
-    node.right = _grow(vals[right].reshape(n_features, -1), order[right].reshape(n_features, -1),
-                       features, g, h, goes_left, depth + 1, config)
+    if config.max_depth is not None and depth + 1 >= config.max_depth:
+        left = goes_left[rows]  # leaves: their rows in order[0]'s order, no partition
+        children = (None, rows[left][None]), (None, rows[~left][None])
+    else:  # one flat index for both arrays is far cheaper than two 2-d boolean masks
+        left = goes_left[order]
+        children = [(vals.take(i).reshape(n_features, -1), order.take(i).reshape(n_features, -1))
+                    for i in (np.flatnonzero(left), np.flatnonzero(~left))]
+    node.left, node.right = (_grow(v, o, features, g, h, goes_left, depth + 1, config, out)
+                             for v, o in children)
     return node
 
 
@@ -344,9 +357,13 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
             keep = in_round[order]
             vals, order = vals[keep].reshape(cols.size, -1), order[keep].reshape(cols.size, -1)
 
-        g, h = gradients_squared_error(y, predictions)
-        tree = _grow(vals, order, cols, g, h, goes_left, 0, config)
-        predictions += config.learning_rate * tree_predict(tree, X.values)
+        # unit hessian; with every row in the round the leaves give the tree's predictions
+        g, _ = gradients_squared_error(y, predictions)
+        out = np.empty(n) if rows is None else None
+        tree = _grow(vals, order, cols, g, None, goes_left, 0, config, out)
+        if out is None:  # rows outside the round still need the walk
+            out = tree_predict(tree, X.values)
+        predictions += config.learning_rate * out
         model.trees.append(tree)
     return model
 

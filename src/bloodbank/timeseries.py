@@ -363,6 +363,8 @@ def stl_decompose(series: Series, config: StlConfig | None = None) -> Decomposit
             rw = _bisquare_weights(y - trend - seasonal)
 
     residual = y - trend - seasonal
+    if not np.all(np.isfinite(residual)):  # finite only if trend and seasonal are
+        raise ParameterError(f"values as large as {np.abs(y).max():g} overflow STL's fits")
     return Decomposition(trend=trend, seasonal=seasonal, residual=residual)
 
 

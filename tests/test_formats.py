@@ -205,6 +205,19 @@ def test_generated_demand_out_of_exact_range_fails_closed(tmp_path, capsys, flag
         generate_full(GenConfig(n_days=5, base_level=2.0**54))
 
 
+@pytest.mark.parametrize("command", ["decompose", "train"])
+def test_demand_that_overflows_stl_fails_closed(inputs, tmp_path, capsys, command):
+    # a demand at the float limit once decomposed into NaN: decompose exited 0
+    # and train failed on "targets" without naming the file or the column
+    bad = tmp_path / "bad.csv"
+    cell(2, "demand", "1.7976931348623157e+308")(inputs["--data"], bad)
+    code = run([*command_line(command, {**inputs, "--data": bad}), "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    assert f"{bad}: demand: values as large as 1.79769e+308 overflow STL" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("shelf_life", [1, 0, -3])
 @pytest.mark.parametrize("command", ["simulate", "optimize", "compare"])
 def test_shelf_life_below_two_fails_closed(inputs, tmp_path, capsys, command, shelf_life):

@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from bloodbank import gbrt
 from bloodbank.errors import ParameterError, SchemaError
 from bloodbank.gbrt import (
     Ensemble,
@@ -20,6 +23,7 @@ from bloodbank.gbrt import (
     tree_predict,
     variable_importance,
 )
+from test_gbrt_oracle import COLUMN_KINDS, configs, make_matrix, reference_train, tree_texts
 
 
 def training_objective(model: Ensemble, X: FeatureMatrix, y, n_trees: int) -> float:
@@ -308,6 +312,71 @@ class TestTrainPredict:
             return sum(n_leaves(tree) for tree in model.trees)
 
         assert leaves(5.0) <= leaves(0.5) <= leaves(0.0)
+
+
+class TestUnitHessian:
+    """``train`` passes no hessian: ``_grow`` counts rows, cuts no arrays for
+    leaves and, given ``out``, writes each row's leaf weight."""
+
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5),
+        nan_fraction=st.sampled_from([0.0, 0.2, 0.6]),
+        config=configs,
+    )
+    def test_counts_grow_the_tree_of_a_hessian_of_ones(self, data_seed, n, kinds,
+                                                        nan_fraction, config):
+        rng = np.random.default_rng(data_seed)
+        X = make_matrix(rng, n, kinds, nan_fraction)
+        g = np.round(rng.normal(scale=3.0, size=n), 2)  # rounding makes tied gradients
+        features = np.arange(X.n_cols)
+        vals, order = gbrt._sorted_columns(X.values, features)
+        scratch, out = np.zeros(n, dtype=bool), np.empty(n)
+        counted = gbrt._grow(vals, order, features, g, None, scratch, 0, config, out)
+        summed = gbrt._grow(vals, order, features, g, np.ones(n), scratch, 0, config)
+        assert tree_texts([counted]) == tree_texts([summed])
+        assert out.tobytes() == tree_predict(counted, X.values).tobytes()
+
+    def assert_matches_reference(self, X, y, config):
+        fast = train(X, y, config)
+        assert tree_texts(fast.trees) == tree_texts(reference_train(X, y, config).trees)
+        return fast
+
+    def test_depth_one_split_decided_by_missing_rows(self):
+        # the missing rows carry the high targets: the root's children are
+        # leaves, and only routing the missing rows right separates the targets
+        X = single_column([1.0, 2.0, np.nan, 3.0, 4.0, 5.0, np.nan, 6.0])
+        y = np.array([0.0, 0.0, 9.0, 0.0, 9.0, 9.0, 9.0, 9.0])
+        model = self.assert_matches_reference(X, y, GbrtConfig(n_rounds=4, max_depth=1))
+        root = model.trees[0]
+        assert not root.default_left and root.left.is_leaf and root.right.is_leaf
+        assert root.threshold == 3.5
+
+    def test_missing_rows_all_in_one_child(self):
+        # the root cuts column a at 19.5, so every missing b lands in the left
+        # child, whose sorted b ends in NaN; the right child's b has none
+        rng = np.random.default_rng(21)
+        a = np.arange(40.0)
+        b = rng.normal(size=40)
+        b[:6] = np.nan
+        X = FeatureMatrix(np.column_stack([a, b]), ["a", "b"])
+        y = np.where(a < 20, 0.0, 30.0) + np.where(np.isnan(b), 4.0, b)
+        config = GbrtConfig(n_rounds=4, max_depth=3, reg_lambda=0.0)
+        model = self.assert_matches_reference(X, y, config)
+        root = model.trees[0]
+        assert (root.feature, root.threshold) == (0, 19.5)
+        assert root.left.feature == 1
+
+    @pytest.mark.parametrize("config", [
+        GbrtConfig(n_rounds=6, max_depth=2, subsample_rows=0.5, seed=7),  # walks the tree
+        GbrtConfig(n_rounds=4, max_depth=None, min_child_weight=0.0, reg_lambda=0.5),
+    ])
+    def test_subsampled_and_unbounded_trees_match_reference(self, config):
+        rng = np.random.default_rng(8)
+        X = make_matrix(rng, 80, ["continuous", "tied", "binary"], 0.15)
+        y = np.round(rng.normal(scale=3.0, size=80), 2)
+        self.assert_matches_reference(X, y, config)
 
 
 class TestImportance:

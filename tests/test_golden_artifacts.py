@@ -1,4 +1,4 @@
-"""Golden digests: the inventory and policy artifacts of a small fixed run.
+"""Golden digests: the model, inventory and policy artifacts of a small fixed run.
 
 The run is ACCEPT-10's configuration (455 generated days, 365 of them for
 training, 40 boosting rounds) followed by ``optimize`` at the default shelf
@@ -6,7 +6,9 @@ life and at a six-day one, where stock expires, and by ``simulate`` on fixed
 order and demand streams that provoke both shortages and expiry.  Each file's
 SHA-256 was recorded before the cumulative-arrival kernel replaced the
 age-bucket simulators, so a change to the inventory arithmetic, a sweep's
-summation order or a writer's formatting fails here.
+summation order or a writer's formatting fails here.  The ``train`` digests
+were recorded before boosting stopped summing its unit hessian, so a change to
+a split's or a leaf's arithmetic fails here too.
 """
 
 import hashlib
@@ -37,6 +39,12 @@ GOLDEN = {
         "fe989cbec569b976bbdbdee9c434196cfd1d09272892be204a9d3d9602666f92",
     ("simulate", "trajectory.csv"):
         "b403c2b9b51b13f02caebdd6c2968430972195c35f0ea4270a5c35c245014e77",
+    ("train", "model.json"):
+        "598bfe0ba940c70ebff1805b336e743a97fc907aee96c2cffcdc6b46087746ee",
+    ("train", "train_report.csv"):
+        "25cf909c6e5a66c03908abb7e66394ce36560b5bbf963fb89246db0282d716f6",
+    ("train", "holdout_report.csv"):
+        "e354cb46d63d95b364d3e6f04c532a1cff502b60d3e2e1eae2b4170a25c72635",
 }
 
 

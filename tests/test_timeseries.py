@@ -210,6 +210,14 @@ class TestStlDecompose:
         with pytest.raises(ParameterError):
             stl_decompose(Series(MONDAY, y, 7), StlConfig())
 
+    # the loess products overflow on the way, and numpy warns before the check raises
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_components_that_overflow_are_rejected(self):
+        # this series once decomposed into all-NaN components without an error
+        y = np.array([0.0, 0.0, 0.0, 4.49423283715579e+307])
+        with pytest.raises(ParameterError, match="overflow STL"):
+            stl_decompose(Series(MONDAY, y, 2))
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             StlConfig(s_window=8)
