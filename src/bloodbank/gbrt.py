@@ -13,9 +13,15 @@ pass: it holds a (features, rows) array of row indices sorted per feature,
 takes cumulative gradient sums along each row, and scores both missing-value
 directions at every boundary between distinct present values.  The first
 maximum in feature-major order wins, so ties go to the lowest feature, then to
-its smallest threshold.  Squared error's hessian is 1, so ``train`` counts rows
-instead; leaves take their rows without cutting the node's arrays, and when a
-round uses every row they write its predictions, so no tree is walked.
+its smallest threshold.  Squared error, the one objective, has a hessian of 1,
+so the one grower counts rows where a general hessian would be summed; leaves
+take their rows without cutting the node's arrays, and when a round uses every
+row they write its predictions, so no tree is walked.
+
+``gradients_squared_error``, ``leaf_weight``, ``split_gain`` and
+``tree_predict`` are the closed forms that the demos and the reference search
+in the tests state the method with.  Row and column subsampling and the seed
+stay in ``GbrtConfig``: the pinned forecasts and the benchmark set them.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ __all__ = [
     "gradients_squared_error",
     "leaf_weight",
     "split_gain",
-    "build_tree",
     "train",
     "predict",
     "variable_importance",
@@ -196,7 +201,6 @@ def _grow(
     order: np.ndarray,
     features: np.ndarray,
     g: np.ndarray,
-    h: np.ndarray | None,
     goes_left: np.ndarray,
     depth: int,
     config: GbrtConfig,
@@ -205,12 +209,13 @@ def _grow(
     """Grow the subtree over one node's rows.
 
     ``order[i]`` lists the node's rows sorted by column ``features[i]``, NaN last,
-    and ``vals[i]`` (None at a leaf) holds their values.  ``h=None`` is the unit
-    hessian, ``goes_left`` a scratch row mask, ``out`` (if given) each row's leaf weight.
+    and ``vals[i]`` (None at a leaf) holds their values.  Every hessian is 1, so
+    hessian sums are row counts.  ``goes_left`` is a scratch row mask, ``out`` (if
+    given) each row's leaf weight.
     """
     rows = order[0]
     g_total = float(g[rows].sum())
-    h_total = float(rows.size if h is None else h[rows].sum())
+    h_total = float(rows.size)
     node = TreeNode(weight=leaf_weight(g_total, h_total, config.reg_lambda), cover=rows.size)
     if out is not None:
         out[rows] = node.weight
@@ -228,16 +233,12 @@ def _grow(
     last_present = np.full(n_features, m - 1)
     tail = np.isnan(vals[:, -1])  # NaN sorts last: only these columns have missing rows
     last_present[tail] = np.count_nonzero(~np.isnan(vals[tail]), axis=1) - 1
-    ends = np.arange(n_features), last_present
     cg = np.cumsum(g[order], axis=1)
-    g_miss = (g_total - cg[ends])[feature]  # not 0 without NaN: its last bit sets default_left
+    # not 0 without NaN: its last bit sets default_left
+    g_miss = (g_total - cg[np.arange(n_features), last_present])[feature]
     gl = cg.ravel()[at]
-    if h is None:  # a unit hessian's running sums are row counts
-        hl, h_present = at - feature * m + 1, last_present + 1
-    else:
-        ch = np.cumsum(h[order], axis=1)
-        hl, h_present = ch.ravel()[at], ch[ends]
-    h_miss = (h_total - h_present)[feature]
+    hl = at - feature * m + 1
+    h_miss = (h_total - (last_present + 1))[feature]
     gains = _gains(np.concatenate((gl + g_miss, gl)), np.concatenate((hl + h_miss, hl)),
                    g_total, h_total, config.reg_lambda, config.gamma, config.min_child_weight)
     gains_left, gains_right = gains[:at.size], gains[at.size:]  # missing rows routed left, right
@@ -262,7 +263,7 @@ def _grow(
         left = goes_left[order]
         children = [(vals.take(i).reshape(n_features, -1), order.take(i).reshape(n_features, -1))
                     for i in (np.flatnonzero(left), np.flatnonzero(~left))]
-    node.left, node.right = (_grow(v, o, features, g, h, goes_left, depth + 1, config, out)
+    node.left, node.right = (_grow(v, o, features, g, goes_left, depth + 1, config, out)
                              for v, o in children)
     return node
 
@@ -272,30 +273,6 @@ def _sorted_columns(values: np.ndarray, features: np.ndarray) -> tuple[np.ndarra
     values_t = values.T[features]
     order = np.argsort(values_t, axis=1, kind="stable")
     return np.take_along_axis(values_t, order, axis=1), order
-
-
-def build_tree(
-    X: FeatureMatrix,
-    g,
-    h,
-    config: GbrtConfig,
-    feature_indices=None,
-) -> TreeNode:
-    """Grow a single regression tree on gradient/hessian totals."""
-    g = np.asarray(g, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if g.shape != h.shape or g.size != X.n_rows:
-        raise ParameterError(
-            f"row mismatch: X has {X.n_rows} rows, g has {g.size}, h has {h.size}"
-        )
-    if g.size == 0:
-        raise ParameterError("cannot build a tree on an empty row set")
-    features = np.unique(np.arange(X.n_cols) if feature_indices is None
-                         else np.asarray(feature_indices, dtype=int))
-    if features.size == 0:
-        raise ParameterError("cannot build a tree on an empty feature set")
-    vals, order = _sorted_columns(X.values, features)
-    return _grow(vals, order, features, g, h, np.zeros(X.n_rows, dtype=bool), 0, config)
 
 
 def _tree_apply(node: TreeNode, values: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
@@ -360,7 +337,13 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
         # unit hessian; with every row in the round the leaves give the tree's predictions
         g, _ = gradients_squared_error(y, predictions)
         out = np.empty(n) if rows is None else None
-        tree = _grow(vals, order, cols, g, None, goes_left, 0, config, out)
+        # a node's gradient sum, which its gain squares, is at most the larger of
+        # the positive and the negative gradients' sums
+        g_bound = (float(np.abs(g).sum()) + abs(float(g.sum()))) / 2
+        if not g_bound * g_bound < math.inf:
+            raise ParameterError(f"residuals as large as {np.abs(g).max():.6g} make the "
+                                 "squared-error sums overflow")
+        tree = _grow(vals, order, cols, g, goes_left, 0, config, out)
         if out is None:  # rows outside the round still need the walk
             out = tree_predict(tree, X.values)
         predictions += config.learning_rate * out

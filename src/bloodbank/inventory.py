@@ -17,12 +17,14 @@ operations on them (``_advance``), with ``C(t - L + 1)`` read from a ring of
 the last ``L - 1`` values of ``C``.  ``_fold`` runs it on plain ints for one
 trajectory, each order chosen from the stock level it sees; ``simulate`` is
 a fold of it and ``step`` one period behind an ``AgeProfile``, converted at
-the boundary.  The sweeps run ``_advance`` on ``(K,)`` vectors, and
-``step_batch`` is one period of it on age-count rows.
+the boundary.  The sweeps run ``_advance`` on ``(K,)`` vectors.  No pipeline
+command calls ``step``: it stays on the library surface as the independent
+single-period loop that the benchmark's cost and replay checks and the
+exhaustive-search acceptance test fold by hand.
 
 ``brute_force_unit_sim`` re-runs the same dynamics tracking every physical
 unit individually and exists purely as a verification oracle for
-``simulate``, ``step`` and ``step_batch``.
+``simulate`` and ``step``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "CostParams",
     "PeriodOutcome",
     "step",
-    "step_batch",
     "simulate",
     "brute_force_unit_sim",
     "young_stock",
@@ -159,19 +160,19 @@ def _check_units(name: str, value: int) -> int:
 
 
 def _ring(counts: np.ndarray) -> np.ndarray:
-    """Cumulative arrivals of ``AgeProfile.counts`` rows, as a ring read from period 0.
+    """Cumulative arrivals of ``AgeProfile.counts``, as a ring read from period 0.
 
     Units of age ``j + 1`` arrived at period ``-1 - j``; slot ``t % (L - 1)`` holds
-    ``C(t - L + 1)``, and ``(K, L - 1)`` counts give a ``(L - 1, K)`` ring.
+    ``C(t - L + 1)``.
     """
-    return np.cumsum(counts[..., ::-1], axis=-1).T
+    return np.cumsum(counts[::-1])
 
 
 def _counts(ring: np.ndarray, gone) -> np.ndarray:
-    """``AgeProfile.counts`` rows of a ``_ring`` one period on, with ``gone`` units out."""
+    """``AgeProfile.counts`` of a ``_ring`` one period on, with ``gone`` units out."""
     left = np.maximum(np.concatenate((ring[:1], ring[:0:-1])) - gone, 0)  # newest first
     left[:-1] -= left[1:]
-    return left.T
+    return left
 
 
 def _advance(ring: np.ndarray, t: int, arrived, gone, orders, demand):
@@ -196,20 +197,6 @@ def step(
     (outcome,), _ = _fold(ring, [demand], costs, lambda i, level: order_qty)
     counts = _counts(np.array(ring), ring[0] - outcome.end_inventory)
     return AgeProfile(counts, state.shelf_life), outcome
-
-
-def step_batch(
-    counts: np.ndarray, orders: np.ndarray, demand
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``step`` for K trajectories at once, without validation or costing.
-
-    ``counts`` holds ``(K, shelf_life - 1)`` int64 rows laid out like
-    ``AgeProfile.counts``, ``orders`` the ``(K,)`` arrivals and ``demand`` the one
-    demand they share.  Returns the new counts and the ``(K,)`` expired and urgent units.
-    """
-    ring = _ring(counts)
-    _, gone, urgent, expired = _advance(ring, 0, ring[-1], 0, orders, demand)
-    return _counts(ring, gone), expired, urgent
 
 
 def _fold(ring: list, demands, costs: CostParams, order_fn) -> tuple[list[PeriodOutcome], float]:

@@ -218,6 +218,20 @@ def test_demand_that_overflows_stl_fails_closed(inputs, tmp_path, capsys, comman
     assert not (tmp_path / "out").exists()
 
 
+def test_demand_that_overflows_boosting_fails_closed(inputs, tmp_path, capsys):
+    # STL decomposes this demand, but its residuals once crashed train with an
+    # OverflowError traceback from the split search
+    bad = tmp_path / "bad.csv"
+    cell(10, "demand", "4.49423283715579e+307")(inputs["--data"], bad)
+    assert run(["decompose", "--data", bad, "--out-dir", tmp_path / "decompose"]) == 0
+    code = run([*command_line("train", {**inputs, "--data": bad}), "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    assert f"{bad}: demand: residuals as large as" in err, err
+    assert "make the squared-error sums overflow" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("shelf_life", [1, 0, -3])
 @pytest.mark.parametrize("command", ["simulate", "optimize", "compare"])
 def test_shelf_life_below_two_fails_closed(inputs, tmp_path, capsys, command, shelf_life):

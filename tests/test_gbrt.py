@@ -12,7 +12,6 @@ from bloodbank.gbrt import (
     FeatureMatrix,
     GbrtConfig,
     TreeNode,
-    build_tree,
     ensemble_from_dict,
     ensemble_to_dict,
     gradients_squared_error,
@@ -23,7 +22,14 @@ from bloodbank.gbrt import (
     tree_predict,
     variable_importance,
 )
-from test_gbrt_oracle import COLUMN_KINDS, configs, make_matrix, reference_train, tree_texts
+from test_gbrt_oracle import (
+    COLUMN_KINDS,
+    configs,
+    make_matrix,
+    reference_build_tree,
+    reference_train,
+    tree_texts,
+)
 
 
 def training_objective(model: Ensemble, X: FeatureMatrix, y, n_trees: int) -> float:
@@ -141,9 +147,17 @@ def single_column(values):
     return FeatureMatrix(np.asarray(values, dtype=float).reshape(-1, 1), ["x"])
 
 
+def grow_tree(X: FeatureMatrix, g, config: GbrtConfig, out=None) -> TreeNode:
+    """One tree of ``train``'s grower over every row and column of ``X``."""
+    features = np.arange(X.n_cols)
+    vals, order = gbrt._sorted_columns(X.values, features)
+    return gbrt._grow(vals, order, features, np.asarray(g, dtype=float),
+                      np.zeros(X.n_rows, dtype=bool), 0, config, out)
+
+
 class TestBuildTree:
     def test_single_row_is_single_leaf(self):
-        tree = build_tree(single_column([3.0]), [2.0], [1.0], GbrtConfig(reg_lambda=0.5))
+        tree = grow_tree(single_column([3.0]), [2.0], GbrtConfig(reg_lambda=0.5))
         assert tree.is_leaf
         assert tree.weight == pytest.approx(leaf_weight(2.0, 1.0, 0.5))
 
@@ -151,9 +165,8 @@ class TestBuildTree:
         # targets [2, 4, 10] with zero predictions: g = [-2, -4, -10]
         X = single_column([1.0, 2.0, 10.0])
         g = np.array([-2.0, -4.0, -10.0])
-        h = np.ones(3)
         config = GbrtConfig(max_depth=2, reg_lambda=0.0, gamma=0.0, min_child_weight=1.0)
-        tree = build_tree(X, g, h, config)
+        tree = grow_tree(X, g, config)
         assert not tree.is_leaf
         assert tree.threshold == pytest.approx(6.0)  # between the 2 and the 10
         assert tree.gain == pytest.approx(0.5 * (18.0 + 100.0 - 256.0 / 3.0), abs=1e-9)
@@ -161,22 +174,15 @@ class TestBuildTree:
     def test_homogeneous_targets_stay_single_leaf(self):
         X = single_column([1.0, 2.0, 3.0, 4.0])
         g = np.full(4, -3.0)  # identical residuals
-        h = np.ones(4)
-        tree = build_tree(X, g, h, GbrtConfig(max_depth=4, reg_lambda=0.0, gamma=0.0))
+        tree = grow_tree(X, g, GbrtConfig(max_depth=4, reg_lambda=0.0, gamma=0.0))
         assert tree.is_leaf
         assert tree.weight == pytest.approx(3.0)
-
-    def test_empty_row_set_rejected(self):
-        X = single_column([1.0])
-        with pytest.raises(ParameterError):
-            build_tree(X, [], [], GbrtConfig())
 
     def test_min_child_weight_blocks_small_children(self):
         X = single_column([1.0, 2.0, 10.0])
         g = np.array([-2.0, -4.0, -10.0])
-        h = np.ones(3)
         config = GbrtConfig(max_depth=2, reg_lambda=0.0, min_child_weight=2.0)
-        tree = build_tree(X, g, h, config)
+        tree = grow_tree(X, g, config)
         assert tree.is_leaf  # any split would leave a child with sum(h) = 1
 
     def test_tie_break_prefers_lowest_feature_then_threshold(self):
@@ -184,8 +190,7 @@ class TestBuildTree:
         values = np.column_stack([[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]])
         X = FeatureMatrix(values, ["a", "b"])
         g = np.array([-1.0, -1.0, 1.0, 1.0])
-        h = np.ones(4)
-        tree = build_tree(X, g, h, GbrtConfig(max_depth=1, reg_lambda=0.0))
+        tree = grow_tree(X, g, GbrtConfig(max_depth=1, reg_lambda=0.0))
         assert tree.feature == 0
 
 
@@ -266,6 +271,23 @@ class TestTrainPredict:
         with pytest.raises(ParameterError):
             train(X, [1.0, np.nan], GbrtConfig())
 
+    def test_one_row_rejected(self):
+        with pytest.raises(ParameterError, match="at least two rows"):
+            train(single_column([1.0]), [1.0], GbrtConfig())
+
+    def test_residuals_whose_squared_sums_overflow_rejected(self):
+        # the rounding left in the root's gradient sum of values near 1e300
+        # once overflowed ``g_total ** 2`` with a bare OverflowError
+        rng = np.random.default_rng(4)
+        X = FeatureMatrix(rng.normal(size=(50, 2)), ["a", "b"])
+        with pytest.raises(ParameterError, match="squared-error sums overflow"):
+            train(X, rng.normal(scale=1e300, size=50), GbrtConfig(n_rounds=1))
+        # the positive and the negative gradients each sum to 9.8e153, whose
+        # square fits, although the sum of their magnitudes squared would not
+        y = np.zeros(50)
+        y[7] = 1e154
+        assert np.isfinite(predict(train(X, y, GbrtConfig(n_rounds=1)), X)).all()
+
     def test_missing_values_follow_learned_default(self):
         values = np.array([[1.0], [2.0], [np.nan], [10.0], [11.0]])
         X = FeatureMatrix(values, ["x"])
@@ -315,8 +337,8 @@ class TestTrainPredict:
 
 
 class TestUnitHessian:
-    """``train`` passes no hessian: ``_grow`` counts rows, cuts no arrays for
-    leaves and, given ``out``, writes each row's leaf weight."""
+    """``_grow`` counts rows for squared error's unit hessian, cuts no arrays
+    for leaves and, given ``out``, writes each row's leaf weight."""
 
     @given(
         data_seed=st.integers(0, 2**32 - 1),
@@ -330,11 +352,9 @@ class TestUnitHessian:
         rng = np.random.default_rng(data_seed)
         X = make_matrix(rng, n, kinds, nan_fraction)
         g = np.round(rng.normal(scale=3.0, size=n), 2)  # rounding makes tied gradients
-        features = np.arange(X.n_cols)
-        vals, order = gbrt._sorted_columns(X.values, features)
-        scratch, out = np.zeros(n, dtype=bool), np.empty(n)
-        counted = gbrt._grow(vals, order, features, g, None, scratch, 0, config, out)
-        summed = gbrt._grow(vals, order, features, g, np.ones(n), scratch, 0, config)
+        out = np.empty(n)
+        counted = grow_tree(X, g, config, out)
+        summed = reference_build_tree(X, g, np.ones(n), config)
         assert tree_texts([counted]) == tree_texts([summed])
         assert out.tobytes() == tree_predict(counted, X.values).tobytes()
 

@@ -1,25 +1,21 @@
 """Property tests: the batched sweep kernel against single-trajectory folds.
 
-``step_batch`` advances many trajectories at once and ``target_sweep`` /
-``reorder_sweep`` drive it with the order rule as vectors.  Every property
-here compares them with an independent loop over ``step`` or with the
-unit-level oracle, on drawn demand streams, shelf lives, costs, grids and
-calendars.
+``target_sweep`` and ``reorder_sweep`` advance every candidate at once with
+the order rule as vectors.  Every property here compares them with an
+independent loop over ``step`` or with the unit-level oracle, on drawn demand
+streams, shelf lives, costs, grids and calendars.
 """
 
 import math
 
-import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bloodbank import policy as pol
 from bloodbank.inventory import (
-    AgeProfile,
     CostParams,
     brute_force_unit_sim,
     step,
-    step_batch,
     young_stock,
 )
 
@@ -82,32 +78,6 @@ def _conserves(profile, orders, outcomes):
             return False
         level = o.end_inventory
     return True
-
-
-@given(shelf_life=shelf_lives, data=st.data())
-def test_step_batch_rows_match_unit_oracle(shelf_life, data):
-    k = data.draw(st.integers(1, 5))
-    horizon = data.draw(st.integers(1, 30))
-    initial = data.draw(st.lists(st.integers(0, 12), min_size=shelf_life - 1,
-                                 max_size=shelf_life - 1))
-    orders = data.draw(st.lists(st.lists(st.integers(0, 30), min_size=horizon,
-                                         max_size=horizon), min_size=k, max_size=k))
-    demands = data.draw(st.lists(st.integers(0, 30), min_size=horizon, max_size=horizon))
-    profile = AgeProfile(np.array(initial), shelf_life)
-
-    counts = np.tile(profile.counts, (k, 1))
-    batch = []  # (urgent, expired, end inventory) per period, one row per candidate
-    for t, y in enumerate(demands):
-        counts, expired, urgent = step_batch(counts, np.array([row[t] for row in orders]), y)
-        batch.append(list(zip(urgent.tolist(), expired.tolist(), counts.sum(axis=1).tolist())))
-
-    costs = CostParams()
-    for j in range(k):
-        oracle, _ = brute_force_unit_sim(profile.unit_ages(), orders[j], demands, costs,
-                                         shelf_life)
-        assert [row[j] for row in batch] == [(o.urgent, o.expired, o.end_inventory)
-                                             for o in oracle]
-        assert _conserves(profile, orders[j], oracle)
 
 
 @given(stream=streams(), shelf_life=shelf_lives, costs=cost_params,
