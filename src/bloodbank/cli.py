@@ -15,6 +15,7 @@ import argparse
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -232,17 +233,21 @@ def cmd_train(args, run: _Run) -> None:
     try:
         model = forecast.fit_hybrid(train_part, _stl_config(args), _gbrt_config(args),
                                     period=args.period)
+        report = _report(holdout, forecast.predict_daily(model, holdout))
+        rmse = report.rmse if holdout else math.nan  # scored before any write
     except ParameterError as exc:
         raise ParameterError(f"{args.data}: demand: {exc}") from None
+    zero_day = next((r.date for r in holdout if r.demand == 0.0), None)  # MAPE divides by demand
+    mape = 100.0 * report.mape if holdout and zero_day is None else math.nan
     path = run.write("model.json", _write_json, forecast.hybrid_to_dict(model))
     run.write("train_report.csv", forecast.write_forecast_csv,
               _report(train_part, forecast.predict_in_sample(model, train_part)))
     if holdout:
-        report = _report(holdout, forecast.predict_daily(model, holdout))
         run.write("holdout_report.csv", forecast.write_forecast_csv, report)
         run.write("metrics.csv", Path.write_text,
-                  f"metric,value\nrmse,{report.rmse!r}\nmape_percent,{100.0 * report.mape!r}\n")
-        print(f"holdout rmse {report.rmse:.3f}, mape {100 * report.mape:.2f}%")
+                  f"metric,value\nrmse,{rmse!r}\nmape_percent,{mape!r}\n")
+        print(f"holdout rmse {rmse:.3f}, " + (f"mape {mape:.2f}%" if zero_day is None else
+                                              f"mape undefined: zero demand on {zero_day}"))
     print(f"wrote model to {path}")
 
 

@@ -5,8 +5,8 @@ series; a residual model predicts the decomposition residual from lagged
 operational features.  A forecast is the extended trend+seasonal value plus
 the predicted residual.  ``HybridModel`` is the one model type; its residual
 model is the boosted ensemble of the hybrid (``fit_hybrid``), least squares on
-the same features (``fit_stl_linear``) or none (``fit_stl_only``).  All three
-share one fit and one prediction path; only the hybrid is serialized.
+the same features (``fit_stl_linear``) or none (``fit_stl_only``).  They, CV and
+feature selection share one fit and one forecast; only the hybrid is serialized.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ __all__ = [
     "hybrid_from_dict",
 ]
 
+_TREND_MODE = "drift"  # the default of every fit, CV and feature selection included
+
 
 @dataclass(frozen=True)
 class DailyRecord:
@@ -77,12 +79,10 @@ def _resolved_names(records: list[DailyRecord], feature_names: list[str] | None)
     return names
 
 
-def _check_contiguous(records: list[DailyRecord]) -> None:
-    for prev, cur in zip(records, records[1:]):
-        if cur.date != prev.date + dt.timedelta(days=1):
-            raise ParameterError(
-                f"dates must be contiguous: {prev.date} is followed by {cur.date}"
-            )
+def _check_contiguous(dates: list[dt.date]) -> None:
+    for prev, cur in zip(dates, dates[1:]):
+        if cur != prev + dt.timedelta(days=1):
+            raise ParameterError(f"dates must be contiguous: {prev} is followed by {cur}")
 
 
 def records_to_matrix(records: list[DailyRecord], names: list[str]) -> gbrt.FeatureMatrix:
@@ -118,7 +118,7 @@ class HybridModel:
     train_end: dt.date
     residual_model: gbrt.Ensemble | np.ndarray | None
     feature_names: list[str]
-    trend_mode: str = "drift"
+    trend_mode: str = _TREND_MODE
 
 
 @dataclass(frozen=True)
@@ -137,29 +137,36 @@ class ForecastReport:
 
 
 def _fit(train: list[DailyRecord], stl_config: StlConfig, feature_names: list[str] | None,
-         period: int, trend_mode: str, fit_residual) -> HybridModel:
-    """Decompose the demand series, then fit ``fit_residual(X, residual)``.
+         period: int, trend_mode: str, fit_residual, dec: Decomposition | None = None,
+         X: gbrt.FeatureMatrix | None = None) -> HybridModel:
+    """Fit ``fit_residual(X, dec.residual)``, or no residual model if it is None.
 
-    ``fit_residual=None`` fits no residual model and reads no features.
+    The decomposition ``dec`` of ``train`` and its feature rows ``X`` are made
+    here unless given: CV and selection share them and check their records once.
     """
-    if len(train) < 2 * period:
-        raise ParameterError(
-            f"{len(train)} training days is fewer than two cycles of {period}"
-        )
-    _check_contiguous(train)
-    names = [] if fit_residual is None else _resolved_names(train, feature_names)
-    dec = stl_decompose(demand_series(train, period), stl_config)
-    residual_model = fit_residual(records_to_matrix(train, names), dec.residual) if names else None
+    if dec is None:
+        if len(train) < 2 * period:
+            raise ParameterError(
+                f"{len(train)} training days is fewer than two cycles of {period}")
+        _check_contiguous([r.date for r in train])
+        names = [] if fit_residual is None else _resolved_names(train, feature_names)
+        dec = stl_decompose(demand_series(train, period), stl_config)
+        X = records_to_matrix(train, names) if names else None
     return HybridModel(
         period=period,
         stl_config=stl_config,
         decomposition=dec,
         train_start=train[0].date,
         train_end=train[-1].date,
-        residual_model=residual_model,
-        feature_names=names,
+        residual_model=None if X is None else fit_residual(X, dec.residual),
+        feature_names=[] if X is None else X.feature_names,
         trend_mode=trend_mode,
     )
+
+
+def _boosted(gbrt_config: gbrt.GbrtConfig):
+    """The hybrid's residual fit: boosting under ``gbrt_config``."""
+    return lambda X, residual: gbrt.train(X, residual, gbrt_config)
 
 
 def fit_hybrid(
@@ -168,18 +175,17 @@ def fit_hybrid(
     gbrt_config: gbrt.GbrtConfig,
     feature_names: list[str] | None = None,
     period: int = 7,
-    trend_mode: str = "drift",
+    trend_mode: str = _TREND_MODE,
 ) -> HybridModel:
     """Decompose the demand series, then boost the residuals on the features."""
-    return _fit(train, stl_config, feature_names, period, trend_mode,
-                lambda X, residual: gbrt.train(X, residual, gbrt_config))
+    return _fit(train, stl_config, feature_names, period, trend_mode, _boosted(gbrt_config))
 
 
 def fit_stl_only(
     train: list[DailyRecord],
     stl_config: StlConfig,
     period: int = 7,
-    trend_mode: str = "drift",
+    trend_mode: str = _TREND_MODE,
 ) -> HybridModel:
     """Decomposition alone: the residual forecast is zero."""
     return _fit(train, stl_config, None, period, trend_mode, None)
@@ -201,20 +207,30 @@ def fit_stl_linear(
     stl_config: StlConfig,
     feature_names: list[str] | None = None,
     period: int = 7,
-    trend_mode: str = "drift",
+    trend_mode: str = _TREND_MODE,
 ) -> HybridModel:
     """Same decomposition, residuals fit with ordinary least squares."""
     return _fit(train, stl_config, feature_names, period, trend_mode, _least_squares)
 
 
-def _predicted_residual(model: HybridModel, records: list[DailyRecord]):
-    """The residual model's prediction for ``records``; 0.0 without one."""
-    if model.residual_model is None:
+def _features(model: HybridModel, days: list[DailyRecord]) -> gbrt.FeatureMatrix | None:
+    """The feature rows of ``days`` that the residual model reads; None without one."""
+    return None if model.residual_model is None else records_to_matrix(days, model.feature_names)
+
+
+def _predicted_residual(model: HybridModel, X: gbrt.FeatureMatrix | None):
+    """The residual model's prediction for feature rows ``X``; 0.0 without rows."""
+    if X is None:
         return 0.0
-    X = records_to_matrix(records, model.feature_names)
     if isinstance(model.residual_model, gbrt.Ensemble):
         return gbrt.predict(model.residual_model, X)
     return _design(X.values) @ model.residual_model
+
+
+def _forecast(model: HybridModel, horizon: int, X: gbrt.FeatureMatrix | None) -> np.ndarray:
+    """The ``horizon`` days after training: trend + seasonal extended, plus residual from ``X``."""
+    base = stl_extend(model.decomposition, horizon, model.period, model.trend_mode)
+    return base + _predicted_residual(model, X)
 
 
 def predict_daily(model: HybridModel, future: list[DailyRecord]) -> np.ndarray:
@@ -224,9 +240,8 @@ def predict_daily(model: HybridModel, future: list[DailyRecord]) -> np.ndarray:
     start = model.train_end + dt.timedelta(days=1)
     if future[0].date != start:
         raise ParameterError(f"forecast must start at {start}, got {future[0].date}")
-    _check_contiguous(future)
-    base = stl_extend(model.decomposition, len(future), model.period, model.trend_mode)
-    return base + _predicted_residual(model, future)
+    _check_contiguous([r.date for r in future])
+    return _forecast(model, len(future), _features(model, future))
 
 
 predict_stl_linear = predict_daily
@@ -241,36 +256,41 @@ def predict_in_sample(model: HybridModel, train: list[DailyRecord]) -> np.ndarra
             f"records span {train[0].date}..{train[-1].date} but the model was "
             f"trained on {model.train_start}..{model.train_end}"
         )
-    _check_contiguous(train)
+    _check_contiguous([r.date for r in train])
     dec = model.decomposition
-    return dec.trend + dec.seasonal + _predicted_residual(model, train)
+    return dec.trend + dec.seasonal + _predicted_residual(model, _features(model, train))
 
 
 def predict_stl_only(model: HybridModel, horizon: int) -> np.ndarray:
     """The extended trend + seasonal values: the decomposition-only forecast."""
     if horizon == 0:
         return np.empty(0)
-    return stl_extend(model.decomposition, horizon, model.period, model.trend_mode)
+    return _forecast(model, horizon, None)
 
 
-def rmse(pred, actual) -> float:
+def _checked(pred, actual, metric: str) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if pred.shape != actual.shape:
         raise ParameterError(f"length mismatch: {pred.size} vs {actual.size}")
     if pred.size == 0:
-        raise ParameterError("rmse needs at least one point")
-    return float(np.sqrt(np.mean((pred - actual) ** 2)))
+        raise ParameterError(f"{metric} needs at least one point")
+    return pred, actual
+
+
+def rmse(pred, actual) -> float:
+    pred, actual = _checked(pred, actual, "rmse")
+    with np.errstate(over="ignore"):
+        error = pred - actual
+        mean_square = np.mean(error**2)
+    if not np.isfinite(mean_square):
+        raise ParameterError(f"errors as large as {np.abs(error).max():.6g} overflow the rmse")
+    return float(np.sqrt(mean_square))
 
 
 def mape(pred, actual) -> float:
     """Mean absolute percentage error, returned as a fraction."""
-    pred = np.asarray(pred, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if pred.shape != actual.shape:
-        raise ParameterError(f"length mismatch: {pred.size} vs {actual.size}")
-    if pred.size == 0:
-        raise ParameterError("mape needs at least one point")
+    pred, actual = _checked(pred, actual, "mape")
     zeros = np.nonzero(actual == 0.0)[0]
     if zeros.size:
         raise ParameterError(f"mape undefined: actual value at index {zeros[0]} is zero")
@@ -282,9 +302,7 @@ def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.da
 
     Partial blocks at either end are dropped.
     """
-    for (d1, _), (d2, _) in zip(daily, daily[1:]):
-        if d2 != d1 + dt.timedelta(days=1):
-            raise ParameterError(f"dates must be contiguous: {d1} is followed by {d2}")
+    _check_contiguous([day for day, _ in daily])
     out: list[tuple[dt.date, float]] = []
     i = 0
     while i < len(daily):
@@ -299,24 +317,6 @@ def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.da
         out.append((day, total))
         i += length
     return out
-
-
-def _fit_predict(
-    dec: Decomposition,
-    X_train: np.ndarray,
-    X_future: np.ndarray,
-    names: list[str],
-    gbrt_config: gbrt.GbrtConfig,
-    period: int,
-) -> tuple[gbrt.Ensemble, np.ndarray]:
-    """Boost the residuals of ``dec`` and forecast the days after its window.
-
-    Equals ``fit_hybrid`` then ``predict_daily`` on the same window, without
-    decomposing or building the feature matrix again.
-    """
-    ensemble = gbrt.train(gbrt.FeatureMatrix(X_train, names), dec.residual, gbrt_config)
-    base = stl_extend(dec, X_future.shape[0], period, "drift")
-    return ensemble, base + gbrt.predict(ensemble, gbrt.FeatureMatrix(X_future, names))
 
 
 def _cv_scores(
@@ -337,7 +337,7 @@ def _cv_scores(
         raise ParameterError(
             f"{n} records split {k + 1} ways leaves a fold shorter than two cycles"
         )
-    _check_contiguous(records)
+    _check_contiguous([r.date for r in records])
     # fit_hybrid reads the names from its training window; every window starts
     # at records[0] and the last one holds all the others
     names = _resolved_names(records[: bounds[k]], feature_names)
@@ -345,15 +345,17 @@ def _cv_scores(
     fold_scores: list[list[float]] = [[] for _ in grid]
     for j in range(1, k + 1):
         lo, hi = bounds[j], bounds[j + 1]
-        series = demand_series(records[:lo], period)
+        train = records[:lo]
+        series = demand_series(train, period)
+        X_train, X_valid = gbrt.FeatureMatrix(X[:lo], names), gbrt.FeatureMatrix(X[lo:hi], names)
         actual = [r.demand for r in records[lo:hi]]
         decompositions: dict[StlConfig, Decomposition] = {}
         for scores, (stl_config, gbrt_config) in zip(fold_scores, grid):
             if stl_config not in decompositions:
                 decompositions[stl_config] = stl_decompose(series, stl_config)
-            _, preds = _fit_predict(decompositions[stl_config], X[:lo], X[lo:hi], names,
-                                    gbrt_config, period)
-            scores.append(rmse(preds, actual))
+            model = _fit(train, stl_config, names, period, _TREND_MODE, _boosted(gbrt_config),
+                         decompositions[stl_config], X_train)
+            scores.append(rmse(_forecast(model, hi - lo, X_valid), actual))
     return [float(np.mean(scores)) for scores in fold_scores]
 
 
@@ -419,7 +421,7 @@ def iterative_feature_selection(
     train, holdout = records[:cut], records[cut:]
     if len(train) < 2 * period or not holdout:
         raise ParameterError("not enough records to split off a holdout")
-    _check_contiguous(records)
+    _check_contiguous([r.date for r in records])
     actual = [r.demand for r in holdout]
 
     all_names = _resolved_names(records, None)
@@ -430,15 +432,16 @@ def iterative_feature_selection(
     best_set = current
     while True:
         cols = [all_names.index(name) for name in current]
-        ensemble, preds = _fit_predict(dec, X[:cut, cols], X[cut:, cols], current,
-                                       gbrt_config, period)
-        score = rmse(preds, actual)
+        model = _fit(train, stl_config, current, period, _TREND_MODE, _boosted(gbrt_config),
+                     dec, gbrt.FeatureMatrix(X[:cut, cols], current))
+        score = rmse(_forecast(model, len(holdout), gbrt.FeatureMatrix(X[cut:, cols], current)),
+                     actual)
         if score < best_rmse:
             best_rmse = score
             best_set = current
         else:
             break
-        importance = gbrt.variable_importance(ensemble)
+        importance = gbrt.variable_importance(model.residual_model)
         survivors = [f for f in current if importance.get(f, 0.0) >= importance_threshold]
         if not survivors or survivors == current:
             break

@@ -27,7 +27,7 @@ stay in ``GbrtConfig``: the pinned forecasts and the benchmark set them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -259,13 +259,19 @@ def _grow(
     if config.max_depth is not None and depth + 1 >= config.max_depth:
         left = goes_left[rows]  # leaves: their rows in order[0]'s order, no partition
         children = (None, rows[left][None]), (None, rows[~left][None])
-    else:  # one flat index for both arrays is far cheaper than two 2-d boolean masks
+    else:
         left = goes_left[order]
-        children = [(vals.take(i).reshape(n_features, -1), order.take(i).reshape(n_features, -1))
-                    for i in (np.flatnonzero(left), np.flatnonzero(~left))]
+        children = _cut(vals, order, left), _cut(vals, order, ~left)
     node.left, node.right = (_grow(v, o, features, g, goes_left, depth + 1, config, out)
                              for v, o in children)
     return node
+
+
+def _cut(vals: np.ndarray, order: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's entries of ``vals`` and ``order`` where the mask ``keep`` of their
+    shape holds, in order; one flat index for both is far cheaper than two 2-d masks."""
+    i = np.flatnonzero(keep)
+    return vals.take(i).reshape(order.shape[0], -1), order.take(i).reshape(order.shape[0], -1)
 
 
 def _sorted_columns(values: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +312,6 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
     base_score = float(y.mean())
     predictions = np.full(n, base_score)
     model = Ensemble(
-        trees=[],
         learning_rate=config.learning_rate,
         base_score=base_score,
         feature_names=list(X.feature_names),
@@ -331,8 +336,7 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
         if rows is not None:
             in_round = np.zeros(n, dtype=bool)
             in_round[rows] = True
-            keep = in_round[order]
-            vals, order = vals[keep].reshape(cols.size, -1), order[keep].reshape(cols.size, -1)
+            vals, order = _cut(vals, order, in_round[order])
 
         # unit hessian; with every row in the round the leaves give the tree's predictions
         g, _ = gradients_squared_error(y, predictions)
@@ -440,17 +444,7 @@ def ensemble_to_dict(model: Ensemble) -> dict:
         "trees": [_node_to_dict(tree) for tree in model.trees],
     }
     if model.config is not None:
-        doc["config"] = {
-            "n_rounds": model.config.n_rounds,
-            "learning_rate": model.config.learning_rate,
-            "max_depth": model.config.max_depth,
-            "min_child_weight": model.config.min_child_weight,
-            "subsample_rows": model.config.subsample_rows,
-            "subsample_cols": model.config.subsample_cols,
-            "reg_lambda": model.config.reg_lambda,
-            "gamma": model.config.gamma,
-            "seed": model.config.seed,
-        }
+        doc["config"] = asdict(model.config)
     return doc
 
 

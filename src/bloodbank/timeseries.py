@@ -62,14 +62,11 @@ class Decomposition:
     residual: np.ndarray
 
     def __post_init__(self) -> None:
-        trend = np.asarray(self.trend, dtype=float)
-        seasonal = np.asarray(self.seasonal, dtype=float)
-        residual = np.asarray(self.residual, dtype=float)
-        if not (trend.shape == seasonal.shape == residual.shape) or trend.ndim != 1:
+        for name in ("trend", "seasonal", "residual"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.trend.ndim != 1 or not (self.trend.shape == self.seasonal.shape
+                                        == self.residual.shape):
             raise ParameterError("decomposition components must be 1-d and equally long")
-        object.__setattr__(self, "trend", trend)
-        object.__setattr__(self, "seasonal", seasonal)
-        object.__setattr__(self, "residual", residual)
 
     def __len__(self) -> int:
         return self.trend.size
@@ -248,36 +245,22 @@ def _loess_fit_all(xs: np.ndarray, ys: np.ndarray, q: int, degree: int, rw: np.n
 
 
 def _loess_at(xs: np.ndarray, ys: np.ndarray, x0: float, q: int, degree: int, rw: np.ndarray) -> float:
-    """Loess estimate at an arbitrary abscissa, used to extend cycle-subseries."""
+    """Loess estimate at ``x0 = -1`` or ``x0 = m``, which extends a cycle-subseries.
+
+    ``xs`` is ``0..m-1``, so the ``q <= m`` points nearest ``x0`` are the first
+    or the last ``q``.
+    """
     n = xs.size
+    window = slice(0, q) if x0 < 0 else slice(n - q, n)
+    t, y, w = xs[window] - x0, ys[window], rw[window]
     if q >= n:
-        lo, hi = 0, n
-    else:
-        # grow a window of the q nearest points around the insertion index
-        hi = int(np.searchsorted(xs, x0))
-        lo = hi
-        for _ in range(q):
-            if lo == 0:
-                hi += 1
-            elif hi == n:
-                lo -= 1
-            elif x0 - xs[lo - 1] <= xs[hi] - x0:
-                lo -= 1
-            else:
-                hi += 1
-    t = xs[lo:hi] - x0
-    y = ys[lo:hi]
-    if q >= n:
-        w = rw[lo:hi].copy()
         if w.sum() <= 0.0:
             w = np.ones_like(w)
         scale = max(np.abs(t).max(), 1.0)
     else:
-        scale = np.abs(t).max()
-        if scale == 0.0:
-            return float(y[0])
+        scale = np.abs(t).max()  # at least 1: x0 lies outside xs
         tw = _tricube(np.abs(t) / scale)
-        w = tw * rw[lo:hi]
+        w = tw * w
         if w.sum() <= 0.0:
             w = tw
     fitted = _solve_wls((t / scale)[None, :], y[None, :], w[None, :], degree)

@@ -1,5 +1,7 @@
 import datetime as dt
 import hashlib
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +68,18 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             rmse([1.0], [1.0, 2.0])
+
+    def test_rmse_whose_mean_square_overflows_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="errors as large as 1e\\+200"):
+                rmse([1e200, 0.0], [0.0, 0.0])
+            assert rmse([1e150, 1e150], [0.0, 0.0]) == math.sqrt(1e300)
+
+    def test_empty_input_rejected_by_both_metrics(self):
+        for metric, name in ((rmse, "rmse"), (mape, "mape")):
+            with pytest.raises(ParameterError, match=f"{name} needs at least one point"):
+                metric([], [])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)

@@ -232,6 +232,36 @@ def test_demand_that_overflows_boosting_fails_closed(inputs, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_holdout_demand_that_overflows_rmse_fails_before_writing(inputs, tmp_path, capsys):
+    # row 141 is in the holdout; train once exited 0 with a RuntimeWarning and
+    # wrote "rmse,inf" to metrics.csv
+    bad = tmp_path / "bad.csv"
+    cell(141, "demand", "1e200")(inputs["--data"], bad)
+    code = run([*command_line("train", {**inputs, "--data": bad}), "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err and "Warning" not in err, err
+    assert f"{bad}: demand: errors as large as" in err and "overflow the rmse" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_demand_in_holdout_leaves_mape_undefined(inputs, tmp_path, capsys):
+    # zero demand is valid input; train once failed on the MAPE after writing
+    # the model and both reports
+    data = tmp_path / "zero.csv"
+    cell(141, "demand", "0.0")(inputs["--data"], data)
+    out = tmp_path / "out"
+    assert run([*command_line("train", {**inputs, "--data": data}), "--out-dir", out]) == 0
+    header, rows = read_csv(out / "metrics.csv")
+    metrics = {name: float(value) for name, value in rows}
+    assert header == ["metric", "value"] and list(metrics) == ["rmse", "mape_percent"]
+    assert math.isfinite(metrics["rmse"]) and math.isnan(metrics["mape_percent"])
+    day = read_csv(data)[1][139][0]
+    assert f"mape undefined: zero demand on {day}" in capsys.readouterr().out
+    assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+    with pytest.raises(ParameterError, match="index 19 is zero"):
+        forecast.read_forecast_csv(out / "holdout_report.csv").mape
+
+
 @pytest.mark.parametrize("shelf_life", [1, 0, -3])
 @pytest.mark.parametrize("command", ["simulate", "optimize", "compare"])
 def test_shelf_life_below_two_fails_closed(inputs, tmp_path, capsys, command, shelf_life):

@@ -11,6 +11,7 @@ from bloodbank.timeseries import (
     Decomposition,
     Series,
     StlConfig,
+    _smooth_subseries,
     _window_starts,
     loess_smooth,
     stl_decompose,
@@ -125,6 +126,48 @@ def test_window_starts_on_arbitrary_abscissae(values, data):
     xs = np.array(sorted(values))
     q = data.draw(st.integers(1, xs.size - 1))
     assert _window_starts(xs, q).tolist() == sweep_window_starts(xs, q)
+
+
+def end_point_oracle(ys, x0, q, degree, rw):
+    """A weighted polynomial fit of one cycle-subseries, evaluated at ``x0`` and
+    written from scratch: tricube weights over the q points nearest ``x0`` times
+    ``rw`` when q < m, else every point weighted by ``rw``; all-zero products fall
+    back to the tricube or to equal weights."""
+    m = ys.size
+    xs = np.arange(m, dtype=float)
+    dist = np.abs(xs - x0)
+    if q < m:
+        nearest = np.zeros(m, dtype=bool)
+        nearest[np.argsort(dist, kind="stable")[:q]] = True
+        u = dist / dist[nearest].max()
+        tricube = np.where(nearest & (u < 1.0), (1.0 - u**3) ** 3, 0.0)
+        w = tricube * rw if (tricube * rw).sum() > 0 else tricube
+    else:
+        w = rw if rw.sum() > 0 else np.ones(m)
+    design = np.vander(xs - x0, degree + 1, increasing=True)
+    beta, *_ = np.linalg.lstsq(design * np.sqrt(w)[:, None], ys * np.sqrt(w), rcond=None)
+    return beta[0]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("n, period, s_window, zero_rw", [
+    (20, 4, 7, False),   # 5 points a subseries: q >= m, a global fit
+    (24, 3, 9, True),    # q = m = 8 with every robustness weight zero
+    (101, 7, 7, False),  # 14 or 15 points: the 7 nearest
+    (90, 2, 11, True),   # 45 points, all-zero robustness: tricube alone
+])
+def test_subseries_end_points_match_weighted_fit_oracle(degree, n, period, s_window, zero_rw):
+    rng = np.random.default_rng(degree * 100 + n)
+    detrended = np.sin(np.arange(n) / 5.0) * 30.0 + rng.normal(0.0, 4.0, size=n)
+    rw = np.zeros(n) if zero_rw else rng.uniform(0.05, 1.0, size=n)
+    extended = _smooth_subseries(detrended, period, s_window, degree, rw)
+    for k in range(period):
+        sub, sub_rw = detrended[k::period], rw[k::period]
+        m, q = sub.size, min(s_window, sub.size)
+        assert extended[k] == pytest.approx(
+            end_point_oracle(sub, -1.0, q, degree, sub_rw), abs=1e-9)
+        assert extended[(m + 1) * period + k] == pytest.approx(
+            end_point_oracle(sub, float(m), q, degree, sub_rw), abs=1e-9)
 
 
 def weekday_array(start, n):
