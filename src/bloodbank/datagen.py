@@ -11,7 +11,6 @@ across platforms.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .forecast import DailyRecord
+from .table import number, write_table
 
 __all__ = ["CovariateSpec", "GenConfig", "GroundTruth", "generate", "generate_full",
            "write_truth_csv"]
@@ -182,18 +182,8 @@ def generate(config: GenConfig) -> list[DailyRecord]:
 def write_truth_csv(path, config: GenConfig, truth: GroundTruth) -> None:
     """Columns: date, trend, weekday_effect, covariate_effect, noise, <covariate...>."""
     names = sorted(truth.covariate_series)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "trend", "weekday_effect", "covariate_effect", "noise", *names])
-        for t in range(truth.trend.size):
-            day = config.start_date + dt.timedelta(days=t)
-            writer.writerow(
-                [
-                    day.isoformat(),
-                    repr(float(truth.trend[t])),
-                    repr(float(truth.weekday[t])),
-                    repr(float(truth.covariate_effect[t])),
-                    repr(float(truth.noise[t])),
-                    *(repr(float(truth.covariate_series[name][t])) for name in names),
-                ]
-            )
+    columns = (truth.trend, truth.weekday, truth.covariate_effect, truth.noise,
+               *(truth.covariate_series[name] for name in names))
+    write_table(path, ["date", "trend", "weekday_effect", "covariate_effect", "noise", *names],
+                ([(config.start_date + dt.timedelta(days=t)).isoformat(), *map(number, values)]
+                 for t, values in enumerate(zip(*columns))))

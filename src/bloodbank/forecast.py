@@ -11,7 +11,6 @@ feature selection share one fit and one forecast; only the hybrid is serialized.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import asdict, dataclass
@@ -21,6 +20,7 @@ import numpy as np
 from . import gbrt
 from .errors import ParameterError, SchemaError
 from .policy import _SEMIWEEKLY_BLOCKS
+from .table import number, read_rows, write_table
 from .timeseries import (TREND_MODES, Decomposition, Series, StlConfig, stl_decompose,
                          stl_extend)
 
@@ -471,28 +471,21 @@ def _number_cell(path, row_number: int, column: str, text: str) -> float:
 
 def read_dataset_csv(path) -> list[DailyRecord]:
     """Columns: date (every day, no gap), demand, then one per feature; empty = missing."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0] != "date" or header[1] != "demand":
-            raise SchemaError(f"{path}: dataset header must start with date,demand: {header}")
-        names = header[2:]
-        records = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: row {row_number}: expected {len(header)} columns, got {len(row)}"
-                )
-            day = _date_cell(path, row_number, "date", row[0])
-            if records and day != records[-1].date + dt.timedelta(days=1):
-                raise SchemaError(f"{path}: row {row_number}, column date: {day} does not "
-                                  f"follow {records[-1].date}; dates must be contiguous")
-            demand = _number_cell(path, row_number, "demand", row[1])
-            features = {
-                name: _number_cell(path, row_number, name, cell) if cell != "" else float("nan")
-                for name, cell in zip(names, row[2:])
-            }
-            records.append(DailyRecord(date=day, demand=demand, features=features))
+    rows = read_rows(path)
+    header = next(rows)
+    if header is None or header[:2] != ["date", "demand"]:
+        raise SchemaError(f"{path}: dataset header must start with date,demand: {header}")
+    names = header[2:]
+    records = []
+    for row_number, row in rows:
+        day = _date_cell(path, row_number, "date", row[0])
+        if records and day != records[-1].date + dt.timedelta(days=1):
+            raise SchemaError(f"{path}: row {row_number}, column date: {day} does not "
+                              f"follow {records[-1].date}; dates must be contiguous")
+        demand = _number_cell(path, row_number, "demand", row[1])
+        features = {name: _number_cell(path, row_number, name, cell) if cell else math.nan
+                    for name, cell in zip(names, row[2:])}
+        records.append(DailyRecord(date=day, demand=demand, features=features))
     if not records:
         raise SchemaError(f"{path}: dataset has no rows")
     return records
@@ -500,39 +493,28 @@ def read_dataset_csv(path) -> list[DailyRecord]:
 
 def write_dataset_csv(path, records: list[DailyRecord]) -> None:
     names = feature_names_of(records)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "demand", *names])
-        for record in records:
-            cells = [record.date.isoformat(), repr(float(record.demand))]
-            for name in names:
-                value = record.features[name]
-                cells.append("" if np.isnan(value) else repr(float(value)))
-            writer.writerow(cells)
+    write_table(path, ["date", "demand", *names], (
+        [r.date.isoformat(), number(r.demand),
+         *(number(v) if v == v else "" for v in (r.features[name] for name in names))]
+        for r in records))
 
 
 def write_forecast_csv(path, report: ForecastReport) -> None:
     """Columns: date, actual, predicted."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "actual", "predicted"])
-        for day, actual, predicted in zip(report.dates, report.actual, report.predicted):
-            writer.writerow([day.isoformat(), repr(float(actual)), repr(float(predicted))])
+    write_table(path, ["date", "actual", "predicted"], (
+        [day.isoformat(), number(actual), number(predicted)]
+        for day, actual, predicted in zip(report.dates, report.actual, report.predicted)))
 
 
 def read_forecast_csv(path) -> ForecastReport:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["date", "actual", "predicted"]:
-            raise SchemaError(f"{path}: unexpected forecast header: {header}")
-        dates, actual, predicted = [], [], []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise SchemaError(f"{path}: row {row_number}: expected 3 columns, got {len(row)}")
-            dates.append(_date_cell(path, row_number, "date", row[0]))
-            actual.append(_number_cell(path, row_number, "actual", row[1]))
-            predicted.append(_number_cell(path, row_number, "predicted", row[2]))
+    rows = read_rows(path)
+    if (header := next(rows)) != ["date", "actual", "predicted"]:
+        raise SchemaError(f"{path}: unexpected forecast header: {header}")
+    dates, actual, predicted = [], [], []
+    for row_number, row in rows:
+        dates.append(_date_cell(path, row_number, "date", row[0]))
+        actual.append(_number_cell(path, row_number, "actual", row[1]))
+        predicted.append(_number_cell(path, row_number, "predicted", row[2]))
     return ForecastReport(dates=dates, actual=np.asarray(actual), predicted=np.asarray(predicted))
 
 

@@ -29,13 +29,13 @@ unit individually and exists purely as a verification oracle for
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, SchemaError
+from .table import number, read_rows, write_table
 
 __all__ = [
     "AgeProfile",
@@ -273,32 +273,21 @@ def brute_force_unit_sim(
 
 def write_trajectory_csv(path, outcomes) -> None:
     """Columns: period, order, demand, urgent, expired, end_inventory, cost."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["period", "order", "demand", "urgent", "expired", "end_inventory", "cost"])
-        for i, o in enumerate(outcomes, start=1):
-            writer.writerow(
-                [i, o.order_qty, o.demand, o.urgent, o.expired, o.end_inventory, repr(o.cost)])
+    write_table(path, ["period", "order", "demand", "urgent", "expired", "end_inventory", "cost"],
+                ([i, o.order_qty, o.demand, o.urgent, o.expired, o.end_inventory, number(o.cost)]
+                 for i, o in enumerate(outcomes, start=1)))
 
 
 def read_stream_csv(path) -> list[int]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["period", "units"]:
-            raise SchemaError(f"{path}: stream header must be period,units: {header}")
-        values = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise SchemaError(
-                    f"{path}: row {row_number}: expected 2 columns, got {len(row)}")
-            try:
-                values.append(_check_units("units", int(row[1])))
-            except (ValueError, ParameterError):
-                raise SchemaError(
-                    f"{path}: row {row_number}: units must be a non-negative integer, "
-                    f"got {row[1]!r}"
-                ) from None
+    rows = read_rows(path)
+    if (header := next(rows)) != ["period", "units"]:
+        raise SchemaError(f"{path}: stream header must be period,units: {header}")
+    values = []
+    for row_number, row in rows:
+        try:
+            values.append(_check_units("units", int(row[1])))
+        except (ValueError, ParameterError):
+            raise SchemaError(f"{path}: row {row_number}: units must be a non-negative "
+                              f"integer, got {row[1]!r}") from None
     return values
 

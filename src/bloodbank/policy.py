@@ -23,7 +23,6 @@ ints, which is several times faster than an array period on one row.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -41,6 +40,7 @@ from .inventory import (
     simulate,
     young_stock,
 )
+from .table import number, write_table
 
 __all__ = [
     "Schedule",
@@ -417,22 +417,12 @@ _CSV_FIELDS = [
 
 def write_comparison_csv(path, summaries: list[StrategySummary]) -> None:
     """One row per summary field, one column per strategy."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["field", *(s.strategy for s in summaries)])
-        for field_name in _CSV_FIELDS:
-            row = [field_name]
-            for summary in summaries:
-                value = getattr(summary, field_name)
-                row.append("" if value is None else repr(float(value)))
-            writer.writerow(row)
+    write_table(path, ["field", *(s.strategy for s in summaries)],
+                ([name, *(number(getattr(s, name)) for s in summaries)] for name in _CSV_FIELDS))
 
 
 def write_sweep_csv(path, label: str, rows: list[tuple[int, float, float]]) -> None:
     """Columns: <label>, average_cost, objective."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([label, "average_cost", "objective"])
-        for candidate, average, objective in rows:
-            writer.writerow([candidate, repr(float(average)), repr(float(objective))])
+    write_table(path, [label, "average_cost", "objective"],
+                ([candidate, number(cost), number(gap)] for candidate, cost, gap in rows))
 

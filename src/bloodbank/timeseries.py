@@ -10,7 +10,6 @@ robustness iterations ``n_outer``.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .table import number, write_table
 
 __all__ = [
     "Series",
@@ -394,14 +394,8 @@ def write_decomposition_csv(path, series: Series, dec: Decomposition) -> None:
     """Columns: date, observed, trend, seasonal, residual."""
     if len(dec) != len(series):
         raise ParameterError("decomposition length does not match the series")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date", "observed", "trend", "seasonal", "residual"])
-        for day, obs, tr, se, re in zip(
-            series.dates(), series.values, dec.trend, dec.seasonal, dec.residual
-        ):
-            writer.writerow(
-                [day.isoformat(), repr(float(obs)), repr(float(tr)), repr(float(se)),
-                 repr(float(re))]
-            )
+    columns = (series.values, dec.trend, dec.seasonal, dec.residual)
+    write_table(path, ["date", "observed", "trend", "seasonal", "residual"],
+                ([day.isoformat(), *map(number, values)]
+                 for day, *values in zip(series.dates(), *columns)))
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from bloodbank import forecast, gbrt, inventory, policy
 from bloodbank.cli import _write_json, main
-from bloodbank.datagen import GenConfig, generate, generate_full, write_truth_csv
+from bloodbank.datagen import GenConfig, GroundTruth, generate, generate_full, write_truth_csv
 from bloodbank.errors import ParameterError
 from bloodbank.timeseries import Decomposition, Series, StlConfig, write_decomposition_csv
 from conftest import read_csv, write_stream
@@ -404,3 +404,94 @@ json_values = st.recursive(
 def test_policy_and_manifest_json_read_back_equal(out_file, doc, sort_keys):
     _write_json(out_file, doc, sort_keys)
     assert json.loads(out_file.read_text()) == doc
+
+
+# the bytes: every CSV writer on fixed values, compared with the literal text
+
+NAMED = 'lab "x", day 7'  # a feature name that must be quoted
+
+
+def summary(strategy, urgent, doh):
+    return policy.StrategySummary(strategy, 3, 2, 2 / 3, 10.5, 0.5, 20.0, 1.25, urgent, urgent,
+                                  0.0, 0.0, 101.5, 3.0, 304.5, doh, (0, 3))
+
+
+WRITES = {
+    "dataset": (
+        lambda path: forecast.write_dataset_csv(path, [
+            forecast.DailyRecord(MONDAY, 12.0, {NAMED: np.float64(0.1), "c": math.nan}),
+            forecast.DailyRecord(MONDAY + dt.timedelta(days=1), 3.5, {NAMED: 1e-300, "c": 2})]),
+        'date,demand,"lab ""x"", day 7",c\r\n'
+        "2010-01-04,12.0,0.1,\r\n"
+        "2010-01-05,3.5,1e-300,2.0\r\n"),
+    "truth": (
+        lambda path: write_truth_csv(path, GenConfig(start_date=MONDAY), GroundTruth(
+            np.array([90.0, 90.5]), np.array([-6.0, -2.0]), np.array([0.25, 1e17]),
+            np.array([-1.5, 3.0]), {"b": np.array([4, 5]), "a": np.array([0.1, 0.2])})),
+        "date,trend,weekday_effect,covariate_effect,noise,a,b\r\n"
+        "2010-01-04,90.0,-6.0,0.25,-1.5,0.1,4.0\r\n"
+        "2010-01-05,90.5,-2.0,1e+17,3.0,0.2,5.0\r\n"),
+    "decomposition": (
+        lambda path: write_decomposition_csv(
+            path, Series(MONDAY, [100.0, 90.0], 2),
+            Decomposition([95.0, 95.5], [5.0, -5.0], [0.0, -0.5])),
+        "date,observed,trend,seasonal,residual\r\n"
+        "2010-01-04,100.0,95.0,5.0,0.0\r\n"
+        "2010-01-05,90.0,95.5,-5.0,-0.5\r\n"),
+    "forecast": (
+        lambda path: forecast.write_forecast_csv(path, forecast.ForecastReport(
+            [MONDAY], np.array([7.0]), np.array([6.999999999999999]))),
+        "date,actual,predicted\r\n"
+        "2010-01-04,7.0,6.999999999999999\r\n"),
+    "trajectory": (
+        lambda path: inventory.write_trajectory_csv(path, [
+            inventory.PeriodOutcome(True, 30, 28, 0, 1, 150, 301.0),
+            inventory.PeriodOutcome(False, 0, 40, 5, 0, 110, 1610.25)]),
+        "period,order,demand,urgent,expired,end_inventory,cost\r\n"
+        "1,30,28,0,1,150,301.0\r\n"
+        "2,0,40,5,0,110,1610.25\r\n"),
+    "sweep": (
+        lambda path: policy.write_sweep_csv(path, "reorder_level",
+                                            [(0, 250.5, 0.125), (10, 249.0, 1.0)]),
+        "reorder_level,average_cost,objective\r\n"
+        "0,250.5,0.125\r\n"
+        "10,249.0,1.0\r\n"),
+    "comparison": (
+        lambda path: policy.write_comparison_csv(
+            path, [summary("baseline", None, 2.5), summary("gold", 0.0, math.nan)]),
+        "field,baseline,gold\r\n"
+        "periods,3.0,3.0\r\n"
+        "days_with_orders,2.0,2.0\r\n"
+        "order_day_fraction,0.6666666666666666,0.6666666666666666\r\n"
+        "order_qty_mean,10.5,10.5\r\n"
+        "order_qty_sd,0.5,0.5\r\n"
+        "inventory_mean,20.0,20.0\r\n"
+        "inventory_sd,1.25,1.25\r\n"
+        "urgent_mean,,0.0\r\n"
+        "urgent_sd,,0.0\r\n"
+        "wastage_mean,0.0,0.0\r\n"
+        "wastage_sd,0.0,0.0\r\n"
+        "cost_mean,101.5,101.5\r\n"
+        "cost_sd,3.0,3.0\r\n"
+        "total_cost,304.5,304.5\r\n"
+        "doh,2.5,nan\r\n"),
+}
+
+
+@pytest.mark.parametrize("artifact", WRITES)
+def test_writer_bytes_are_pinned(tmp_path, artifact):
+    # RFC 4180 with \r\n line ends; a float cell is its shortest repr, an
+    # integer count is written as is, and an empty cell is a missing value
+    # (a NaN feature, a None urgent summary), while a NaN summary reads "nan"
+    write, expected = WRITES[artifact]
+    write(tmp_path / "file.csv")
+    assert (tmp_path / "file.csv").read_bytes() == expected.encode()
+
+
+def test_quoted_feature_name_reads_back(tmp_path):
+    WRITES["dataset"][0](tmp_path / "dataset.csv")
+    first, second = forecast.read_dataset_csv(tmp_path / "dataset.csv")
+    assert list(first.features) == [NAMED, "c"]
+    assert first.features[NAMED] == 0.1 and math.isnan(first.features["c"])
+    assert (second.date, second.demand, second.features) == (
+        MONDAY + dt.timedelta(days=1), 3.5, {NAMED: 1e-300, "c": 2.0})
