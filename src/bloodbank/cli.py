@@ -183,6 +183,12 @@ def _gbrt_config(args) -> gbrt.GbrtConfig:
     )
 
 
+def _young_stock(args, demands) -> inventory.AgeProfile:
+    """The starting stock of every simulation in a run: ``--initial`` young units."""
+    mean_demand = sum(demands) / len(demands) if demands else 1.0
+    return inventory.young_stock(args.initial, max(mean_demand, 1.0), args.shelf_life)
+
+
 def _report(records, predicted) -> forecast.ForecastReport:
     return forecast.ForecastReport(
         dates=[r.date for r in records],
@@ -226,7 +232,7 @@ def cmd_train(args, run: _Run) -> None:
     records = forecast.read_dataset_csv(args.data)
     if not 0 < args.train_days <= len(records):
         raise ParameterError(
-            f"train_days must lie in 1..{len(records)}, got {args.train_days}"
+            f"{args.data}: train_days must lie in 1..{len(records)}, got {args.train_days}"
         )
     train_part = records[: args.train_days]
     holdout = records[args.train_days :]
@@ -263,7 +269,7 @@ def cmd_forecast(args, run: _Run) -> None:
     future = [r for r in records if r.date > model.train_end][: args.horizon]
     if len(future) < args.horizon:
         raise ParameterError(
-            f"data supplies only {len(future)} days after {model.train_end}, "
+            f"{args.data}: data supplies only {len(future)} days after {model.train_end}, "
             f"horizon needs {args.horizon}"
         )
     path = run.write("forecast.csv", forecast.write_forecast_csv,
@@ -278,9 +284,8 @@ def cmd_simulate(args, run: _Run) -> None:
         raise ParameterError(
             f"stream length mismatch: orders={len(orders)} demands={len(demands)}"
         )
-    mean_demand = sum(demands) / len(demands) if demands else 1.0
-    profile = inventory.young_stock(args.initial, max(mean_demand, 1.0), args.shelf_life)
-    outcomes, average = inventory.simulate(profile, orders, demands, _costs(args))
+    outcomes, average = inventory.simulate(_young_stock(args, demands), orders, demands,
+                                           _costs(args))
     run.write("trajectory.csv", inventory.write_trajectory_csv, outcomes)
     print(f"simulated {len(outcomes)} periods, average cost {average:.2f}")
 
@@ -304,12 +309,16 @@ def _read_report(path) -> tuple[list[float], list[int], int]:
 def cmd_optimize(args, run: _Run) -> None:
     y_hat, demands, start_weekday = _read_report(args.report)
     costs = _costs(args)
+    stock = _young_stock(args, demands)
 
     # each grid is swept once; the choices and the sweep CSVs share its rows
     target_grid = (_parse_grid(args.target_grid) if args.target_grid
                    else list(range(args.initial, 2 * args.initial + 1, 10)))
-    target_rows = policy.target_sweep(y_hat, demands, args.initial, costs, target_grid,
-                                      args.shelf_life)
+    try:  # the reorder sweeps cannot overflow: their cap, the chosen target, is in this grid
+        target_rows = policy.target_sweep(y_hat, demands, stock, costs, target_grid,
+                                          args.shelf_life)
+    except ParameterError as exc:
+        raise ParameterError(f"{args.report}: {exc}") from None
     target = policy.best_candidate(target_rows, args.objective)
     if args.reorder_grid:
         # candidates above the learned target are infeasible; drop them
@@ -324,7 +333,7 @@ def cmd_optimize(args, run: _Run) -> None:
     sweeps = {}
     for kind in ("daily", "semiweekly"):
         schedule = policy.Schedule(kind=kind, start_weekday=start_weekday)
-        sweeps[kind] = policy.reorder_sweep(y_hat, demands, args.initial, costs, target,
+        sweeps[kind] = policy.reorder_sweep(y_hat, demands, stock, costs, target,
                                             reorder_grid, schedule, args.shelf_life)
         levels[kind] = policy.best_candidate(sweeps[kind], args.objective)
 
@@ -379,19 +388,17 @@ def cmd_compare(args, run: _Run) -> None:
 
     baseline_target = (args.baseline_target if args.baseline_target is not None
                        else round(1.7 * args.initial))
-    summaries = [
-        policy.evaluate_strategy("baseline", y_hat, demands, args.initial, costs,
-                                 baseline_target=baseline_target,
-                                 start_weekday=start_weekday, shelf_life=args.shelf_life),
-        policy.evaluate_strategy("gold", y_hat, demands, args.initial, costs,
-                                 start_weekday=start_weekday, shelf_life=args.shelf_life),
-        policy.evaluate_strategy("daily", y_hat, demands, args.initial, costs,
-                                 params=policy.PolicyParams(target, reorder_daily),
-                                 start_weekday=start_weekday, shelf_life=args.shelf_life),
-        policy.evaluate_strategy("semiweekly", y_hat, demands, args.initial, costs,
-                                 params=policy.PolicyParams(target, reorder_semiweekly),
-                                 start_weekday=start_weekday, shelf_life=args.shelf_life),
-    ]
+    strategies = {"baseline": {"baseline_target": baseline_target}, "gold": {},
+                  "daily": {"params": policy.PolicyParams(target, reorder_daily)},
+                  "semiweekly": {"params": policy.PolicyParams(target, reorder_semiweekly)}}
+    stock = _young_stock(args, demands)
+    try:  # checked before any write
+        summaries = [policy.evaluate_strategy(name, y_hat, demands, stock, costs,
+                                              start_weekday=start_weekday,
+                                              shelf_life=args.shelf_life, **extra)
+                     for name, extra in strategies.items()]
+    except ParameterError as exc:
+        raise ParameterError(f"{args.report}: {exc}") from None
     table = policy.comparison_table(summaries)
     run.write("comparison.csv", policy.write_comparison_csv, summaries)
     run.write("comparison.txt", Path.write_text, table + "\n")

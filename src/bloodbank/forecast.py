@@ -585,6 +585,8 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
                           f"hold two cycles, got {model.period}")
     if model.trend_mode not in TREND_MODES:
         raise SchemaError(f"trend_mode must be one of {TREND_MODES}, got {model.trend_mode!r}")
+    if not model.feature_names:
+        raise SchemaError("feature_names must name at least one feature")
     if model.feature_names != model.residual_model.feature_names:
         raise SchemaError(f"feature_names {model.feature_names} differ from the residual "
                           f"model's {model.residual_model.feature_names}")

@@ -156,6 +156,9 @@ def _order_plan(y_hat: list[float], schedule: Schedule) -> tuple[list[int], list
     cut at the end of the horizon.
     """
     horizon = len(y_hat)
+    # forecasts this large could sum to inf over a block; every order is capped far below
+    if max(map(abs, y_hat), default=0.0) > 1e300:
+        y_hat = [min(max(v, -1e300), 1e300) for v in y_hat]
     units, order_days = [], []
     for i in range(horizon):
         block = 1
@@ -205,8 +208,12 @@ def _sweep(y_hat, demands, initial, costs: CostParams, shelf_life: int, schedule
 
     grid = np.asarray(candidates, dtype=np.int64)
     caps = grid if target is None else target
-    if profile.total + len(demands) * int(np.max(caps)) + max(demands) >= 2**63:
-        raise ParameterError("candidates too large: cumulative arrivals would overflow int64")
+    cap = int(np.max(caps))
+    if profile.total + len(demands) * cap + max(demands) >= 2**63:
+        raise ParameterError(
+            "demands or candidates too large: cumulative arrivals would overflow int64")
+    # no order exceeds its cap, so larger forecasts order as the cap does, within int64
+    units = [min(u, cap) for u in units]
     ring = np.tile(_ring(profile.counts)[:, None], grid.size)  # (shelf_life - 1, K)
     level = arrived = np.full(grid.size, profile.total)
     gone, total = 0, np.zeros(grid.size)
@@ -311,6 +318,7 @@ class StrategySummary:
     placement_weekdays: tuple[int, ...]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is raised at the end instead
 def _summarize(strategy: str, run: PolicyRun, start_weekday: int,
                urgent_available: bool = True) -> StrategySummary:
     outcomes = run.outcomes
@@ -324,7 +332,7 @@ def _summarize(strategy: str, run: PolicyRun, start_weekday: int,
     demand = np.array([o.demand for o in outcomes], dtype=float)
     placements = sorted({(start_weekday + i - 1) % 7 for i in order_days})
     demand_mean = demand.mean() if periods else 0.0
-    return StrategySummary(
+    summary = StrategySummary(
         strategy=strategy,
         periods=periods,
         days_with_orders=len(order_days),
@@ -343,6 +351,12 @@ def _summarize(strategy: str, run: PolicyRun, start_weekday: int,
         doh=float(inventory.mean() / demand_mean) if demand_mean > 0 else float("nan"),
         placement_weekdays=tuple(placements),
     )
+    # every series is non-negative, so an overflow leaves an infinite mean, sd or total
+    if math.isinf(demand_mean) or any(math.isinf(getattr(summary, f) or 0.0)
+                                      for f in _CSV_FIELDS):
+        raise ParameterError(f"{strategy} strategy: demands or costs so large that its "
+                             f"summary overflows")
+    return summary
 
 
 def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams, *,

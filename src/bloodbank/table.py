@@ -5,6 +5,8 @@ import csv
 
 from .errors import SchemaError
 
+__all__ = ["number", "write_table", "read_rows"]
+
 
 def number(value) -> str:
     """A float cell: the shortest ``repr`` of ``value``, empty for ``None``."""
@@ -19,8 +21,8 @@ def write_table(path, header: list[str], rows) -> None:
 
 
 def read_rows(path):
-    """Yield the header (``None`` if the file is empty), then ``(row_number, cells)``
-    of each row as it is read, every row as long as the header."""
+    """Yield the header (``None`` for an empty file), then ``(row_number, cells)`` row
+    by row; a row whose length differs from the header's raises ``SchemaError``."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)

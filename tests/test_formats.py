@@ -85,12 +85,27 @@ def drop_row(row_number):
     return damage
 
 
+def extra_cell(row_number):
+    """Append one cell to a row; row 1 is the header."""
+    def damage(source, target):
+        lines = source.read_text().splitlines()
+        lines[row_number - 1] += ",1"
+        target.write_text("\n".join(lines) + "\n")
+    return damage
+
+
 def edit_json(change):
     def damage(source, target):
         doc = json.loads(source.read_text())
         change(doc)
         target.write_text(json.dumps(doc))
     return damage
+
+
+def no_features(doc):
+    """A model over no feature column whose trees are single leaves."""
+    doc["feature_names"] = doc["residual_model"]["feature_names"] = []
+    doc["residual_model"]["trees"] = [{"weight": 0.5}]
 
 
 BAD_CONFIGS = [(command, "--config", text(content), message)
@@ -108,6 +123,10 @@ BAD_FILES = [
     ("simulate", "--orders", cell(3, "units", "-1"), "row 3"),
     ("optimize", "--report", cell(7, "predicted", "nan"), "row 7, column predicted"),
     ("compare", "--report", cell(7, "actual", "many"), "row 7, column actual"),
+    # a row longer than the header
+    ("decompose", "--data", extra_cell(9), "row 9: expected 12 columns, got 13"),
+    ("optimize", "--report", extra_cell(5), "row 5: expected 3 columns, got 4"),
+    ("simulate", "--orders", extra_cell(3), "row 3: expected 2 columns, got 3"),
     # a missing day would shift every later row onto the wrong date
     ("decompose", "--data", drop_row(11), "row 11, column date"),
     ("train", "--data", drop_row(11), "dates must be contiguous"),
@@ -131,6 +150,10 @@ BAD_FILES = [
         feature_names="abc")), "feature_names must be a list"),
     ("forecast", "--model", edit_json(lambda doc: doc["residual_model"]["config"].update(
         reg_lambda=math.nan)), "reg_lambda"),
+    # leaf-only trees over no feature once failed on the first prediction
+    # without naming the model file
+    ("forecast", "--model", edit_json(no_features),
+     "feature_names must name at least one feature"),
     # policy documents
     ("compare", "--policy", text("{"), "not valid JSON"),
     ("compare", "--policy", edit_json(lambda doc: doc.update(reorder_daily=-5)),
@@ -260,6 +283,85 @@ def test_zero_demand_in_holdout_leaves_mape_undefined(inputs, tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
     with pytest.raises(ParameterError, match="index 19 is zero"):
         forecast.read_forecast_csv(out / "holdout_report.csv").mape
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--train-days", 500], "train_days must lie in 1..160, got 500"),
+    ("forecast", ["--horizon", 50], "data supplies only 40 days after"),
+])
+def test_too_short_data_is_named(inputs, tmp_path, capsys, command, flags, message):
+    argv = command_line(command, inputs)
+    argv[argv.index(flags[0]) + 1] = flags[1]
+    code = run([*argv, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    assert f"{inputs['--data']}: {message}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def every_cell(column, value):
+    def damage(source, target):
+        header, rows = read_csv(source)
+        for row in rows:
+            row[header.index(column)] = value
+        target.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    return damage
+
+
+@pytest.mark.parametrize("damage, huge", [
+    (lambda value: cell(7, "predicted", value), "9.3e18"),
+    (lambda value: every_cell("predicted", value), "1.7976931348623157e+308"),
+], ids=["one-cell", "every-cell"])
+def test_forecast_beyond_every_cap_orders_as_the_cap_does(inputs, tmp_path, capsys, damage,
+                                                         huge):
+    # a predicted cell of 9.3e18 once crashed optimize with an OverflowError
+    # traceback, and semiweekly blocks near the float limit sum to inf; every
+    # order is capped at the target, so both must order as a forecast of 1e6
+    written = {}
+    for name, value in (("capped", "1e6"), ("huge", huge)):
+        report = tmp_path / f"{name}.csv"
+        damage(value)(inputs["--report"], report)
+        out = tmp_path / name
+        assert run(["optimize", "--report", report, "--initial", 150,
+                    "--out-dir", out / "opt"]) == 0
+        assert run(["compare", "--report", report, "--policy", out / "opt" / "policy.json",
+                    "--initial", 150, "--out-dir", out / "cmp"]) == 0
+        written[name] = {path.relative_to(out): path.read_bytes()
+                         for path in out.glob("*/*") if path.name != "manifest.json"}
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err, err
+    assert len(written["huge"]) == 6 and written["huge"] == written["capped"]
+
+
+def test_optimize_names_the_report_when_demands_overflow_int64(inputs, tmp_path, capsys):
+    # this once exited 2 with a message that named no file
+    bad = tmp_path / "bad.csv"
+    cell(7, "actual", "9.3e18")(inputs["--report"], bad)
+    code = run(["optimize", "--report", bad, "--initial", 150, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    assert f"{bad}: demands or candidates too large" in err and "overflow int64" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def copy(source, target):
+    target.write_bytes(source.read_bytes())
+
+
+@pytest.mark.parametrize("damage, flags", [(cell(7, "actual", "1e308"), []),
+                                           (copy, ["--cost-holding", 1e308])],
+                         ids=["actual", "cost-holding"])
+def test_compare_fails_closed_when_a_summary_overflows(inputs, tmp_path, capsys, damage, flags):
+    # compare once exited 0 with numpy RuntimeWarnings and wrote inf and nan
+    # into comparison.csv
+    report = tmp_path / "report.csv"
+    damage(inputs["--report"], report)
+    code = run([*command_line("compare", {**inputs, "--report": report}), *flags,
+                "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err and "Warning" not in err, err
+    assert f"{report}: baseline strategy: demands or costs so large" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("shelf_life", [1, 0, -3])
