@@ -12,6 +12,7 @@ a JSON config file via ``--config``; explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -29,6 +30,11 @@ OUTPUT_ROOT_ENV = "BLOODBANK_RUNS"
 # the flags that name input files, and the parsed values that are not config
 _INPUT_FLAGS = ("data", "model", "orders", "demands", "report", "policy")
 _NOT_CONFIG = ("command", "func", "out_dir", "config")
+# the flags of StlConfig, GbrtConfig and CostParams are their fields, named as
+# the fields are except these, and with the fields' defaults except --rounds'
+_FLAG_DESTS = {"routine_delivery": "cost_order", "holding": "cost_holding",
+               "urgent": "cost_urgent", "wastage": "cost_wastage", "n_rounds": "rounds"}
+_CLI_DEFAULTS = {"rounds": 150}  # the library boosts 100 rounds
 
 
 def _sha256(path: Path) -> str:
@@ -150,37 +156,19 @@ def _parse_grid(text: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _costs(args) -> inventory.CostParams:
-    return inventory.CostParams(
-        routine_delivery=args.cost_order,
-        holding=args.cost_holding,
-        urgent=args.cost_urgent,
-        wastage=args.cost_wastage,
-    )
+def _add_fields(parser: argparse.ArgumentParser, kind) -> None:
+    """One flag per field of the dataclass ``kind``; a float default gives a float flag."""
+    for field in dataclasses.fields(kind):
+        dest = _FLAG_DESTS.get(field.name, field.name)
+        parser.add_argument("--" + dest.replace("_", "-"),
+                            type=float if isinstance(field.default, float) else int,
+                            default=_CLI_DEFAULTS.get(dest, field.default))
 
 
-def _stl_config(args) -> timeseries.StlConfig:
-    return timeseries.StlConfig(
-        s_window=args.s_window,
-        t_window=args.t_window,
-        n_inner=args.n_inner,
-        n_outer=args.n_outer,
-        loess_degree=args.loess_degree,
-    )
-
-
-def _gbrt_config(args) -> gbrt.GbrtConfig:
-    return gbrt.GbrtConfig(
-        n_rounds=args.rounds,
-        learning_rate=args.learning_rate,
-        max_depth=args.max_depth,
-        min_child_weight=args.min_child_weight,
-        subsample_rows=args.subsample_rows,
-        subsample_cols=args.subsample_cols,
-        reg_lambda=args.reg_lambda,
-        gamma=args.gamma,
-        seed=args.seed,
-    )
+def _value(args, kind):
+    """``kind`` built from the flags ``_add_fields`` added."""
+    return kind(**{field.name: getattr(args, _FLAG_DESTS.get(field.name, field.name))
+                   for field in dataclasses.fields(kind)})
 
 
 def _young_stock(args, demands) -> inventory.AgeProfile:
@@ -218,10 +206,11 @@ def cmd_generate(args, run: _Run) -> None:
 
 
 def cmd_decompose(args, run: _Run) -> None:
+    config = _value(args, timeseries.StlConfig)
     records = forecast.read_dataset_csv(args.data)
     series = forecast.demand_series(records, args.period)
     try:
-        dec = timeseries.stl_decompose(series, _stl_config(args))
+        dec = timeseries.stl_decompose(series, config)
     except ParameterError as exc:
         raise ParameterError(f"{args.data}: demand: {exc}") from None
     path = run.write("decomposition.csv", timeseries.write_decomposition_csv, series, dec)
@@ -229,6 +218,9 @@ def cmd_decompose(args, run: _Run) -> None:
 
 
 def cmd_train(args, run: _Run) -> None:
+    stl_config, gbrt_config = _value(args, timeseries.StlConfig), _value(args, gbrt.GbrtConfig)
+    if args.period < 2:  # a flag's fault, not the dataset's
+        raise ParameterError(f"period must be >= 2, got {args.period}")
     records = forecast.read_dataset_csv(args.data)
     if not 0 < args.train_days <= len(records):
         raise ParameterError(
@@ -237,8 +229,7 @@ def cmd_train(args, run: _Run) -> None:
     train_part = records[: args.train_days]
     holdout = records[args.train_days :]
     try:
-        model = forecast.fit_hybrid(train_part, _stl_config(args), _gbrt_config(args),
-                                    period=args.period)
+        model = forecast.fit_hybrid(train_part, stl_config, gbrt_config, period=args.period)
         report = _report(holdout, forecast.predict_daily(model, holdout))
         rmse = report.rmse if holdout else math.nan  # scored before any write
     except ParameterError as exc:
@@ -278,14 +269,14 @@ def cmd_forecast(args, run: _Run) -> None:
 
 
 def cmd_simulate(args, run: _Run) -> None:
+    costs = _value(args, inventory.CostParams)
     orders = inventory.read_stream_csv(args.orders)
     demands = inventory.read_stream_csv(args.demands)
     if len(orders) != len(demands):
         raise ParameterError(
             f"stream length mismatch: orders={len(orders)} demands={len(demands)}"
         )
-    outcomes, average = inventory.simulate(_young_stock(args, demands), orders, demands,
-                                           _costs(args))
+    outcomes, average = inventory.simulate(_young_stock(args, demands), orders, demands, costs)
     run.write("trajectory.csv", inventory.write_trajectory_csv, outcomes)
     print(f"simulated {len(outcomes)} periods, average cost {average:.2f}")
 
@@ -297,45 +288,46 @@ def _read_report(path) -> tuple[list[float], list[int], int]:
     rejected non-finite cells.
     """
     report = forecast.read_forecast_csv(path)
+    if not report.dates:
+        raise ParameterError(f"{path}: report has no rows")
     for row_number, value in enumerate(report.actual, start=2):
         if value < 0:
             raise ParameterError(
                 f"{path}: row {row_number}: actual demand must be non-negative, got {value}"
             )
-    start_weekday = report.dates[0].weekday() if report.dates else 0
-    return list(report.predicted), [policy.round_units(v) for v in report.actual], start_weekday
+    return (list(report.predicted), [policy.round_units(v) for v in report.actual],
+            report.dates[0].weekday())
 
 
 def cmd_optimize(args, run: _Run) -> None:
+    costs = _value(args, inventory.CostParams)
+    target_grid = (_parse_grid(args.target_grid) if args.target_grid
+                   else list(range(args.initial, 2 * args.initial + 1, 10)))
+    reorder_grid = _parse_grid(args.reorder_grid) if args.reorder_grid else None
     y_hat, demands, start_weekday = _read_report(args.report)
-    costs = _costs(args)
     stock = _young_stock(args, demands)
 
     # each grid is swept once; the choices and the sweep CSVs share its rows
-    target_grid = (_parse_grid(args.target_grid) if args.target_grid
-                   else list(range(args.initial, 2 * args.initial + 1, 10)))
-    try:  # the reorder sweeps cannot overflow: their cap, the chosen target, is in this grid
+    try:  # every sweep is checked before the first write
         target_rows = policy.target_sweep(y_hat, demands, stock, costs, target_grid,
                                           args.shelf_life)
+        target = policy.best_candidate(target_rows, args.objective)
+        if reorder_grid is None:
+            reorder_grid = list(range(0, target + 1, 10))
+        else:  # candidates above the learned target are infeasible; drop them
+            reorder_grid = [s for s in reorder_grid if s <= target]
+            if not reorder_grid:
+                raise ParameterError(
+                    f"reorder grid {args.reorder_grid} has no candidate <= target {target}")
+        levels = {}
+        sweeps = {}
+        for kind in ("daily", "semiweekly"):
+            schedule = policy.Schedule(kind=kind, start_weekday=start_weekday)
+            sweeps[kind] = policy.reorder_sweep(y_hat, demands, stock, costs, target,
+                                                reorder_grid, schedule, args.shelf_life)
+            levels[kind] = policy.best_candidate(sweeps[kind], args.objective)
     except ParameterError as exc:
         raise ParameterError(f"{args.report}: {exc}") from None
-    target = policy.best_candidate(target_rows, args.objective)
-    if args.reorder_grid:
-        # candidates above the learned target are infeasible; drop them
-        reorder_grid = [s for s in _parse_grid(args.reorder_grid) if s <= target]
-        if not reorder_grid:
-            raise ParameterError(
-                f"reorder grid {args.reorder_grid} has no candidate <= target {target}"
-            )
-    else:
-        reorder_grid = list(range(0, target + 1, 10))
-    levels = {}
-    sweeps = {}
-    for kind in ("daily", "semiweekly"):
-        schedule = policy.Schedule(kind=kind, start_weekday=start_weekday)
-        sweeps[kind] = policy.reorder_sweep(y_hat, demands, stock, costs, target,
-                                            reorder_grid, schedule, args.shelf_life)
-        levels[kind] = policy.best_candidate(sweeps[kind], args.objective)
 
     run.write("policy.json", _write_json, {
         "format": "bloodbank.policy",
@@ -356,8 +348,8 @@ def cmd_optimize(args, run: _Run) -> None:
 
 
 def cmd_compare(args, run: _Run) -> None:
+    costs = _value(args, inventory.CostParams)
     y_hat, demands, start_weekday = _read_report(args.report)
-    costs = _costs(args)
 
     if args.policy:
         doc = _load_json(args.policy)
@@ -413,34 +405,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "required flags must be given on the command line")
 
 
-def _add_cost_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cost-order", type=float, default=100.0)
-    parser.add_argument("--cost-holding", type=float, default=1.0)
-    parser.add_argument("--cost-urgent", type=float, default=300.0)
-    parser.add_argument("--cost-wastage", type=float, default=50.0)
-
-
-def _add_stl_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--period", type=int, default=7)
-    parser.add_argument("--s-window", type=int, default=11)
-    parser.add_argument("--t-window", type=int, default=None)
-    parser.add_argument("--n-inner", type=int, default=2)
-    parser.add_argument("--n-outer", type=int, default=1)
-    parser.add_argument("--loess-degree", type=int, default=1)
-
-
-def _add_gbrt_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rounds", type=int, default=150)
-    parser.add_argument("--learning-rate", type=float, default=0.1)
-    parser.add_argument("--max-depth", type=int, default=3)
-    parser.add_argument("--min-child-weight", type=float, default=1.0)
-    parser.add_argument("--subsample-rows", type=float, default=1.0)
-    parser.add_argument("--subsample-cols", type=float, default=1.0)
-    parser.add_argument("--reg-lambda", type=float, default=1.0)
-    parser.add_argument("--gamma", type=float, default=0.0)
-    parser.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bloodbank",
                                      description="demand forecasting and ordering pipeline")
@@ -458,15 +422,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="split a demand series into components")
     p.add_argument("--data", required=True)
-    _add_stl_flags(p)
+    p.add_argument("--period", type=int, default=7)
+    _add_fields(p, timeseries.StlConfig)
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("train", help="fit the hybrid model")
     p.add_argument("--data", required=True)
     p.add_argument("--train-days", type=int, required=True)
-    _add_stl_flags(p)
-    _add_gbrt_flags(p)
+    p.add_argument("--period", type=int, default=7)
+    _add_fields(p, timeseries.StlConfig)
+    _add_fields(p, gbrt.GbrtConfig)
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -482,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demands", required=True)
     p.add_argument("--initial", type=int, default=780)
     p.add_argument("--shelf-life", type=int, default=32)
-    _add_cost_flags(p)
+    _add_fields(p, inventory.CostParams)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -493,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-grid", default=None, help="LO:HI:STEP (default initial..2*initial)")
     p.add_argument("--reorder-grid", default=None, help="LO:HI:STEP (default 0..target)")
     p.add_argument("--objective", choices=["match_gold", "min_cost"], default="match_gold")
-    _add_cost_flags(p)
+    _add_fields(p, inventory.CostParams)
     _add_common(p)
     p.set_defaults(func=cmd_optimize)
 
@@ -506,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline-target", type=int, default=None)
     p.add_argument("--initial", type=int, default=780)
     p.add_argument("--shelf-life", type=int, default=32)
-    _add_cost_flags(p)
+    _add_fields(p, inventory.CostParams)
     _add_common(p)
     p.set_defaults(func=cmd_compare)
     return parser

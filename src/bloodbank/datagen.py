@@ -79,6 +79,8 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.n_days < 1:
             raise ParameterError("n_days must be positive")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if len(self.weekday_effects) != 7:
             raise ParameterError("weekday_effects must list 7 values, Monday first")
         if not 0.0 <= self.noise_sd < math.inf:  # also NaN

@@ -131,6 +131,8 @@ class GbrtConfig:
             frac = getattr(self, name)
             if not 0.0 < frac <= 1.0:
                 raise ParameterError(f"{name} must lie in (0, 1], got {frac}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -232,7 +232,11 @@ def simulate(
     if len(orders) != len(demands):
         raise ParameterError(
             f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
-    return _fold(_ring(initial.counts).tolist(), demands, costs, lambda i, level: orders[i])
+    outcomes, average = _fold(_ring(initial.counts).tolist(), demands, costs,
+                              lambda i, level: orders[i])
+    if not math.isfinite(average):  # every cost is non-negative, so an overflow is inf
+        raise ParameterError("orders, demands or costs so large that the average cost overflows")
+    return outcomes, average
 
 
 def brute_force_unit_sim(

@@ -24,7 +24,7 @@ ints, which is several times faster than an array period on one row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -190,6 +190,7 @@ def cost_under_actual(demands, initial, costs: CostParams, shelf_life: int = 32)
     return average
 
 
+@np.errstate(over="ignore")  # an overflow is raised at the end instead
 def _sweep(y_hat, demands, initial, costs: CostParams, shelf_life: int, schedule: Schedule,
            candidates: list[int], target: int | None = None) -> list[tuple[int, float, float]]:
     """(candidate, average cost, |gold - cost|) rows, all candidates advanced together.
@@ -229,6 +230,9 @@ def _sweep(y_hat, demands, initial, costs: CostParams, shelf_life: int, schedule
         level = arrived - gone
         # a running total adds the periods in the order a fold over step does
         total += costs.period_cost(orders > 0, level, urgent, expired)
+    if not np.isfinite(total).all():  # every cost is non-negative, so an overflow is inf
+        raise ParameterError("demands or costs so large that a candidate's average cost "
+                             "overflows")
     averages = (total / len(demands)).tolist()
     return [(c, avg, abs(gold - avg)) for c, avg in zip(candidates, averages)]
 
@@ -316,6 +320,11 @@ class StrategySummary:
     total_cost: float
     doh: float
     placement_weekdays: tuple[int, ...]
+
+
+# the numeric fields, in order: comparison.csv's rows
+_CSV_FIELDS = [f.name for f in fields(StrategySummary)
+               if f.name not in ("strategy", "placement_weekdays")]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised at the end instead
@@ -420,13 +429,6 @@ def comparison_table(summaries: list[StrategySummary]) -> str:
     lines = ["  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in [headers] + rows]
     return "\n".join(lines)
-
-
-_CSV_FIELDS = [
-    "periods", "days_with_orders", "order_day_fraction", "order_qty_mean", "order_qty_sd",
-    "inventory_mean", "inventory_sd", "urgent_mean", "urgent_sd", "wastage_mean",
-    "wastage_sd", "cost_mean", "cost_sd", "total_cost", "doh",
-]
 
 
 def write_comparison_csv(path, summaries: list[StrategySummary]) -> None:

@@ -7,9 +7,11 @@ produces from drawn values and read it back through ``conftest.read_csv`` or
 the package's own reader.
 """
 
+import argparse
 import datetime as dt
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bloodbank import forecast, gbrt, inventory, policy
-from bloodbank.cli import _write_json, main
+from bloodbank.cli import _write_json, build_parser, main
 from bloodbank.datagen import GenConfig, GroundTruth, generate, generate_full, write_truth_csv
 from bloodbank.errors import ParameterError
 from bloodbank.timeseries import Decomposition, Series, StlConfig, write_decomposition_csv
@@ -372,6 +374,138 @@ def test_shelf_life_below_two_fails_closed(inputs, tmp_path, capsys, command, sh
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err, err
     assert f"shelf_life must be >= 2, got {shelf_life}" in err
+
+
+@pytest.mark.parametrize("command, flags, message, make", [
+    ("decompose", ["--s-window", 4], "s_window must be odd and >= 7, got 4", None),
+    ("train", ["--learning-rate", 2], "learning_rate must lie in (0, 1], got 2.0", None),
+    ("train", ["--t-window", 4], "t_window must be odd and >= 3, got 4", None),
+    ("train", ["--period", 0], "period must be >= 2, got 0", None),
+    ("generate", ["--seed", -1], "seed must be non-negative, got -1", GenConfig),
+    ("train", ["--seed", -1], "seed must be non-negative, got -1", gbrt.GbrtConfig),
+])
+def test_bad_flag_value_is_not_blamed_on_the_dataset(inputs, tmp_path, capsys, command, flags,
+                                                     message, make):
+    # these once failed as "<data>: demand: ...", and a negative seed exited 1
+    # with a ValueError traceback from PCG64
+    if make is not None:
+        with pytest.raises(ParameterError, match="seed must be non-negative"):
+            make(seed=-1)
+    code = run([*command_line(command, inputs), *flags, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    assert message in err and ": demand:" not in err and str(inputs["--data"]) not in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "compare"])
+def test_report_without_rows_fails_closed(inputs, tmp_path, capsys, command):
+    # compare once exited 0 and wrote zero costs and a nan doh for every strategy
+    empty = tmp_path / "empty.csv"
+    empty.write_text("date,actual,predicted\r\n")
+    code = run([*command_line(command, {**inputs, "--report": empty}),
+                "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    assert f"{empty}: report has no rows" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("optimize", ["--cost-holding", 1e308]),  # the gold standard's average overflows
+    ("optimize", ["--cost-urgent", 1e305]),  # the target sweep does not, the reorder sweeps do
+    ("simulate", ["--cost-holding", 1e308]),
+])
+def test_cost_that_overflows_fails_closed(inputs, tmp_path, capsys, command, flags):
+    # optimize once exited 0 with a RuntimeWarning and wrote inf and nan into
+    # every sweep CSV and a policy chosen from them; simulate wrote inf costs
+    code = run([*command_line(command, inputs), *flags, "--out-dir", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err and "Warning" not in err, err
+    assert "cost overflows" in err, err
+    if command == "optimize":
+        assert f"{inputs['--report']}: " in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_and_simulate_reject_an_average_cost_that_overflows(inputs):
+    report = forecast.read_forecast_csv(inputs["--report"])
+    demands = [policy.round_units(v) for v in report.actual]
+    costs = inventory.CostParams(urgent=1e305)
+    rows = policy.target_sweep(report.predicted, demands, 150, costs, [150, 300])
+    assert all(math.isfinite(cost) for _, cost, _ in rows)
+    with pytest.raises(ParameterError, match="a candidate's average cost overflows"):
+        policy.reorder_sweep(report.predicted, demands, 150, costs, 300, [0, 100])
+    with pytest.raises(ParameterError, match="the average cost overflows"):
+        inventory.simulate(inventory.young_stock(150, 30.0), [0] * len(demands), demands, costs)
+
+
+# every optional flag of every command, set by a --config file to each of these
+HOSTILE = ["nan", "inf", -1, 0, 2.5, 1e308, True, None, "x", []]
+# the required flags, and the config values every hostile one is added to: a
+# small run, and compare's levels given as flags, so that they are exercised
+REQUIRED = {
+    "generate": [], "decompose": ["--data"], "train": ["--data", "--train-days", 120],
+    "forecast": ["--model", "--data", "--horizon", 5], "simulate": ["--orders", "--demands"],
+    "optimize": ["--report"], "compare": ["--report"],
+}
+SMALL = {"generate": {"days": 30}, "train": {"rounds": 2}, "optimize": {"initial": 150},
+         "compare": {"initial": 150, "target": 300, "reorder_daily": 100,
+                     "reorder_semiweekly": 150}}
+
+
+def optional_flags(command):
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return [a.dest for a in commands.choices[command]._actions
+            if a.option_strings and not a.required and a.dest != "help"]
+
+
+def non_finite_numbers(path):
+    """The nan or infinite numbers in a written file, except undefined statistics.
+
+    Those are a holdout's MAPE when a day has zero demand, and the order size
+    of a strategy that placed no order.
+    """
+    if path.suffix == ".json":
+        found = []
+        json.loads(path.read_text(), parse_constant=found.append)
+        return found
+    if path.suffix != ".csv":
+        return []
+    header, rows = read_csv(path)
+    undefined = {("mape_percent", 1)} if path.name == "metrics.csv" else set()
+    if path.name == "comparison.csv":
+        (orders,) = [row for row in rows if row[0] == "days_with_orders"]
+        undefined = {(field, j) for j, count in enumerate(orders) if count == "0.0"
+                     for field in ("order_qty_mean", "order_qty_sd")}
+    return [(row[0], header[j], text) for row in rows for j, text in enumerate(row)
+            if text in ("nan", "inf", "-inf") and (row[0], j) not in undefined]
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in COMMANDS
+                                          for key in optional_flags(command)])
+def test_hostile_config_value_fails_closed(inputs, tmp_path, capsys, command, key):
+    argv = [command]
+    for item in REQUIRED[command]:
+        argv += [item, inputs[item]] if item in inputs else [item]
+    for i, value in enumerate(HOSTILE):
+        config, out = tmp_path / f"config{i}.json", tmp_path / f"out{i}"
+        config.write_text(json.dumps({**SMALL.get(command, {}), key: value}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([*argv, "--config", config, "--out-dir", out])
+        err = capsys.readouterr().err
+        case = (key, value, err)
+        assert code in (0, 2) and "Traceback" not in err and "Warning" not in err, case
+        if code == 2:  # the inputs are valid, so the dataset is not to blame
+            assert ": demand:" not in err, case
+            manifest = out / "manifest.json"
+            assert not out.exists() or json.loads(manifest.read_text())["status"] == "failed", case
+        else:
+            assert json.loads((out / "manifest.json").read_text())["status"] == "ok", case
+            for path in out.iterdir():
+                assert not non_finite_numbers(path), (path.name, *case)
 
 
 # the properties: what a writer puts in a file reads back equal
