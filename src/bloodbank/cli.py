@@ -30,8 +30,7 @@ OUTPUT_ROOT_ENV = "BLOODBANK_RUNS"
 # the flags that name input files, and the parsed values that are not config
 _INPUT_FLAGS = ("data", "model", "orders", "demands", "report", "policy")
 _NOT_CONFIG = ("command", "func", "out_dir", "config")
-# the flags of StlConfig, GbrtConfig and CostParams are their fields, named as
-# the fields are except these, and with the fields' defaults except --rounds'
+# StlConfig, GbrtConfig and CostParams fields are flags named after them, except these
 _FLAG_DESTS = {"routine_delivery": "cost_order", "holding": "cost_holding",
                "urgent": "cost_urgent", "wastage": "cost_wastage", "n_rounds": "rounds"}
 _CLI_DEFAULTS = {"rounds": 150}  # the library boosts 100 rounds
