@@ -172,6 +172,8 @@ def _value(args, kind):
 
 def _young_stock(args, demands) -> inventory.AgeProfile:
     """The starting stock of every simulation in a run: ``--initial`` young units."""
+    if args.initial < 0:
+        raise ParameterError(f"--initial must be non-negative, got {args.initial}")
     mean_demand = sum(demands) / len(demands) if demands else 1.0
     return inventory.young_stock(args.initial, max(mean_demand, 1.0), args.shelf_life)
 
@@ -377,6 +379,8 @@ def cmd_compare(args, run: _Run) -> None:
         target, reorder_daily, reorder_semiweekly = (
             args.target, args.reorder_daily, args.reorder_semiweekly)
 
+    if args.baseline_target is not None and args.baseline_target < 0:
+        raise ParameterError(f"--baseline-target must be non-negative, got {args.baseline_target}")
     baseline_target = (args.baseline_target if args.baseline_target is not None
                        else round(1.7 * args.initial))
     strategies = {"baseline": {"baseline_target": baseline_target}, "gold": {},

@@ -191,14 +191,35 @@ def fit_stl_only(
     return _fit(train, stl_config, None, period, trend_mode, None)
 
 
-def _design(values: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones(values.shape[0]), values])
+# a column whose squared norm, once the earlier columns are projected out, is
+# below this share of its own lies in their span: far above rounding noise,
+# far below what any covariate that varies leaves
+_SPANNED = 1e-9
 
 
 def _least_squares(X: gbrt.FeatureMatrix, residual: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of an intercept and each feature column.
+
+    The normal equations are summed exactly (``math.fsum``) and solved by
+    Gauss-Jordan elimination in column order.  A column that the earlier ones
+    span, such as the last of a full set of weekday dummies beside the
+    intercept, gets coefficient 0.
+    """
     if np.isnan(X.values).any():
         raise ParameterError("linear baseline does not accept missing feature values")
-    coefficients, *_ = np.linalg.lstsq(_design(X.values), residual, rcond=None)
+    columns = [np.ones(residual.size), *X.values.T]
+    rows = [[math.fsum((a * b).tolist()) for b in (*columns, residual)] for a in columns]
+    norms = [row[k] for k, row in enumerate(rows)]  # each column's own squared norm
+    pivoted = []
+    for k, norm in enumerate(norms):
+        pivot = rows[k][k]
+        if pivot > _SPANNED * norm:
+            unit = [value / pivot for value in rows[k]]
+            rows = [unit if i == k else [value - row[k] * u for value, u in zip(row, unit)]
+                    for i, row in enumerate(rows)]
+            pivoted.append(k)
+    coefficients = np.zeros(len(columns))
+    coefficients[pivoted] = [rows[k][-1] for k in pivoted]
     return coefficients
 
 
@@ -224,7 +245,10 @@ def _predicted_residual(model: HybridModel, X: gbrt.FeatureMatrix | None):
         return 0.0
     if isinstance(model.residual_model, gbrt.Ensemble):
         return gbrt.predict(model.residual_model, X)
-    return _design(X.values) @ model.residual_model
+    intercept, *slopes = model.residual_model
+    # the columns summed in order, so no BLAS kernel sets the rounding
+    return sum((slope * column for slope, column in zip(slopes, X.values.T)),
+               np.full(X.values.shape[0], intercept))
 
 
 def _forecast(model: HybridModel, horizon: int, X: gbrt.FeatureMatrix | None) -> np.ndarray:

@@ -6,6 +6,13 @@ input exactly (the residual is computed as the difference, so the identity
 holds to float round-off).  Seasonal evolution is controlled by ``s_window``,
 trend smoothness by ``t_window``, and outlier resistance by the number of
 robustness iterations ``n_outer``.
+
+Every loess fit goes through one kernel, ``_loess``, whose arithmetic has a
+fixed order: a window's moments are summed offset by offset, one elementwise
+operation each, a global fit's exactly (``math.fsum``), and both are solved in
+closed form.  Elementwise IEEE operations round alike at every SIMD width and no
+fit uses a SIMD reduction or a BLAS or LAPACK kernel, so the bytes of the
+decomposition do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -137,58 +145,6 @@ def _window_starts(xs: np.ndarray, q: int) -> np.ndarray:
     return starts
 
 
-def _tricube(u: np.ndarray) -> np.ndarray:
-    w = np.clip(1.0 - np.clip(u, 0.0, 1.0) ** 3, 0.0, None) ** 3
-    return w
-
-
-def _solve_wls(t: np.ndarray, y: np.ndarray, w: np.ndarray, degree: int) -> np.ndarray:
-    """Batched weighted polynomial fit evaluated at t = 0.
-
-    ``t`` holds window offsets scaled into [-1, 1]; fitting in that coordinate
-    keeps the normal equations well conditioned and leaves the value at the
-    window centre unchanged.
-    """
-    if degree == 0:
-        return (w * y).sum(axis=1) / w.sum(axis=1)
-    powers = np.arange(degree + 1)
-    design = t[..., None] ** powers
-    weighted = design * w[..., None]
-    gram = np.einsum("nqi,nqj->nij", weighted, design)
-    rhs = np.einsum("nqi,nq->ni", weighted, y)
-    try:
-        beta = np.linalg.solve(gram, rhs[..., None])
-        return beta[:, 0, 0]
-    except np.linalg.LinAlgError:
-        out = np.empty(t.shape[0])
-        sqrt_w = np.sqrt(w)
-        for i in range(t.shape[0]):
-            a = design[i] * sqrt_w[i][:, None]
-            b = y[i] * sqrt_w[i]
-            coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-            out[i] = coef[0]
-        return out
-
-
-def _global_polyfit(xs: np.ndarray, ys: np.ndarray, degree: int, weights: np.ndarray) -> np.ndarray:
-    if weights.sum() <= 0.0:
-        weights = np.ones_like(weights)
-    center = xs.mean()
-    scale = max(np.abs(xs - center).max(), 1.0)
-    t = (xs - center) / scale
-    powers = np.arange(degree + 1)
-    design = t[:, None] ** powers
-    weighted = design * weights[:, None]
-    gram = weighted.T @ design
-    rhs = weighted.T @ ys
-    try:
-        beta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        sqrt_w = np.sqrt(weights)
-        beta, *_ = np.linalg.lstsq(design * sqrt_w[:, None], ys * sqrt_w, rcond=None)
-    return design @ beta
-
-
 def loess_smooth(
     xs,
     ys,
@@ -222,54 +178,95 @@ def loess_smooth(
         if rw.shape != xs.shape:
             raise ParameterError("robustness_weights must match xs in length")
     q = _neighbor_count(xs.size, span, degree)
-    return _loess_fit_all(xs, ys, q, degree, rw)
-
-
-def _loess_fit_all(xs: np.ndarray, ys: np.ndarray, q: int, degree: int, rw: np.ndarray) -> np.ndarray:
-    n = xs.size
-    if q >= n:
-        return _global_polyfit(xs, ys, degree, rw)
-    if q == 1:
+    if q == 1:  # each point is its own neighborhood
         return ys.copy()
-    starts = _window_starts(xs, q)
-    win = starts[:, None] + np.arange(q)
-    offsets = xs[win] - xs[:, None]
-    dist = np.abs(offsets)
-    bandwidth = np.maximum(dist[:, 0], dist[:, -1])
-    tw = _tricube(dist / bandwidth[:, None])
-    w = tw * rw[win]
-    dead = w.sum(axis=1) <= 0.0  # robustness zeroed a whole window
-    if np.any(dead):
-        w[dead] = tw[dead]
-    return _solve_wls(offsets / bandwidth[:, None], ys[win], w, degree)
+    return _loess(xs, ys, rw, q, degree)
 
 
-def _loess_at(xs: np.ndarray, ys: np.ndarray, x0: float, q: int, degree: int, rw: np.ndarray) -> float:
-    """Loess estimate at ``x0 = -1`` or ``x0 = m``, which extends a cycle-subseries.
-
-    ``xs`` is ``0..m-1``, so the ``q <= m`` points nearest ``x0`` are the first
-    or the last ``q``.
-    """
-    n = xs.size
-    window = slice(0, q) if x0 < 0 else slice(n - q, n)
-    t, y, w = xs[window] - x0, ys[window], rw[window]
-    if q >= n:
-        if w.sum() <= 0.0:
-            w = np.ones_like(w)
-        scale = max(np.abs(t).max(), 1.0)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # stl_decompose checks the result
+def _loess(xs, ys, rw, q: int, degree: int, x0=None, starts=None) -> np.ndarray:
+    """The fit of ``degree`` at each ``x0[i]`` (default: each of ``xs``) to
+    ``xs[starts[i]:starts[i] + q]`` weighted by tricube times ``rw``, or to all
+    of ``xs`` weighted by ``rw`` when ``q >= xs.size``; where robustness zeroed
+    every weight, to the neighborhood weights alone."""
+    if x0 is None:
+        x0, starts = xs, _window_starts(xs, q)
+    if q >= xs.size:
+        s, r, count = _global_moments(xs, ys, rw, x0, degree)
     else:
-        scale = np.abs(t).max()  # at least 1: x0 lies outside xs
-        tw = _tricube(np.abs(t) / scale)
-        w = tw * w
-        if w.sum() <= 0.0:
-            w = tw
-    fitted = _solve_wls((t / scale)[None, :], y[None, :], w[None, :], degree)
-    return float(fitted[0])
+        s, r, count = _window_moments(xs, ys, rw, x0, starts, q, degree)
+    fitted = _solve(s, r, count, degree)
+    dead = s[0] <= 0.0
+    if np.any(dead):
+        fitted[dead] = _loess(xs, ys, np.ones_like(rw), q, degree, x0[dead], starts[dead])
+    return fitted
+
+
+def _window_moments(xs, ys, rw, x0, starts, q, degree):
+    """``s[k] = sum(w t^k)``, ``r[k] = sum(w t^k y)`` of each window, ``t`` the offset
+    from ``x0`` scaled into [-1, 1]; and the count of points of positive weight."""
+    h = np.maximum(np.abs(xs[starts] - x0), np.abs(xs[starts + (q - 1)] - x0))
+    s = np.zeros((2 * degree + 1, x0.size))
+    r = np.zeros((degree + 1, x0.size))
+    count = np.zeros(x0.size, dtype=np.intp)
+    for j in range(q):
+        at = starts + j
+        t = (xs[at] - x0) / h
+        u = np.abs(t)
+        c = 1.0 - u * u * u
+        w = c * c * c * rw[at]
+        y = ys[at]
+        count += w > 0.0
+        for k, wt in enumerate(accumulate([w] + [t] * (2 * degree), np.multiply)):
+            s[k] += wt
+            if k <= degree:
+                r[k] += wt * y
+    return s, r, count
+
+
+def _global_moments(xs, ys, rw, x0, degree):
+    """The moments of one fit over every point, about each ``x0``: summed
+    exactly once about the centre, then shifted by the binomial expansion."""
+    centre, h = (xs[0] + xs[-1]) / 2.0, max((xs[-1] - xs[0]) / 2.0, 1.0)
+    wt = list(accumulate([rw] + [(xs - centre) / h] * (2 * degree), np.multiply))
+    try:
+        about = ([math.fsum(m.tolist()) for m in wt],
+                 [math.fsum((m * ys).tolist()) for m in wt[: degree + 1]])
+    except (OverflowError, ValueError):  # a moment beyond the float range
+        about = ([math.nan] * len(wt), [math.nan] * (degree + 1))
+    shift = (centre - x0) / h  # a point's offset from x0 is t + shift
+    powers = list(accumulate([np.ones_like(shift)] + [shift] * (2 * degree), np.multiply))
+    s, r = (np.array([sum(math.comb(k, i) * m[i] * powers[k - i] for i in range(k + 1))
+                      for k in range(len(m))]) for m in about)
+    return s, r, np.count_nonzero(rw > 0.0)
+
+
+def _solve(s, r, count, degree):
+    """The value at ``t = 0`` of the fit whose normal equations have moments ``s, r``.
+
+    Elimination runs in degree order.  A pivot that is not positive, because fewer
+    than ``degree + 1`` points carry weight or by rounding, makes that degree
+    singular: its coefficient and those above are 0, the next lower degree's fit."""
+    if degree == 0:
+        return r[0] / s[0]
+    l1 = s[1] / s[0]
+    p1 = s[2] - l1 * s[1]
+    b1 = r[1] - l1 * r[0]
+    ok1 = (count > 1) & (p1 > 0.0)
+    c2 = 0.0
+    if degree == 2:
+        l2 = s[2] / s[0]
+        a12 = s[3] - l1 * s[2]
+        m = a12 / p1
+        p2 = s[4] - l2 * s[2] - m * a12
+        c2 = np.where(ok1 & (count > 2) & (p2 > 0.0), (r[2] - l2 * r[0] - m * b1) / p2, 0.0)
+        b1 = b1 - a12 * c2
+    c1 = np.where(ok1, b1 / p1, 0.0)
+    return (r[0] - s[1] * c1 - s[2] * c2) / s[0]
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(values, kernel, mode="valid")
+    return sum(values[j : values.size - window + 1 + j] for j in range(window)) / window
 
 
 def _bisquare_weights(residual: np.ndarray) -> np.ndarray:
@@ -277,7 +274,7 @@ def _bisquare_weights(residual: np.ndarray) -> np.ndarray:
     if scale <= 0.0:
         return np.ones_like(residual)
     u = np.clip(np.abs(residual) / scale, 0.0, 1.0)
-    return (1.0 - u**2) ** 2
+    return (1.0 - u * u) * (1.0 - u * u)
 
 
 def _smooth_subseries(
@@ -288,15 +285,13 @@ def _smooth_subseries(
     extended = np.empty(n + 2 * period)
     for k in range(period):
         sub = detrended[k::period]
-        sub_rw = rw[k::period]
         m = sub.size
         xs = np.arange(m, dtype=float)
         q = min(s_window, m)
-        fitted = _loess_fit_all(xs, sub, q, degree, sub_rw)
-        slots = np.arange(-1, m + 1) * period + k + period
-        extended[slots[1:-1]] = fitted
-        extended[slots[0]] = _loess_at(xs, sub, -1.0, q, degree, sub_rw)
-        extended[slots[-1]] = _loess_at(xs, sub, float(m), q, degree, sub_rw)
+        # the end points -1 and m take the first and the last q points
+        starts = np.concatenate(([0], _window_starts(xs, q), [m - q]))
+        extended[k::period] = _loess(xs, sub, rw[k::period], q, degree, np.arange(-1.0, m + 1),
+                                     starts)
     return extended
 
 
@@ -306,8 +301,7 @@ def _low_pass(values: np.ndarray, period: int) -> np.ndarray:
     filtered = _moving_average(filtered, period)
     filtered = _moving_average(filtered, 3)
     xs = np.arange(filtered.size, dtype=float)
-    q = min(window, filtered.size)
-    return _loess_fit_all(xs, filtered, q, 1, np.ones_like(filtered))
+    return _loess(xs, filtered, np.ones_like(filtered), min(window, filtered.size), 1)
 
 
 def stl_decompose(series: Series, config: StlConfig | None = None) -> Decomposition:
@@ -341,7 +335,7 @@ def stl_decompose(series: Series, config: StlConfig | None = None) -> Decomposit
             cycle = _smooth_subseries(detrended, period, config.s_window, config.loess_degree, rw)
             seasonal = cycle[period : period + n] - _low_pass(cycle, period)
             deseasonalized = y - seasonal
-            trend = _loess_fit_all(t_xs, deseasonalized, min(t_window, n), config.loess_degree, rw)
+            trend = _loess(t_xs, deseasonalized, rw, min(t_window, n), config.loess_degree)
         if outer < config.n_outer:
             rw = _bisquare_weights(y - trend - seasonal)
 

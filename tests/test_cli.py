@@ -453,6 +453,29 @@ class TestMalformedInputs:
                     "--initial", 150, "--out-dir", tmp_path / "cmp"])
         assert_clean_failure(capsys, code, path, message)
 
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "compare"])
+    def test_negative_initial_stock_names_the_flag(self, half_unit_report, tmp_path, capsys,
+                                                   command):
+        write_stream(tmp_path / "units.csv", [5] * 10)
+        inputs = {
+            "simulate": ["--orders", tmp_path / "units.csv", "--demands", tmp_path / "units.csv"],
+            "optimize": ["--report", half_unit_report],
+            "compare": ["--report", half_unit_report, "--target", 300, "--reorder-daily", 100,
+                        "--reorder-semiweekly", 150],
+        }
+        out = tmp_path / "out"
+        code = run([command, *inputs[command], "--initial", -1, "--out-dir", out])
+        assert_clean_failure(capsys, code, "--initial must be non-negative, got -1")
+        assert not out.exists()
+
+    def test_negative_baseline_target_names_the_flag(self, half_unit_report, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["compare", "--report", half_unit_report, "--target", 300,
+                    "--reorder-daily", 100, "--reorder-semiweekly", 150,
+                    "--baseline-target", -1, "--initial", 150, "--out-dir", out])
+        assert_clean_failure(capsys, code, "--baseline-target must be non-negative, got -1")
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_fills_defaults_flags_win(self, tmp_path):

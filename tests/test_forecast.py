@@ -33,7 +33,7 @@ from bloodbank.forecast import (
     write_dataset_csv,
     write_forecast_csv,
 )
-from bloodbank.gbrt import Ensemble, GbrtConfig, variable_importance
+from bloodbank.gbrt import Ensemble, FeatureMatrix, GbrtConfig, variable_importance
 from bloodbank.timeseries import Decomposition, StlConfig
 
 MONDAY = dt.date(2010, 1, 4)
@@ -258,25 +258,44 @@ def prediction_digest(values) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
-# sha256 of the float64 prediction bytes, recorded when each reference model
-# still had a class of its own; linear in-sample is trend + seasonal + design
-# @ coefficients, computed from that code's fitted components
+# sha256 of the float64 prediction bytes, recorded when STL's loess and the
+# linear reference first summed in a fixed order with no BLAS or LAPACK call,
+# so they hold on any x86 SIMD level and OpenBLAS kernel
 PINNED_PREDICTIONS = {
     "drift": {
-        "hybrid_daily": "d7cc440d7e9017393d03959d296fa043a1712d6bfdea8ae4781bb7f87f443052",
-        "hybrid_in_sample": "8ee71a0663aadfb9841a9459951d52f10655d1ca5701d34ca62205d6070e41f3",
-        "linear_daily": "fffc4a20183b49147249f0cc18ee39330364dd03bea983a9a5353187064ef061",
-        "linear_in_sample": "5531b7a4598dd9d2e0eda6bfc4423abed1949c7af40140c769d5d9f8928ba793",
-        "stl_only": "0909ad89a8f7af7f00438c770bf46f8da5015770542670014b9b47315ef9983f",
+        "hybrid_daily": "10e2d213b6edb5f8206066ae71cc10b9fc34812f241025d214801637dee400fc",
+        "hybrid_in_sample": "2935bf4262f16fd222bffb26aabe06125ba4b3a1f2d12dfbca6f0930de99eecf",
+        "linear_daily": "e2274a2e22e3444c53f3376060a5558a44450db39faf3963173aa4d3c14d6756",
+        "linear_in_sample": "68db671378a567434e130337cd31de2ab1ca1ff530e204dd4818b44b098695d2",
+        "stl_only": "2416fa984eac3d14c2fb78c2de61638ba66c9f022568dbcb34d3331ad54b533f",
     },
     "flat": {
-        "hybrid_daily": "7f03853e1f5b5df56d662f07b3339242d99ed74593828fcabdff782110616ac3",
-        "hybrid_in_sample": "8ee71a0663aadfb9841a9459951d52f10655d1ca5701d34ca62205d6070e41f3",
-        "linear_daily": "7110af24c96a2c55d606181c190a343bb88238f527edf458385f2cfaca29b5e9",
-        "linear_in_sample": "5531b7a4598dd9d2e0eda6bfc4423abed1949c7af40140c769d5d9f8928ba793",
-        "stl_only": "ab507f01dda02d97ca3f7d6bfd4cb864a0c6ac1c915ec6ac614b78d559b1088e",
+        "hybrid_daily": "f0aac144ff011c7de9a8db77d3da13e94837ce0a850b7a42b364f2705ce0047d",
+        "hybrid_in_sample": "2935bf4262f16fd222bffb26aabe06125ba4b3a1f2d12dfbca6f0930de99eecf",
+        "linear_daily": "a471eec718ace723289d9dc926671a74b27f29c03327880fb5aca49a46ff17e3",
+        "linear_in_sample": "68db671378a567434e130337cd31de2ab1ca1ff530e204dd4818b44b098695d2",
+        "stl_only": "35905920baf10c12b0b4f63da7c2f0671b69c7b0cc8a7c707d613ab667861f06",
     },
 }
+
+
+def test_linear_reference_is_least_squares_with_spanned_columns_at_zero():
+    # beside the intercept, the last of seven weekday dummies is the intercept
+    # minus the other six, and the last column is 0.1 * covariate + 0.7: both
+    # get coefficient 0, and the fitted values are lstsq's
+    rng = np.random.default_rng(5)
+    weekday = np.arange(200) % 7
+    covariate = rng.normal(50.0, 10.0, 200)
+    values = np.column_stack([(weekday[:, None] == np.arange(7)).astype(float),
+                              covariate, 0.1 * covariate + 0.7])
+    residual = 3.0 * covariate + 4.0 * values[:, 2] + rng.normal(0.0, 1.0, 200)
+    X = FeatureMatrix(values, [f"f{j}" for j in range(9)])
+    coefficients = forecast._least_squares(X, residual)
+    assert coefficients[7] == coefficients[9] == 0.0
+    assert np.all(coefficients[[0, 1, 2, 3, 4, 5, 6, 8]] != 0.0)
+    design = np.column_stack([np.ones(200), values])
+    expected, *_ = np.linalg.lstsq(design, residual, rcond=None)
+    assert np.allclose(design @ coefficients, design @ expected, rtol=0.0, atol=1e-9)
 
 
 class TestOneModelType:

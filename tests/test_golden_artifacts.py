@@ -7,8 +7,10 @@ order and demand streams that provoke both shortages and expiry.  Each file's
 SHA-256 was recorded before the cumulative-arrival kernel replaced the
 age-bucket simulators, so a change to the inventory arithmetic, a sweep's
 summation order or a writer's formatting fails here.  The ``train`` digests
-were recorded before boosting stopped summing its unit hessian, so a change to
-a split's or a leaf's arithmetic fails here too.
+were recorded when STL's loess and the linear reference first summed in a
+fixed order with no BLAS or LAPACK call; boosting's arithmetic was already
+fixed, so a change to a split's, a leaf's or a loess fit's arithmetic fails
+here too, on any x86 SIMD level and OpenBLAS kernel.
 """
 
 import hashlib
@@ -40,11 +42,11 @@ GOLDEN = {
     ("simulate", "trajectory.csv"):
         "b403c2b9b51b13f02caebdd6c2968430972195c35f0ea4270a5c35c245014e77",
     ("train", "model.json"):
-        "598bfe0ba940c70ebff1805b336e743a97fc907aee96c2cffcdc6b46087746ee",
+        "3a5b7a951304365382abdb83c68d12ecbf4a9165832a8c95682a61060996101c",
     ("train", "train_report.csv"):
-        "25cf909c6e5a66c03908abb7e66394ce36560b5bbf963fb89246db0282d716f6",
+        "36a50f4a70b3ac83d4bd1d90f12ca61d984beba7e0355c1e05502c17d634538c",
     ("train", "holdout_report.csv"):
-        "e354cb46d63d95b364d3e6f04c532a1cff502b60d3e2e1eae2b4170a25c72635",
+        "5df3338795da47d6335f28f52b2a6d496905d780295374b7768a1e62a4a97de2",
 }
 
 

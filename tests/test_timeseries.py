@@ -101,6 +101,70 @@ class TestLoess:
             loess_smooth([0.0, 0.0, 1.0], [1.0, 2.0, 3.0], span=1.0)
 
 
+def weighted_fit_oracle(xs, ys, q, degree, rw):
+    """Loess written from scratch, one point at a time: the q nearest points
+    weighted by tricube times ``rw`` (the tricube alone where that product is all
+    zero), or every point weighted by ``rw`` (equal weights where it is all zero)
+    when q covers the series; then a least-squares polynomial of ``degree``, or of
+    the highest lower degree that the points of positive weight determine."""
+    n = len(xs)
+    fitted = []
+    for i in range(n):
+        dist = np.abs(xs - xs[i])
+        if q < n:
+            nearest = np.zeros(n, dtype=bool)
+            nearest[np.argsort(dist, kind="stable")[:q]] = True
+            u = dist / dist[nearest].max()
+            tricube = np.where(nearest, (1.0 - np.minimum(u, 1.0) ** 3) ** 3, 0.0)
+            w = tricube * rw if np.any(tricube * rw > 0) else tricube
+        else:
+            w = rw if np.any(rw > 0) else np.ones(n)
+        used = w > 0
+        fit_degree = min(degree, used.sum() - 1)
+        design = np.vander(xs[used] - xs[i], fit_degree + 1, increasing=True)
+        root = np.sqrt(w[used])
+        beta, *_ = np.linalg.lstsq(design * root[:, None], ys[used] * root, rcond=None)
+        fitted.append(beta[0])
+    return np.array(fitted)
+
+
+# Abscissae a whole number 1..5 apart, and robustness weights 0 or at least
+# 0.05, keep every fit well posed.  Offsets are then exact, so a window's edge
+# point gets tricube weight exactly 0 and every point inside it at least 1e-5.
+# With arbitrary float gaps, rounding can leave the edge point a weight of
+# 1e-46, and whether it makes a line or parabola determined is then decided by
+# rounding, in this smoother as in the oracle's lstsq.
+weights = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+
+@given(st.integers(0, 2), st.data())
+def test_loess_matches_weighted_fit_oracle(degree, data):
+    n = data.draw(st.integers(max(degree + 1, 2), 30))
+    gaps = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    xs = np.cumsum(gaps) - 50.0
+    ys = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    rw = np.array(data.draw(st.lists(weights, min_size=n, max_size=n)))
+    q = data.draw(st.integers(max(degree + 1, 2), n))
+    out = loess_smooth(xs, ys, q / n, degree, robustness_weights=rw)
+    assert np.allclose(out, weighted_fit_oracle(xs, ys, q, degree, rw), rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("q, fits", [(5, slice(2, 5)), (8, slice(None))])
+def test_window_with_one_weighted_point_takes_its_value(degree, q, fits):
+    # one point of positive weight determines no line or parabola: each fit
+    # whose window holds it inside its edge (here all of ``fits``) falls back,
+    # degree by degree, to the weighted mean, which is that point's value.  With
+    # a weight of 0.3 the global fit's slope pivots round to positive values near
+    # 1e-17, so the fallback must come from counting the weighted points
+    xs = np.arange(8.0)
+    ys = np.array([3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0])
+    rw = np.zeros(8)
+    rw[3] = 0.3
+    out = loess_smooth(xs, ys, q / 8, degree, robustness_weights=rw)
+    assert np.all(out[fits] == ys[3])
+
+
 def sweep_window_starts(xs, q):
     """First index of each point's q-nearest-neighbour block, by the forward sweep
     (a tie keeps the earlier start)."""
