@@ -15,12 +15,17 @@ expiry describe the stock exactly, the cumulative-curve view of a FIFO queue
 (Nahmias, Operations Research 30(4), 1982).  A period is five integer
 operations on them (``_advance``), with ``C(t - L + 1)`` read from a ring of
 the last ``L - 1`` values of ``C``.  ``_fold`` runs it on plain ints for one
-trajectory, each order chosen from the stock level it sees; ``simulate`` is
-a fold of it and ``step`` one period behind an ``AgeProfile``, converted at
-the boundary.  The sweeps run ``_advance`` on ``(K,)`` vectors.  No pipeline
-command calls ``step``: it stays on the library surface as the independent
-single-period loop that the benchmark's cost and replay checks and the
-exhaustive-search acceptance test fold by hand.
+trajectory, each order chosen from the stock level it sees, and returns
+per-period columns (orders, demands, urgent and expired units, end
+inventories, costs) with the mean cost.  Only the public functions that
+return ``PeriodOutcome``s build them from those columns: ``simulate`` (a
+whole fold), ``step`` (one period behind an ``AgeProfile``, converted at the
+boundary) and ``policy.run_policy``.  ``policy.evaluate_strategy`` and
+``policy.cost_under_actual`` read the columns.  The sweeps run ``_advance``
+on ``(K,)`` vectors.  No pipeline command calls ``step``: it stays on the
+library surface as the independent single-period loop that the benchmark's
+cost and replay checks and the exhaustive-search acceptance test fold by
+hand.
 
 ``brute_force_unit_sim`` re-runs the same dynamics tracking every physical
 unit individually and exists purely as a verification oracle for
@@ -194,22 +199,30 @@ def step(
 ) -> tuple[AgeProfile, PeriodOutcome]:
     """Advance one period: arrivals, FIFO issue, urgent top-up, aging, expiry."""
     ring = _ring(state.counts).tolist()
-    (outcome,), _ = _fold(ring, [demand], costs, lambda i, level: order_qty)
+    (outcome,) = _outcomes(_fold(ring, [demand], costs, lambda i, level: order_qty)[0])
     counts = _counts(np.array(ring), ring[0] - outcome.end_inventory)
     return AgeProfile(counts, state.shelf_life), outcome
 
 
-def _fold(ring: list, demands, costs: CostParams, order_fn) -> tuple[list[PeriodOutcome], float]:
-    """Outcomes and mean cost of ``_advance``'s period on a ``_ring`` of plain ints, in place.
+def _fold(ring: list, demands: list, costs: CostParams, order_fn) -> tuple[list[list], float]:
+    """Per-period columns and mean cost of ``_advance``'s period on a ``_ring`` of plain ints.
 
-    Period ``i`` orders ``order_fn(i, level)``: the initial total, then the last end inventory.
+    The columns are the orders, demands, urgent and expired units, end inventories and costs,
+    in ``PeriodOutcome``'s field order.  Period ``i`` orders ``order_fn(i, level)``: the
+    initial total, then the last end inventory.  The ring is updated in place.
     """
     arrived = level = ring[-1]
     gone, size = 0, len(ring)
-    outcomes: list[PeriodOutcome] = []
+    delivery, holding = costs.routine_delivery, costs.holding
+    rush, waste = costs.urgent, costs.wastage
+    n = len(demands)
+    columns = orders, units, urgents, expireds, levels, period_costs = [[0] * n for _ in range(6)]
     for i, y in enumerate(demands):
-        z = _check_units("order_qty", order_fn(i, level))
-        y = _check_units("demand", y)
+        z = order_fn(i, level)
+        if type(z) is not int or z < 0:  # anything but a plain non-negative int is checked
+            z = _check_units("order_qty", z)
+        if type(y) is not int or y < 0:
+            y = _check_units("demand", y)
         arrived += z
         taken = min(gone + y, arrived)
         urgent = y - (taken - gone)
@@ -218,25 +231,37 @@ def _fold(ring: list, demands, costs: CostParams, order_fn) -> tuple[list[Period
         ring[slot] = arrived
         gone = taken + expired
         level = arrived - gone
-        cost = costs.period_cost(z > 0, level, urgent, expired)
-        outcomes.append(PeriodOutcome(z > 0, z, y, urgent, expired, level, cost))
-    average = sum(o.cost for o in outcomes) / len(outcomes) if outcomes else 0.0
-    return outcomes, average
+        orders[i], units[i], urgents[i], expireds[i], levels[i] = z, y, urgent, expired, level
+        # CostParams.period_cost's terms, in its order
+        period_costs[i] = delivery * (z > 0) + holding * level + rush * urgent + waste * expired
+    average = sum(period_costs) / n if n else 0.0
+    return columns, average
+
+
+def _outcomes(columns: list[list]) -> list[PeriodOutcome]:
+    """``PeriodOutcome``s of ``_fold``'s columns."""
+    return [PeriodOutcome(row[0] > 0, *row) for row in zip(*columns)]
+
+
+def _run(initial: AgeProfile, orders: list, demands: list,
+         costs: CostParams) -> tuple[list[list], float]:
+    """``_fold`` of aligned order/demand streams from ``initial``, failing on an overflow."""
+    if len(orders) != len(demands):
+        raise ParameterError(
+            f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
+    columns, average = _fold(_ring(initial.counts).tolist(), demands, costs,
+                             lambda i, level: orders[i])
+    if not math.isfinite(average):  # every cost is non-negative, so an overflow is inf
+        raise ParameterError("orders, demands or costs so large that the average cost overflows")
+    return columns, average
 
 
 def simulate(
     initial: AgeProfile, orders, demands, costs: CostParams
 ) -> tuple[list[PeriodOutcome], float]:
     """Fold one period over aligned order/demand streams; also return mean cost."""
-    orders, demands = list(orders), list(demands)
-    if len(orders) != len(demands):
-        raise ParameterError(
-            f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
-    outcomes, average = _fold(_ring(initial.counts).tolist(), demands, costs,
-                              lambda i, level: orders[i])
-    if not math.isfinite(average):  # every cost is non-negative, so an overflow is inf
-        raise ParameterError("orders, demands or costs so large that the average cost overflows")
-    return outcomes, average
+    columns, average = _run(initial, list(orders), list(demands), costs)
+    return _outcomes(columns), average
 
 
 def brute_force_unit_sim(

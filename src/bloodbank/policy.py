@@ -18,7 +18,10 @@ stock levels; each candidate's cost is added period by period, as a fold over
 ``step`` adds it, so the rows are bit-identical to simulating each candidate
 alone.  ``run_policy``, ``evaluate_strategy`` and ``cost_under_actual`` follow
 a single trajectory through ``inventory._fold``, the same period on plain
-ints, which is several times faster than an array period on one row.
+ints, which is several times faster than an array period on one row.  The
+fold returns per-period columns: ``run_policy`` builds its ``PeriodOutcome``s
+from them, ``evaluate_strategy`` summarizes them and ``cost_under_actual``
+keeps only their mean cost, so neither builds a ``PeriodOutcome``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from .inventory import (
     _advance,
     _check_units,
     _fold,
+    _outcomes,
     _ring,
-    simulate,
+    _run,
     young_stock,
 )
 from .table import number, write_table
@@ -125,9 +129,9 @@ class PolicyRun:
     initial_level: int
 
 
-def _drive(initial: AgeProfile, demands, costs: CostParams, order_fn) -> PolicyRun:
-    return PolicyRun(*_fold(_ring(initial.counts).tolist(), demands, costs, order_fn),
-                     initial.total)
+def _drive(initial: AgeProfile, demands, costs: CostParams,
+           order_fn) -> tuple[list[list], float]:
+    return _fold(_ring(initial.counts).tolist(), demands, costs, order_fn)
 
 
 def _as_profile(initial, demands, shelf_life: int) -> AgeProfile:
@@ -145,6 +149,9 @@ def _aligned(y_hat, demands) -> tuple[list[float], list]:
         raise ParameterError(
             f"stream length mismatch: {len(y_hat)} forecasts vs {len(demands)} demands"
         )
+    bad = next((i for i, v in enumerate(y_hat) if math.isnan(v)), None)
+    if bad is not None:
+        raise ParameterError(f"forecast for period {bad + 1} is NaN")
     return y_hat, demands
 
 
@@ -169,15 +176,19 @@ def _order_plan(y_hat: list[float], schedule: Schedule) -> tuple[list[int], list
     return units, order_days
 
 
+def _rule(y_hat: list[float], params: PolicyParams):
+    """``_fold``'s order function for the target/reorder rule on ``params.schedule``."""
+    units, order_days = _order_plan(y_hat, params.schedule)
+    return lambda i, level: order_quantity(level, units[i], params) if order_days[i] else 0
+
+
 def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
                shelf_life: int = 32) -> PolicyRun:
     """Simulate the target/reorder rule over aligned forecast/demand streams."""
     y_hat, demands = _aligned(y_hat, demands)
     profile = _as_profile(initial, demands, shelf_life)
-    units, order_days = _order_plan(y_hat, params.schedule)
-    return _drive(profile, demands, costs,
-                  lambda i, level: order_quantity(level, units[i], params) if order_days[i]
-                  else 0)
+    columns, average = _drive(profile, demands, costs, _rule(y_hat, params))
+    return PolicyRun(_outcomes(columns), average, profile.total)
 
 
 def cost_under_actual(demands, initial, costs: CostParams, shelf_life: int = 32) -> float:
@@ -186,8 +197,7 @@ def cost_under_actual(demands, initial, costs: CostParams, shelf_life: int = 32)
     if not demands:
         raise ParameterError("demand stream must be non-empty")
     profile = _as_profile(initial, demands, shelf_life)
-    _, average = simulate(profile, demands, demands, costs)
-    return average
+    return _run(profile, demands, demands, costs)[1]
 
 
 @np.errstate(over="ignore")  # an overflow is raised at the end instead
@@ -328,17 +338,14 @@ _CSV_FIELDS = [f.name for f in fields(StrategySummary)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised at the end instead
-def _summarize(strategy: str, run: PolicyRun, start_weekday: int,
+def _summarize(strategy: str, columns: list[list], start_weekday: int,
                urgent_available: bool = True) -> StrategySummary:
-    outcomes = run.outcomes
-    periods = len(outcomes)
-    order_days = [i for i, o in enumerate(outcomes) if o.order_qty > 0]
-    qty = np.array([outcomes[i].order_qty for i in order_days], dtype=float)
-    inventory = np.array([o.end_inventory for o in outcomes], dtype=float)
-    urgent = np.array([o.urgent for o in outcomes], dtype=float)
-    wastage = np.array([o.expired for o in outcomes], dtype=float)
-    cost = np.array([o.cost for o in outcomes], dtype=float)
-    demand = np.array([o.demand for o in outcomes], dtype=float)
+    """Summary of ``_fold``'s orders, demands, urgent, expired, end inventory and cost."""
+    orders = columns[0]
+    periods = len(orders)
+    order_days = [i for i, z in enumerate(orders) if z > 0]
+    qty = np.array([orders[i] for i in order_days], dtype=float)
+    demand, urgent, wastage, inventory, cost = (np.array(c, dtype=float) for c in columns[1:])
     placements = sorted({(start_weekday + i - 1) % 7 for i in order_days})
     demand_mean = demand.mean() if periods else 0.0
     summary = StrategySummary(
@@ -383,22 +390,22 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
     demands = list(demands)
     profile = _as_profile(initial, demands, shelf_life)
     if strategy == "gold":
-        run = _drive(profile, demands, costs, lambda i, level: demands[i])
-        return _summarize("gold", run, start_weekday)
-    if strategy == "baseline":
+        rule = lambda i, level: demands[i]
+    elif strategy == "baseline":
         if baseline_target is None:
             raise ParameterError("baseline strategy needs baseline_target")
-        run = _drive(profile, demands, costs,
-                     lambda i, level: max(0, baseline_target - level))
-        return _summarize("baseline", run, start_weekday, urgent_available=False)
-    if strategy in ("daily", "semiweekly"):
+        rule = lambda i, level: max(0, baseline_target - level)
+    elif strategy in ("daily", "semiweekly"):
         if params is None:
             raise ParameterError(f"{strategy} strategy needs policy params")
         schedule = Schedule(kind=strategy, start_weekday=start_weekday)
         params = PolicyParams(params.inventory_target, params.reorder_level, schedule)
-        run = run_policy(y_hat, demands, profile, costs, params, shelf_life)
-        return _summarize(strategy, run, start_weekday)
-    raise ParameterError(f"unknown strategy {strategy!r}")
+        y_hat, demands = _aligned(y_hat, demands)
+        rule = _rule(y_hat, params)
+    else:
+        raise ParameterError(f"unknown strategy {strategy!r}")
+    columns, _ = _drive(profile, demands, costs, rule)
+    return _summarize(strategy, columns, start_weekday, urgent_available=strategy != "baseline")
 
 
 def _mean_sd(mean: float | None, sd: float | None) -> str:

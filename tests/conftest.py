@@ -11,6 +11,9 @@ from bloodbank.datagen import CovariateSpec, GenConfig, generate_full
 settings.register_profile("bloodbank", derandomize=True, deadline=None, max_examples=100,
                           database=None)
 settings.load_profile("bloodbank")
+# a deeper, still reproducible run, chosen with --hypothesis-profile=bloodbank-deep
+settings.register_profile("bloodbank-deep", parent=settings.get_profile("bloodbank"),
+                          max_examples=1000)
 
 MONDAY = dt.date(2010, 1, 4)
 

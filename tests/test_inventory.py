@@ -11,6 +11,7 @@ from bloodbank.inventory import (
     write_trajectory_csv,
     young_stock,
 )
+from bloodbank.policy import evaluate_strategy
 from conftest import read_csv
 
 COSTS = CostParams()  # delivery 100, holding 1, urgent 300, wastage 50
@@ -115,6 +116,53 @@ class TestSimulate:
             issued_from_stock = o.demand - o.urgent
             assert state.total == prev_total + z - issued_from_stock - o.expired
             prev_total = state.total
+
+
+# the unit checks on every period's order and demand, through the three ways a value
+# reaches them: an order stream, a demand stream and a baseline target (whose first
+# order, from empty stock, is the target itself); each value comes second, after a
+# period of plain ints
+def _through_orders(value):
+    return simulate(AgeProfile.empty(8), [1, value], [2, 2], COSTS)[0][1].order_qty
+
+
+def _through_demands(value):
+    return simulate(AgeProfile.empty(8), [1, 1], [2, value], COSTS)[0][1].demand
+
+
+def _through_baseline(value):
+    return evaluate_strategy("baseline", [1.0], [2], AgeProfile.empty(8), COSTS,
+                             baseline_target=value).order_qty_mean
+
+
+@pytest.mark.parametrize("value, units", [(np.int64(3), 3), (3.0, 3), (True, 1)])
+@pytest.mark.parametrize("entry", [_through_orders, _through_demands, _through_baseline])
+def test_unit_checks_accept_whole_numbers_as_ints(entry, value, units):
+    got = entry(value)
+    assert got == units
+    assert type(got) is (float if entry is _through_baseline else int)
+
+
+# the exact messages; a baseline target of -1 or NaN orders nothing and "3" fails in the
+# arithmetic, so neither reaches a unit check
+@pytest.mark.parametrize("entry, value, message", [
+    (_through_orders, -1, "order_qty must be a non-negative integer, got -1"),
+    (_through_orders, 2.5, "order_qty must be a non-negative integer, got 2.5"),
+    (_through_orders, float("nan"), "order_qty must be a non-negative integer, got nan"),
+    (_through_orders, None, "order_qty must be a non-negative integer, got None"),
+    (_through_orders, "3", "order_qty must be a non-negative integer, got '3'"),
+    (_through_demands, -1, "demand must be a non-negative integer, got -1"),
+    (_through_demands, 2.5, "demand must be a non-negative integer, got 2.5"),
+    (_through_demands, float("nan"), "demand must be a non-negative integer, got nan"),
+    (_through_demands, None, "demand must be a non-negative integer, got None"),
+    (_through_demands, "3", "demand must be a non-negative integer, got '3'"),
+    (_through_baseline, 2.5, "order_qty must be a non-negative integer, got 2.5"),
+    (_through_baseline, None, "baseline strategy needs baseline_target"),
+])
+def test_unit_checks_reject_with_the_field_and_value(entry, value, message):
+    with pytest.raises(ParameterError) as info:
+        entry(value)
+    assert str(info.value) == message
 
 
 class TestUnitOracle:

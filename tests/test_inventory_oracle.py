@@ -176,10 +176,11 @@ def test_evaluate_strategy_equals_reference_fold(profile, stream, costs, start_w
                                         baseline_target=baseline_target,
                                         start_weekday=start_weekday,
                                         shelf_life=profile.shelf_life)
-        expected = pol._summarize(
-            strategy, pol.PolicyRun(*reference_fold(profile, demands, costs, decide),
-                                    profile.total),
-            start_weekday, urgent_available=strategy != "baseline")
+        outcomes, _ = reference_fold(profile, demands, costs, decide)
+        columns = [[getattr(o, name) for o in outcomes] for name in
+                   ("order_qty", "demand", "urgent", "expired", "end_inventory", "cost")]
+        expected = pol._summarize(strategy, columns, start_weekday,
+                                  urgent_available=strategy != "baseline")
         # repr compares NaN fields (no order placed, zero demand) as equal
         assert repr(summary) == repr(expected)
         assert [type(v) for v in dataclasses.astuple(summary)] == [

@@ -411,6 +411,35 @@ class TestEvaluateStrategy:
             evaluate_strategy("baseline", [1.0], [1], 10, COSTS)
 
 
+class TestNanForecast:
+    """A NaN forecast is rejected naming its period; an infinite one still orders the cap."""
+
+    Y_HAT = [5.0, 5.0, float("nan"), 5.0]
+    MESSAGE = "^forecast for period 3 is NaN$"
+
+    def test_run_policy(self):
+        with pytest.raises(ParameterError, match=self.MESSAGE):
+            run_policy(self.Y_HAT, [5] * 4, 10, COSTS, PolicyParams(100, 50))
+
+    @pytest.mark.parametrize("strategy", ["daily", "semiweekly"])
+    def test_evaluate_strategy(self, strategy):
+        with pytest.raises(ParameterError, match=self.MESSAGE):
+            evaluate_strategy(strategy, self.Y_HAT, [5] * 4, 10, COSTS,
+                              params=PolicyParams(100, 50))
+
+    def test_target_sweep(self):
+        with pytest.raises(ParameterError, match=self.MESSAGE):
+            target_sweep(self.Y_HAT, [5] * 4, 10, COSTS, [50, 100])
+
+    def test_reorder_sweep(self):
+        with pytest.raises(ParameterError, match=self.MESSAGE):
+            reorder_sweep(self.Y_HAT, [5] * 4, 10, COSTS, 100, [0, 50])
+
+    def test_infinite_forecast_orders_up_to_the_target(self):
+        run = run_policy([5.0, float("inf"), 5.0, 5.0], [5] * 4, 10, COSTS, PolicyParams(100, 50))
+        assert orders_of(run) == [40, 55, 0, 0]
+
+
 def test_comparison_outputs(tmp_path, small_records):
     demands = [int(r.demand) for r in small_records[:200]]
     rng = np.random.default_rng(3)
