@@ -145,13 +145,14 @@ def _load_json(path):
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _parse_grid(text: str) -> list[int]:
+def _parse_grid(flag: str, text: str) -> list[int]:
     try:
         lo, hi, step = (int(part) for part in text.split(":"))
     except ValueError as exc:
-        raise ParameterError(f"grid must be LO:HI:STEP, got {text!r}") from exc
-    if step <= 0 or hi < lo:
-        raise ParameterError(f"grid must be LO:HI:STEP with HI >= LO and STEP > 0, got {text!r}")
+        raise ParameterError(f"{flag} must be LO:HI:STEP, got {text!r}") from exc
+    if step <= 0 or hi < lo or lo < 0:
+        raise ParameterError(
+            f"{flag} must be LO:HI:STEP with 0 <= LO <= HI and STEP > 0, got {text!r}")
     return list(range(lo, hi + 1, step))
 
 
@@ -302,50 +303,33 @@ def _read_report(path) -> tuple[list[float], list[int], int]:
 
 def cmd_optimize(args, run: _Run) -> None:
     costs = _value(args, inventory.CostParams)
-    target_grid = (_parse_grid(args.target_grid) if args.target_grid
+    target_grid = (_parse_grid("--target-grid", args.target_grid) if args.target_grid
                    else list(range(args.initial, 2 * args.initial + 1, 10)))
-    reorder_grid = _parse_grid(args.reorder_grid) if args.reorder_grid else None
+    reorder_grid = (_parse_grid("--reorder-grid", args.reorder_grid) if args.reorder_grid
+                    else None)
     y_hat, demands, start_weekday = _read_report(args.report)
     stock = _young_stock(args, demands)
-
-    # each grid is swept once; the choices and the sweep CSVs share its rows
     try:  # every sweep is checked before the first write
-        target_rows = policy.target_sweep(y_hat, demands, stock, costs, target_grid,
-                                          args.shelf_life)
-        target = policy.best_candidate(target_rows, args.objective)
-        if reorder_grid is None:
-            reorder_grid = list(range(0, target + 1, 10))
-        else:  # candidates above the learned target are infeasible; drop them
-            reorder_grid = [s for s in reorder_grid if s <= target]
-            if not reorder_grid:
-                raise ParameterError(
-                    f"reorder grid {args.reorder_grid} has no candidate <= target {target}")
-        levels = {}
-        sweeps = {}
-        for kind in ("daily", "semiweekly"):
-            schedule = policy.Schedule(kind=kind, start_weekday=start_weekday)
-            sweeps[kind] = policy.reorder_sweep(y_hat, demands, stock, costs, target,
-                                                reorder_grid, schedule, args.shelf_life)
-            levels[kind] = policy.best_candidate(sweeps[kind], args.objective)
+        choices, sweeps = policy.learn_policy(y_hat, demands, stock, costs, target_grid,
+                                              reorder_grid, start_weekday, args.shelf_life,
+                                              args.objective)
     except ParameterError as exc:
         raise ParameterError(f"{args.report}: {exc}") from None
 
     run.write("policy.json", _write_json, {
         "format": "bloodbank.policy",
         "version": 1,
-        "inventory_target": target,
-        "reorder_daily": levels["daily"],
-        "reorder_semiweekly": levels["semiweekly"],
+        "inventory_target": choices["target"],
+        "reorder_daily": choices["daily"],
+        "reorder_semiweekly": choices["semiweekly"],
         "start_weekday": start_weekday,
     })
-    run.write("target_sweep.csv", policy.write_sweep_csv, "target", target_rows)
+    run.write("target_sweep.csv", policy.write_sweep_csv, "target", sweeps["target"])
     for kind in ("daily", "semiweekly"):
         run.write(f"reorder_sweep_{kind}.csv", policy.write_sweep_csv, "reorder_level",
                   sweeps[kind])
-    print(
-        f"inventory target {target}, reorder daily {levels['daily']}, "
-        f"semiweekly {levels['semiweekly']}"
-    )
+    print(f"inventory target {choices['target']}, reorder daily {choices['daily']}, "
+          f"semiweekly {choices['semiweekly']}")
 
 
 def cmd_compare(args, run: _Run) -> None:

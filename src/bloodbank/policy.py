@@ -11,17 +11,16 @@ A semiweekly variant places orders only on Mondays and Thursdays; the forecast
 at an order point covers every period until the next delivery (Tue-Thu after a
 Monday order, Fri-Mon after a Thursday order).
 
-``target_sweep`` and ``reorder_sweep`` advance every candidate of a grid
-together through ``inventory._advance``, one period at a time on the
-candidates' cumulative arrivals, with the order rule applied to the vector of
-stock levels; each candidate's cost is added period by period, as a fold over
+``learn_policy`` simulates the gold standard once, sweeps the target grid, then
+sweeps the daily and semiweekly reorder grids together under the chosen target.
+Every sweep row, one candidate under one schedule, advances through
+``inventory._advance`` under that one rule: a target row orders when stock is
+below its candidate and caps the order there, a reorder row lifts to its
+candidate and caps at the target.  Each row's cost is added as a fold over
 ``step`` adds it, so the rows are bit-identical to simulating each candidate
-alone.  ``run_policy``, ``evaluate_strategy`` and ``cost_under_actual`` follow
-a single trajectory through ``inventory._fold``, the same period on plain
-ints, which is several times faster than an array period on one row.  The
-fold returns per-period columns: ``run_policy`` builds its ``PeriodOutcome``s
-from them, ``evaluate_strategy`` summarizes them and ``cost_under_actual``
-keeps only their mean cost, so neither builds a ``PeriodOutcome``.
+alone.  Single trajectories (``run_policy``, ``evaluate_strategy``,
+``cost_under_actual``) run ``inventory._fold`` on plain ints, and only
+``run_policy`` builds ``PeriodOutcome``s.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ __all__ = [
     "optimize_target",
     "reorder_sweep",
     "optimize_reorder",
+    "learn_policy",
     "evaluate_strategy",
     "comparison_table",
     "write_comparison_csv",
@@ -129,11 +129,6 @@ class PolicyRun:
     initial_level: int
 
 
-def _drive(initial: AgeProfile, demands, costs: CostParams,
-           order_fn) -> tuple[list[list], float]:
-    return _fold(_ring(initial.counts).tolist(), demands, costs, order_fn)
-
-
 def _as_profile(initial, demands, shelf_life: int) -> AgeProfile:
     if isinstance(initial, AgeProfile):
         return initial
@@ -187,7 +182,7 @@ def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
     """Simulate the target/reorder rule over aligned forecast/demand streams."""
     y_hat, demands = _aligned(y_hat, demands)
     profile = _as_profile(initial, demands, shelf_life)
-    columns, average = _drive(profile, demands, costs, _rule(y_hat, params))
+    columns, average = _fold(_ring(profile.counts).tolist(), demands, costs, _rule(y_hat, params))
     return PolicyRun(_outcomes(columns), average, profile.total)
 
 
@@ -200,51 +195,62 @@ def cost_under_actual(demands, initial, costs: CostParams, shelf_life: int = 32)
     return _run(profile, demands, demands, costs)[1]
 
 
-@np.errstate(over="ignore")  # an overflow is raised at the end instead
-def _sweep(y_hat, demands, initial, costs: CostParams, shelf_life: int, schedule: Schedule,
-           candidates: list[int], target: int | None = None) -> list[tuple[int, float, float]]:
-    """(candidate, average cost, |gold - cost|) rows, all candidates advanced together.
-
-    ``target=None`` is the target sweep's rule: every period orders the
-    forecast capped at each candidate target, with no reorder gate.
-    Otherwise the candidates are reorder levels ``s`` under ``target``, and on
-    order days a candidate whose stock ``I`` is below ``s`` orders
-    ``clamp(forecast, s - I, target - I)``.
-    """
+def _streams(y_hat, demands, initial, costs: CostParams, shelf_life: int):
+    """Checked forecasts and demands, the starting stock and the gold standard's cost."""
     y_hat, demands = _aligned(y_hat, demands)
     demands = [_check_units("demand", y) for y in demands]
     profile = _as_profile(initial, demands, shelf_life)
-    gold = cost_under_actual(demands, profile, costs, shelf_life)
-    units, order_days = _order_plan(y_hat, schedule)
+    return y_hat, demands, profile, cost_under_actual(demands, profile, costs, shelf_life)
 
-    grid = np.asarray(candidates, dtype=np.int64)
-    caps = grid if target is None else target
-    cap = int(np.max(caps))
-    if profile.total + len(demands) * cap + max(demands) >= 2**63:
+
+@np.errstate(over="ignore")  # an overflow is raised at the end instead
+def _sweep(y_hat, demands, profile: AgeProfile, gold: float, costs: CostParams,
+           schedules: list[Schedule], candidates: list[int], target: int | None = None,
+           ) -> list[list[tuple[int, float, float]]]:
+    """(candidate, average cost, |gold - cost|) rows of every candidate under each schedule.
+
+    On its schedule's order days, a row whose stock ``I`` is below its candidate orders
+    ``clamp(forecast, lift - I, cap - I)``.  ``target=None`` sweeps targets (``cap`` is
+    the candidate, ``lift`` 0); otherwise reorder levels (``lift``) under ``cap = target``.
+    """
+    grid = np.tile(np.asarray(candidates, dtype=np.int64), len(schedules))  # schedule-major
+    lift, cap = (0, grid) if target is None else (grid, target)
+    top = int(np.max(cap))
+    if profile.total + len(demands) * top + max(demands) >= 2**63:
         raise ParameterError(
             "demands or candidates too large: cumulative arrivals would overflow int64")
+    plans = [_order_plan(y_hat, schedule) for schedule in schedules]
     # no order exceeds its cap, so larger forecasts order as the cap does, within int64
-    units = [min(u, cap) for u in units]
-    ring = np.tile(_ring(profile.counts)[:, None], grid.size)  # (shelf_life - 1, K)
+    units = np.array([[min(u, top) for u in plan[0]] for plan in plans], dtype=np.int64).T
+    order_days = np.array([plan[1] for plan in plans]).T  # (periods, schedules)
+    row_schedule = np.repeat(np.arange(len(schedules)), len(candidates))
+    ring = np.tile(_ring(profile.counts)[:, None], grid.size)  # (shelf_life - 1, rows)
     level = arrived = np.full(grid.size, profile.total)
     gone, total = 0, np.zeros(grid.size)
-    for t, (y, forecast, may_order) in enumerate(zip(demands, units, order_days)):
-        if not may_order:
-            orders = 0
-        elif target is None:
-            orders = np.maximum(np.minimum(forecast, caps - level), 0)
-        else:
-            lifted = np.minimum(np.maximum(forecast, grid - level), caps - level)
-            orders = np.where(level < grid, lifted, 0)
+    for t, y in enumerate(demands):
+        # a gather from the period's row, then same-shape operations: no broadcasting
+        clamped = np.minimum(np.maximum(units[t][row_schedule], lift - level), cap - level)
+        orders = np.where(order_days[t][row_schedule] & (level < grid), clamped, 0)
         arrived, gone, urgent, expired = _advance(ring, t, arrived, gone, orders, y)
         level = arrived - gone
-        # a running total adds the periods in the order a fold over step does
         total += costs.period_cost(orders > 0, level, urgent, expired)
     if not np.isfinite(total).all():  # every cost is non-negative, so an overflow is inf
         raise ParameterError("demands or costs so large that a candidate's average cost "
                              "overflows")
-    averages = (total / len(demands)).tolist()
-    return [(c, avg, abs(gold - avg)) for c, avg in zip(candidates, averages)]
+    averages = (total / len(demands)).reshape(len(schedules), -1).tolist()
+    return [[(c, avg, abs(gold - avg)) for c, avg in zip(candidates, row)] for row in averages]
+
+
+def _candidates(grid, name: str, target: int | None = None) -> list[int]:
+    values = sorted(set(int(v) for v in grid))
+    if not values:
+        raise ParameterError(f"{name} grid is empty")
+    if target is not None and values[-1] > target:
+        raise ParameterError(
+            f"reorder candidate {values[-1]} exceeds the inventory target {target}")
+    if values[0] < 0:
+        raise ParameterError("inventory target and reorder level must be non-negative")
+    return values
 
 
 def target_sweep(y_hat, demands, initial, costs: CostParams, target_grid,
@@ -254,10 +260,9 @@ def target_sweep(y_hat, demands, initial, costs: CostParams, target_grid,
     Candidate orders are the rounded daily forecasts capped so stock never
     exceeds the target.
     """
-    targets = sorted(set(int(t) for t in target_grid))
-    if not targets:
-        raise ParameterError("target grid is empty")
-    return _sweep(y_hat, demands, initial, costs, shelf_life, Schedule(), targets)
+    targets = _candidates(target_grid, "target")
+    streams = _streams(y_hat, demands, initial, costs, shelf_life)
+    return _sweep(*streams, costs, [Schedule()], targets)[0]
 
 
 def best_candidate(rows: list[tuple[int, float, float]], objective: str = "match_gold") -> int:
@@ -289,17 +294,10 @@ def reorder_sweep(y_hat, demands, initial, costs: CostParams, target: int, reord
                   schedule: Schedule = Schedule(), shelf_life: int = 32,
                   ) -> list[tuple[int, float, float]]:
     """(reorder level, average cost, |gold - cost|) for every candidate level."""
-    levels = sorted(set(int(s) for s in reorder_grid))
-    if not levels:
-        raise ParameterError("reorder grid is empty")
-    if levels[-1] > target:
-        raise ParameterError(
-            f"reorder candidate {levels[-1]} exceeds the inventory target {target}"
-        )
-    if levels[0] < 0:
-        raise ParameterError("inventory target and reorder level must be non-negative")
+    levels = _candidates(reorder_grid, "reorder", target)
     target = _check_units("inventory target", target)
-    return _sweep(y_hat, demands, initial, costs, shelf_life, schedule, levels, target)
+    streams = _streams(y_hat, demands, initial, costs, shelf_life)
+    return _sweep(*streams, costs, [schedule], levels, target)[0]
 
 
 def optimize_reorder(y_hat, demands, initial, costs: CostParams, target: int, reorder_grid,
@@ -309,6 +307,29 @@ def optimize_reorder(y_hat, demands, initial, costs: CostParams, target: int, re
     rows = reorder_sweep(y_hat, demands, initial, costs, target, reorder_grid,
                          schedule, shelf_life)
     return best_candidate(rows, objective)
+
+
+def learn_policy(y_hat, demands, initial, costs: CostParams, target_grid, reorder_grid=None,
+                 start_weekday: int = 0, shelf_life: int = 32, objective: str = "match_gold",
+                 ) -> tuple[dict[str, int], dict[str, list[tuple[int, float, float]]]]:
+    """Choices and sweep rows, keyed ``"target"``, ``"daily"`` and ``"semiweekly"``.
+
+    A given reorder grid drops its candidates above the chosen target; the default is
+    ``0..target`` in steps of 10.
+    """
+    targets = _candidates(target_grid, "target")
+    streams = _streams(y_hat, demands, initial, costs, shelf_life)
+    rows = {"target": _sweep(*streams, costs, [Schedule()], targets)[0]}
+    target = best_candidate(rows["target"], objective)
+    grid = (range(0, target + 1, 10) if reorder_grid is None
+            else [s for s in reorder_grid if s <= target])  # the others are infeasible
+    if not grid:
+        raise ParameterError(f"reorder grid {min(reorder_grid)}..{max(reorder_grid)} has no "
+                             f"candidate <= target {target}")
+    schedules = [Schedule(kind, start_weekday) for kind in ("daily", "semiweekly")]
+    levels = _candidates(grid, "reorder", target)
+    rows.update(zip(("daily", "semiweekly"), _sweep(*streams, costs, schedules, levels, target)))
+    return {name: best_candidate(rows[name], objective) for name in rows}, rows
 
 
 @dataclass(frozen=True)
@@ -394,6 +415,7 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
     elif strategy == "baseline":
         if baseline_target is None:
             raise ParameterError("baseline strategy needs baseline_target")
+        baseline_target = _check_units("baseline_target", baseline_target)
         rule = lambda i, level: max(0, baseline_target - level)
     elif strategy in ("daily", "semiweekly"):
         if params is None:
@@ -404,7 +426,7 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
         rule = _rule(y_hat, params)
     else:
         raise ParameterError(f"unknown strategy {strategy!r}")
-    columns, _ = _drive(profile, demands, costs, rule)
+    columns, _ = _fold(_ring(profile.counts).tolist(), demands, costs, rule)
     return _summarize(strategy, columns, start_weekday, urgent_available=strategy != "baseline")
 
 

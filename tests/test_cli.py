@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bloodbank import policy
 from bloodbank.cli import main
 from bloodbank.errors import SchemaError
 from bloodbank.forecast import (
@@ -303,6 +304,19 @@ class TestSingleSweepOptimize:
                 expected = average_of(candidate)
                 assert (average, gap) == (expected, abs(gold - expected)), (name, candidate)
 
+    def test_one_gold_run_per_optimize(self, half_unit_report, tmp_path, monkeypatch):
+        # each of the target and reorder sweeps once simulated the gold standard anew
+        calls, original = [], policy.cost_under_actual
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(policy, "cost_under_actual", counted)
+        assert run(["optimize", "--report", half_unit_report, "--initial", 150,
+                    "--out-dir", tmp_path / "opt"]) == 0
+        assert len(calls) == 1
+
     def test_compare_rounds_actuals_half_up(self, half_unit_report, tmp_path):
         out = tmp_path / "cmp"
         assert run(["compare", "--report", half_unit_report, "--target", 300,
@@ -466,6 +480,26 @@ class TestMalformedInputs:
         out = tmp_path / "out"
         code = run([command, *inputs[command], "--initial", -1, "--out-dir", out])
         assert_clean_failure(capsys, code, "--initial must be non-negative, got -1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, flag", [
+        ("--target-grid=-100:300:50", "--target-grid"),  # once swept the negative targets
+        ("--target-grid=-100:0:50", "--target-grid"),  # once blamed the report
+        ("--reorder-grid=-50:300:50", "--reorder-grid"),  # once blamed the report
+    ])
+    def test_negative_grid_names_the_flag(self, half_unit_report, tmp_path, capsys, grid, flag):
+        out = tmp_path / "out"
+        code = run(["optimize", "--report", half_unit_report, "--initial", 150, grid,
+                    "--out-dir", out])
+        assert_clean_failure(capsys, code, f"{flag} must be LO:HI:STEP with 0 <= LO <= HI")
+        assert not out.exists()
+
+    def test_reorder_grid_above_the_target_is_named(self, half_unit_report, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["optimize", "--report", half_unit_report, "--initial", 150,
+                    "--target-grid", "100:200:50", "--reorder-grid", "500:600:50",
+                    "--out-dir", out])
+        assert_clean_failure(capsys, code, "reorder grid 500..600 has no candidate <= target")
         assert not out.exists()
 
     def test_negative_baseline_target_names_the_flag(self, half_unit_report, tmp_path, capsys):

@@ -143,8 +143,7 @@ def test_unit_checks_accept_whole_numbers_as_ints(entry, value, units):
     assert type(got) is (float if entry is _through_baseline else int)
 
 
-# the exact messages; a baseline target of -1 or NaN orders nothing and "3" fails in the
-# arithmetic, so neither reaches a unit check
+# the exact messages; the baseline target is checked as a unit count of its own
 @pytest.mark.parametrize("entry, value, message", [
     (_through_orders, -1, "order_qty must be a non-negative integer, got -1"),
     (_through_orders, 2.5, "order_qty must be a non-negative integer, got 2.5"),
@@ -156,7 +155,10 @@ def test_unit_checks_accept_whole_numbers_as_ints(entry, value, units):
     (_through_demands, float("nan"), "demand must be a non-negative integer, got nan"),
     (_through_demands, None, "demand must be a non-negative integer, got None"),
     (_through_demands, "3", "demand must be a non-negative integer, got '3'"),
-    (_through_baseline, 2.5, "order_qty must be a non-negative integer, got 2.5"),
+    (_through_baseline, -1, "baseline_target must be a non-negative integer, got -1"),
+    (_through_baseline, 2.5, "baseline_target must be a non-negative integer, got 2.5"),
+    (_through_baseline, float("nan"), "baseline_target must be a non-negative integer, got nan"),
+    (_through_baseline, "3", "baseline_target must be a non-negative integer, got '3'"),
     (_through_baseline, None, "baseline strategy needs baseline_target"),
 ])
 def test_unit_checks_reject_with_the_field_and_value(entry, value, message):

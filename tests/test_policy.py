@@ -16,6 +16,7 @@ from bloodbank.policy import (
     comparison_table,
     cost_under_actual,
     evaluate_strategy,
+    learn_policy,
     optimize_reorder,
     optimize_target,
     order_quantity,
@@ -166,6 +167,17 @@ class TestOptimizeTarget:
     def test_sweep_inputs_validated(self, y_hat, demands):
         with pytest.raises(ParameterError):
             target_sweep(y_hat, demands, 10, COSTS, [10, 20])
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: target_sweep([1.0, 2.0], [1, 2], 10, COSTS, [-50, 100]),
+    lambda: learn_policy([1.0, 2.0], [1, 2], 10, COSTS, [-50, 100]),
+    lambda: learn_policy([1.0, 2.0], [1, 2], 10, COSTS, [100], [-10, 10]),
+], ids=["target_sweep", "learn_policy-target", "learn_policy-reorder"])
+def test_negative_candidate_rejected(sweep):
+    # target_sweep once returned rows for targets below zero
+    with pytest.raises(ParameterError, match="must be non-negative"):
+        sweep()
 
 
 def test_best_candidate_ties_go_to_smallest():

@@ -3,7 +3,9 @@
 ``target_sweep`` and ``reorder_sweep`` advance every candidate at once with
 the order rule as vectors.  Every property here compares them with an
 independent loop over ``step`` or with the unit-level oracle, on drawn demand
-streams, shelf lives, costs, grids and calendars.
+streams, shelf lives, costs, grids and calendars; ``learn_policy``, which
+sweeps both schedules' reorder levels in one pass, is compared with the
+one-schedule sweeps.
 """
 
 import math
@@ -124,3 +126,29 @@ def test_reorder_sweep_equals_step_fold(stream, shelf_life, costs, initial, targ
     assert _conserves(profile, orders, outcomes)
     oracle, _ = brute_force_unit_sim(profile.unit_ages(), orders, demands, costs, shelf_life)
     assert oracle == outcomes
+
+
+@given(stream=streams(), shelf_life=shelf_lives, costs=cost_params,
+       initial=st.integers(0, 200), start_weekday=st.integers(0, 6),
+       objective=st.sampled_from(["match_gold", "min_cost"]), data=st.data())
+def test_learn_policy_equals_the_one_schedule_sweeps(stream, shelf_life, costs, initial,
+                                                     start_weekday, objective, data):
+    demands, y_hat = stream
+    targets = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=6))
+    # a given reorder grid keeps 0, so some candidate lies under every target
+    reorder_grid = data.draw(st.none() | st.lists(st.integers(0, 300), max_size=6).map(
+        lambda grid: grid + [0]))
+    choices, rows = pol.learn_policy(y_hat, demands, initial, costs, targets, reorder_grid,
+                                     start_weekday, shelf_life, objective)
+
+    assert rows["target"] == pol.target_sweep(y_hat, demands, initial, costs, targets,
+                                              shelf_life)
+    target = pol.best_candidate(rows["target"], objective)
+    levels = (range(0, target + 1, 10) if reorder_grid is None
+              else [s for s in reorder_grid if s <= target])
+    for kind in ("daily", "semiweekly"):
+        schedule = pol.Schedule(kind, start_weekday)
+        assert rows[kind] == pol.reorder_sweep(y_hat, demands, initial, costs, target, levels,
+                                               schedule, shelf_life), kind
+    assert set(rows) == set(choices) == {"target", "daily", "semiweekly"}
+    assert all(choices[name] == pol.best_candidate(rows[name], objective) for name in rows)
