@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -86,11 +89,8 @@ def _check_contiguous(dates: list[dt.date]) -> None:
 
 
 def records_to_matrix(records: list[DailyRecord], names: list[str]) -> gbrt.FeatureMatrix:
-    values = np.empty((len(records), len(names)))
-    for i, record in enumerate(records):
-        for j, name in enumerate(names):
-            value = record.features.get(name)
-            values[i, j] = np.nan if value is None else value
+    # a missing name (None) becomes NaN
+    values = np.array([[r.features.get(n) for n in names] for r in records], dtype=float)
     return gbrt.FeatureMatrix(values, names)
 
 
@@ -343,6 +343,91 @@ def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.da
     return out
 
 
+@dataclass(frozen=True)
+class _CvJob:
+    """The inputs of one CV run, cut into (fold, distinct StlConfig) groups."""
+
+    records: list[DailyRecord]
+    X: np.ndarray
+    names: list[str]
+    bounds: list[int]
+    grid: list[tuple[StlConfig, gbrt.GbrtConfig]]
+    period: int
+    groups: list[tuple[int, StlConfig, list[int]]]  # (fold, its StlConfig, grid indices)
+
+    def score(self, group: int) -> list[tuple[int, int, float]]:
+        """(grid index, fold, validation RMSE) of every grid point of one group.
+
+        The group's training window is decomposed once for all its points.
+        """
+        j, stl_config, points = self.groups[group]
+        lo, hi = self.bounds[j], self.bounds[j + 1]
+        train = self.records[:lo]
+        dec = stl_decompose(demand_series(train, self.period), stl_config)
+        X_train = gbrt.FeatureMatrix(self.X[:lo], self.names)
+        X_valid = gbrt.FeatureMatrix(self.X[lo:hi], self.names)
+        actual = [r.demand for r in self.records[lo:hi]]
+        scores = []
+        for i in points:
+            model = _fit(train, stl_config, self.names, self.period, _TREND_MODE,
+                         _boosted(self.grid[i][1]), dec, X_train)
+            scores.append((i, j, rmse(_forecast(model, hi - lo, X_valid), actual)))
+        return scores
+
+
+# the job of a forked CV worker, set by the pool's initializer in the worker
+# only: the worker inherits it from the parent's memory, so nothing is pickled
+_INHERITED: _CvJob | None = None
+
+
+def _inherit(job: _CvJob) -> None:
+    global _INHERITED
+    _INHERITED = job
+
+
+def _score_inherited(group: int) -> list[tuple[int, int, float]]:
+    return _INHERITED.score(group)
+
+
+def _cv_workers(groups: int) -> int:
+    """Worker processes for ``groups`` CV groups; below 2, they run in this process.
+
+    Workers are forked, one per usable CPU.  A daemonic process may not have
+    children, and a process with other threads is not safe to fork.
+    """
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity")
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), groups)
+
+
+def _scored_groups(job: _CvJob) -> list[tuple[int, int, float]]:
+    """Every group's triples, on a fork pool when more than one worker is usable.
+
+    Results come back in group order, so the first failing group raises its
+    own error, as in this process; no worker outlives the call.
+    """
+    workers = _cv_workers(len(job.groups))
+    if workers < 2:
+        return [t for group in range(len(job.groups)) for t in job.score(group)]
+    # np.median (robust STL) imports numpy.ma on its first call: import it once
+    # here, so the workers inherit it instead of each importing it again
+    import numpy.ma
+    pool = multiprocessing.get_context("fork").Pool(workers, _inherit, (job,))
+    try:
+        triples = [t for part in pool.imap(_score_inherited, range(len(job.groups)))
+                   for t in part]
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return triples
+
+
 def _cv_scores(
     records: list[DailyRecord],
     grid: list[tuple[StlConfig, gbrt.GbrtConfig]],
@@ -352,8 +437,11 @@ def _cv_scores(
 ) -> list[float]:
     """Mean forward-chained validation RMSE of every grid point.
 
-    Each fold window is decomposed once per distinct StlConfig, and the
-    feature matrix is built once for all folds.
+    The feature matrix is built once for all folds.  Each fold window is
+    decomposed once per distinct StlConfig, and the points sharing that
+    decomposition form one group; groups run largest window first.  The
+    fold scores are merged in a fixed order, so they do not depend on where
+    or in which order the groups ran.
     """
     n = len(records)
     bounds = [round(j * n / (k + 1)) for j in range(k + 2)]
@@ -366,20 +454,15 @@ def _cv_scores(
     # at records[0] and the last one holds all the others
     names = _resolved_names(records[: bounds[k]], feature_names)
     X = records_to_matrix(records, names).values
-    fold_scores: list[list[float]] = [[] for _ in grid]
-    for j in range(1, k + 1):
-        lo, hi = bounds[j], bounds[j + 1]
-        train = records[:lo]
-        series = demand_series(train, period)
-        X_train, X_valid = gbrt.FeatureMatrix(X[:lo], names), gbrt.FeatureMatrix(X[lo:hi], names)
-        actual = [r.demand for r in records[lo:hi]]
-        decompositions: dict[StlConfig, Decomposition] = {}
-        for scores, (stl_config, gbrt_config) in zip(fold_scores, grid):
-            if stl_config not in decompositions:
-                decompositions[stl_config] = stl_decompose(series, stl_config)
-            model = _fit(train, stl_config, names, period, _TREND_MODE, _boosted(gbrt_config),
-                         decompositions[stl_config], X_train)
-            scores.append(rmse(_forecast(model, hi - lo, X_valid), actual))
+    points: dict[tuple[int, StlConfig], list[int]] = {}
+    for j in range(k, 0, -1):
+        for i, (stl_config, _) in enumerate(grid):
+            points.setdefault((j, stl_config), []).append(i)
+    job = _CvJob(records, X, names, bounds, grid, period,
+                 [(j, stl_config, group) for (j, stl_config), group in points.items()])
+    fold_scores = [[0.0] * k for _ in grid]
+    for i, j, score in _scored_groups(job):
+        fold_scores[i][j - 1] = score
     return [float(np.mean(scores)) for scores in fold_scores]
 
 

@@ -1,6 +1,9 @@
 import datetime as dt
 import hashlib
 import math
+import multiprocessing
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -477,19 +480,27 @@ class TestSharedCvLoop:
         selected = iterative_feature_selection(gappy_records, stl, gbrt_config, threshold)
         assert (selected, scores) == expected
 
-    def test_each_window_decomposed_once(self, gappy_records, monkeypatch):
-        calls = []
+    def test_each_window_decomposed_once(self, gappy_records, monkeypatch, tmp_path):
+        # each call is appended to a file, which forked CV workers write to as well
+        log = tmp_path / "calls"
         original = forecast.stl_decompose
 
         def counted(series, config):
-            calls.append((series.start_date, len(series), config))
+            with open(log, "a") as handle:
+                handle.write(f"{series.start_date} {len(series)} {config!r}\n")
             return original(series, config)
+
+        def logged():
+            calls = log.read_text().splitlines() if log.exists() else []
+            log.unlink(missing_ok=True)
+            return calls
 
         monkeypatch.setattr(forecast, "stl_decompose", counted)
         grid_search_cv(gappy_records, CV_GRID, k=3)
+        calls = logged()
         assert len(calls) == len(set(calls)) == 3 * 2  # folds x distinct StlConfigs
-        calls.clear()
         iterative_feature_selection(gappy_records, *CV_GRID[0], importance_threshold=0.05)
+        calls = logged()
         assert len(calls) == 1
 
     def test_non_contiguous_records_rejected(self, gappy_records):
@@ -498,6 +509,102 @@ class TestSharedCvLoop:
             cv_rmse(records, *CV_GRID[0], k=3)
         with pytest.raises(ParameterError, match="contiguous"):
             iterative_feature_selection(records, *CV_GRID[0])
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def overflowing(records):
+    """``records`` with a last demand whose squared error overflows fold 3's RMSE."""
+    last = records[-1]
+    return records[:-1] + [DailyRecord(date=last.date, demand=1e300, features=last.features)]
+
+
+class TestParallelCv:
+    @pytest.mark.parametrize("feature_names", [None, ["lab_lag1", "lab_lag7", "dow_mon"]])
+    def test_scores_equal_in_process_scores(self, gappy_records, monkeypatch, feature_names):
+        usable_cpus(monkeypatch, {0, 1})
+        forked = forecast._cv_scores(gappy_records, CV_GRID, 3, feature_names, 7)
+        usable_cpus(monkeypatch, {0})
+        in_process = forecast._cv_scores(gappy_records, CV_GRID, 3, feature_names, 7)
+        assert [s.hex() for s in forked] == [s.hex() for s in in_process]
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    def test_groups_run_on_at_most_one_worker_per_usable_cpu(self, gappy_records, monkeypatch,
+                                                             tmp_path, cpus):
+        log = tmp_path / "pids"
+        original = forecast.stl_decompose
+
+        def logged(series, config):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return original(series, config)
+
+        monkeypatch.setattr(forecast, "stl_decompose", logged)
+        usable_cpus(monkeypatch, cpus)
+        grid_search_cv(gappy_records, CV_GRID, k=3)
+        pids = {int(pid) for pid in log.read_text().split()}
+        if len(cpus) == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and 1 <= len(pids) <= len(cpus)
+
+    def test_no_worker_outlives_a_call(self, gappy_records, monkeypatch):
+        usable_cpus(monkeypatch, {0, 1})
+        grid_search_cv(gappy_records, CV_GRID, k=3)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ParameterError):
+            grid_search_cv(overflowing(gappy_records), CV_GRID, k=3)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller_as_in_process(self, gappy_records, monkeypatch):
+        messages = []
+        for cpus in ({0, 1}, {0}):
+            usable_cpus(monkeypatch, cpus)
+            with pytest.raises(ParameterError, match="overflow the rmse") as raised:
+                grid_search_cv(overflowing(gappy_records), CV_GRID, k=3)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+    def test_daemonic_caller_runs_the_groups_in_process(self, gappy_records, monkeypatch):
+        usable_cpus(monkeypatch, {0, 1})
+        expected = grid_search_cv(gappy_records, CV_GRID, k=3)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            winner = pool.apply_async(grid_search_cv, (gappy_records, CV_GRID), {"k": 3})
+            assert winner.get(timeout=120) == expected
+
+    def test_in_process_where_a_fork_is_unsafe_or_unavailable(self, monkeypatch):
+        usable_cpus(monkeypatch, {0, 1, 2})
+        assert (forecast._cv_workers(6), forecast._cv_workers(2)) == (3, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert forecast._cv_workers(6) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert forecast._cv_workers(6) == 1
+
+
+def test_records_to_matrix_equals_the_cell_by_cell_fill(gappy_records):
+    """NaN cells stay NaN and a name a record lacks becomes NaN, bit for bit."""
+    names = [*gappy_records[0].features, "absent"]
+    last = gappy_records[-1]
+    records = gappy_records[:-1] + [DailyRecord(date=last.date, demand=last.demand,
+                                                features={"lab_lag7": 3.0})]
+    expected = np.empty((len(records), len(names)))
+    for i, record in enumerate(records):
+        for j, name in enumerate(names):
+            value = record.features.get(name)
+            expected[i, j] = np.nan if value is None else value
+    values = forecast.records_to_matrix(records, names).values
+    assert np.isnan(values).any()
+    assert (values.shape, values.dtype) == (expected.shape, expected.dtype)
+    assert values.tobytes() == expected.tobytes()
 
 
 class TestFeatureSelection:
