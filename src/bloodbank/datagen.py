@@ -7,6 +7,12 @@ as feature columns with their lags already applied, so every feature value
 for day i is known strictly before day i.  The generator is a pure function
 of its config; randomness comes from numpy's PCG64 so fixtures are stable
 across platforms.
+
+Every step works on whole columns except two, which must stay sequential to
+keep each seed's output: the random draws (per covariate in config order, its
+first value then its innovations, and the noise last) and each covariate's
+AR(1) recursion, which runs in float64 one day after another, never as a
+filter whose rounding would differ.
 """
 
 from __future__ import annotations
@@ -83,6 +89,11 @@ class GenConfig:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if len(self.weekday_effects) != 7:
             raise ParameterError("weekday_effects must list 7 values, Monday first")
+        first = self.start_date.toordinal()
+        if not dt.date.min.toordinal() + 7 <= first <= dt.date.max.toordinal() + 1 - self.n_days:
+            raise ParameterError(f"start_date {self.start_date} with n_days {self.n_days}: the 7 "
+                                 f"lead-in days and the last day must lie in "
+                                 f"{dt.date.min}..{dt.date.max}")
         if not 0.0 <= self.noise_sd < math.inf:  # also NaN
             raise ParameterError(f"noise_sd must be non-negative and finite, got {self.noise_sd}")
         for name in ("base_level", "trend_slope"):
@@ -108,11 +119,11 @@ class GroundTruth:
 
 def _ar1_counts(rng: np.random.Generator, spec: CovariateSpec, length: int) -> np.ndarray:
     innovation_sd = spec.sd * math.sqrt(1.0 - spec.ar**2)
-    values = np.empty(length)
-    values[0] = rng.normal(spec.mean, spec.sd)
-    shocks = rng.normal(0.0, innovation_sd, size=length - 1) if length > 1 else []
-    for t in range(1, length):
-        values[t] = spec.mean + spec.ar * (values[t - 1] - spec.mean) + shocks[t - 1]
+    value = rng.normal(spec.mean, spec.sd)
+    values = [value]
+    for shock in rng.normal(0.0, innovation_sd, size=length - 1).tolist():
+        value = spec.mean + spec.ar * (value - spec.mean) + shock
+        values.append(value)
     return np.maximum(0, np.round(values)).astype(float)
 
 
@@ -129,40 +140,39 @@ def generate_full(config: GenConfig) -> tuple[list[DailyRecord], GroundTruth]:
     noise = rng.normal(0.0, config.noise_sd, size=n + 7)
 
     days = np.arange(-7, n)
-    weekday_index = np.array(
-        [(config.start_date + dt.timedelta(days=int(t))).weekday() for t in days]
-    )
-    with np.errstate(over="ignore"):  # an infinite trend fails the range check below
-        trend = config.base_level + config.trend_slope * days
+    weekday_index = (config.start_date.weekday() + days) % 7
     weekday = np.asarray(config.weekday_effects)[weekday_index]
     covariate_effect = np.zeros(n + 7)
-    for spec in config.covariates:
-        series = cov_series[spec.name]
-        lagged = series[_LEAD + days - spec.lag]
-        covariate_effect += spec.response(lagged)
-
-    raw = trend + weekday + covariate_effect + noise
+    # an overflow (a huge trend, a subnormal covariate sd) fails the range check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        trend = config.base_level + config.trend_slope * days
+        for spec in config.covariates:
+            covariate_effect += spec.response(cov_series[spec.name][_LEAD + days - spec.lag])
+        raw = trend + weekday + covariate_effect + noise
     if not -2.0**53 < raw.min() <= raw.max() < 2.0**53:  # also NaN; past it casts are inexact
         raise ParameterError("generated demand leaves the exact int range |demand| < 2**53; "
                              "reduce base_level, trend_slope or noise_sd")
     demand = np.maximum(0, np.floor(raw + 0.5)).astype(np.int64)
 
-    records: list[DailyRecord] = []
-    for t in range(n):
-        row = 7 + t  # position of day t in the lead-in-padded arrays
-        features: dict[str, float] = {}
-        for key_index, key in enumerate(WEEKDAY_KEYS):
-            features[f"dow_{key}"] = 1.0 if weekday_index[row] == key_index else 0.0
-        for spec in config.covariates:
-            features[spec.name] = float(cov_series[spec.name][_LEAD + t - spec.lag])
-        features["prev_week_demand"] = float(demand[row - 7 : row].sum())
-        records.append(
-            DailyRecord(
-                date=config.start_date + dt.timedelta(days=t),
-                demand=int(demand[row]),
-                features=features,
-            )
-        )
+    # the week before each output day, as differences of running totals: exact
+    # even where the int64 running total wraps, since each week's sum fits
+    running = np.concatenate(([0], np.cumsum(demand)))
+    prev_week = running[7:-1] - running[:-8]
+    names = [f"dow_{key}" for key in WEEKDAY_KEYS]
+    # the one-hot cells share two float objects, as the literals 1.0 and 0.0 would, rather
+    # than the records holding seven new floats a day
+    columns = [list(map((0.0, 1.0).__getitem__, (weekday_index[7:] == key_index).tolist()))
+               for key_index in range(len(WEEKDAY_KEYS))]
+    for spec in config.covariates:
+        names.append(spec.name)
+        columns.append(cov_series[spec.name][_LEAD - spec.lag : _LEAD - spec.lag + n].tolist())
+    names.append("prev_week_demand")
+    columns.append(prev_week.astype(float).tolist())
+    first = config.start_date.toordinal()
+    records = [DailyRecord(dt.date.fromordinal(day), y, dict(zip(names, values)))
+               for day, y, values in zip(range(first, first + n), demand[7:].tolist(),
+                                         zip(*columns))]
+    del columns  # the records own the values now; free the lists before the truth is built
 
     truth = GroundTruth(
         trend=trend[7:],
@@ -184,8 +194,10 @@ def generate(config: GenConfig) -> list[DailyRecord]:
 def write_truth_csv(path, config: GenConfig, truth: GroundTruth) -> None:
     """Columns: date, trend, weekday_effect, covariate_effect, noise, <covariate...>."""
     names = sorted(truth.covariate_series)
-    columns = (truth.trend, truth.weekday, truth.covariate_effect, truth.noise,
-               *(truth.covariate_series[name] for name in names))
+    columns = [column.tolist() for column in (
+        truth.trend, truth.weekday, truth.covariate_effect, truth.noise,
+        *(truth.covariate_series[name] for name in names))]
+    first = config.start_date.toordinal()
     write_table(path, ["date", "trend", "weekday_effect", "covariate_effect", "noise", *names],
-                ([(config.start_date + dt.timedelta(days=t)).isoformat(), *map(number, values)]
-                 for t, values in enumerate(zip(*columns))))
+                ([dt.date.fromordinal(day).isoformat(), *map(number, values)]
+                 for day, values in zip(range(first, first + len(truth.trend)), zip(*columns))))

@@ -602,7 +602,7 @@ def write_dataset_csv(path, records: list[DailyRecord]) -> None:
     names = feature_names_of(records)
     write_table(path, ["date", "demand", *names], (
         [r.date.isoformat(), number(r.demand),
-         *(number(v) if v == v else "" for v in (r.features[name] for name in names))]
+         *[number(v) if v == v else "" for v in map(r.features.__getitem__, names)]]
         for r in records))
 
 

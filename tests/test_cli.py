@@ -66,6 +66,15 @@ class TestGenerate:
         assert_clean_failure(capsys, code, "--start-date", "'2008-13-01'")
         assert not (tmp_path / "gen").exists()
 
+    @pytest.mark.parametrize("start", ["0001-01-02", "9999-12-25"])
+    def test_start_date_off_the_calendar_fails_cleanly(self, tmp_path, capsys, start):
+        # 0001-01-02 leaves no room for the seven lead-in days; ten days from 9999-12-25
+        # run past 9999-12-31
+        code = run(["generate", "--days", 10, "--start-date", start,
+                    "--out-dir", tmp_path / "gen"])
+        assert_clean_failure(capsys, code, "start_date", start, "0001-01-01..9999-12-31")
+        assert not (tmp_path / "gen").exists()
+
 
 class TestDecompose:
     def test_writes_decomposition(self, dataset, tmp_path):

@@ -1,4 +1,4 @@
-"""Golden digests: the model, inventory and policy artifacts of a small fixed run.
+"""Golden digests: the generator, model, inventory and policy artifacts of a small fixed run.
 
 The run is ACCEPT-10's configuration (455 generated days, 365 of them for
 training, 40 boosting rounds) followed by ``optimize`` at the default shelf
@@ -10,7 +10,9 @@ summation order or a writer's formatting fails here.  The ``train`` digests
 were recorded when STL's loess and the linear reference first summed in a
 fixed order with no BLAS or LAPACK call; boosting's arithmetic was already
 fixed, so a change to a split's, a leaf's or a loess fit's arithmetic fails
-here too, on any x86 SIMD level and OpenBLAS kernel.
+here too, on any x86 SIMD level and OpenBLAS kernel.  The ``generate`` digests
+were recorded while the generator still built its records one day at a time,
+so its column-wise construction and both writers must keep every byte.
 """
 
 import hashlib
@@ -23,6 +25,10 @@ from bloodbank.cli import main as cli_main
 from conftest import write_stream
 
 GOLDEN = {
+    ("generate", "dataset.csv"):
+        "dea7766bcfca632b98c4e04201b84c5a24ac78b465ff413e25306203cc858de9",
+    ("generate", "dataset_truth.csv"):
+        "640bdf185fa6d8e30a2b7e5b4d22c0c0b97cb2540b3ad363c7dc9225c74afd04",
     ("optimize", "policy.json"):
         "23373883d962dc48d25b75b44a1d91a08736df6204b49eecf2c16b91364412a8",
     ("optimize", "target_sweep.csv"):
