@@ -265,8 +265,11 @@ def cmd_forecast(args, run: _Run) -> None:
             f"{args.data}: data supplies only {len(future)} days after {model.train_end}, "
             f"horizon needs {args.horizon}"
         )
-    path = run.write("forecast.csv", forecast.write_forecast_csv,
-                     _report(future, forecast.predict_daily(model, future)))
+    try:
+        predicted = forecast.predict_daily(model, future)
+    except ParameterError as exc:
+        raise ParameterError(f"{args.data}: {exc}") from exc
+    path = run.write("forecast.csv", forecast.write_forecast_csv, _report(future, predicted))
     print(f"wrote {len(future)} forecast days to {path}")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,11 @@ class GenConfig:
     start_date: dt.date = dt.date(2008, 1, 7)  # a Monday
 
     def __post_init__(self) -> None:
+        for name in ("n_days", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ParameterError(f"{name} must be a whole number, got {getattr(self, name)!r}")
+        if not isinstance(self.start_date, dt.date):
+            raise ParameterError(f"start_date must be a datetime.date, got {self.start_date!r}")
         if self.n_days < 1:
             raise ParameterError("n_days must be positive")
         if self.seed < 0:

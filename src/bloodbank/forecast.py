@@ -7,6 +7,8 @@ the predicted residual.  ``HybridModel`` is the one model type; its residual
 model is the boosted ensemble of the hybrid (``fit_hybrid``), least squares on
 the same features (``fit_stl_linear``) or none (``fit_stl_only``).  They, CV and
 feature selection share one fit and one forecast; only the hybrid is serialized.
+CV scores each (fold, decomposition) group through one closure over its inputs,
+which forked workers inherit, so only group numbers and scores are pickled.
 """
 
 from __future__ import annotations
@@ -75,8 +77,21 @@ def feature_names_of(records: list[DailyRecord]) -> list[str]:
     return names
 
 
+def _check_present(records: list[DailyRecord], names: list[str]) -> None:
+    """ParameterError naming the first of ``names`` that some record lacks."""
+    wanted = set(names)
+    for record in records:
+        if not wanted <= record.features.keys():
+            absent = next(name for name in names if name not in record.features)
+            raise ParameterError(f"no feature {absent!r} on {record.date.isoformat()}")
+
+
 def _resolved_names(records: list[DailyRecord], feature_names: list[str] | None) -> list[str]:
-    names = list(feature_names) if feature_names is not None else feature_names_of(records)
+    if feature_names is None:
+        names = feature_names_of(records)  # every record has exactly these
+    else:
+        names = list(feature_names)
+        _check_present(records, names)
     if not names:
         raise ParameterError("at least one feature is required")
     return names
@@ -236,7 +251,10 @@ def fit_stl_linear(
 
 def _features(model: HybridModel, days: list[DailyRecord]) -> gbrt.FeatureMatrix | None:
     """The feature rows of ``days`` that the residual model reads; None without one."""
-    return None if model.residual_model is None else records_to_matrix(days, model.feature_names)
+    if model.residual_model is None:
+        return None
+    _check_present(days, model.feature_names)
+    return records_to_matrix(days, model.feature_names)
 
 
 def _predicted_residual(model: HybridModel, X: gbrt.FeatureMatrix | None):
@@ -343,50 +361,13 @@ def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.da
     return out
 
 
-@dataclass(frozen=True)
-class _CvJob:
-    """The inputs of one CV run, cut into (fold, distinct StlConfig) groups."""
-
-    records: list[DailyRecord]
-    X: np.ndarray
-    names: list[str]
-    bounds: list[int]
-    grid: list[tuple[StlConfig, gbrt.GbrtConfig]]
-    period: int
-    groups: list[tuple[int, StlConfig, list[int]]]  # (fold, its StlConfig, grid indices)
-
-    def score(self, group: int) -> list[tuple[int, int, float]]:
-        """(grid index, fold, validation RMSE) of every grid point of one group.
-
-        The group's training window is decomposed once for all its points.
-        """
-        j, stl_config, points = self.groups[group]
-        lo, hi = self.bounds[j], self.bounds[j + 1]
-        train = self.records[:lo]
-        dec = stl_decompose(demand_series(train, self.period), stl_config)
-        X_train = gbrt.FeatureMatrix(self.X[:lo], self.names)
-        X_valid = gbrt.FeatureMatrix(self.X[lo:hi], self.names)
-        actual = [r.demand for r in self.records[lo:hi]]
-        scores = []
-        for i in points:
-            model = _fit(train, stl_config, self.names, self.period, _TREND_MODE,
-                         _boosted(self.grid[i][1]), dec, X_train)
-            scores.append((i, j, rmse(_forecast(model, hi - lo, X_valid), actual)))
-        return scores
-
-
-# the job of a forked CV worker, set by the pool's initializer in the worker
-# only: the worker inherits it from the parent's memory, so nothing is pickled
-_INHERITED: _CvJob | None = None
-
-
-def _inherit(job: _CvJob) -> None:
-    global _INHERITED
-    _INHERITED = job
+# the scoring closure of the CV call in progress, set before its pool forks so
+# that the workers inherit it: only group numbers and their triples are pickled
+_INHERITED = None
 
 
 def _score_inherited(group: int) -> list[tuple[int, int, float]]:
-    return _INHERITED.score(group)
+    return _INHERITED(group)
 
 
 def _cv_workers(groups: int) -> int:
@@ -403,29 +384,25 @@ def _cv_workers(groups: int) -> int:
     return min(len(os.sched_getaffinity(0)), groups)
 
 
-def _scored_groups(job: _CvJob) -> list[tuple[int, int, float]]:
-    """Every group's triples, on a fork pool when more than one worker is usable.
+def _scored_groups(score, groups: int) -> list[tuple[int, int, float]]:
+    """``score(0) + score(1) + ...``, on a fork pool when more than one worker is usable.
 
     Results come back in group order, so the first failing group raises its
-    own error, as in this process; no worker outlives the call.
+    own error, as in this process; leaving the pool ends every worker.
     """
-    workers = _cv_workers(len(job.groups))
+    global _INHERITED
+    workers = _cv_workers(groups)
     if workers < 2:
-        return [t for group in range(len(job.groups)) for t in job.score(group)]
+        return [t for group in range(groups) for t in score(group)]
     # np.median (robust STL) imports numpy.ma on its first call: import it once
     # here, so the workers inherit it instead of each importing it again
     import numpy.ma
-    pool = multiprocessing.get_context("fork").Pool(workers, _inherit, (job,))
+    _INHERITED = score
     try:
-        triples = [t for part in pool.imap(_score_inherited, range(len(job.groups)))
-                   for t in part]
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return [t for part in pool.imap(_score_inherited, range(groups)) for t in part]
     finally:
-        pool.join()
-    return triples
+        _INHERITED = None
 
 
 def _cv_scores(
@@ -453,16 +430,36 @@ def _cv_scores(
     # fit_hybrid reads the names from its training window; every window starts
     # at records[0] and the last one holds all the others
     names = _resolved_names(records[: bounds[k]], feature_names)
+    _check_present(records[bounds[k]:], names)  # the last fold's validation block
     X = records_to_matrix(records, names).values
     points: dict[tuple[int, StlConfig], list[int]] = {}
     for j in range(k, 0, -1):
         for i, (stl_config, _) in enumerate(grid):
             points.setdefault((j, stl_config), []).append(i)
-    job = _CvJob(records, X, names, bounds, grid, period,
-                 [(j, stl_config, group) for (j, stl_config), group in points.items()])
+    groups = list(points.items())
+
+    def score(group: int) -> list[tuple[int, int, float]]:
+        """(grid index, fold, validation RMSE) of every grid point of one group.
+
+        The group's training window is decomposed once for all its points.
+        """
+        (j, stl_config), indices = groups[group]
+        lo, hi = bounds[j], bounds[j + 1]
+        train = records[:lo]
+        dec = stl_decompose(demand_series(train, period), stl_config)
+        X_train = gbrt.FeatureMatrix(X[:lo], names)
+        X_valid = gbrt.FeatureMatrix(X[lo:hi], names)
+        actual = [r.demand for r in records[lo:hi]]
+        scores = []
+        for i in indices:
+            model = _fit(train, stl_config, names, period, _TREND_MODE, _boosted(grid[i][1]),
+                         dec, X_train)
+            scores.append((i, j, rmse(_forecast(model, hi - lo, X_valid), actual)))
+        return scores
+
     fold_scores = [[0.0] * k for _ in grid]
-    for i, j, score in _scored_groups(job):
-        fold_scores[i][j - 1] = score
+    for i, j, fold_rmse in _scored_groups(score, len(groups)):
+        fold_scores[i][j - 1] = fold_rmse
     return [float(np.mean(scores)) for scores in fold_scores]
 
 
@@ -493,15 +490,8 @@ def grid_search_cv(
     """Best lattice point by cross-validated RMSE; ties keep the earlier entry."""
     if not grid:
         raise ParameterError("the configuration grid is empty")
-    best_score = np.inf
-    best = grid[0]
-    for (stl_config, gbrt_config), score in zip(
-        grid, _cv_scores(records, grid, k, feature_names, period)
-    ):
-        if score < best_score:
-            best_score = score
-            best = (stl_config, gbrt_config)
-    return best
+    scores = _cv_scores(records, grid, k, feature_names, period)
+    return grid[min(range(len(grid)), key=scores.__getitem__)]
 
 
 def iterative_feature_selection(

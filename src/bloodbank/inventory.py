@@ -243,14 +243,10 @@ def _outcomes(columns: list[list]) -> list[PeriodOutcome]:
     return [PeriodOutcome(row[0] > 0, *row) for row in zip(*columns)]
 
 
-def _run(initial: AgeProfile, orders: list, demands: list,
-         costs: CostParams) -> tuple[list[list], float]:
-    """``_fold`` of aligned order/demand streams from ``initial``, failing on an overflow."""
-    if len(orders) != len(demands):
-        raise ParameterError(
-            f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
-    columns, average = _fold(_ring(initial.counts).tolist(), demands, costs,
-                             lambda i, level: orders[i])
+def _run(initial: AgeProfile, demands: list, costs: CostParams,
+         order_fn) -> tuple[list[list], float]:
+    """``_fold`` of ``demands`` from ``initial`` under ``order_fn``, failing on an overflow."""
+    columns, average = _fold(_ring(initial.counts).tolist(), demands, costs, order_fn)
     if not math.isfinite(average):  # every cost is non-negative, so an overflow is inf
         raise ParameterError("orders, demands or costs so large that the average cost overflows")
     return columns, average
@@ -260,7 +256,11 @@ def simulate(
     initial: AgeProfile, orders, demands, costs: CostParams
 ) -> tuple[list[PeriodOutcome], float]:
     """Fold one period over aligned order/demand streams; also return mean cost."""
-    columns, average = _run(initial, list(orders), list(demands), costs)
+    orders, demands = list(orders), list(demands)
+    if len(orders) != len(demands):
+        raise ParameterError(
+            f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
+    columns, average = _run(initial, demands, costs, lambda i, level: orders[i])
     return _outcomes(columns), average
 
 

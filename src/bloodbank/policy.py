@@ -182,7 +182,7 @@ def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
     """Simulate the target/reorder rule over aligned forecast/demand streams."""
     y_hat, demands = _aligned(y_hat, demands)
     profile = _as_profile(initial, demands, shelf_life)
-    columns, average = _fold(_ring(profile.counts).tolist(), demands, costs, _rule(y_hat, params))
+    columns, average = _run(profile, demands, costs, _rule(y_hat, params))
     return PolicyRun(_outcomes(columns), average, profile.total)
 
 
@@ -192,7 +192,7 @@ def cost_under_actual(demands, initial, costs: CostParams, shelf_life: int = 32)
     if not demands:
         raise ParameterError("demand stream must be non-empty")
     profile = _as_profile(initial, demands, shelf_life)
-    return _run(profile, demands, demands, costs)[1]
+    return _run(profile, demands, costs, lambda i, level: demands[i])[1]
 
 
 def _streams(y_hat, demands, initial, costs: CostParams, shelf_life: int):

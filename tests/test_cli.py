@@ -459,6 +459,23 @@ class TestMalformedInputs:
                     "--out-dir", tmp_path / "fc"])
         assert_clean_failure(capsys, code, path, "not valid JSON")
 
+    @pytest.mark.parametrize("last_column", ["dropped", "other"])
+    def test_forecast_rejects_a_dataset_without_a_model_feature(self, trained, dataset,
+                                                                tmp_path, capsys, last_column):
+        # the model reads prev_week_demand, the dataset's last column; read as
+        # missing on every day, it once gave a forecast and exit 0
+        header, *rows = dataset.read_text().splitlines()
+        if last_column == "dropped":
+            header, rows = header.rsplit(",", 1)[0], [row.rsplit(",", 1)[0] for row in rows]
+        else:
+            header = header.rsplit(",", 1)[0] + ",other"
+        bad = tmp_path / "dataset.csv"
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        code = run(["forecast", "--model", trained / "model.json", "--data", bad,
+                    "--horizon", 5, "--out-dir", tmp_path / "fc"])
+        assert_clean_failure(capsys, code, f"{bad}: no feature 'prev_week_demand' on")
+        assert not (tmp_path / "fc").exists()
+
     @pytest.mark.parametrize("doc, message", [
         ({"format": "bloodbank.policy", "inventory_target": 300, "reorder_daily": 100},
          "missing key 'reorder_semiweekly'"),

@@ -99,6 +99,19 @@ def test_invalid_configs_rejected():
         GenConfig(covariates=(CovariateSpec(name="a"), CovariateSpec(name="a")))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_days", 10.5), ("n_days", 10.0), ("seed", 1.5), ("start_date", "2008-01-07"),
+])
+def test_config_of_the_wrong_type_rejected(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be"):
+        GenConfig(**{field: value})
+
+
+def test_numpy_integers_accepted():
+    records = generate(GenConfig(n_days=np.int64(20), seed=np.int32(4)))
+    assert records == generate(GenConfig(n_days=20, seed=4))
+
+
 def test_start_date_controls_calendar():
     config = GenConfig(n_days=10, seed=4, start_date=dt.date(2015, 6, 1))
     records = generate(config)

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import hashlib
 import math
@@ -371,6 +372,15 @@ class TestGridSearch:
         best = grid_search_cv(small_records[:420], [config, config], k=3)
         assert best is not None and best == config
 
+    def test_misspelled_feature_name_rejected_in_fit_and_cv(self, small_records):
+        records = small_records[:420]
+        message = f"no feature 'typo' on {records[0].date}"
+        with pytest.raises(ParameterError, match=message):
+            fit_hybrid(records, StlConfig(), GbrtConfig(n_rounds=2), feature_names=["typo"])
+        with pytest.raises(ParameterError, match=message):
+            cv_rmse(records, StlConfig(), GbrtConfig(n_rounds=2), k=3,
+                    feature_names=["lab_lag1", "typo"])
+
     def test_empty_grid(self, small_records):
         with pytest.raises(ParameterError):
             grid_search_cv(small_records[:420], [], k=3)
@@ -566,6 +576,21 @@ class TestParallelCv:
                 grid_search_cv(overflowing(gappy_records), CV_GRID, k=3)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
+
+    def test_no_scoring_closure_outlives_a_call(self, gappy_records, monkeypatch):
+        usable_cpus(monkeypatch, {0, 1})
+        grid_search_cv(gappy_records, CV_GRID, k=3)
+        assert forecast._INHERITED is None
+        with pytest.raises(ParameterError):
+            grid_search_cv(overflowing(gappy_records), CV_GRID, k=3)
+        assert forecast._INHERITED is None
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    def test_a_tie_goes_to_the_first_entry(self, gappy_records, monkeypatch, cpus):
+        stl_config, gbrt_config = CV_GRID[0]
+        grid = [(stl_config, gbrt_config), (stl_config, dataclasses.replace(gbrt_config))]
+        usable_cpus(monkeypatch, cpus)
+        assert grid_search_cv(gappy_records, grid, k=3)[1] is gbrt_config
 
     def test_daemonic_caller_runs_the_groups_in_process(self, gappy_records, monkeypatch):
         usable_cpus(monkeypatch, {0, 1})

@@ -356,6 +356,12 @@ class TestRunPolicy:
         with pytest.raises(ParameterError):
             run_policy([1.0], [1, 2], 10, COSTS, PolicyParams(100, 0))
 
+    def test_average_cost_that_overflows_rejected(self):
+        # it once returned an average cost of inf
+        with pytest.raises(ParameterError, match="the average cost overflows"):
+            run_policy([10.0] * 5, [10] * 5, 100, CostParams(holding=1e308),
+                       PolicyParams(50, 20))
+
 
 class TestEvaluateStrategy:
     def test_gold_matches_cost_under_actual(self):
