@@ -13,19 +13,20 @@ With oldest-first issue and a fixed shelf life ``L`` no age buckets are
 needed: the cumulative arrivals ``C(t)`` and the units ``gone`` by issue or
 expiry describe the stock exactly, the cumulative-curve view of a FIFO queue
 (Nahmias, Operations Research 30(4), 1982).  A period is five integer
-operations on them (``_advance``), with ``C(t - L + 1)`` read from a ring of
-the last ``L - 1`` values of ``C``.  ``_fold`` runs it on plain ints for one
+operations on them, with ``C(t - L + 1)`` read from a ring of the last
+``L - 1`` values of ``C``.  ``_fold`` runs it on plain ints for one
 trajectory, each order chosen from the stock level it sees, and returns
 per-period columns (orders, demands, urgent and expired units, end
 inventories, costs) with the mean cost.  Only the public functions that
 return ``PeriodOutcome``s build them from those columns: ``simulate`` (a
 whole fold), ``step`` (one period behind an ``AgeProfile``, converted at the
 boundary) and ``policy.run_policy``.  ``policy.evaluate_strategy`` and
-``policy.cost_under_actual`` read the columns.  The sweeps run ``_advance``
-on ``(K,)`` vectors.  No pipeline command calls ``step``: it stays on the
-library surface as the independent single-period loop that the benchmark's
-cost and replay checks and the exhaustive-search acceptance test fold by
-hand.
+``policy.cost_under_actual`` read the columns.  ``policy``'s sweeps run the
+same period on ``(K,)`` vectors, one row per candidate, and price each block
+of periods with one ``CostParams.period_cost`` call on ``(periods, K)``
+arrays.  No pipeline command calls ``step``: it stays on the library surface
+as the independent single-period loop that the benchmark's cost and replay
+checks and the exhaustive-search acceptance test fold by hand.
 
 ``brute_force_unit_sim`` re-runs the same dynamics tracking every physical
 unit individually and exists purely as a verification oracle for
@@ -180,20 +181,6 @@ def _counts(ring: np.ndarray, gone) -> np.ndarray:
     return left
 
 
-def _advance(ring: np.ndarray, t: int, arrived, gone, orders, demand):
-    """Period ``t`` of K trajectories; ``arrived`` is ``C(t - 1)``, ``gone`` the units out.
-
-    Swaps ``C(t - L + 1)`` in the ring for ``C(t)``.  Returns the new ``arrived`` and
-    ``gone`` (the end inventory is their difference) and the urgent and expired units.
-    """
-    arrived = arrived + orders
-    taken = np.minimum(gone + demand, arrived)  # oldest first, arrivals last
-    slot = t % len(ring)
-    expired = np.maximum(ring[slot] - taken, 0)  # cohorts reaching the shelf-life limit
-    ring[slot] = arrived
-    return arrived, taken + expired, demand - (taken - gone), expired
-
-
 def step(
     state: AgeProfile, order_qty: int, demand: int, costs: CostParams
 ) -> tuple[AgeProfile, PeriodOutcome]:
@@ -205,7 +192,7 @@ def step(
 
 
 def _fold(ring: list, demands: list, costs: CostParams, order_fn) -> tuple[list[list], float]:
-    """Per-period columns and mean cost of ``_advance``'s period on a ``_ring`` of plain ints.
+    """Per-period columns and mean cost of the FIFO period on a ``_ring`` of plain ints.
 
     The columns are the orders, demands, urgent and expired units, end inventories and costs,
     in ``PeriodOutcome``'s field order.  Period ``i`` orders ``order_fn(i, level)``: the

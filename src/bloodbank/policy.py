@@ -13,19 +13,24 @@ Monday order, Fri-Mon after a Thursday order).
 
 ``learn_policy`` simulates the gold standard once, sweeps the target grid, then
 sweeps the daily and semiweekly reorder grids together under the chosen target.
-Every sweep row, one candidate under one schedule, advances through
-``inventory._advance`` under that one rule: a target row orders when stock is
+Every sweep row, one candidate under one schedule, advances through the FIFO
+period of ``inventory`` under that one rule: a target row orders when stock is
 below its candidate and caps the order there, a reorder row lifts to its
-candidate and caps at the target.  Each row's cost is added as a fold over
-``step`` adds it, so the rows are bit-identical to simulating each candidate
-alone.  Single trajectories (``run_policy``, ``evaluate_strategy``,
+candidate and caps at the target.  The rows advance together a period at a
+time into preallocated buffers, and each block of ``_BLOCK`` periods is priced
+by one ``CostParams.period_cost`` call on its (periods, rows) columns.  A
+running ``cumsum`` down the block adds each row's costs left to right, as a
+fold over ``step`` adds them, so the rows are bit-identical to simulating each
+candidate alone.  Single trajectories (``run_policy``, ``evaluate_strategy``,
 ``cost_under_actual``) run ``inventory._fold`` on plain ints, and only
 ``run_policy`` builds ``PeriodOutcome``s.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,7 +40,6 @@ from .inventory import (
     AgeProfile,
     CostParams,
     PeriodOutcome,
-    _advance,
     _check_units,
     _fold,
     _outcomes,
@@ -71,6 +75,13 @@ __all__ = [
 _SEMIWEEKLY_BLOCKS = {1: 3, 4: 4}
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int; a bool, text or number that is not a whole number fails."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Order timing: every day, or Mondays and Thursdays only.
@@ -87,6 +98,7 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind not in ("daily", "semiweekly"):
             raise ParameterError(f"unknown schedule kind {self.kind!r}")
+        object.__setattr__(self, "start_weekday", _whole("start_weekday", self.start_weekday))
         if not 0 <= self.start_weekday <= 6:
             raise ParameterError("start_weekday must lie in 0..6")
 
@@ -98,6 +110,8 @@ class PolicyParams:
     schedule: Schedule = Schedule()
 
     def __post_init__(self) -> None:
+        for name in ("inventory_target", "reorder_level"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.inventory_target < 0 or self.reorder_level < 0:
             raise ParameterError("inventory target and reorder level must be non-negative")
         if self.reorder_level > self.inventory_target:
@@ -150,30 +164,33 @@ def _aligned(y_hat, demands) -> tuple[list[float], list]:
     return y_hat, demands
 
 
-def _order_plan(y_hat: list[float], schedule: Schedule) -> tuple[list[int], list[bool]]:
+def _order_plan(y_hat: list[float], schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Rounded forecast units an order would cover, and whether one may be placed.
 
-    Daily orders cover one period.  Semiweekly orders are placed only on
-    Mondays and Thursdays and cover every period up to the next delivery,
-    cut at the end of the horizon.
+    Daily orders cover one period.  Semiweekly orders are placed only on Mondays and
+    Thursdays and cover every period up to the next delivery, cut at the end of the
+    horizon.  The units are ``round_units`` of each order's forecast sum, as whole floats.
     """
     horizon = len(y_hat)
     # forecasts this large could sum to inf over a block; every order is capped far below
-    if max(map(abs, y_hat), default=0.0) > 1e300:
-        y_hat = [min(max(v, -1e300), 1e300) for v in y_hat]
-    units, order_days = [], []
-    for i in range(horizon):
-        block = 1
-        if schedule.kind == "semiweekly":
-            block = _SEMIWEEKLY_BLOCKS.get((schedule.start_weekday + i) % 7, 0)
-        order_days.append(block > 0)
-        units.append(round_units(sum(y_hat[i : min(i + block, horizon)])) if block else 0)
-    return units, order_days
+    y_hat = np.clip(np.asarray(y_hat, dtype=float), -1e300, 1e300)
+    blocks = np.ones(horizon, dtype=np.int64)
+    if schedule.kind == "semiweekly":
+        lengths = np.array([_SEMIWEEKLY_BLOCKS.get(day, 0) for day in range(7)])
+        blocks = lengths[(schedule.start_weekday + np.arange(horizon)) % 7]
+    # each block's sum runs left to right, as ``sum`` does; adding 0.0 past its end is exact
+    padded = np.concatenate((y_hat, np.zeros(max(_SEMIWEEKLY_BLOCKS.values()) - 1)))
+    sums = y_hat
+    for k in range(1, blocks.max(initial=1)):
+        sums = sums + np.where(blocks > k, padded[k:k + horizon], 0.0)
+    order_days = blocks > 0
+    return np.where(order_days, np.maximum(np.floor(sums + 0.5), 0.0), 0.0), order_days
 
 
 def _rule(y_hat: list[float], params: PolicyParams):
     """``_fold``'s order function for the target/reorder rule on ``params.schedule``."""
     units, order_days = _order_plan(y_hat, params.schedule)
+    units, order_days = [int(u) for u in units.tolist()], order_days.tolist()
     return lambda i, level: order_quantity(level, units[i], params) if order_days[i] else 0
 
 
@@ -203,6 +220,17 @@ def _streams(y_hat, demands, initial, costs: CostParams, shelf_life: int):
     return y_hat, demands, profile, cost_under_actual(demands, profile, costs, shelf_life)
 
 
+def _capped(units: np.ndarray, top: int) -> np.ndarray:
+    """``min(units, top)`` as int64, exactly, for whole float ``units`` and ``0 <= top < 2**63``."""
+    beyond = units >= 2.0**63  # past int64, and so past top
+    return np.where(beyond, top, np.minimum(np.where(beyond, 0.0, units).astype(np.int64), top))
+
+
+# periods per block: their forecast units and order thresholds are gathered once, and
+# their costs priced in one ``period_cost`` call
+_BLOCK = 32
+
+
 @np.errstate(over="ignore")  # an overflow is raised at the end instead
 def _sweep(y_hat, demands, profile: AgeProfile, gold: float, costs: CostParams,
            schedules: list[Schedule], candidates: list[int], target: int | None = None,
@@ -213,27 +241,60 @@ def _sweep(y_hat, demands, profile: AgeProfile, gold: float, costs: CostParams,
     ``clamp(forecast, lift - I, cap - I)``.  ``target=None`` sweeps targets (``cap`` is
     the candidate, ``lift`` 0); otherwise reorder levels (``lift``) under ``cap = target``.
     """
-    grid = np.tile(np.asarray(candidates, dtype=np.int64), len(schedules))  # schedule-major
-    lift, cap = (0, grid) if target is None else (grid, target)
-    top = int(np.max(cap))
+    top = max(candidates) if target is None else target  # the largest cap
     if profile.total + len(demands) * top + max(demands) >= 2**63:
         raise ParameterError(
             "demands or candidates too large: cumulative arrivals would overflow int64")
+    grid = np.tile(np.asarray(candidates, dtype=np.int64), len(schedules))  # schedule-major
+    # vectors: a Python scalar operand makes each numpy call below about 70 % slower
+    lift, cap = ((np.zeros_like(grid), grid) if target is None
+                 else (grid, np.full_like(grid, target)))
     plans = [_order_plan(y_hat, schedule) for schedule in schedules]
     # no order exceeds its cap, so larger forecasts order as the cap does, within int64
-    units = np.array([[min(u, top) for u in plan[0]] for plan in plans], dtype=np.int64).T
-    order_days = np.array([plan[1] for plan in plans]).T  # (periods, schedules)
+    units = _capped(np.stack([plan[0] for plan in plans], axis=1), top)  # (periods, schedules)
+    order_days = np.stack([plan[1] for plan in plans], axis=1)
     row_schedule = np.repeat(np.arange(len(schedules)), len(candidates))
     ring = np.tile(_ring(profile.counts)[:, None], grid.size)  # (shelf_life - 1, rows)
-    level = arrived = np.full(grid.size, profile.total)
-    gone, total = 0, np.zeros(grid.size)
-    for t, y in enumerate(demands):
-        # a gather from the period's row, then same-shape operations: no broadcasting
-        clamped = np.minimum(np.maximum(units[t][row_schedule], lift - level), cap - level)
-        orders = np.where(order_days[t][row_schedule] & (level < grid), clamped, 0)
-        arrived, gone, urgent, expired = _advance(ring, t, arrived, gone, orders, y)
-        level = arrived - gone
-        total += costs.period_cost(orders > 0, level, urgent, expired)
+    slots = itertools.cycle(ring)  # period t reads C(t - L + 1) from slot t % (L - 1)
+    # one row per period of a block: cumulative arrivals C(t) (row 0 holds the previous
+    # block's last), the units gone if every demand were met from stock, the units taken
+    # by issue, the units gone by issue or expiry, and the end levels
+    arrived = np.empty((_BLOCK + 1, grid.size), dtype=np.int64)
+    wanted, taken, gone, levels = (np.empty((_BLOCK, grid.size), dtype=np.int64)
+                                   for _ in range(4))
+    arrived[0] = level = np.full(grid.size, profile.total)
+    went, total = np.zeros(grid.size, dtype=np.int64), np.zeros(grid.size)  # gone before t
+    stock, idle = np.empty(grid.size, dtype=np.int64), np.empty(grid.size, dtype=bool)
+    for start in range(0, len(demands), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        # the rows' forecast units, and the stock they order below: the candidate on
+        # order days, 0 (never) elsewhere
+        forecast = units[block][:, row_schedule]
+        below = np.where(order_days[block][:, row_schedule], grid, 0)
+        demand = np.broadcast_to(np.array(demands[block])[:, None], forecast.shape)
+        for y, u, b, c, w, k, g, l, slot in zip(demand, forecast, below, arrived[1:],
+                                                 wanted, taken, gone, levels, slots):
+            # stock after the order: I + clamp(forecast, lift - I, cap - I) if ordering, else I
+            np.add(u, level, out=stock)
+            np.maximum(stock, lift, out=stock)
+            np.minimum(stock, cap, out=stock)
+            np.greater_equal(level, b, out=idle)
+            np.copyto(stock, level, where=idle)
+            np.add(went, stock, out=c)
+            np.add(went, y, out=w)
+            np.minimum(w, c, out=k)  # oldest first, arrivals last
+            np.maximum(slot, k, out=g)  # taken plus the cohort reaching the shelf-life limit
+            slot[...] = c
+            np.subtract(c, g, out=l)
+            level, went = l, g
+        n = len(forecast)
+        # a period orders when C grows; urgent units are wanted less taken, expired are
+        # gone less taken
+        cost = costs.period_cost(arrived[1:n + 1] > arrived[:n], levels[:n],
+                                 wanted[:n] - taken[:n], gone[:n] - taken[:n])
+        cost[0] += total  # then the running sums add each period's cost as ``total += cost``
+        total = np.cumsum(cost, axis=0)[-1]
+        arrived[0] = arrived[n]
     if not np.isfinite(total).all():  # every cost is non-negative, so an overflow is inf
         raise ParameterError("demands or costs so large that a candidate's average cost "
                              "overflows")
@@ -242,7 +303,7 @@ def _sweep(y_hat, demands, profile: AgeProfile, gold: float, costs: CostParams,
 
 
 def _candidates(grid, name: str, target: int | None = None) -> list[int]:
-    values = sorted(set(int(v) for v in grid))
+    values = sorted({_whole(f"{name} grid entry", v) for v in grid})
     if not values:
         raise ParameterError(f"{name} grid is empty")
     if target is not None and values[-1] > target:
@@ -318,16 +379,16 @@ def learn_policy(y_hat, demands, initial, costs: CostParams, target_grid, reorde
     ``0..target`` in steps of 10.
     """
     targets = _candidates(target_grid, "target")
+    given = None if reorder_grid is None else _candidates(reorder_grid, "reorder")
+    schedules = [Schedule(kind, start_weekday) for kind in ("daily", "semiweekly")]
     streams = _streams(y_hat, demands, initial, costs, shelf_life)
     rows = {"target": _sweep(*streams, costs, [Schedule()], targets)[0]}
     target = best_candidate(rows["target"], objective)
-    grid = (range(0, target + 1, 10) if reorder_grid is None
-            else [s for s in reorder_grid if s <= target])  # the others are infeasible
-    if not grid:
-        raise ParameterError(f"reorder grid {min(reorder_grid)}..{max(reorder_grid)} has no "
-                             f"candidate <= target {target}")
-    schedules = [Schedule(kind, start_weekday) for kind in ("daily", "semiweekly")]
-    levels = _candidates(grid, "reorder", target)
+    levels = (list(range(0, target + 1, 10)) if given is None
+              else [s for s in given if s <= target])  # the others are infeasible
+    if not levels:
+        raise ParameterError(f"reorder grid {given[0]}..{given[-1]} has no candidate <= "
+                             f"target {target}")
     rows.update(zip(("daily", "semiweekly"), _sweep(*streams, costs, schedules, levels, target)))
     return {name: best_candidate(rows[name], objective) for name in rows}, rows
 
@@ -408,6 +469,7 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
     how such systems are audited), and ``daily``/``semiweekly`` run the
     target/reorder rule with the given ``params``.
     """
+    Schedule(start_weekday=start_weekday)  # checked for every strategy
     demands = list(demands)
     profile = _as_profile(initial, demands, shelf_life)
     if strategy == "gold":

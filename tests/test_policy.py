@@ -69,6 +69,23 @@ class TestOrderQuantity:
         with pytest.raises(ParameterError):
             order_quantity(-1, 0, params)
 
+    @pytest.mark.parametrize("target, level, name", [
+        (40.5, 10, "inventory_target"),  # once simulated, at cost_mean 86.5
+        (float("nan"), 1, "inventory_target"),
+        ("40", 10, "inventory_target"),  # once a TypeError
+        (True, 0, "inventory_target"),
+        (40, 10.0, "reorder_level"),
+        (40, float("inf"), "reorder_level"),
+    ])
+    def test_levels_that_are_not_whole_numbers_rejected(self, target, level, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be a whole number, got "):
+            PolicyParams(target, level)
+
+    def test_numpy_levels_accepted_as_ints(self):
+        params = PolicyParams(np.int64(40), np.int32(10))
+        assert params == PolicyParams(40, 10)
+        assert type(params.inventory_target) is int and type(params.reorder_level) is int
+
 
 def test_round_units_half_up():
     assert round_units(2.5) == 3
@@ -177,6 +194,50 @@ class TestOptimizeTarget:
 def test_negative_candidate_rejected(sweep):
     # target_sweep once returned rows for targets below zero
     with pytest.raises(ParameterError, match="must be non-negative"):
+        sweep()
+
+
+@pytest.mark.parametrize("value", [10.7, 10.0, float("nan"), float("inf"), "40", True,
+                                   np.float64(30.5)])
+@pytest.mark.parametrize("grid, sweep", [
+    ("target", lambda g: target_sweep([1.0, 2.0], [1, 2], 10, COSTS, [g, 30])),
+    ("reorder", lambda g: reorder_sweep([1.0, 2.0], [1, 2], 10, COSTS, 50, [g, 10])),
+    ("target", lambda g: learn_policy([1.0, 2.0], [1, 2], 10, COSTS, [g, 30])),
+    ("reorder", lambda g: learn_policy([1.0, 2.0], [1, 2], 10, COSTS, [30], [g, 0])),
+], ids=["target_sweep", "reorder_sweep", "learn_policy-target", "learn_policy-reorder"])
+def test_grid_entries_that_are_not_whole_numbers_rejected(grid, sweep, value):
+    # int() once truncated 10.7 to 10 and 5.5 to 5, and took "40" as 40 and True as 1
+    with pytest.raises(ParameterError, match=f"^{grid} grid entry must be a whole number, got "):
+        sweep(value)
+
+
+def test_numpy_grid_entries_accepted():
+    y_hat, demands = [5.0, 7.0, 4.0], [6, 6, 5]
+    grid = np.array([30, 10, 20], dtype=np.int32)
+    assert (target_sweep(y_hat, demands, 10, COSTS, grid)
+            == target_sweep(y_hat, demands, 10, COSTS, [10, 20, 30]))
+    choices, rows = learn_policy(y_hat, demands, 10, COSTS, grid, np.arange(0, 31, 5))
+    assert choices == learn_policy(y_hat, demands, 10, COSTS, [10, 20, 30],
+                                   list(range(0, 31, 5)))[0]
+    assert all(type(row[0]) is int for sweep in rows.values() for row in sweep)
+
+
+def test_reorder_grid_generator_read_once():
+    y_hat, demands = [5.0, 7.0, 4.0], [6, 6, 5]
+    expected = learn_policy(y_hat, demands, 10, COSTS, [10, 20], [0, 5, 10])
+    assert learn_policy(y_hat, demands, 10, COSTS, [10, 20], (s for s in (0, 5, 10))) == expected
+    # a generator the target filters to nothing once raised "min() arg is an empty sequence"
+    with pytest.raises(ParameterError, match="^reorder grid 500..600 has no candidate <= target"):
+        learn_policy(y_hat, demands, 10, COSTS, [10, 20], (s for s in (500, 600)))
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: target_sweep([1.0], [1], 10, COSTS, [2**64]),  # once a raw OverflowError
+    lambda: reorder_sweep([1.0], [1], 10, COSTS, 2**64, [0]),
+    lambda: learn_policy([1.0], [1], 10, COSTS, [2**63]),
+], ids=["target_sweep", "reorder_sweep", "learn_policy"])
+def test_candidates_beyond_int64_fail_closed(sweep):
+    with pytest.raises(ParameterError, match="would overflow int64"):
         sweep()
 
 
@@ -427,6 +488,15 @@ class TestEvaluateStrategy:
     def test_baseline_needs_target(self):
         with pytest.raises(ParameterError):
             evaluate_strategy("baseline", [1.0], [1], 10, COSTS)
+
+    @pytest.mark.parametrize("start_weekday", [9, -1, 7, 1.5, "3", True])
+    @pytest.mark.parametrize("strategy", ["gold", "baseline", "daily", "semiweekly"])
+    def test_start_weekday_checked_for_every_strategy(self, strategy, start_weekday):
+        # gold and baseline once took 9 and reported placement weekdays mod 7
+        with pytest.raises(ParameterError, match="^start_weekday must"):
+            evaluate_strategy(strategy, [5.0] * 4, [5] * 4, 10, COSTS,
+                              params=PolicyParams(100, 50), baseline_target=60,
+                              start_weekday=start_weekday)
 
 
 class TestNanForecast:
