@@ -12,6 +12,7 @@ a JSON config file via ``--config``; explicit flags win over file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime as dt
 import hashlib
@@ -175,8 +176,16 @@ def _young_stock(args, demands) -> inventory.AgeProfile:
     """The starting stock of every simulation in a run: ``--initial`` young units."""
     if args.initial < 0:
         raise ParameterError(f"--initial must be non-negative, got {args.initial}")
-    mean_demand = sum(demands) / len(demands) if demands else 1.0
-    return inventory.young_stock(args.initial, max(mean_demand, 1.0), args.shelf_life)
+    return inventory._starting_stock(args.initial, demands, args.shelf_life)
+
+
+@contextlib.contextmanager
+def _blaming(prefix):
+    """Re-raise a ``ParameterError`` or ``SchemaError`` as one of its class led by ``prefix: ``."""
+    try:
+        yield
+    except (ParameterError, SchemaError) as exc:
+        raise type(exc)(f"{prefix}: {exc}") from None
 
 
 def _report(records, predicted) -> forecast.ForecastReport:
@@ -211,10 +220,8 @@ def cmd_decompose(args, run: _Run) -> None:
     config = _value(args, timeseries.StlConfig)
     records = forecast.read_dataset_csv(args.data)
     series = forecast.demand_series(records, args.period)
-    try:
+    with _blaming(f"{args.data}: demand"):
         dec = timeseries.stl_decompose(series, config)
-    except ParameterError as exc:
-        raise ParameterError(f"{args.data}: demand: {exc}") from None
     path = run.write("decomposition.csv", timeseries.write_decomposition_csv, series, dec)
     print(f"wrote decomposition of {len(series)} days to {path}")
 
@@ -230,12 +237,10 @@ def cmd_train(args, run: _Run) -> None:
         )
     train_part = records[: args.train_days]
     holdout = records[args.train_days :]
-    try:
+    with _blaming(f"{args.data}: demand"):
         model = forecast.fit_hybrid(train_part, stl_config, gbrt_config, period=args.period)
         report = _report(holdout, forecast.predict_daily(model, holdout))
         rmse = report.rmse if holdout else math.nan  # scored before any write
-    except ParameterError as exc:
-        raise ParameterError(f"{args.data}: demand: {exc}") from None
     zero_day = next((r.date for r in holdout if r.demand == 0.0), None)  # MAPE divides by demand
     mape = 100.0 * report.mape if holdout and zero_day is None else math.nan
     path = run.write("model.json", _write_json, forecast.hybrid_to_dict(model))
@@ -252,10 +257,8 @@ def cmd_train(args, run: _Run) -> None:
 
 def cmd_forecast(args, run: _Run) -> None:
     doc = _load_json(args.model)
-    try:
+    with _blaming(args.model):
         model = forecast.hybrid_from_dict(doc)
-    except SchemaError as exc:
-        raise SchemaError(f"{args.model}: {exc}") from exc
     records = forecast.read_dataset_csv(args.data)
     if args.horizon < 0:
         raise ParameterError("horizon must be non-negative")
@@ -265,10 +268,8 @@ def cmd_forecast(args, run: _Run) -> None:
             f"{args.data}: data supplies only {len(future)} days after {model.train_end}, "
             f"horizon needs {args.horizon}"
         )
-    try:
+    with _blaming(args.data):
         predicted = forecast.predict_daily(model, future)
-    except ParameterError as exc:
-        raise ParameterError(f"{args.data}: {exc}") from exc
     path = run.write("forecast.csv", forecast.write_forecast_csv, _report(future, predicted))
     print(f"wrote {len(future)} forecast days to {path}")
 
@@ -277,10 +278,6 @@ def cmd_simulate(args, run: _Run) -> None:
     costs = _value(args, inventory.CostParams)
     orders = inventory.read_stream_csv(args.orders)
     demands = inventory.read_stream_csv(args.demands)
-    if len(orders) != len(demands):
-        raise ParameterError(
-            f"stream length mismatch: orders={len(orders)} demands={len(demands)}"
-        )
     outcomes, average = inventory.simulate(_young_stock(args, demands), orders, demands, costs)
     run.write("trajectory.csv", inventory.write_trajectory_csv, outcomes)
     print(f"simulated {len(outcomes)} periods, average cost {average:.2f}")
@@ -312,12 +309,10 @@ def cmd_optimize(args, run: _Run) -> None:
                     else None)
     y_hat, demands, start_weekday = _read_report(args.report)
     stock = _young_stock(args, demands)
-    try:  # every sweep is checked before the first write
+    with _blaming(args.report):  # every sweep is checked before the first write
         choices, sweeps = policy.learn_policy(y_hat, demands, stock, costs, target_grid,
                                               reorder_grid, start_weekday, args.shelf_life,
                                               args.objective)
-    except ParameterError as exc:
-        raise ParameterError(f"{args.report}: {exc}") from None
 
     run.write("policy.json", _write_json, {
         "format": "bloodbank.policy",
@@ -374,13 +369,11 @@ def cmd_compare(args, run: _Run) -> None:
                   "daily": {"params": policy.PolicyParams(target, reorder_daily)},
                   "semiweekly": {"params": policy.PolicyParams(target, reorder_semiweekly)}}
     stock = _young_stock(args, demands)
-    try:  # checked before any write
+    with _blaming(args.report):  # checked before any write
         summaries = [policy.evaluate_strategy(name, y_hat, demands, stock, costs,
                                               start_weekday=start_weekday,
                                               shelf_life=args.shelf_life, **extra)
                      for name, extra in strategies.items()]
-    except ParameterError as exc:
-        raise ParameterError(f"{args.report}: {exc}") from None
     table = policy.comparison_table(summaries)
     run.write("comparison.csv", policy.write_comparison_csv, summaries)
     run.write("comparison.txt", Path.write_text, table + "\n")

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, nonnegative_finite, whole
 from .forecast import DailyRecord
 from .table import number, write_table
 
@@ -48,14 +47,14 @@ class CovariateSpec:
     ar: float = 0.7
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "lag", whole("lag", self.lag))
         if self.lag not in (1, 7):
             raise ParameterError(f"covariate lag must be 1 or 7, got {self.lag}")
         if self.nonlinearity not in ("none", "threshold"):
             raise ParameterError(f"unknown nonlinearity {self.nonlinearity!r}")
         if not 0.0 <= self.ar < 1.0:
             raise ParameterError(f"ar must lie in [0, 1), got {self.ar}")
-        if self.sd < 0.0:
-            raise ParameterError("sd must be non-negative")
+        nonnegative_finite(self, ("sd",))
 
     def response(self, values: np.ndarray) -> np.ndarray:
         """Demand contribution per standardized covariate value."""
@@ -85,8 +84,7 @@ class GenConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_days", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ParameterError(f"{name} must be a whole number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
         if not isinstance(self.start_date, dt.date):
             raise ParameterError(f"start_date must be a datetime.date, got {self.start_date!r}")
         if self.n_days < 1:
@@ -100,8 +98,7 @@ class GenConfig:
             raise ParameterError(f"start_date {self.start_date} with n_days {self.n_days}: the 7 "
                                  f"lead-in days and the last day must lie in "
                                  f"{dt.date.min}..{dt.date.max}")
-        if not 0.0 <= self.noise_sd < math.inf:  # also NaN
-            raise ParameterError(f"noise_sd must be non-negative and finite, got {self.noise_sd}")
+        nonnegative_finite(self, ("noise_sd",))
         for name in ("base_level", "trend_slope"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")

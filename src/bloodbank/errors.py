@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument rules that raise them."""
+
+import math
+import numbers
 
 
 class ParameterError(ValueError):
@@ -7,3 +10,19 @@ class ParameterError(ValueError):
 
 class SchemaError(ValueError):
     """Raised when a CSV or JSON artifact does not match its expected schema."""
+
+
+def whole(name: str, value) -> int:
+    """``value`` as an int; a bool, text or number that is not a whole number fails."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def nonnegative_finite(config, names) -> None:
+    """Fail unless each named field of ``config`` is a number in [0, inf); a bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0.0 <= value < math.inf):  # also NaN
+            raise ParameterError(f"{name} must be non-negative and finite, got {value!r}")

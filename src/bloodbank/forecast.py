@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import gbrt
-from .errors import ParameterError, SchemaError
+from .errors import ParameterError, SchemaError, whole
 from .policy import _SEMIWEEKLY_BLOCKS
 from .table import number, read_rows, write_table
 from .timeseries import (TREND_MODES, Decomposition, Series, StlConfig, stl_decompose,
@@ -648,8 +648,7 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
     if doc.get("version") != 1:
         raise SchemaError(f"unsupported hybrid model version {doc.get('version')!r}")
     try:
-        if type(doc["period"]) is not int:
-            raise SchemaError(f"period must be a whole number, got {doc['period']!r}")
+        whole("period", doc["period"])
         stl = doc["stl_config"]
         for key, value in stl.items() if isinstance(stl, dict) else ():
             if type(value) is not int and not (key == "t_window" and value is None):

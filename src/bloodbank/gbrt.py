@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError
+from .errors import ParameterError, SchemaError, nonnegative_finite, whole
 
 __all__ = [
     "FeatureMatrix",
@@ -117,16 +117,15 @@ class GbrtConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_rounds", "seed") + (("max_depth",) if self.max_depth is not None else ()):
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
         if self.n_rounds < 0:
             raise ParameterError("n_rounds must be non-negative")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ParameterError(f"learning_rate must lie in (0, 1], got {self.learning_rate}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ParameterError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-        for name in ("min_child_weight", "reg_lambda", "gamma"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # also NaN
-                raise ParameterError(f"{name} must be non-negative and finite, got {value}")
+        nonnegative_finite(self, ("min_child_weight", "reg_lambda", "gamma"))
         for name in ("subsample_rows", "subsample_cols"):
             frac = getattr(self, name)
             if not 0.0 < frac <= 1.0:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError
+from .errors import ParameterError, SchemaError, nonnegative_finite, whole
 from .table import number, read_rows, write_table
 
 __all__ = [
@@ -66,10 +66,7 @@ class CostParams:
     wastage: float = 50.0
 
     def __post_init__(self) -> None:
-        for name in ("routine_delivery", "holding", "urgent", "wastage"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # also NaN
-                raise ParameterError(f"{name} must be non-negative and finite, got {value}")
+        nonnegative_finite(self, ("routine_delivery", "holding", "urgent", "wastage"))
 
     def period_cost(self, placed, end_inventory, urgent, expired):
         """Cost of one period; takes scalars or equally shaped arrays.
@@ -98,6 +95,7 @@ class AgeProfile:
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
+        object.__setattr__(self, "shelf_life", whole("shelf_life", self.shelf_life))
         if self.shelf_life < 2:
             raise ParameterError(f"shelf_life must be >= 2, got {self.shelf_life}")
         if counts.ndim != 1 or counts.size != self.shelf_life - 1:
@@ -128,6 +126,7 @@ def young_stock(total: int, mean_demand: float, shelf_life: int = 32) -> AgeProf
     ordering exactly the realized demand keeps the level constant with no
     expiry.
     """
+    shelf_life, total = whole("shelf_life", shelf_life), whole("total", total)
     if shelf_life < 2:  # before it sizes the counts or divides
         raise ParameterError(f"shelf_life must be >= 2, got {shelf_life}")
     if total < 0:
@@ -163,6 +162,15 @@ def _check_units(name: str, value: int) -> int:
     if units is None or units != value or units < 0:
         raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
     return units
+
+
+def _starting_stock(initial, demands: list, shelf_life: int) -> AgeProfile:
+    """``initial`` if an ``AgeProfile``, else that many young units at the mean demand (>= 1)."""
+    if isinstance(initial, AgeProfile):
+        return initial
+    total = _check_units("initial", initial)
+    mean_demand = sum(demands) / len(demands) if demands else 1.0
+    return young_stock(total, max(mean_demand, 1.0), shelf_life)
 
 
 def _ring(counts: np.ndarray) -> np.ndarray:

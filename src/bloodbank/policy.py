@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, whole
 from .inventory import (
     AgeProfile,
     CostParams,
@@ -45,7 +44,7 @@ from .inventory import (
     _outcomes,
     _ring,
     _run,
-    young_stock,
+    _starting_stock,
 )
 from .table import number, write_table
 
@@ -75,13 +74,6 @@ __all__ = [
 _SEMIWEEKLY_BLOCKS = {1: 3, 4: 4}
 
 
-def _whole(name: str, value) -> int:
-    """``value`` as an int; a bool, text or number that is not a whole number fails."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Order timing: every day, or Mondays and Thursdays only.
@@ -98,7 +90,7 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind not in ("daily", "semiweekly"):
             raise ParameterError(f"unknown schedule kind {self.kind!r}")
-        object.__setattr__(self, "start_weekday", _whole("start_weekday", self.start_weekday))
+        object.__setattr__(self, "start_weekday", whole("start_weekday", self.start_weekday))
         if not 0 <= self.start_weekday <= 6:
             raise ParameterError("start_weekday must lie in 0..6")
 
@@ -111,7 +103,7 @@ class PolicyParams:
 
     def __post_init__(self) -> None:
         for name in ("inventory_target", "reorder_level"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
         if self.inventory_target < 0 or self.reorder_level < 0:
             raise ParameterError("inventory target and reorder level must be non-negative")
         if self.reorder_level > self.inventory_target:
@@ -141,14 +133,6 @@ class PolicyRun:
     outcomes: list[PeriodOutcome]
     average_cost: float
     initial_level: int
-
-
-def _as_profile(initial, demands, shelf_life: int) -> AgeProfile:
-    if isinstance(initial, AgeProfile):
-        return initial
-    demands = list(demands)
-    mean_demand = sum(demands) / len(demands) if demands else 1.0
-    return young_stock(int(initial), max(mean_demand, 1.0), shelf_life)
 
 
 def _aligned(y_hat, demands) -> tuple[list[float], list]:
@@ -198,7 +182,7 @@ def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
                shelf_life: int = 32) -> PolicyRun:
     """Simulate the target/reorder rule over aligned forecast/demand streams."""
     y_hat, demands = _aligned(y_hat, demands)
-    profile = _as_profile(initial, demands, shelf_life)
+    profile = _starting_stock(initial, demands, shelf_life)
     columns, average = _run(profile, demands, costs, _rule(y_hat, params))
     return PolicyRun(_outcomes(columns), average, profile.total)
 
@@ -208,7 +192,7 @@ def cost_under_actual(demands, initial, costs: CostParams, shelf_life: int = 32)
     demands = list(demands)
     if not demands:
         raise ParameterError("demand stream must be non-empty")
-    profile = _as_profile(initial, demands, shelf_life)
+    profile = _starting_stock(initial, demands, shelf_life)
     return _run(profile, demands, costs, lambda i, level: demands[i])[1]
 
 
@@ -216,7 +200,7 @@ def _streams(y_hat, demands, initial, costs: CostParams, shelf_life: int):
     """Checked forecasts and demands, the starting stock and the gold standard's cost."""
     y_hat, demands = _aligned(y_hat, demands)
     demands = [_check_units("demand", y) for y in demands]
-    profile = _as_profile(initial, demands, shelf_life)
+    profile = _starting_stock(initial, demands, shelf_life)
     return y_hat, demands, profile, cost_under_actual(demands, profile, costs, shelf_life)
 
 
@@ -303,7 +287,7 @@ def _sweep(y_hat, demands, profile: AgeProfile, gold: float, costs: CostParams,
 
 
 def _candidates(grid, name: str, target: int | None = None) -> list[int]:
-    values = sorted({_whole(f"{name} grid entry", v) for v in grid})
+    values = sorted({whole(f"{name} grid entry", v) for v in grid})
     if not values:
         raise ParameterError(f"{name} grid is empty")
     if target is not None and values[-1] > target:
@@ -471,7 +455,7 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
     """
     Schedule(start_weekday=start_weekday)  # checked for every strategy
     demands = list(demands)
-    profile = _as_profile(initial, demands, shelf_life)
+    profile = _starting_stock(initial, demands, shelf_life)
     if strategy == "gold":
         rule = lambda i, level: demands[i]
     elif strategy == "baseline":

@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, whole
 from .table import number, write_table
 
 __all__ = [
@@ -50,6 +50,7 @@ class Series:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ParameterError("series values must be a non-empty 1-d sequence")
+        object.__setattr__(self, "period", whole("period", self.period))
         if self.period < 2:
             raise ParameterError(f"period must be >= 2, got {self.period}")
         object.__setattr__(self, "values", values)
@@ -101,6 +102,9 @@ class StlConfig:
     loess_degree: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("s_window", "n_inner", "n_outer", "loess_degree") + (
+                ("t_window",) if self.t_window is not None else ()):
+            object.__setattr__(self, name, whole(name, getattr(self, name)))
         if self.s_window < 7 or self.s_window % 2 == 0:
             raise ParameterError(f"s_window must be odd and >= 7, got {self.s_window}")
         if self.t_window is not None and (self.t_window < 3 or self.t_window % 2 == 0):

@@ -170,6 +170,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "5" in err and "7" in err
 
+    def test_unequal_streams_fail_before_writing(self, tmp_path, capsys):
+        orders = tmp_path / "orders.csv"
+        demands = tmp_path / "demands.csv"
+        write_stream(orders, [5] * 3)
+        write_stream(demands, [5] * 4)
+        code = run(["simulate", "--orders", orders, "--demands", demands,
+                    "--out-dir", tmp_path / "sim"])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err, err
+        assert "stream length mismatch: 3 orders vs 4 demands" in err, err
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("cell", ["2.5", "abc", "", "-3"])
     def test_bad_units_cell_fails_cleanly(self, tmp_path, capsys, cell):
         orders = tmp_path / "orders.csv"

@@ -117,3 +117,32 @@ def test_start_date_controls_calendar():
     records = generate(config)
     assert records[0].date == dt.date(2015, 6, 1)
     assert records[-1].date == dt.date(2015, 6, 10)
+
+
+@pytest.mark.parametrize("field, value", [("n_days", True), ("seed", False)])
+def test_bools_are_not_whole_numbers(field, value):
+    # GenConfig(n_days=True) once generated a one-day dataset
+    with pytest.raises(ParameterError, match=f"^{field} must be a whole number, got {value}$"):
+        GenConfig(**{field: value})
+
+
+@pytest.mark.parametrize("make, message", [
+    # NaN once passed, and the generator emitted the covariate as missing values
+    (lambda: CovariateSpec("x", sd=float("nan")), "sd must be non-negative and finite, got nan"),
+    (lambda: CovariateSpec("x", sd=-1.0), "sd must be non-negative and finite, got -1.0"),
+    (lambda: CovariateSpec("x", sd="20"), "sd must be non-negative and finite, got '20'"),
+    (lambda: CovariateSpec("x", sd=True), "sd must be non-negative and finite, got True"),
+    (lambda: CovariateSpec("x", lag=7.0), "lag must be a whole number, got 7.0"),
+    (lambda: CovariateSpec("x", lag=True), "lag must be a whole number, got True"),
+    (lambda: GenConfig(noise_sd="20"), "noise_sd must be non-negative and finite, got '20'"),
+    (lambda: GenConfig(noise_sd=True), "noise_sd must be non-negative and finite, got True"),
+])
+def test_config_fields_fail_closed(make, message):
+    with pytest.raises(ParameterError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_numpy_lag_accepted_as_int():
+    spec = CovariateSpec("x", lag=np.int64(1))
+    assert spec == CovariateSpec("x", lag=1) and type(spec.lag) is int

@@ -476,3 +476,26 @@ def test_config_validation():
         GbrtConfig(reg_lambda=-1.0)
     with pytest.raises(ParameterError):
         GbrtConfig(max_depth=0)
+
+
+@pytest.mark.parametrize("make, message", [
+    # 2.5 rounds or seed once raised a raw TypeError, and depth 2.5 was accepted
+    (lambda: GbrtConfig(n_rounds=2.5), "n_rounds must be a whole number, got 2.5"),
+    (lambda: GbrtConfig(max_depth=2.5), "max_depth must be a whole number, got 2.5"),
+    (lambda: GbrtConfig(max_depth=True), "max_depth must be a whole number, got True"),
+    (lambda: GbrtConfig(seed=1.5), "seed must be a whole number, got 1.5"),
+    (lambda: GbrtConfig(gamma="0"), "gamma must be non-negative and finite, got '0'"),
+    (lambda: GbrtConfig(reg_lambda=True), "reg_lambda must be non-negative and finite, got True"),
+    (lambda: GbrtConfig(min_child_weight=float("inf")),
+     "min_child_weight must be non-negative and finite, got inf"),
+])
+def test_config_fields_fail_closed(make, message):
+    with pytest.raises(ParameterError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_config_takes_numpy_ints_as_ints_and_no_depth_limit():
+    config = GbrtConfig(n_rounds=np.int64(5), max_depth=np.int32(2), seed=np.int64(3))
+    assert config == GbrtConfig(n_rounds=5, max_depth=2, seed=3)
+    assert type(config.n_rounds) is int and GbrtConfig(max_depth=None).max_depth is None

@@ -264,3 +264,25 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert [[*map(int, row[:6]), float(row[6])] for row in rows] == [
         [i, o.order_qty, o.demand, o.urgent, o.expired, o.end_inventory, o.cost]
         for i, o in enumerate(outcomes, start=1)]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CostParams(holding="1"), "holding must be non-negative and finite, got '1'"),
+    (lambda: CostParams(urgent=True), "urgent must be non-negative and finite, got True"),
+    (lambda: CostParams(wastage=float("nan")), "wastage must be non-negative and finite, got nan"),
+    (lambda: AgeProfile(np.zeros(2), shelf_life=2.5), "shelf_life must be a whole number, got 2.5"),
+    (lambda: AgeProfile(np.zeros(1), shelf_life=True), "shelf_life must be a whole number, got True"),
+    (lambda: young_stock(5.5, 3.0), "total must be a whole number, got 5.5"),
+    (lambda: young_stock(True, 3.0), "total must be a whole number, got True"),
+    (lambda: young_stock(5, 3.0, 32.0), "shelf_life must be a whole number, got 32.0"),
+])
+def test_cost_and_stock_fields_fail_closed(make, message):
+    with pytest.raises(ParameterError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_numpy_integers_accepted_as_ints():
+    profile = young_stock(np.int64(40), 5.0, np.int32(8))
+    assert profile.counts.tolist() == young_stock(40, 5.0, 8).counts.tolist()
+    assert type(profile.shelf_life) is int

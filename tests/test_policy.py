@@ -552,3 +552,30 @@ def test_comparison_outputs(tmp_path, small_records):
     assert float(loaded["cost_mean"][1]) == pytest.approx(summaries[1].cost_mean)
     assert loaded["urgent_mean"][0] == ""
     assert float(loaded["total_cost"][2]) == pytest.approx(summaries[2].total_cost)
+
+
+# every entry point that takes a starting stock as a unit count; ``initial`` once went
+# through ``int()``, which truncated 5.7 to 5 and parsed the text "5"
+_INITIAL_ENTRIES = {
+    "evaluate_strategy": lambda initial: evaluate_strategy(
+        "daily", [5.0] * 6, [5] * 6, initial, COSTS, params=PolicyParams(40, 10)).total_cost,
+    "run_policy": lambda initial: run_policy(
+        [5.0] * 6, [5] * 6, initial, COSTS, PolicyParams(40, 10)).average_cost,
+    "cost_under_actual": lambda initial: cost_under_actual([5] * 6, initial, COSTS),
+    "learn_policy": lambda initial: learn_policy([5.0] * 6, [5] * 6, initial, COSTS,
+                                                 range(0, 41, 10)),
+}
+
+
+@pytest.mark.parametrize("value", [5.7, "5", -3, float("nan"), None])
+@pytest.mark.parametrize("entry", _INITIAL_ENTRIES)
+def test_initial_that_is_not_a_unit_count_rejected(entry, value):
+    with pytest.raises(ParameterError,
+                       match=f"^initial must be a non-negative integer, got {value!r}$"):
+        _INITIAL_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("value", [780.0, np.int64(780)])
+@pytest.mark.parametrize("entry", _INITIAL_ENTRIES)
+def test_whole_initial_accepted_as_its_int(entry, value):
+    assert _INITIAL_ENTRIES[entry](value) == _INITIAL_ENTRIES[entry](780)

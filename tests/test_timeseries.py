@@ -405,3 +405,26 @@ def test_decomposition_csv_round_trip(tmp_path):
     assert np.array_equal(trend, dec.trend)
     assert np.array_equal(seasonal, dec.seasonal)
     assert np.array_equal(residual, dec.residual)
+
+
+@pytest.mark.parametrize("make, message", [
+    # 11.0 and 7.5 once ended in an IndexError or TypeError, and True was taken as 1
+    (lambda: StlConfig(s_window=11.0), "s_window must be a whole number, got 11.0"),
+    (lambda: StlConfig(t_window=13.0), "t_window must be a whole number, got 13.0"),
+    (lambda: StlConfig(n_inner=1.5), "n_inner must be a whole number, got 1.5"),
+    (lambda: StlConfig(n_outer="1"), "n_outer must be a whole number, got '1'"),
+    (lambda: StlConfig(loess_degree=True), "loess_degree must be a whole number, got True"),
+    (lambda: Series(MONDAY, [1.0] * 20, period=7.5), "period must be a whole number, got 7.5"),
+    (lambda: Series(MONDAY, [1.0] * 20, period=True), "period must be a whole number, got True"),
+])
+def test_int_fields_must_be_whole_numbers(make, message):
+    with pytest.raises(ParameterError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_numpy_int_fields_accepted_as_ints():
+    config = StlConfig(s_window=np.int64(11), t_window=np.int32(13))
+    assert config == StlConfig(s_window=11, t_window=13) and type(config.s_window) is int
+    assert StlConfig(t_window=None).t_window is None
+    assert type(Series(MONDAY, [1.0] * 20, period=np.int64(7)).period) is int
