@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, nonnegative_finite, whole
+from .errors import ParameterError, finite_real, nonnegative_finite, whole
 from .forecast import DailyRecord
 from .table import number, write_table
 
@@ -52,6 +52,8 @@ class CovariateSpec:
             raise ParameterError(f"covariate lag must be 1 or 7, got {self.lag}")
         if self.nonlinearity not in ("none", "threshold"):
             raise ParameterError(f"unknown nonlinearity {self.nonlinearity!r}")
+        for name in ("effect_size", "mean", "ar"):
+            finite_real(name, getattr(self, name))
         if not 0.0 <= self.ar < 1.0:
             raise ParameterError(f"ar must lie in [0, 1), got {self.ar}")
         nonnegative_finite(self, ("sd",))
@@ -100,12 +102,13 @@ class GenConfig:
                                  f"{dt.date.min}..{dt.date.max}")
         nonnegative_finite(self, ("noise_sd",))
         for name in ("base_level", "trend_slope"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+            finite_real(name, getattr(self, name))
         names = [c.name for c in self.covariates]
         if len(set(names)) != len(names):
             raise ParameterError("covariate names must be unique")
-        object.__setattr__(self, "weekday_effects", tuple(float(v) for v in self.weekday_effects))
+        effects = tuple(float(finite_real(f"weekday_effects[{i}]", v))
+                        for i, v in enumerate(self.weekday_effects))
+        object.__setattr__(self, "weekday_effects", effects)
         object.__setattr__(self, "covariates", tuple(self.covariates))
 
 

@@ -19,10 +19,23 @@ def whole(name: str, value) -> int:
     return int(value)
 
 
+def _finite_real(value) -> bool:
+    """A real number that is neither a bool, infinite nor NaN (no float cast, so a huge
+    int stays finite)."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and -math.inf < value < math.inf)
+
+
+def finite_real(name: str, value):
+    """``value`` as given if it is a finite real number; a bool, text or NaN fails."""
+    if not _finite_real(value):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def nonnegative_finite(config, names) -> None:
     """Fail unless each named field of ``config`` is a number in [0, inf); a bool is not one."""
     for name in names:
         value = getattr(config, name)
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not 0.0 <= value < math.inf):  # also NaN
+        if not (_finite_real(value) and value >= 0.0):
             raise ParameterError(f"{name} must be non-negative and finite, got {value!r}")

@@ -1,22 +1,25 @@
 """Gradient-boosted regression trees with Newton leaf weights.
 
 Trees are grown by exact greedy search: every midpoint between consecutive
-distinct sorted feature values is scored with the regularized gain, and rows
-with a missing value follow a per-node default direction learned during the
-search.  Leaf weights are the closed-form Newton step -G / (H + lambda).
-Boosting applies shrinkage and optional row/column subsampling; identical
-seeds produce bit-identical ensembles.
+distinct feature values present in a node is scored with the regularized gain,
+and rows with a missing value follow a per-node default direction.  Leaf weights
+are the closed-form Newton step -G / (H + lambda).  Boosting applies shrinkage
+and optional row/column subsampling; identical seeds produce bit-identical
+ensembles.
 
-``train`` sorts every column once; a round takes its row subsample out of
-that order, which stays sorted.  A node searches all of its features in one
-pass: it holds a (features, rows) array of row indices sorted per feature,
-takes cumulative gradient sums along each row, and scores both missing-value
-directions at every boundary between distinct present values.  The first
-maximum in feature-major order wins, so ties go to the lowest feature, then to
-its smallest threshold.  Squared error, the one objective, has a hessian of 1,
-so the one grower counts rows where a general hessian would be summed; leaves
-take their rows without cutting the node's arrays, and when a round uses every
-row they write its predictions, so no tree is walked.
+``train`` bins each feature once per fit: one bin per distinct present value,
+plus one for NaN.  A node's histogram holds its gradient sum and row count per
+bin, from one ``np.bincount`` over all features; only the smaller child is
+counted, and the larger one's histogram is its parent's minus its sibling's.
+Cumulative sums within each feature score every boundary between non-empty
+bins.  The rule for ties and missing values: a node with missing rows on a
+feature (by its NaN bin's count) sends them to the better side, ties left; a
+node without sends them to the larger child, ties left; and the first maximum
+in feature-major order wins, so ties go to the lowest feature, then to its
+smallest threshold.  Squared error, the one objective, has a hessian of 1, so
+the grower counts rows where a general hessian would be summed.  Node totals
+are sums over the node's rows, and when a round uses every row its leaves
+write the round's predictions, so no tree is walked.
 
 ``gradients_squared_error``, ``leaf_weight``, ``split_gain`` and
 ``tree_predict`` are the closed forms that the demos and the reference search
@@ -31,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError, nonnegative_finite, whole
+from .errors import ParameterError, SchemaError, finite_real, nonnegative_finite, whole
 
 __all__ = [
     "FeatureMatrix",
@@ -121,13 +124,11 @@ class GbrtConfig:
             object.__setattr__(self, name, whole(name, getattr(self, name)))
         if self.n_rounds < 0:
             raise ParameterError("n_rounds must be non-negative")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ParameterError(f"learning_rate must lie in (0, 1], got {self.learning_rate}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ParameterError(f"max_depth must be >= 1 or None, got {self.max_depth}")
         nonnegative_finite(self, ("min_child_weight", "reg_lambda", "gamma"))
-        for name in ("subsample_rows", "subsample_cols"):
-            frac = getattr(self, name)
+        for name in ("learning_rate", "subsample_rows", "subsample_cols"):
+            frac = finite_real(name, getattr(self, name))
             if not 0.0 < frac <= 1.0:
                 raise ParameterError(f"{name} must lie in (0, 1], got {frac}")
         if self.seed < 0:
@@ -170,79 +171,63 @@ def split_gain(
     return 0.5 * (gl * gl / dl + gr * gr / dr - (gl + gr) ** 2 / dp) - gamma
 
 
-def _gains(
-    gl: np.ndarray,
-    hl: np.ndarray,
-    g_total: float,
-    h_total: float,
-    reg_lambda: float,
-    gamma: float,
-    min_child_weight: float,
-) -> np.ndarray:
-    """Split gain for each left-child total (gl, hl); -inf where a child is invalid."""
-    gr = g_total - gl
+def _gains(gl: np.ndarray, hl: np.ndarray, g_total: float, h_total: int,
+           config: GbrtConfig) -> np.ndarray:
+    """Split gain for each left-child total (gl, hl); -inf where a child is lighter than
+    ``min_child_weight`` or the sums overflow.  Both children hold rows, so every
+    denominator is at least 1, and a ``min_child_weight`` of at most 1 excludes none."""
     hr = h_total - hl
-    valid = (
-        (hl >= min_child_weight)
-        & (hr >= min_child_weight)
-        & (hl + reg_lambda > 0.0)
-        & (hr + reg_lambda > 0.0)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         raw = 0.5 * (
-            gl**2 / (hl + reg_lambda)
-            + gr**2 / (hr + reg_lambda)
-            - (g_total**2) / (h_total + reg_lambda)
-        ) - gamma
-    return np.where(valid & np.isfinite(raw), raw, -np.inf)
+            gl**2 / (hl + config.reg_lambda)
+            + (g_total - gl) ** 2 / (hr + config.reg_lambda)
+            - (g_total**2) / (h_total + config.reg_lambda)
+        ) - config.gamma
+    keep = np.isfinite(raw)
+    if config.min_child_weight > 1.0:
+        keep &= (hl >= config.min_child_weight) & (hr >= config.min_child_weight)
+    return np.where(keep, raw, -np.inf)
 
 
-def _grow(
-    vals: np.ndarray | None,
-    order: np.ndarray,
-    features: np.ndarray,
-    g: np.ndarray,
-    goes_left: np.ndarray,
-    depth: int,
-    config: GbrtConfig,
-    out: np.ndarray | None = None,
-) -> TreeNode:
-    """Grow the subtree over one node's rows.
+def _grow(codes: np.ndarray, edges: np.ndarray, features: np.ndarray, rows: np.ndarray,
+          g: np.ndarray, depth: int, config: GbrtConfig, out: np.ndarray | None = None,
+          hist: tuple[np.ndarray, np.ndarray] | None = None) -> TreeNode:
+    """Grow the subtree over one node's ``rows``, kept in ascending order.
 
-    ``order[i]`` lists the node's rows sorted by column ``features[i]``, NaN last,
-    and ``vals[i]`` (None at a leaf) holds their values.  Every hessian is 1, so
-    hessian sums are row counts.  ``goes_left`` is a scratch row mask, ``out`` (if
-    given) each row's leaf weight.
+    ``codes`` holds each row's flat bin per feature and ``edges`` (features, width)
+    each present bin's value, the last bin of a feature being its NaN bin; column
+    ``i`` is feature ``features[i]``.  ``hist`` is the node's gradient sum and row
+    count per bin, counted here if None.  Every hessian is 1, so hessian sums are
+    row counts.  ``out`` (if given) receives each row's leaf weight.
     """
-    rows = order[0]
     g_total = float(g[rows].sum())
-    h_total = float(rows.size)
-    node = TreeNode(weight=leaf_weight(g_total, h_total, config.reg_lambda), cover=rows.size)
+    h_total = rows.size
+    node = TreeNode(weight=leaf_weight(g_total, h_total, config.reg_lambda), cover=h_total)
     if out is not None:
         out[rows] = node.weight
     if config.max_depth is not None and depth >= config.max_depth:
         return node
 
-    # every feature at once: a candidate cut lies between two distinct present
-    # values; ``at`` is its flat index into the (features, rows) sums below
-    n_features, m = order.shape
-    flat = np.flatnonzero(vals[:, :-1] < vals[:, 1:])
-    if flat.size == 0:
+    # a candidate cut follows a non-empty present bin whose feature has a present
+    # bin above it in the node; ``at`` and ``above`` are the two bins' flat indices
+    hg, hc = _histogram(codes, rows, g, edges.size) if hist is None else hist
+    width = edges.shape[1]
+    filled = (hc > 0).nonzero()[0]
+    feature = filled // width
+    after = filled[1:]
+    i = ((feature[:-1] == feature[1:]) & (after % width != width - 1)).nonzero()[0]
+    if i.size == 0:
         return node
-    feature = flat // (m - 1)
-    at = flat + feature
-    last_present = np.full(n_features, m - 1)
-    tail = np.isnan(vals[:, -1])  # NaN sorts last: only these columns have missing rows
-    last_present[tail] = np.count_nonzero(~np.isnan(vals[tail]), axis=1) - 1
-    cg = np.cumsum(g[order], axis=1)
-    # not 0 without NaN: its last bit sets default_left
-    g_miss = (g_total - cg[np.arange(n_features), last_present])[feature]
-    gl = cg.ravel()[at]
-    hl = at - feature * m + 1
-    h_miss = (h_total - (last_present + 1))[feature]
-    gains = _gains(np.concatenate((gl + g_miss, gl)), np.concatenate((hl + h_miss, hl)),
-                   g_total, h_total, config.reg_lambda, config.gamma, config.min_child_weight)
-    gains_left, gains_right = gains[:at.size], gains[at.size:]  # missing rows routed left, right
+    at, above, feature = filled[i], after[i], feature[i]
+    # within each feature, cumulative sums; each feature's bins count every row
+    gl = np.cumsum(hg.reshape(edges.shape), axis=1).ravel()[at]
+    hl = np.cumsum(hc[filled])[i] - feature * h_total
+    h_miss = hc[width - 1::width]
+    gains_right = _gains(gl, hl, g_total, h_total, config)  # missing rows routed right
+    gains_left = gains_right
+    if h_miss.any():  # the NaN bin's count decides; with no missing rows g_miss is 0
+        g_miss = np.where(h_miss > 0, hg[width - 1::width], 0.0)[feature]
+        gains_left = _gains(gl + g_miss, hl + h_miss[feature], g_total, h_total, config)
     best = np.maximum(gains_left, gains_right)
     # first max: the lowest feature wins ties, then its smallest threshold
     k = int(np.argmax(best))
@@ -250,36 +235,51 @@ def _grow(
         return node
 
     f = feature[k]
-    c = at[k] - f * m
     node.feature = int(features[f])
-    node.threshold = float(0.5 * (vals[f, c] + vals[f, c + 1]))
-    node.default_left = bool(gains_left[k] >= gains_right[k])
+    node.threshold = float(0.5 * (edges.flat[at[k]] + edges.flat[above[k]]))
+    # missing rows follow the better side, ties left; with none, the larger child
+    node.default_left = bool(gains_left[k] >= gains_right[k] if h_miss[f]
+                             else 2 * hl[k] >= h_total)
     node.gain = float(best[k])
-    col = vals[f]
-    goes_left[order[f]] = np.where(np.isnan(col), node.default_left, col < node.threshold)
-    if config.max_depth is not None and depth + 1 >= config.max_depth:
-        left = goes_left[rows]  # leaves: their rows in order[0]'s order, no partition
-        children = (None, rows[left][None]), (None, rows[~left][None])
-    else:
-        left = goes_left[order]
-        children = _cut(vals, order, left), _cut(vals, order, ~left)
-    node.left, node.right = (_grow(v, o, features, g, goes_left, depth + 1, config, out)
-                             for v, o in children)
+    code = codes[:, f][rows]
+    left = code <= at[k]  # NaN's bin lies above every present bin of the feature
+    if node.default_left and h_miss[f]:
+        left |= code == (f + 1) * width - 1
+    parts = rows.compress(left), rows.compress(~left)
+    hists = None, None
+    if config.max_depth is None or depth + 2 <= config.max_depth:  # the children search
+        # count the smaller child; the larger one's histogram is the rest of the node's
+        small = int(parts[1].size < parts[0].size)
+        counted = _histogram(codes, parts[small], g, edges.size)
+        rest = hg - counted[0], hc - counted[1]
+        hists = (counted, rest) if small == 0 else (rest, counted)
+    node.left, node.right = (_grow(codes, edges, features, part, g, depth + 1, config, out, h)
+                             for part, h in zip(parts, hists))
     return node
 
 
-def _cut(vals: np.ndarray, order: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each feature's entries of ``vals`` and ``order`` where the mask ``keep`` of their
-    shape holds, in order; one flat index for both is far cheaper than two 2-d masks."""
-    i = np.flatnonzero(keep)
-    return vals.take(i).reshape(order.shape[0], -1), order.take(i).reshape(order.shape[0], -1)
+def _histogram(codes: np.ndarray, rows: np.ndarray, g: np.ndarray,
+               size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient sum and the row count in each of ``size`` flat bins over ``rows``."""
+    flat = codes.take(rows, axis=0).ravel()
+    return (np.bincount(flat, np.repeat(g[rows], codes.shape[1]), size),
+            np.bincount(flat, minlength=size))
 
 
-def _sorted_columns(values: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each feature's rows in value order (stable, NaN last) and its values in that order."""
-    values_t = values.T[features]
-    order = np.argsort(values_t, axis=1, kind="stable")
-    return np.take_along_axis(values_t, order, axis=1), order
+def _bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's flat bin, row-major, and each feature's present bin values.
+
+    Feature ``j`` owns bins ``j * width`` to ``(j + 1) * width - 1``: its distinct
+    present values in ascending order, then empty bins, then its NaN bin last.
+    """
+    distinct = [np.unique(col[~np.isnan(col)]) for col in values.T]
+    width = max(u.size for u in distinct) + 1
+    edges = np.full((len(distinct), width), np.nan)
+    codes = np.empty(values.shape, dtype=np.intp)
+    for j, (col, u) in enumerate(zip(values.T, distinct)):
+        edges[j, :u.size] = u
+        codes[:, j] = j * width + np.where(np.isnan(col), width - 1, np.searchsorted(u, col))
+    return codes, edges
 
 
 def _tree_apply(node: TreeNode, values: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
@@ -319,36 +319,36 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
         config=config,
     )
 
-    # sort every column once; a round's rows are filtered out of this order,
-    # which keeps them sorted, ties in row order and NaN last
-    all_cols = np.arange(d)
-    presorted_vals, presorted = _sorted_columns(X.values, all_cols)
-    goes_left = np.zeros(n, dtype=bool)
+    # one bin per distinct value, coded once; a round takes an ascending row set
+    # and, with column subsampling, its columns' codes moved onto a smaller grid
+    codes, edges = _bins(X.values)
+    counts = np.bincount(codes.ravel(), minlength=edges.size)  # a full round's root
+    all_rows, all_cols = np.arange(n), np.arange(d)
     for _ in range(config.n_rounds):
-        rows = None
+        rows = all_rows
         if config.subsample_rows < 1.0:
             n_sub = max(1, int(round(config.subsample_rows * n)))
-            rows = rng.choice(n, size=n_sub, replace=False)
-        cols, vals, order = all_cols, presorted_vals, presorted
+            rows = np.sort(rng.choice(n, size=n_sub, replace=False))
+        cols, round_codes, round_edges = all_cols, codes, edges
         if config.subsample_cols < 1.0:
             n_cols = max(1, int(round(config.subsample_cols * d)))
             cols = np.sort(rng.choice(d, size=n_cols, replace=False))
-            vals, order = vals[cols], order[cols]
-        if rows is not None:
-            in_round = np.zeros(n, dtype=bool)
-            in_round[rows] = True
-            vals, order = _cut(vals, order, in_round[order])
+            round_codes = codes[:, cols] + (np.arange(cols.size) - cols) * edges.shape[1]
+            round_edges = edges[cols]
 
         # unit hessian; with every row in the round the leaves give the tree's predictions
         g, _ = gradients_squared_error(y, predictions)
-        out = np.empty(n) if rows is None else None
+        out = np.empty(n) if rows.size == n else None
         # a node's gradient sum, which its gain squares, is at most the larger of
         # the positive and the negative gradients' sums
         g_bound = (float(np.abs(g).sum()) + abs(float(g.sum()))) / 2
         if not g_bound * g_bound < math.inf:
             raise ParameterError(f"residuals as large as {np.abs(g).max():.6g} make the "
                                  "squared-error sums overflow")
-        tree = _grow(vals, order, cols, g, goes_left, 0, config, out)
+        root = None
+        if rows.size == n and cols.size == d:  # every row and column: only g is new
+            root = np.bincount(codes.ravel(), np.repeat(g, d), edges.size), counts
+        tree = _grow(round_codes, round_edges, cols, rows, g, 0, config, out, root)
         if out is None:  # rows outside the round still need the walk
             out = tree_predict(tree, X.values)
         predictions += config.learning_rate * out

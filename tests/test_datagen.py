@@ -143,6 +143,33 @@ def test_config_fields_fail_closed(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("field, value, name", [
+    # "92" once raised a raw TypeError, True passed as 1 and "1" became 1.0
+    ("base_level", "92", "base_level"), ("base_level", float("nan"), "base_level"),
+    ("trend_slope", True, "trend_slope"), ("trend_slope", float("-inf"), "trend_slope"),
+    ("weekday_effects", ("1",) * 7, "weekday_effects[0]"),
+    ("weekday_effects", (0.0, 0.0, True, 0.0, 0.0, 0.0, 0.0), "weekday_effects[2]"),
+    ("weekday_effects", (0.0,) * 6 + (float("nan"),), "weekday_effects[6]"),
+])
+def test_gen_config_reals_must_be_finite_numbers(field, value, name):
+    with pytest.raises(ParameterError) as info:
+        GenConfig(**{field: value})
+    bad = value[int(name[-2])] if field == "weekday_effects" else value
+    assert str(info.value) == f"{name} must be a finite number, got {bad!r}"
+
+
+@pytest.mark.parametrize("field, value", [
+    # text, bools and NaN once passed, or raised a raw TypeError
+    ("effect_size", "1"), ("effect_size", True), ("mean", float("nan")), ("mean", "100"),
+    ("ar", "0.5"), ("ar", True),
+])
+def test_covariate_reals_must_be_finite_numbers(field, value):
+    with pytest.raises(ParameterError) as info:
+        CovariateSpec("x", **{field: value})
+    assert str(info.value) == f"{field} must be a finite number, got {value!r}"
+    assert getattr(CovariateSpec("x", **{field: 0}), field) == 0
+
+
 def test_numpy_lag_accepted_as_int():
     spec = CovariateSpec("x", lag=np.int64(1))
     assert spec == CovariateSpec("x", lag=1) and type(spec.lag) is int

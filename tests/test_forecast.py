@@ -264,18 +264,19 @@ def prediction_digest(values) -> str:
 
 # sha256 of the float64 prediction bytes, recorded when STL's loess and the
 # linear reference first summed in a fixed order with no BLAS or LAPACK call,
-# so they hold on any x86 SIMD level and OpenBLAS kernel
+# so they hold on any x86 SIMD level and OpenBLAS kernel; the hybrid's were
+# re-recorded when boosting moved to per-bin histogram sums
 PINNED_PREDICTIONS = {
     "drift": {
-        "hybrid_daily": "10e2d213b6edb5f8206066ae71cc10b9fc34812f241025d214801637dee400fc",
-        "hybrid_in_sample": "2935bf4262f16fd222bffb26aabe06125ba4b3a1f2d12dfbca6f0930de99eecf",
+        "hybrid_daily": "56b1e83fd55d7c3b71cfcaa28bdffd6556fd86be7b2c1d9e56f53cd583937f55",
+        "hybrid_in_sample": "9a68dc92b725109dc5a865f68191c6bdc70f855265588255d43d2452f80e4384",
         "linear_daily": "e2274a2e22e3444c53f3376060a5558a44450db39faf3963173aa4d3c14d6756",
         "linear_in_sample": "68db671378a567434e130337cd31de2ab1ca1ff530e204dd4818b44b098695d2",
         "stl_only": "2416fa984eac3d14c2fb78c2de61638ba66c9f022568dbcb34d3331ad54b533f",
     },
     "flat": {
-        "hybrid_daily": "f0aac144ff011c7de9a8db77d3da13e94837ce0a850b7a42b364f2705ce0047d",
-        "hybrid_in_sample": "2935bf4262f16fd222bffb26aabe06125ba4b3a1f2d12dfbca6f0930de99eecf",
+        "hybrid_daily": "a34664b8cbccef3f97b584d0cdfcf8bd2fe0df0bc80cdd7d72fe3032479da5f2",
+        "hybrid_in_sample": "9a68dc92b725109dc5a865f68191c6bdc70f855265588255d43d2452f80e4384",
         "linear_daily": "a471eec718ace723289d9dc926671a74b27f29c03327880fb5aca49a46ff17e3",
         "linear_in_sample": "68db671378a567434e130337cd31de2ab1ca1ff530e204dd4818b44b098695d2",
         "stl_only": "35905920baf10c12b0b4f63da7c2f0671b69c7b0cc8a7c707d613ab667861f06",

@@ -24,11 +24,11 @@ from bloodbank.gbrt import (
 )
 from test_gbrt_oracle import (
     COLUMN_KINDS,
+    assert_matches_reference,
+    assert_same_partitions,
     configs,
     make_matrix,
     reference_build_tree,
-    reference_train,
-    tree_texts,
 )
 
 
@@ -149,10 +149,9 @@ def single_column(values):
 
 def grow_tree(X: FeatureMatrix, g, config: GbrtConfig, out=None) -> TreeNode:
     """One tree of ``train``'s grower over every row and column of ``X``."""
-    features = np.arange(X.n_cols)
-    vals, order = gbrt._sorted_columns(X.values, features)
-    return gbrt._grow(vals, order, features, np.asarray(g, dtype=float),
-                      np.zeros(X.n_rows, dtype=bool), 0, config, out)
+    codes, edges = gbrt._bins(X.values)
+    return gbrt._grow(codes, edges, np.arange(X.n_cols), np.arange(X.n_rows),
+                      np.asarray(g, dtype=float), 0, config, out)
 
 
 class TestBuildTree:
@@ -337,8 +336,8 @@ class TestTrainPredict:
 
 
 class TestUnitHessian:
-    """``_grow`` counts rows for squared error's unit hessian, cuts no arrays
-    for leaves and, given ``out``, writes each row's leaf weight."""
+    """``_grow`` counts rows for squared error's unit hessian, counts only the smaller
+    child's histogram and, given ``out``, writes each row's leaf weight."""
 
     @given(
         data_seed=st.integers(0, 2**32 - 1),
@@ -355,12 +354,12 @@ class TestUnitHessian:
         out = np.empty(n)
         counted = grow_tree(X, g, config, out)
         summed = reference_build_tree(X, g, np.ones(n), config)
-        assert tree_texts([counted]) == tree_texts([summed])
+        assert_same_partitions(counted, summed, X.values, g)
         assert out.tobytes() == tree_predict(counted, X.values).tobytes()
 
-    def assert_matches_reference(self, X, y, config):
+    def trained_like_reference(self, X, y, config):
         fast = train(X, y, config)
-        assert tree_texts(fast.trees) == tree_texts(reference_train(X, y, config).trees)
+        assert all(assert_matches_reference(X, y, config, fast))  # every root compared
         return fast
 
     def test_depth_one_split_decided_by_missing_rows(self):
@@ -368,14 +367,14 @@ class TestUnitHessian:
         # leaves, and only routing the missing rows right separates the targets
         X = single_column([1.0, 2.0, np.nan, 3.0, 4.0, 5.0, np.nan, 6.0])
         y = np.array([0.0, 0.0, 9.0, 0.0, 9.0, 9.0, 9.0, 9.0])
-        model = self.assert_matches_reference(X, y, GbrtConfig(n_rounds=4, max_depth=1))
+        model = self.trained_like_reference(X, y, GbrtConfig(n_rounds=4, max_depth=1))
         root = model.trees[0]
         assert not root.default_left and root.left.is_leaf and root.right.is_leaf
         assert root.threshold == 3.5
 
     def test_missing_rows_all_in_one_child(self):
         # the root cuts column a at 19.5, so every missing b lands in the left
-        # child, whose sorted b ends in NaN; the right child's b has none
+        # child, whose NaN bin for b is counted; the right child's b has none
         rng = np.random.default_rng(21)
         a = np.arange(40.0)
         b = rng.normal(size=40)
@@ -383,7 +382,7 @@ class TestUnitHessian:
         X = FeatureMatrix(np.column_stack([a, b]), ["a", "b"])
         y = np.where(a < 20, 0.0, 30.0) + np.where(np.isnan(b), 4.0, b)
         config = GbrtConfig(n_rounds=4, max_depth=3, reg_lambda=0.0)
-        model = self.assert_matches_reference(X, y, config)
+        model = self.trained_like_reference(X, y, config)
         root = model.trees[0]
         assert (root.feature, root.threshold) == (0, 19.5)
         assert root.left.feature == 1
@@ -396,7 +395,7 @@ class TestUnitHessian:
         rng = np.random.default_rng(8)
         X = make_matrix(rng, 80, ["continuous", "tied", "binary"], 0.15)
         y = np.round(rng.normal(scale=3.0, size=80), 2)
-        self.assert_matches_reference(X, y, config)
+        self.trained_like_reference(X, y, config)
 
 
 class TestImportance:
@@ -493,6 +492,19 @@ def test_config_fields_fail_closed(make, message):
     with pytest.raises(ParameterError) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field, value", [
+    # text once raised a raw TypeError, and True passed as 1
+    ("learning_rate", "0.1"), ("learning_rate", True), ("learning_rate", float("nan")),
+    ("subsample_rows", "1"), ("subsample_rows", float("inf")), ("subsample_cols", True),
+])
+def test_float_fields_must_be_finite_numbers(field, value):
+    with pytest.raises(ParameterError) as info:
+        GbrtConfig(**{field: value})
+    assert str(info.value) == f"{field} must be a finite number, got {value!r}"
+    # a finite number is kept as given, so model.json's config block keeps its bytes
+    assert type(getattr(GbrtConfig(**{field: 1}), field)) is int
 
 
 def test_config_takes_numpy_ints_as_ints_and_no_depth_limit():

@@ -7,10 +7,11 @@ order and demand streams that provoke both shortages and expiry.  Each file's
 SHA-256 was recorded before the cumulative-arrival kernel replaced the
 age-bucket simulators, so a change to the inventory arithmetic, a sweep's
 summation order or a writer's formatting fails here.  The ``train`` digests
-were recorded when STL's loess and the linear reference first summed in a
-fixed order with no BLAS or LAPACK call; boosting's arithmetic was already
-fixed, so a change to a split's, a leaf's or a loess fit's arithmetic fails
-here too, on any x86 SIMD level and OpenBLAS kernel.  The ``generate`` digests
+were recorded when boosting first summed its gradients in per-bin histograms,
+with one stated tie and missing-value rule; STL's loess and the linear
+reference already summed in a fixed order with no BLAS or LAPACK call, so a
+change to a split's, a leaf's or a loess fit's arithmetic fails here too, on
+any x86 SIMD level and OpenBLAS kernel.  The ``generate`` digests
 were recorded while the generator still built its records one day at a time,
 so its column-wise construction and both writers must keep every byte.
 """
@@ -48,11 +49,11 @@ GOLDEN = {
     ("simulate", "trajectory.csv"):
         "b403c2b9b51b13f02caebdd6c2968430972195c35f0ea4270a5c35c245014e77",
     ("train", "model.json"):
-        "3a5b7a951304365382abdb83c68d12ecbf4a9165832a8c95682a61060996101c",
+        "d08468a88e98f05898804e80789a7225c85829caee1018ef230d8218c4e23a2e",
     ("train", "train_report.csv"):
-        "36a50f4a70b3ac83d4bd1d90f12ca61d984beba7e0355c1e05502c17d634538c",
+        "d475467331a1bf1968455223ee184fb85d1c11e44fe92561a48b40b40554461b",
     ("train", "holdout_report.csv"):
-        "5df3338795da47d6335f28f52b2a6d496905d780295374b7768a1e62a4a97de2",
+        "051384bccc470f7de0fee4b951d0e6be559b6d6f46b03c9138eaef4b94aa4a5c",
 }
 
 
