@@ -23,6 +23,7 @@ from .gbrt import (
     variable_importance,
 )
 from .forecast import (
+    Dataset,
     DailyRecord,
     fit_hybrid,
     predict_daily,

@@ -188,12 +188,8 @@ def _blaming(prefix):
         raise type(exc)(f"{prefix}: {exc}") from None
 
 
-def _report(records, predicted) -> forecast.ForecastReport:
-    return forecast.ForecastReport(
-        dates=[r.date for r in records],
-        actual=np.array([r.demand for r in records], dtype=float),
-        predicted=predicted,
-    )
+def _report(data: forecast.Dataset, predicted) -> forecast.ForecastReport:
+    return forecast.ForecastReport(dates=data.dates(), actual=data.demand, predicted=predicted)
 
 
 def cmd_generate(args, run: _Run) -> None:
@@ -210,16 +206,15 @@ def cmd_generate(args, run: _Run) -> None:
         seed=args.seed,
         start_date=start_date,
     )
-    records, truth = datagen.generate_full(config)
-    path = run.write("dataset.csv", forecast.write_dataset_csv, records)
+    data, truth = datagen.generate_full(config)
+    path = run.write("dataset.csv", forecast.write_dataset_csv, data)
     run.write("dataset_truth.csv", datagen.write_truth_csv, config, truth)
-    print(f"wrote {len(records)} days to {path}")
+    print(f"wrote {len(data)} days to {path}")
 
 
 def cmd_decompose(args, run: _Run) -> None:
     config = _value(args, timeseries.StlConfig)
-    records = forecast.read_dataset_csv(args.data)
-    series = forecast.demand_series(records, args.period)
+    series = forecast.demand_series(forecast.read_dataset_csv(args.data), args.period)
     with _blaming(f"{args.data}: demand"):
         dec = timeseries.stl_decompose(series, config)
     path = run.write("decomposition.csv", timeseries.write_decomposition_csv, series, dec)
@@ -230,18 +225,18 @@ def cmd_train(args, run: _Run) -> None:
     stl_config, gbrt_config = _value(args, timeseries.StlConfig), _value(args, gbrt.GbrtConfig)
     if args.period < 2:  # a flag's fault, not the dataset's
         raise ParameterError(f"period must be >= 2, got {args.period}")
-    records = forecast.read_dataset_csv(args.data)
-    if not 0 < args.train_days <= len(records):
+    data = forecast.read_dataset_csv(args.data)
+    if not 0 < args.train_days <= len(data):
         raise ParameterError(
-            f"{args.data}: train_days must lie in 1..{len(records)}, got {args.train_days}"
+            f"{args.data}: train_days must lie in 1..{len(data)}, got {args.train_days}"
         )
-    train_part = records[: args.train_days]
-    holdout = records[args.train_days :]
+    train_part, holdout = data[: args.train_days], data[args.train_days :]
     with _blaming(f"{args.data}: demand"):
         model = forecast.fit_hybrid(train_part, stl_config, gbrt_config, period=args.period)
         report = _report(holdout, forecast.predict_daily(model, holdout))
         rmse = report.rmse if holdout else math.nan  # scored before any write
-    zero_day = next((r.date for r in holdout if r.demand == 0.0), None)  # MAPE divides by demand
+    zeros = np.flatnonzero(holdout.demand == 0.0)  # MAPE divides by demand
+    zero_day = report.dates[zeros[0]] if zeros.size else None
     mape = 100.0 * report.mape if holdout and zero_day is None else math.nan
     path = run.write("model.json", _write_json, forecast.hybrid_to_dict(model))
     run.write("train_report.csv", forecast.write_forecast_csv,
@@ -259,10 +254,11 @@ def cmd_forecast(args, run: _Run) -> None:
     doc = _load_json(args.model)
     with _blaming(args.model):
         model = forecast.hybrid_from_dict(doc)
-    records = forecast.read_dataset_csv(args.data)
+    data = forecast.read_dataset_csv(args.data)
     if args.horizon < 0:
         raise ParameterError("horizon must be non-negative")
-    future = [r for r in records if r.date > model.train_end][: args.horizon]
+    after = max(0, (model.train_end - data.start).days + 1)  # the first day after training
+    future = data[after : after + args.horizon]
     if len(future) < args.horizon:
         raise ParameterError(
             f"{args.data}: data supplies only {len(future)} days after {model.train_end}, "

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, finite_real, nonnegative_finite, whole
-from .forecast import DailyRecord
+from .forecast import Dataset
 from .table import number, write_table
 
 __all__ = ["CovariateSpec", "GenConfig", "GroundTruth", "generate", "generate_full",
@@ -133,8 +133,8 @@ def _ar1_counts(rng: np.random.Generator, spec: CovariateSpec, length: int) -> n
     return np.maximum(0, np.round(values)).astype(float)
 
 
-def generate_full(config: GenConfig) -> tuple[list[DailyRecord], GroundTruth]:
-    """Generate daily records plus the ground-truth components behind them."""
+def generate_full(config: GenConfig) -> tuple[Dataset, GroundTruth]:
+    """Generate the daily dataset plus the ground-truth components behind it."""
     n = config.n_days
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
@@ -165,20 +165,17 @@ def generate_full(config: GenConfig) -> tuple[list[DailyRecord], GroundTruth]:
     running = np.concatenate(([0], np.cumsum(demand)))
     prev_week = running[7:-1] - running[:-8]
     names = [f"dow_{key}" for key in WEEKDAY_KEYS]
-    # the one-hot cells share two float objects, as the literals 1.0 and 0.0 would, rather
-    # than the records holding seven new floats a day
-    columns = [list(map((0.0, 1.0).__getitem__, (weekday_index[7:] == key_index).tolist()))
+    columns = [(weekday_index[7:] == key_index).astype(float)
                for key_index in range(len(WEEKDAY_KEYS))]
-    for spec in config.covariates:
-        names.append(spec.name)
-        columns.append(cov_series[spec.name][_LEAD - spec.lag : _LEAD - spec.lag + n].tolist())
-    names.append("prev_week_demand")
-    columns.append(prev_week.astype(float).tolist())
-    first = config.start_date.toordinal()
-    records = [DailyRecord(dt.date.fromordinal(day), y, dict(zip(names, values)))
-               for day, y, values in zip(range(first, first + n), demand[7:].tolist(),
-                                         zip(*columns))]
-    del columns  # the records own the values now; free the lists before the truth is built
+    lagged = [(spec.name, cov_series[spec.name][_LEAD - spec.lag : _LEAD - spec.lag + n])
+              for spec in config.covariates]
+    for name, column in [*lagged, ("prev_week_demand", prev_week.astype(float))]:
+        if name in names:  # a colliding name keeps its place and takes the later column
+            columns[names.index(name)] = column
+        else:
+            names.append(name)
+            columns.append(column)
+    data = Dataset(config.start_date, demand[7:].astype(float), np.column_stack(columns), names)
 
     truth = GroundTruth(
         trend=trend[7:],
@@ -189,11 +186,11 @@ def generate_full(config: GenConfig) -> tuple[list[DailyRecord], GroundTruth]:
             name: series[_LEAD : _LEAD + n] for name, series in cov_series.items()
         },
     )
-    return records, truth
+    return data, truth
 
 
-def generate(config: GenConfig) -> list[DailyRecord]:
-    """Generate the synthetic daily records (see ``generate_full`` for truth)."""
+def generate(config: GenConfig) -> Dataset:
+    """Generate the synthetic daily dataset (see ``generate_full`` for truth)."""
     return generate_full(config)[0]
 
 

@@ -14,6 +14,7 @@ which forked workers inherit, so only group numbers and scores are pickled.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import math
 import multiprocessing
 import os
@@ -31,6 +32,7 @@ from .timeseries import (TREND_MODES, Decomposition, Series, StlConfig, stl_deco
 
 __all__ = [
     "DailyRecord",
+    "Dataset",
     "HybridModel",
     "ForecastReport",
     "fit_hybrid",
@@ -59,62 +61,105 @@ _TREND_MODE = "drift"  # the default of every fit, CV and feature selection incl
 
 @dataclass(frozen=True)
 class DailyRecord:
-    """One calendar day: demand target plus feature values known before that day."""
+    """One calendar day of a ``Dataset``: demand plus feature values known before it."""
 
     date: dt.date
     demand: float
     features: dict[str, float]
 
 
-def feature_names_of(records: list[DailyRecord]) -> list[str]:
-    names = list(records[0].features)
-    expected = set(names)
-    for record in records[1:]:
-        if set(record.features) != expected:
-            raise ParameterError(
-                f"inconsistent feature names on {record.date.isoformat()}"
-            )
-    return names
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Daily demand and features from ``start`` on, one row a day with no gap.
+
+    ``demand`` is a float array of n days and ``features`` an (n, k) float
+    array, NaN where a value is missing, whose columns are ``feature_names``;
+    k may be 0.  It is also a read-only sequence of days: ``len``, slices of
+    step 1 (a ``Dataset`` of views, its start shifted), and an index or
+    iteration, which build each ``DailyRecord`` row on demand.
+    """
+
+    start: dt.date
+    demand: np.ndarray
+    features: np.ndarray | None = None
+    feature_names: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        demand, names = np.asarray(self.demand, dtype=float), tuple(self.feature_names)
+        features = np.asarray(np.empty((demand.size, 0)) if self.features is None
+                              else self.features, dtype=float)
+        if (demand.ndim != 1 or features.shape != (demand.size, len(names))
+                or len(set(names)) < len(names)):
+            raise ParameterError(f"a dataset needs n demands, (n, {len(names)}) features and "
+                                 f"unique feature names, got {demand.shape}, {features.shape} "
+                                 f"and {list(names)}")
+        for name, value in (("demand", np.ascontiguousarray(demand)),
+                            ("features", np.ascontiguousarray(features)), ("feature_names", names)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_records(cls, records) -> Dataset:
+        """The dataset of ``DailyRecord`` rows, one a day in order, all with the first's names."""
+        records = list(records)
+        if not records:
+            raise ParameterError("a dataset needs at least one day")
+        names = records[0].features.keys()
+        for prev, cur in zip(records, records[1:]):
+            if cur.date != prev.date + dt.timedelta(days=1) or cur.features.keys() != names:
+                raise ParameterError(f"dates must be contiguous, each with the same feature "
+                                     f"names: {prev.date} is followed by {cur.date}")
+        return cls(records[0].date, [r.demand for r in records],
+                   [[r.features[name] for name in names] for r in records], tuple(names))
+
+    @property
+    def end(self) -> dt.date:
+        return self.start + dt.timedelta(days=len(self) - 1)
+
+    def dates(self) -> list[dt.date]:
+        first = self.start.toordinal()
+        return list(map(dt.date.fromordinal, range(first, first + len(self))))
+
+    def __len__(self) -> int:
+        return self.demand.size
+
+    def __getitem__(self, key):
+        days = range(len(self))[key]  # one day, or the days of a slice
+        if isinstance(days, int):
+            return DailyRecord(self.start + dt.timedelta(days=days), float(self.demand[days]),
+                               dict(zip(self.feature_names, self.features[days].tolist())))
+        if days.step != 1:
+            raise ParameterError(f"a dataset slice must have step 1, got {days.step}")
+        # an empty slice after a last day of 9999-12-31 starts on that day
+        start = min(self.start.toordinal() + days.start, dt.date.max.toordinal())
+        return Dataset(dt.date.fromordinal(start), self.demand[days.start:days.stop],
+                       self.features[days.start:days.stop], self.feature_names)
+
+    def __iter__(self):
+        for day, demand, values in zip(self.dates(), self.demand.tolist(), self.features.tolist()):
+            yield DailyRecord(day, demand, dict(zip(self.feature_names, values)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.start == other.start and self.feature_names == other.feature_names
+                and np.array_equal(self.demand, other.demand)
+                and np.array_equal(self.features, other.features, equal_nan=True))
 
 
-def _check_present(records: list[DailyRecord], names: list[str]) -> None:
-    """ParameterError naming the first of ``names`` that some record lacks."""
-    wanted = set(names)
-    for record in records:
-        if not wanted <= record.features.keys():
-            absent = next(name for name in names if name not in record.features)
-            raise ParameterError(f"no feature {absent!r} on {record.date.isoformat()}")
-
-
-def _resolved_names(records: list[DailyRecord], feature_names: list[str] | None) -> list[str]:
-    if feature_names is None:
-        names = feature_names_of(records)  # every record has exactly these
-    else:
-        names = list(feature_names)
-        _check_present(records, names)
+def _matrix(data: Dataset, names: list[str] | None = None) -> gbrt.FeatureMatrix:
+    """The columns ``names`` (all by default) of ``data``; ParameterError naming the
+    first it lacks."""
+    names = list(data.feature_names if names is None else names)
     if not names:
         raise ParameterError("at least one feature is required")
-    return names
+    absent = [name for name in names if name not in data.feature_names]
+    if absent:
+        raise ParameterError(f"no feature {absent[0]!r} on {data.start.isoformat()}")
+    return gbrt.FeatureMatrix(data.features[:, list(map(data.feature_names.index, names))], names)
 
 
-def _check_contiguous(dates: list[dt.date]) -> None:
-    for prev, cur in zip(dates, dates[1:]):
-        if cur != prev + dt.timedelta(days=1):
-            raise ParameterError(f"dates must be contiguous: {prev} is followed by {cur}")
-
-
-def records_to_matrix(records: list[DailyRecord], names: list[str]) -> gbrt.FeatureMatrix:
-    # a missing name (None) becomes NaN
-    values = np.array([[r.features.get(n) for n in names] for r in records], dtype=float)
-    return gbrt.FeatureMatrix(values, names)
-
-
-def demand_series(records: list[DailyRecord], period: int = 7) -> Series:
-    return Series(
-        start_date=records[0].date,
-        values=np.array([r.demand for r in records], dtype=float),
-        period=period,
-    )
+def demand_series(data: Dataset, period: int = 7) -> Series:
+    return Series(start_date=data.start, values=data.demand, period=period)
 
 
 @dataclass
@@ -151,32 +196,23 @@ class ForecastReport:
         return mape(self.predicted, self.actual)
 
 
-def _fit(train: list[DailyRecord], stl_config: StlConfig, feature_names: list[str] | None,
+def _fit(train: Dataset, stl_config: StlConfig, feature_names: list[str] | None,
          period: int, trend_mode: str, fit_residual, dec: Decomposition | None = None,
          X: gbrt.FeatureMatrix | None = None) -> HybridModel:
     """Fit ``fit_residual(X, dec.residual)``, or no residual model if it is None.
 
     The decomposition ``dec`` of ``train`` and its feature rows ``X`` are made
-    here unless given: CV and selection share them and check their records once.
+    here unless given: CV and selection share them.
     """
     if dec is None:
         if len(train) < 2 * period:
             raise ParameterError(
                 f"{len(train)} training days is fewer than two cycles of {period}")
-        _check_contiguous([r.date for r in train])
-        names = [] if fit_residual is None else _resolved_names(train, feature_names)
+        X = None if fit_residual is None else _matrix(train, feature_names)
         dec = stl_decompose(demand_series(train, period), stl_config)
-        X = records_to_matrix(train, names) if names else None
-    return HybridModel(
-        period=period,
-        stl_config=stl_config,
-        decomposition=dec,
-        train_start=train[0].date,
-        train_end=train[-1].date,
-        residual_model=None if X is None else fit_residual(X, dec.residual),
-        feature_names=[] if X is None else X.feature_names,
-        trend_mode=trend_mode,
-    )
+    return HybridModel(period, stl_config, dec, train.start, train.end,
+                       None if X is None else fit_residual(X, dec.residual),
+                       [] if X is None else X.feature_names, trend_mode)
 
 
 def _boosted(gbrt_config: gbrt.GbrtConfig):
@@ -184,24 +220,15 @@ def _boosted(gbrt_config: gbrt.GbrtConfig):
     return lambda X, residual: gbrt.train(X, residual, gbrt_config)
 
 
-def fit_hybrid(
-    train: list[DailyRecord],
-    stl_config: StlConfig,
-    gbrt_config: gbrt.GbrtConfig,
-    feature_names: list[str] | None = None,
-    period: int = 7,
-    trend_mode: str = _TREND_MODE,
-) -> HybridModel:
+def fit_hybrid(train: Dataset, stl_config: StlConfig, gbrt_config: gbrt.GbrtConfig,
+               feature_names: list[str] | None = None, period: int = 7,
+               trend_mode: str = _TREND_MODE) -> HybridModel:
     """Decompose the demand series, then boost the residuals on the features."""
     return _fit(train, stl_config, feature_names, period, trend_mode, _boosted(gbrt_config))
 
 
-def fit_stl_only(
-    train: list[DailyRecord],
-    stl_config: StlConfig,
-    period: int = 7,
-    trend_mode: str = _TREND_MODE,
-) -> HybridModel:
+def fit_stl_only(train: Dataset, stl_config: StlConfig, period: int = 7,
+                 trend_mode: str = _TREND_MODE) -> HybridModel:
     """Decomposition alone: the residual forecast is zero."""
     return _fit(train, stl_config, None, period, trend_mode, None)
 
@@ -238,23 +265,17 @@ def _least_squares(X: gbrt.FeatureMatrix, residual: np.ndarray) -> np.ndarray:
     return coefficients
 
 
-def fit_stl_linear(
-    train: list[DailyRecord],
-    stl_config: StlConfig,
-    feature_names: list[str] | None = None,
-    period: int = 7,
-    trend_mode: str = _TREND_MODE,
-) -> HybridModel:
+def fit_stl_linear(train: Dataset, stl_config: StlConfig, feature_names: list[str] | None = None,
+                   period: int = 7, trend_mode: str = _TREND_MODE) -> HybridModel:
     """Same decomposition, residuals fit with ordinary least squares."""
     return _fit(train, stl_config, feature_names, period, trend_mode, _least_squares)
 
 
-def _features(model: HybridModel, days: list[DailyRecord]) -> gbrt.FeatureMatrix | None:
+def _features(model: HybridModel, days: Dataset) -> gbrt.FeatureMatrix | None:
     """The feature rows of ``days`` that the residual model reads; None without one."""
     if model.residual_model is None:
         return None
-    _check_present(days, model.feature_names)
-    return records_to_matrix(days, model.feature_names)
+    return _matrix(days, model.feature_names)
 
 
 def _predicted_residual(model: HybridModel, X: gbrt.FeatureMatrix | None):
@@ -275,30 +296,28 @@ def _forecast(model: HybridModel, horizon: int, X: gbrt.FeatureMatrix | None) ->
     return base + _predicted_residual(model, X)
 
 
-def predict_daily(model: HybridModel, future: list[DailyRecord]) -> np.ndarray:
+def predict_daily(model: HybridModel, future: Dataset) -> np.ndarray:
     """Raw daily forecasts (may be negative; callers clamp at the order step)."""
     if not future:
         return np.empty(0)
     start = model.train_end + dt.timedelta(days=1)
-    if future[0].date != start:
-        raise ParameterError(f"forecast must start at {start}, got {future[0].date}")
-    _check_contiguous([r.date for r in future])
+    if future.start != start:
+        raise ParameterError(f"forecast must start at {start}, got {future.start}")
     return _forecast(model, len(future), _features(model, future))
 
 
 predict_stl_linear = predict_daily
 
 
-def predict_in_sample(model: HybridModel, train: list[DailyRecord]) -> np.ndarray:
+def predict_in_sample(model: HybridModel, train: Dataset) -> np.ndarray:
     """Fitted values over the training window: trend + seasonal + predicted residual."""
     if not train:
         return np.empty(0)
-    if train[0].date != model.train_start or train[-1].date != model.train_end:
+    if train.start != model.train_start or train.end != model.train_end:
         raise ParameterError(
-            f"records span {train[0].date}..{train[-1].date} but the model was "
+            f"records span {train.start}..{train.end} but the model was "
             f"trained on {model.train_start}..{model.train_end}"
         )
-    _check_contiguous([r.date for r in train])
     dec = model.decomposition
     return dec.trend + dec.seasonal + _predicted_residual(model, _features(model, train))
 
@@ -344,7 +363,9 @@ def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.da
 
     Partial blocks at either end are dropped.
     """
-    _check_contiguous([day for day, _ in daily])
+    for (prev, _), (cur, _) in zip(daily, daily[1:]):
+        if cur != prev + dt.timedelta(days=1):
+            raise ParameterError(f"dates must be contiguous: {prev} is followed by {cur}")
     out: list[tuple[dt.date, float]] = []
     i = 0
     while i < len(daily):
@@ -405,13 +426,8 @@ def _scored_groups(score, groups: int) -> list[tuple[int, int, float]]:
         _INHERITED = None
 
 
-def _cv_scores(
-    records: list[DailyRecord],
-    grid: list[tuple[StlConfig, gbrt.GbrtConfig]],
-    k: int,
-    feature_names: list[str] | None,
-    period: int,
-) -> list[float]:
+def _cv_scores(data: Dataset, grid: list[tuple[StlConfig, gbrt.GbrtConfig]], k: int,
+               feature_names: list[str] | None, period: int) -> list[float]:
     """Mean forward-chained validation RMSE of every grid point.
 
     The feature matrix is built once for all folds.  Each fold window is
@@ -420,18 +436,14 @@ def _cv_scores(
     fold scores are merged in a fixed order, so they do not depend on where
     or in which order the groups ran.
     """
-    n = len(records)
+    n = len(data)
     bounds = [round(j * n / (k + 1)) for j in range(k + 2)]
     if min(b - a for a, b in zip(bounds, bounds[1:])) < 2 * period:
         raise ParameterError(
             f"{n} records split {k + 1} ways leaves a fold shorter than two cycles"
         )
-    _check_contiguous([r.date for r in records])
-    # fit_hybrid reads the names from its training window; every window starts
-    # at records[0] and the last one holds all the others
-    names = _resolved_names(records[: bounds[k]], feature_names)
-    _check_present(records[bounds[k]:], names)  # the last fold's validation block
-    X = records_to_matrix(records, names).values
+    X = _matrix(data, feature_names)
+    names, X = X.feature_names, X.values
     points: dict[tuple[int, StlConfig], list[int]] = {}
     for j in range(k, 0, -1):
         for i, (stl_config, _) in enumerate(grid):
@@ -445,11 +457,11 @@ def _cv_scores(
         """
         (j, stl_config), indices = groups[group]
         lo, hi = bounds[j], bounds[j + 1]
-        train = records[:lo]
+        train = data[:lo]
         dec = stl_decompose(demand_series(train, period), stl_config)
         X_train = gbrt.FeatureMatrix(X[:lo], names)
         X_valid = gbrt.FeatureMatrix(X[lo:hi], names)
-        actual = [r.demand for r in records[lo:hi]]
+        actual = data.demand[lo:hi]
         scores = []
         for i in indices:
             model = _fit(train, stl_config, names, period, _TREND_MODE, _boosted(grid[i][1]),
@@ -463,48 +475,33 @@ def _cv_scores(
     return [float(np.mean(scores)) for scores in fold_scores]
 
 
-def cv_rmse(
-    records: list[DailyRecord],
-    stl_config: StlConfig,
-    gbrt_config: gbrt.GbrtConfig,
-    k: int = 5,
-    feature_names: list[str] | None = None,
-    period: int = 7,
-) -> float:
+def cv_rmse(data: Dataset, stl_config: StlConfig, gbrt_config: gbrt.GbrtConfig, k: int = 5,
+            feature_names: list[str] | None = None, period: int = 7) -> float:
     """Mean validation RMSE over k forward-chained contiguous blocks.
 
-    The records are cut into k+1 time-ordered blocks; fold j trains on blocks
+    The days are cut into k+1 time-ordered blocks; fold j trains on blocks
     1..j and scores block j+1, so validation data always follows its training
     window.
     """
-    return _cv_scores(records, [(stl_config, gbrt_config)], k, feature_names, period)[0]
+    return _cv_scores(data, [(stl_config, gbrt_config)], k, feature_names, period)[0]
 
 
-def grid_search_cv(
-    records: list[DailyRecord],
-    grid: list[tuple[StlConfig, gbrt.GbrtConfig]],
-    k: int = 5,
-    feature_names: list[str] | None = None,
-    period: int = 7,
-) -> tuple[StlConfig, gbrt.GbrtConfig]:
+def grid_search_cv(data: Dataset, grid: list[tuple[StlConfig, gbrt.GbrtConfig]], k: int = 5,
+                   feature_names: list[str] | None = None,
+                   period: int = 7) -> tuple[StlConfig, gbrt.GbrtConfig]:
     """Best lattice point by cross-validated RMSE; ties keep the earlier entry."""
     if not grid:
         raise ParameterError("the configuration grid is empty")
-    scores = _cv_scores(records, grid, k, feature_names, period)
+    scores = _cv_scores(data, grid, k, feature_names, period)
     return grid[min(range(len(grid)), key=scores.__getitem__)]
 
 
-def iterative_feature_selection(
-    records: list[DailyRecord],
-    stl_config: StlConfig,
-    gbrt_config: gbrt.GbrtConfig,
-    importance_threshold: float = 0.005,
-    holdout_fraction: float = 0.2,
-    period: int = 7,
-) -> list[str]:
+def iterative_feature_selection(data: Dataset, stl_config: StlConfig,
+                                gbrt_config: gbrt.GbrtConfig, importance_threshold: float = 0.005,
+                                holdout_fraction: float = 0.2, period: int = 7) -> list[str]:
     """Prune features below an importance threshold until held-out RMSE stalls.
 
-    Each round fits on the leading portion of the records, scores the held-out
+    Each round fits on the leading portion of the days, scores the held-out
     tail, and keeps only features whose normalized importance clears the
     threshold.  Returns the feature set of the best-scoring round.  The
     training window is decomposed once; only the boosting repeats.
@@ -513,16 +510,15 @@ def iterative_feature_selection(
         raise ParameterError(
             f"importance_threshold must lie in (0, 1), got {importance_threshold}"
         )
-    n = len(records)
+    n = len(data)
     cut = n - max(1, round(holdout_fraction * n))
-    train, holdout = records[:cut], records[cut:]
+    train, holdout = data[:cut], data[cut:]
     if len(train) < 2 * period or not holdout:
         raise ParameterError("not enough records to split off a holdout")
-    _check_contiguous([r.date for r in records])
-    actual = [r.demand for r in holdout]
+    actual = holdout.demand
 
-    all_names = _resolved_names(records, None)
-    X = records_to_matrix(records, all_names).values
+    X = _matrix(data)
+    all_names, X = X.feature_names, X.values
     dec = stl_decompose(demand_series(train, period), stl_config)
     current = all_names
     best_rmse = np.inf
@@ -566,34 +562,96 @@ def _number_cell(path, row_number: int, column: str, text: str) -> float:
     return value
 
 
-def read_dataset_csv(path) -> list[DailyRecord]:
-    """Columns: date (every day, no gap), demand, then one per feature; empty = missing."""
+_BLOCK = 1024  # rows a dataset is read and written in: bounds the cell strings held
+_EPOCH = dt.date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
+
+
+def _parsed_block(block: list, first: int) -> np.ndarray | None:
+    """The (rows, 1 + k) demands and features of dataset rows whose days run on from
+    ordinal ``first``; None where a cell might fail ``_checked_block``.
+
+    The dates must be those days' ISO strings, and each value, parsed by one
+    ``float`` map per column, finite unless its feature cell is empty (missing).
+    """
+    dates, demand, *features = zip(*[cells for _, cells in block])
+    last = min(first + len(block), dt.date.max.toordinal() + 1)
+    if list(dates) != np.arange(first - _EPOCH, last - _EPOCH).astype("datetime64[D]").astype(
+            str).tolist():
+        return None
+    try:
+        values = np.array([list(map(float, column)) if all(column)
+                           else [float(cell) if cell else math.nan for cell in column]
+                           for column in (demand, *features)]).T
+    except ValueError:
+        return None
+    empty = sum(column.count("") for column in features)
+    return values if np.isfinite(values).sum() + empty == values.size else None
+
+
+def _checked_block(path, block: list, prev: dt.date | None, names: list[str]) -> np.ndarray:
+    """``_parsed_block`` one row at a time: SchemaError naming the first bad cell."""
+    values = []
+    for row_number, row in block:
+        day = _date_cell(path, row_number, "date", row[0])
+        if prev is not None and day.toordinal() != prev.toordinal() + 1:
+            raise SchemaError(f"{path}: row {row_number}, column date: {day} does not "
+                              f"follow {prev}; dates must be contiguous")
+        values.append([_number_cell(path, row_number, "demand", row[1]), *(
+            _number_cell(path, row_number, name, cell) if cell else math.nan
+            for name, cell in zip(names, row[2:]))])
+        prev = day
+    return np.array(values)
+
+
+def read_dataset_csv(path) -> Dataset:
+    """Columns: date (every day, no gap), demand, then one per feature; empty = missing.
+
+    Rows are parsed a block at a time; a block that any cell might fail is
+    checked again row by row, which raises the first failure in file order.
+    """
     rows = read_rows(path)
     header = next(rows)
     if header is None or header[:2] != ["date", "demand"]:
         raise SchemaError(f"{path}: dataset header must start with date,demand: {header}")
     names = header[2:]
-    records = []
-    for row_number, row in rows:
-        day = _date_cell(path, row_number, "date", row[0])
-        if records and day != records[-1].date + dt.timedelta(days=1):
-            raise SchemaError(f"{path}: row {row_number}, column date: {day} does not "
-                              f"follow {records[-1].date}; dates must be contiguous")
-        demand = _number_cell(path, row_number, "demand", row[1])
-        features = {name: _number_cell(path, row_number, name, cell) if cell else math.nan
-                    for name, cell in zip(names, row[2:])}
-        records.append(DailyRecord(date=day, demand=demand, features=features))
-    if not records:
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise SchemaError(f"{path}: dataset column {repeated[0]!r} is repeated")
+    start, n, blocks = None, 0, []
+    while True:
+        block, failure = [], None
+        try:
+            block.extend(itertools.islice(rows, _BLOCK))  # keeps the rows before a bad one
+        except SchemaError as exc:  # a row's length: raised after a bad cell above it
+            failure = exc
+        if block:
+            start = start or _date_cell(path, block[0][0], "date", block[0][1][0])
+            parsed = _parsed_block(block, start.toordinal() + n)
+            blocks.append(_checked_block(path, block, start + dt.timedelta(days=n - 1)
+                                         if n else None, names) if parsed is None else parsed)
+            n += len(block)
+        if failure:
+            raise failure
+        if len(block) < _BLOCK:
+            break
+    if start is None:
         raise SchemaError(f"{path}: dataset has no rows")
-    return records
+    values = np.concatenate(blocks)
+    return Dataset(start, values[:, 0], values[:, 1:], names)
 
 
-def write_dataset_csv(path, records: list[DailyRecord]) -> None:
-    names = feature_names_of(records)
-    write_table(path, ["date", "demand", *names], (
-        [r.date.isoformat(), number(r.demand),
-         *[number(v) if v == v else "" for v in map(r.features.__getitem__, names)]]
-        for r in records))
+def write_dataset_csv(path, data: Dataset) -> None:
+    """``data``, or its ``DailyRecord`` rows, as ``read_dataset_csv`` reads it back."""
+    data = data if isinstance(data, Dataset) else Dataset.from_records(data)
+
+    def rows():  # each Python float as its repr, as table.number writes it; NaN empty
+        for lo in range(0, len(data), _BLOCK):
+            block = data[lo : lo + _BLOCK]
+            yield from zip([day.isoformat() for day in block.dates()], *(
+                ["" if cell == "nan" else cell for cell in map(repr, column)]
+                for column in (block.demand.tolist(), *block.features.T.tolist())))
+
+    write_table(path, ["date", "demand", *data.feature_names], rows())
 
 
 def write_forecast_csv(path, report: ForecastReport) -> None:

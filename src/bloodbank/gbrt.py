@@ -1,8 +1,10 @@
 """Gradient-boosted regression trees with Newton leaf weights.
 
-Trees are grown by exact greedy search: every midpoint between consecutive
-distinct feature values present in a node is scored with the regularized gain,
-and rows with a missing value follow a per-node default direction.  Leaf weights
+Trees are grown by exact greedy search: every cut between consecutive distinct
+feature values present in a node is scored with the regularized gain, and rows
+with a missing value follow a per-node default direction.  A split stores the
+sum of the two values' halves as its threshold, or the upper value where that
+sum is not above the lower one, so that it is finite and separates them.  Leaf weights
 are the closed-form Newton step -G / (H + lambda).  Boosting applies shrinkage
 and optional row/column subsampling; identical seeds produce bit-identical
 ensembles.
@@ -236,7 +238,11 @@ def _grow(codes: np.ndarray, edges: np.ndarray, features: np.ndarray, rows: np.n
 
     f = feature[k]
     node.feature = int(features[f])
-    node.threshold = float(0.5 * (edges.flat[at[k]] + edges.flat[above[k]]))
+    # the midpoint, halved first so that it cannot overflow; where it rounds down to
+    # the lower value, as between adjacent floats, the upper value separates them
+    low, high = edges.flat[at[k]], edges.flat[above[k]]
+    mid = 0.5 * low + 0.5 * high
+    node.threshold = float(mid if mid > low else high)
     # missing rows follow the better side, ties left; with none, the larger child
     node.default_left = bool(gains_left[k] >= gains_right[k] if h_miss[f]
                              else 2 * hl[k] >= h_total)

@@ -400,6 +400,19 @@ class TestMalformedInputs:
                     "--out-dir", tmp_path / "train"])
         assert_clean_failure(capsys, code, bad, "row 9", "prev_week_demand")
 
+    def test_repeated_dataset_column_fails_closed(self, dataset, tmp_path, capsys):
+        # the reader once kept only the second column of a repeated name
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(line + "," + line.rsplit(",", 1)[1] + "\n"
+                               for line in dataset.read_text().splitlines()))
+        with pytest.raises(SchemaError, match=f"{bad}: dataset column 'prev_week_demand' "
+                                              "is repeated"):
+            read_dataset_csv(bad)
+        code = run(["train", "--data", bad, "--train-days", 350, "--rounds", 2,
+                    "--out-dir", tmp_path / "train"])
+        assert_clean_failure(capsys, code, bad, "'prev_week_demand' is repeated")
+        assert not (tmp_path / "train").exists()
+
     @pytest.mark.parametrize("column, cell", [
         ("date", "2010-13-45"), ("date", "tuesday"), ("actual", "many"),
         ("predicted", "nan"), ("actual", "inf"), ("predicted", "-inf"),

@@ -4,9 +4,10 @@
 before the records were built column by column: one AR(1) step per numpy
 element, one ``timedelta`` per day and one seven-day slice sum per record.
 The property requires ``generate_full`` to reproduce it exactly on drawn
-configurations: the same records (dates, ``int`` demands, feature key order
-and ``float`` values), ground-truth arrays equal byte for byte, and the same
-``ParameterError`` where demand leaves the exact integer range.
+configurations: the dataset of the same records (start date, feature names in
+order, demand and feature arrays equal byte for byte), ground-truth arrays
+equal byte for byte, and the same ``ParameterError`` where demand leaves the
+exact integer range.
 """
 
 import datetime as dt
@@ -26,7 +27,7 @@ from bloodbank.datagen import (
     generate_full,
 )
 from bloodbank.errors import ParameterError
-from bloodbank.forecast import DailyRecord
+from bloodbank.forecast import DailyRecord, Dataset
 
 
 def reference_ar1_counts(rng, spec, length):
@@ -95,6 +96,16 @@ def reference_generate_full(config):
     return records, truth
 
 
+def assert_same_dataset(data, records):
+    """``data`` is the dataset of ``records``, bit for bit; -0.0 differs from 0.0."""
+    want = Dataset.from_records(records)
+    assert (data.start, data.feature_names) == (want.start, want.feature_names)
+    for name in ("demand", "features"):
+        got, expected = getattr(data, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
 def _floats(low, high):
     return st.floats(low, high, allow_nan=False, allow_infinity=False)
 
@@ -146,13 +157,8 @@ def test_generate_full_equals_per_day_reference(config):
             generate_full(config)
         assert str(raised.value) == str(exc)
         return
-    records, truth = generate_full(config)
-
-    # repr tells an int demand from a float one, -0.0 from 0.0 and shows key order
-    assert len(records) == len(expected)
-    for got, want in zip(records, expected):
-        assert repr(got) == repr(want)
-        assert type(got.date) is dt.date and type(got.demand) is int
+    data, truth = generate_full(config)
+    assert_same_dataset(data, expected)
     for name in ("trend", "weekday", "covariate_effect", "noise"):
         got, want = getattr(truth, name), getattr(expected_truth, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -167,5 +173,4 @@ def test_prev_week_demand_exact_where_the_running_total_wraps():
     config = GenConfig(n_days=2000, base_level=2.0**53 - 1024, trend_slope=0.0,
                        weekday_effects=(0.0,) * 7, covariates=(), noise_sd=0.0)
     assert 2007 * (2**53 - 1024) > 2**63
-    records, expected = generate_full(config)[0], reference_generate_full(config)[0]
-    assert [repr(r) for r in records] == [repr(r) for r in expected]
+    assert_same_dataset(generate_full(config)[0], reference_generate_full(config)[0])

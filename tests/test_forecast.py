@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from bloodbank import forecast
-from bloodbank.datagen import CovariateSpec, GenConfig, generate
+from bloodbank.datagen import CovariateSpec, GenConfig, generate, generate_full
 from bloodbank.errors import ParameterError, SchemaError
 from bloodbank.forecast import (
-    DailyRecord,
+    Dataset,
     ForecastReport,
     HybridModel,
     aggregate_semiweekly,
@@ -43,13 +43,11 @@ from bloodbank.timeseries import Decomposition, StlConfig
 MONDAY = dt.date(2010, 1, 4)
 
 
-def make_records(demands, start=MONDAY, features=None):
-    records = []
-    for i, demand in enumerate(demands):
-        day = start + dt.timedelta(days=i)
-        feats = {name: values[i] for name, values in (features or {}).items()}
-        records.append(DailyRecord(date=day, demand=float(demand), features=feats))
-    return records
+def make_dataset(demands, start=MONDAY, features=None):
+    """Days from ``start`` with ``demands``; each feature's leading values fill its column."""
+    features = features or {}
+    columns = [np.asarray(values, dtype=float)[: len(demands)] for values in features.values()]
+    return Dataset(start, demands, np.column_stack(columns) if columns else None, list(features))
 
 
 class TestMetrics:
@@ -145,9 +143,9 @@ class TestHybrid:
         n = 364
         demands = seasonal_demand(n)
         rng = np.random.default_rng(0)
-        records = make_records(demands, features={"noise": rng.normal(size=n + 60)})
+        records = make_dataset(demands, features={"noise": rng.normal(size=n + 60)})
         model = fit_hybrid(records[:n], StlConfig(), GbrtConfig(n_rounds=30, seed=1))
-        future = make_records(
+        future = make_dataset(
             seasonal_demand(n + 60)[n:],
             start=MONDAY + dt.timedelta(days=n),
             features={"noise": rng.normal(size=60)},
@@ -189,7 +187,7 @@ class TestHybrid:
         assert np.array_equal(a, b)
 
     def test_too_short_training(self):
-        records = make_records([100.0] * 10, features={"f": np.zeros(10)})
+        records = make_dataset([100.0] * 10, features={"f": np.zeros(10)})
         with pytest.raises(ParameterError):
             fit_hybrid(records, StlConfig(), GbrtConfig())
 
@@ -210,7 +208,7 @@ class TestHybrid:
             train_start=MONDAY, train_end=MONDAY + dt.timedelta(days=13),
             residual_model=model_zero, feature_names=["f"],
         )
-        future = make_records([0.0] * 7, start=MONDAY + dt.timedelta(days=14),
+        future = make_dataset([0.0] * 7, start=MONDAY + dt.timedelta(days=14),
                               features={"f": np.zeros(7)})
         assert np.allclose(predict_daily(hybrid, future), 95.0)
 
@@ -226,7 +224,7 @@ class TestHybrid:
             train_start=MONDAY, train_end=MONDAY + dt.timedelta(days=13),
             residual_model=booster, feature_names=["f"],
         )
-        future = make_records([0.0], start=MONDAY + dt.timedelta(days=14),
+        future = make_dataset([0.0], start=MONDAY + dt.timedelta(days=14),
                               features={"f": [0.0]})
         assert predict_daily(hybrid, future)[0] == pytest.approx(92.0)
 
@@ -344,8 +342,9 @@ class TestOneModelType:
         for fit in (fit_stl_only, fit_stl_linear):
             with pytest.raises(ParameterError, match="two cycles"):
                 fit(small_records[:13], self.STL)
-            with pytest.raises(ParameterError, match="contiguous"):
-                fit(small_records[:100] + small_records[101:200], self.STL)
+        # a dataset holds no gap, so a gap cannot reach a fit
+        with pytest.raises(ParameterError, match="contiguous"):
+            Dataset.from_records([*small_records[:100], *small_records[101:200]])
 
     def test_only_the_boosted_model_serializes(self, small_records):
         train_part = small_records[:364]
@@ -387,16 +386,15 @@ class TestGridSearch:
             grid_search_cv(small_records[:420], [], k=3)
 
     def test_fold_too_short(self):
-        records = make_records([100.0] * 40, features={"f": np.zeros(40)})
+        records = make_dataset([100.0] * 40, features={"f": np.zeros(40)})
         with pytest.raises(ParameterError):
             cv_rmse(records, StlConfig(), GbrtConfig(n_rounds=1), k=5)
 
     def test_no_leakage_under_feature_shift(self, small_records):
         records = small_records[:700]
-        shifted = []
-        for prev, cur in zip(records, records[1:]):
-            shifted.append(DailyRecord(date=cur.date, demand=cur.demand,
-                                       features=dict(prev.features)))
+        # each day holds the previous day's features
+        shifted = Dataset(records.start + dt.timedelta(days=1), records.demand[1:],
+                          records.features[:-1], records.feature_names)
         config = GbrtConfig(n_rounds=60, learning_rate=0.1, max_depth=3)
         aligned = cv_rmse(records[1:], StlConfig(), config, k=3)
         lagged = cv_rmse(shifted, StlConfig(), config, k=3)
@@ -443,13 +441,11 @@ def reference_feature_selection(records, stl_config, gbrt_config, threshold):
 def gappy_records(small_records):
     """Two years with a few missing cells in one feature."""
     rng = np.random.default_rng(4)
-    out = []
-    for record in small_records[:560]:
-        features = dict(record.features)
-        if rng.random() < 0.05:
-            features["lab_lag1"] = float("nan")
-        out.append(DailyRecord(date=record.date, demand=record.demand, features=features))
-    return out
+    data = small_records[:560]
+    features = data.features.copy()
+    missing = [rng.random() < 0.05 for _ in range(len(data))]
+    features[missing, data.feature_names.index("lab_lag1")] = float("nan")
+    return Dataset(data.start, data.demand, features, data.feature_names)
 
 
 CV_GRID = [
@@ -515,11 +511,11 @@ class TestSharedCvLoop:
         assert len(calls) == 1
 
     def test_non_contiguous_records_rejected(self, gappy_records):
-        records = gappy_records[:200] + gappy_records[201:]
+        # no dataset holds a gap, so none reaches CV or feature selection
         with pytest.raises(ParameterError, match="contiguous"):
-            cv_rmse(records, *CV_GRID[0], k=3)
-        with pytest.raises(ParameterError, match="contiguous"):
-            iterative_feature_selection(records, *CV_GRID[0])
+            Dataset.from_records([*gappy_records[:200], *gappy_records[201:]])
+        with pytest.raises(ParameterError, match="step 1"):
+            gappy_records[::2]
 
 
 def usable_cpus(monkeypatch, cpus):
@@ -528,8 +524,9 @@ def usable_cpus(monkeypatch, cpus):
 
 def overflowing(records):
     """``records`` with a last demand whose squared error overflows fold 3's RMSE."""
-    last = records[-1]
-    return records[:-1] + [DailyRecord(date=last.date, demand=1e300, features=last.features)]
+    demand = records.demand.copy()
+    demand[-1] = 1e300
+    return Dataset(records.start, demand, records.features, records.feature_names)
 
 
 class TestParallelCv:
@@ -616,23 +613,6 @@ class TestParallelCv:
         assert forecast._cv_workers(6) == 1
 
 
-def test_records_to_matrix_equals_the_cell_by_cell_fill(gappy_records):
-    """NaN cells stay NaN and a name a record lacks becomes NaN, bit for bit."""
-    names = [*gappy_records[0].features, "absent"]
-    last = gappy_records[-1]
-    records = gappy_records[:-1] + [DailyRecord(date=last.date, demand=last.demand,
-                                                features={"lab_lag7": 3.0})]
-    expected = np.empty((len(records), len(names)))
-    for i, record in enumerate(records):
-        for j, name in enumerate(names):
-            value = record.features.get(name)
-            expected[i, j] = np.nan if value is None else value
-    values = forecast.records_to_matrix(records, names).values
-    assert np.isnan(values).any()
-    assert (values.shape, values.dtype) == (expected.shape, expected.dtype)
-    assert values.tobytes() == expected.tobytes()
-
-
 class TestFeatureSelection:
     def test_planted_feature_survives(self, small_records):
         selected = iterative_feature_selection(
@@ -657,8 +637,8 @@ class TestFeatureSelection:
             covariates=(CovariateSpec(name="only", effect_size=6.0, lag=1),),
         )
         records = generate(config)
-        thinned = [DailyRecord(date=r.date, demand=r.demand,
-                               features={"only": r.features["only"]}) for r in records]
+        only = records.feature_names.index("only")
+        thinned = Dataset(records.start, records.demand, records.features[:, [only]], ["only"])
         selected = iterative_feature_selection(
             thinned, StlConfig(), GbrtConfig(n_rounds=20), importance_threshold=0.005
         )
@@ -702,3 +682,31 @@ class TestCsv:
         assert loaded.dates == report.dates
         assert np.array_equal(loaded.actual, report.actual)
         assert np.array_equal(loaded.predicted, report.predicted)
+
+
+def test_every_dataset_operation_of_the_benchmark_workloads():
+    """What the benchmark's workloads do with a generated dataset, on a small one."""
+    config = GenConfig(n_days=240, seed=3,
+                       covariates=(CovariateSpec(name="lab", effect_size=12.0, lag=7),))
+    data, truth = generate_full(config)
+    assert data == generate(config) and len(data) == len(truth.trend) == 240
+    assert tuple(int(r.demand) for r in data) == tuple(int(v) for v in data.demand)
+    train, holdout = data[:192], data[192:]
+    assert holdout[0].date.weekday() == (config.start_date + dt.timedelta(days=192)).weekday()
+    assert float(np.mean([r.demand for r in train])) == float(np.mean(train.demand))
+
+    stl_config = StlConfig(t_window=91, n_inner=1, n_outer=0, loess_degree=0)
+    gbrt_config = GbrtConfig(n_rounds=3, max_depth=2, seed=1)
+    best = grid_search_cv(data, [(stl_config, gbrt_config)], k=2)
+    selected = iterative_feature_selection(data, *best)
+    assert selected and set(selected) <= set(data.feature_names)
+    model = fit_hybrid(train, *best, feature_names=selected)
+    assert predict_daily(model, holdout).shape == (48,)
+    # cv_rmse against the independent forward-chained loop of the selection check
+    bounds = [round(j * len(data) / 3) for j in range(4)]
+    fold = []
+    for j in (1, 2):
+        fit_part, valid = data[:bounds[j]], data[bounds[j]:bounds[j + 1]]
+        fold_model = fit_hybrid(fit_part, stl_config, gbrt_config)
+        fold.append(rmse(predict_daily(fold_model, valid), [r.demand for r in valid]))
+    assert cv_rmse(data, stl_config, gbrt_config, k=2) == float(np.mean(fold))

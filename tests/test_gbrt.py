@@ -226,6 +226,23 @@ class TestTrainPredict:
 
         check(model.trees[0], np.arange(40))
 
+    @pytest.mark.parametrize("low, high", [
+        (1.0, 1.0000000000000002),  # adjacent floats: their midpoint rounds down to 1.0
+        (1e308, 1.7e308),  # their sum overflows to inf
+    ])
+    def test_split_threshold_separates_what_training_separated(self, low, high):
+        X = FeatureMatrix(np.repeat([low, high], 5)[:, None], ["x"])
+        y = np.repeat([0.0, 10.0], 5)
+        model = train(X, y, GbrtConfig(n_rounds=1, learning_rate=1.0, max_depth=1))
+        root = model.trees[0]
+        assert (root.left.cover, root.right.cover) == (5, 5)
+        assert low < root.threshold <= high
+        predicted = predict(model, X)
+        assert len(set(predicted[:5])) == len(set(predicted[5:])) == 1
+        assert predicted[0] < predicted[5]
+        loaded = ensemble_from_dict(json.loads(json.dumps(ensemble_to_dict(model))))
+        assert np.array_equal(predict(loaded, X), predicted)
+
     def test_zero_rounds_predicts_mean(self):
         rng = np.random.default_rng(2)
         X = FeatureMatrix(rng.normal(size=(10, 2)), ["a", "b"])

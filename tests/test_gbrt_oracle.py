@@ -66,7 +66,9 @@ def feature_candidates(col, rows, g, h, g_total, h_total, config):
         return []
     cg, ch = np.cumsum(g[present]), np.cumsum(h[present])
     gl, hl = cg[cuts], ch[cuts]
-    thresholds = 0.5 * (vals[cuts] + vals[cuts + 1])
+    # the halves' sum, or the upper value where that sum is not above the lower one
+    mid = 0.5 * vals[cuts] + 0.5 * vals[cuts + 1]
+    thresholds = np.where(mid > vals[cuts], mid, vals[cuts + 1])
     if present.size == rows.size:  # no missing rows: they would go to the larger child
         return [(gain, t, bool(left >= h_total - left))
                 for gain, t, left in zip(gains(gl, hl, g_total, h_total, config), thresholds, hl)]
