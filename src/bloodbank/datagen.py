@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError, finite_real, nonnegative_finite, whole
 from .forecast import Dataset
-from .table import number, write_table
+from .table import write_days
 
 __all__ = ["CovariateSpec", "GenConfig", "GroundTruth", "generate", "generate_full",
            "write_truth_csv"]
@@ -197,10 +197,6 @@ def generate(config: GenConfig) -> Dataset:
 def write_truth_csv(path, config: GenConfig, truth: GroundTruth) -> None:
     """Columns: date, trend, weekday_effect, covariate_effect, noise, <covariate...>."""
     names = sorted(truth.covariate_series)
-    columns = [column.tolist() for column in (
-        truth.trend, truth.weekday, truth.covariate_effect, truth.noise,
-        *(truth.covariate_series[name] for name in names))]
-    first = config.start_date.toordinal()
-    write_table(path, ["date", "trend", "weekday_effect", "covariate_effect", "noise", *names],
-                ([dt.date.fromordinal(day).isoformat(), *map(number, values)]
-                 for day, values in zip(range(first, first + len(truth.trend)), zip(*columns))))
+    write_days(path, ["date", "trend", "weekday_effect", "covariate_effect", "noise", *names],
+               config.start_date, [truth.trend, truth.weekday, truth.covariate_effect, truth.noise,
+                                   *(truth.covariate_series[name] for name in names)])

@@ -26,7 +26,7 @@ import numpy as np
 from . import gbrt
 from .errors import ParameterError, SchemaError, whole
 from .policy import _SEMIWEEKLY_BLOCKS
-from .table import number, read_rows, write_table
+from .table import BLOCK as _BLOCK, iso_days, number, read_rows, write_days, write_table
 from .timeseries import (TREND_MODES, Decomposition, Series, StlConfig, stl_decompose,
                          stl_extend)
 
@@ -562,10 +562,6 @@ def _number_cell(path, row_number: int, column: str, text: str) -> float:
     return value
 
 
-_BLOCK = 1024  # rows a dataset is read and written in: bounds the cell strings held
-_EPOCH = dt.date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
-
-
 def _parsed_block(block: list, first: int) -> np.ndarray | None:
     """The (rows, 1 + k) demands and features of dataset rows whose days run on from
     ordinal ``first``; None where a cell might fail ``_checked_block``.
@@ -575,8 +571,7 @@ def _parsed_block(block: list, first: int) -> np.ndarray | None:
     """
     dates, demand, *features = zip(*[cells for _, cells in block])
     last = min(first + len(block), dt.date.max.toordinal() + 1)
-    if list(dates) != np.arange(first - _EPOCH, last - _EPOCH).astype("datetime64[D]").astype(
-            str).tolist():
+    if list(dates) != iso_days(first, last):
         return None
     try:
         values = np.array([list(map(float, column)) if all(column)
@@ -643,15 +638,8 @@ def read_dataset_csv(path) -> Dataset:
 def write_dataset_csv(path, data: Dataset) -> None:
     """``data``, or its ``DailyRecord`` rows, as ``read_dataset_csv`` reads it back."""
     data = data if isinstance(data, Dataset) else Dataset.from_records(data)
-
-    def rows():  # each Python float as its repr, as table.number writes it; NaN empty
-        for lo in range(0, len(data), _BLOCK):
-            block = data[lo : lo + _BLOCK]
-            yield from zip([day.isoformat() for day in block.dates()], *(
-                ["" if cell == "nan" else cell for cell in map(repr, column)]
-                for column in (block.demand.tolist(), *block.features.T.tolist())))
-
-    write_table(path, ["date", "demand", *data.feature_names], rows())
+    write_days(path, ["date", "demand", *data.feature_names], data.start,
+               [data.demand, *data.features.T], missing="", block=_BLOCK)
 
 
 def write_forecast_csv(path, report: ForecastReport) -> None:

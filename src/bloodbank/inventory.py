@@ -15,16 +15,16 @@ expiry describe the stock exactly, the cumulative-curve view of a FIFO queue
 (Nahmias, Operations Research 30(4), 1982).  A period is five integer
 operations on them, with ``C(t - L + 1)`` read from a ring of the last
 ``L - 1`` values of ``C``.  ``_fold`` runs it on plain ints for one
-trajectory, each order chosen from the stock level it sees, and returns
-per-period columns (orders, demands, urgent and expired units, end
-inventories, costs) with the mean cost.  Only the public functions that
-return ``PeriodOutcome``s build them from those columns: ``simulate`` (a
-whole fold), ``step`` (one period behind an ``AgeProfile``, converted at the
-boundary) and ``policy.run_policy``.  ``policy.evaluate_strategy`` and
-``policy.cost_under_actual`` read the columns.  ``policy``'s sweeps run the
-same period on ``(K,)`` vectors, one row per candidate, and price each block
-of periods with one ``CostParams.period_cost`` call on ``(periods, K)``
-arrays.  No pipeline command calls ``step``: it stays on the library surface
+trajectory under one order rule given as data (``policy.order_quantity`` is
+its scalar form) and returns per-period columns (orders, demands, urgent and
+expired units, end inventories, costs) with the mean cost.  Only the public
+functions that return ``PeriodOutcome``s build them from those columns:
+``simulate`` (a whole fold), ``step`` (one period behind an ``AgeProfile``,
+converted at the boundary) and ``policy.run_policy``.
+``policy.evaluate_strategy`` and ``policy.cost_under_actual`` read the
+columns.  ``policy``'s sweeps run the same period on ``(K,)`` vectors, one row
+per candidate, and price each block of periods with one
+``CostParams.period_cost`` call on ``(periods, K)`` arrays.  No pipeline command calls ``step``: it stays on the library surface
 as the independent single-period loop that the benchmark's cost and replay
 checks and the exhaustive-search acceptance test fold by hand.
 
@@ -35,6 +35,7 @@ unit individually and exists purely as a verification oracle for
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -194,39 +195,49 @@ def step(
 ) -> tuple[AgeProfile, PeriodOutcome]:
     """Advance one period: arrivals, FIFO issue, urgent top-up, aging, expiry."""
     ring = _ring(state.counts).tolist()
-    (outcome,) = _outcomes(_fold(ring, [demand], costs, lambda i, level: order_qty)[0])
+    (outcome,) = _outcomes(_fold(ring, [demand], costs, [order_qty])[0])
     counts = _counts(np.array(ring), ring[0] - outcome.end_inventory)
     return AgeProfile(counts, state.shelf_life), outcome
 
 
-def _fold(ring: list, demands: list, costs: CostParams, order_fn) -> tuple[list[list], float]:
+def _fold(ring: list, demands: list, costs: CostParams, units, below=None, lift=0,
+          cap=math.inf) -> tuple[list[list], float]:
     """Per-period columns and mean cost of the FIFO period on a ``_ring`` of plain ints.
 
     The columns are the orders, demands, urgent and expired units, end inventories and costs,
-    in ``PeriodOutcome``'s field order.  Period ``i`` orders ``order_fn(i, level)``: the
-    initial total, then the last end inventory.  The ring is updated in place.
+    in ``PeriodOutcome``'s field order.  The order rule is data, ``policy.order_quantity`` a
+    period at a time: seeing stock ``I`` (the initial total, then the last end inventory),
+    period ``i`` orders ``clamp(units[i], lift - I, cap - I)`` if ``I < below[i]``, else
+    nothing; by default ``units[i]`` unclamped.  Each period checks its units, then its demand,
+    so the earliest bad value names its field.  The ring is updated in place.
     """
+    below = itertools.repeat(math.inf) if below is None else below
     arrived = level = ring[-1]
     gone, size = 0, len(ring)
     delivery, holding = costs.routine_delivery, costs.holding
     rush, waste = costs.urgent, costs.wastage
     n = len(demands)
-    columns = orders, units, urgents, expireds, levels, period_costs = [[0] * n for _ in range(6)]
-    for i, y in enumerate(demands):
-        z = order_fn(i, level)
-        if type(z) is not int or z < 0:  # anything but a plain non-negative int is checked
-            z = _check_units("order_qty", z)
+    columns = orders, issued, urgents, expireds, levels, period_costs = [[0] * n for _ in range(6)]
+    for i, (y, u, b) in enumerate(zip(demands, units, below)):
+        if type(u) is not int or u < 0:  # anything but a plain non-negative int is checked
+            u = _check_units("order_qty", u)
         if type(y) is not int or y < 0:
             y = _check_units("demand", y)
+        z = 0
+        if level < b:  # the stock after the order, clamped to lift..cap
+            stock = level + u if level + u > lift else lift
+            z = (stock if stock < cap else cap) - level
         arrived += z
-        taken = min(gone + y, arrived)
-        urgent = y - (taken - gone)
+        wanted = gone + y  # oldest first, arrivals last
+        taken = wanted if wanted < arrived else arrived
+        urgent = wanted - taken
         slot = i % size
-        expired = max(ring[slot] - taken, 0)
+        left = ring[slot] - taken  # of the cohort reaching the shelf-life limit
+        expired = left if left > 0 else 0
         ring[slot] = arrived
         gone = taken + expired
         level = arrived - gone
-        orders[i], units[i], urgents[i], expireds[i], levels[i] = z, y, urgent, expired, level
+        orders[i], issued[i], urgents[i], expireds[i], levels[i] = z, y, urgent, expired, level
         # CostParams.period_cost's terms, in its order
         period_costs[i] = delivery * (z > 0) + holding * level + rush * urgent + waste * expired
     average = sum(period_costs) / n if n else 0.0
@@ -238,10 +249,9 @@ def _outcomes(columns: list[list]) -> list[PeriodOutcome]:
     return [PeriodOutcome(row[0] > 0, *row) for row in zip(*columns)]
 
 
-def _run(initial: AgeProfile, demands: list, costs: CostParams,
-         order_fn) -> tuple[list[list], float]:
-    """``_fold`` of ``demands`` from ``initial`` under ``order_fn``, failing on an overflow."""
-    columns, average = _fold(_ring(initial.counts).tolist(), demands, costs, order_fn)
+def _run(initial: AgeProfile, demands: list, costs: CostParams, *rule) -> tuple[list[list], float]:
+    """``_fold`` of ``demands`` from ``initial`` under order ``rule``, failing on an overflow."""
+    columns, average = _fold(_ring(initial.counts).tolist(), demands, costs, *rule)
     if not math.isfinite(average):  # every cost is non-negative, so an overflow is inf
         raise ParameterError("orders, demands or costs so large that the average cost overflows")
     return columns, average
@@ -255,7 +265,7 @@ def simulate(
     if len(orders) != len(demands):
         raise ParameterError(
             f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
-    columns, average = _run(initial, demands, costs, lambda i, level: orders[i])
+    columns, average = _run(initial, demands, costs, orders)
     return _outcomes(columns), average
 
 

@@ -22,8 +22,8 @@ by one ``CostParams.period_cost`` call on its (periods, rows) columns.  A
 running ``cumsum`` down the block adds each row's costs left to right, as a
 fold over ``step`` adds them, so the rows are bit-identical to simulating each
 candidate alone.  Single trajectories (``run_policy``, ``evaluate_strategy``,
-``cost_under_actual``) run ``inventory._fold`` on plain ints, and only
-``run_policy`` builds ``PeriodOutcome``s.
+``cost_under_actual``) run ``inventory._fold`` on plain ints, with the same
+rule given to it as data, and only ``run_policy`` builds ``PeriodOutcome``s.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def round_units(value: float) -> int:
 
 
 def order_quantity(inventory: int, forecast_units: int, params: PolicyParams) -> int:
-    """Order size for one decision point under the target/reorder rule."""
+    """Order size for one decision point under the target/reorder rule, which
+    ``inventory._fold`` runs as data over a trajectory and ``_sweep`` on vectors."""
     if inventory < 0 or forecast_units < 0:
         raise ParameterError("inventory and forecast must be non-negative")
     s, target = params.reorder_level, params.inventory_target
@@ -171,11 +172,12 @@ def _order_plan(y_hat: list[float], schedule: Schedule) -> tuple[np.ndarray, np.
     return np.where(order_days, np.maximum(np.floor(sums + 0.5), 0.0), 0.0), order_days
 
 
-def _rule(y_hat: list[float], params: PolicyParams):
-    """``_fold``'s order function for the target/reorder rule on ``params.schedule``."""
+def _rule(y_hat: list[float], params: PolicyParams) -> tuple[list, list, int, int]:
+    """``_fold``'s ``units``, ``below``, ``lift`` and ``cap`` for the target/reorder rule: below
+    the reorder level on order days, lifting to it and capping at the target; never elsewhere."""
     units, order_days = _order_plan(y_hat, params.schedule)
-    units, order_days = [int(u) for u in units.tolist()], order_days.tolist()
-    return lambda i, level: order_quantity(level, units[i], params) if order_days[i] else 0
+    below = [params.reorder_level if day else 0 for day in order_days.tolist()]  # plain ints
+    return list(map(int, units.tolist())), below, params.reorder_level, params.inventory_target
 
 
 def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
@@ -183,7 +185,7 @@ def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
     """Simulate the target/reorder rule over aligned forecast/demand streams."""
     y_hat, demands = _aligned(y_hat, demands)
     profile = _starting_stock(initial, demands, shelf_life)
-    columns, average = _run(profile, demands, costs, _rule(y_hat, params))
+    columns, average = _run(profile, demands, costs, *_rule(y_hat, params))
     return PolicyRun(_outcomes(columns), average, profile.total)
 
 
@@ -193,7 +195,7 @@ def cost_under_actual(demands, initial, costs: CostParams, shelf_life: int = 32)
     if not demands:
         raise ParameterError("demand stream must be non-empty")
     profile = _starting_stock(initial, demands, shelf_life)
-    return _run(profile, demands, costs, lambda i, level: demands[i])[1]
+    return _run(profile, demands, costs, demands)[1]
 
 
 def _streams(y_hat, demands, initial, costs: CostParams, shelf_life: int):
@@ -377,7 +379,7 @@ def learn_policy(y_hat, demands, initial, costs: CostParams, target_grid, reorde
     return {name: best_candidate(rows[name], objective) for name in rows}, rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrategySummary:
     strategy: str
     periods: int
@@ -407,31 +409,33 @@ _CSV_FIELDS = [f.name for f in fields(StrategySummary)
 def _summarize(strategy: str, columns: list[list], start_weekday: int,
                urgent_available: bool = True) -> StrategySummary:
     """Summary of ``_fold``'s orders, demands, urgent, expired, end inventory and cost."""
-    orders = columns[0]
-    periods = len(orders)
-    order_days = [i for i, z in enumerate(orders) if z > 0]
-    qty = np.array([orders[i] for i in order_days], dtype=float)
-    demand, urgent, wastage, inventory, cost = (np.array(c, dtype=float) for c in columns[1:])
-    placements = sorted({(start_weekday + i - 1) % 7 for i in order_days})
-    demand_mean = demand.mean() if periods else 0.0
+    table = np.array(columns, dtype=float)  # one row per column
+    periods = table.shape[1]
+    order_days = np.flatnonzero(table[0] > 0)
+    qty = table[0, order_days]
+    means = sds = [0.0] * len(table)
+    if periods:
+        means, sds = table.mean(axis=1).tolist(), table.std(axis=1).tolist()
+    _, demand_mean, urgent_mean, wastage_mean, inventory_mean, cost_mean = means
+    _, _, urgent_sd, wastage_sd, inventory_sd, cost_sd = sds
     summary = StrategySummary(
         strategy=strategy,
         periods=periods,
-        days_with_orders=len(order_days),
-        order_day_fraction=len(order_days) / periods if periods else 0.0,
+        days_with_orders=order_days.size,
+        order_day_fraction=order_days.size / periods if periods else 0.0,
         order_qty_mean=float(qty.mean()) if qty.size else float("nan"),
         order_qty_sd=float(qty.std()) if qty.size else float("nan"),
-        inventory_mean=float(inventory.mean()) if periods else 0.0,
-        inventory_sd=float(inventory.std()) if periods else 0.0,
-        urgent_mean=float(urgent.mean()) if urgent_available and periods else None,
-        urgent_sd=float(urgent.std()) if urgent_available and periods else None,
-        wastage_mean=float(wastage.mean()) if periods else 0.0,
-        wastage_sd=float(wastage.std()) if periods else 0.0,
-        cost_mean=float(cost.mean()) if periods else 0.0,
-        cost_sd=float(cost.std()) if periods else 0.0,
-        total_cost=float(cost.sum()),
-        doh=float(inventory.mean() / demand_mean) if demand_mean > 0 else float("nan"),
-        placement_weekdays=tuple(placements),
+        inventory_mean=inventory_mean,
+        inventory_sd=inventory_sd,
+        urgent_mean=urgent_mean if urgent_available and periods else None,
+        urgent_sd=urgent_sd if urgent_available and periods else None,
+        wastage_mean=wastage_mean,
+        wastage_sd=wastage_sd,
+        cost_mean=cost_mean,
+        cost_sd=cost_sd,
+        total_cost=float(table[5].sum()),
+        doh=inventory_mean / demand_mean if demand_mean > 0 else float("nan"),
+        placement_weekdays=tuple(sorted(set(((start_weekday + order_days - 1) % 7).tolist()))),
     )
     # every series is non-negative, so an overflow leaves an infinite mean, sd or total
     if math.isinf(demand_mean) or any(math.isinf(getattr(summary, f) or 0.0)
@@ -457,12 +461,12 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
     demands = list(demands)
     profile = _starting_stock(initial, demands, shelf_life)
     if strategy == "gold":
-        rule = lambda i, level: demands[i]
+        rule = (demands,)
     elif strategy == "baseline":
         if baseline_target is None:
             raise ParameterError("baseline strategy needs baseline_target")
-        baseline_target = _check_units("baseline_target", baseline_target)
-        rule = lambda i, level: max(0, baseline_target - level)
+        top = _check_units("baseline_target", baseline_target)
+        rule = itertools.repeat(0), itertools.repeat(top), top, top  # 0 lifted to the target
     elif strategy in ("daily", "semiweekly"):
         if params is None:
             raise ParameterError(f"{strategy} strategy needs policy params")
@@ -472,7 +476,7 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
         rule = _rule(y_hat, params)
     else:
         raise ParameterError(f"unknown strategy {strategy!r}")
-    columns, _ = _fold(_ring(profile.counts).tolist(), demands, costs, rule)
+    columns, _ = _fold(_ring(profile.counts).tolist(), demands, costs, *rule)
     return _summarize(strategy, columns, start_weekday, urgent_available=strategy != "baseline")
 
 

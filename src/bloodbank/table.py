@@ -2,15 +2,43 @@
 ``\\r\\n`` line ends, floats as their shortest ``repr``, an empty cell for missing."""
 
 import csv
+import datetime as dt
+
+import numpy as np
 
 from .errors import SchemaError
 
-__all__ = ["number", "write_table", "read_rows"]
+__all__ = ["number", "iso_days", "write_days", "write_table", "read_rows"]
+
+BLOCK = 1024  # rows of a daily table formatted or parsed at a time: bounds the strings held
+_EPOCH = dt.date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
 
 
 def number(value) -> str:
     """A float cell: the shortest ``repr`` of ``value``, empty for ``None``."""
     return "" if value is None else repr(float(value))
+
+
+def iso_days(first: int, stop: int) -> list[str]:
+    """ISO dates of the day ordinals ``first`` up to ``stop``, as ``datetime64[D]`` strings."""
+    return np.arange(first - _EPOCH, stop - _EPOCH).astype("datetime64[D]").astype(str).tolist()
+
+
+def write_days(path, header: list[str], start: dt.date, columns, missing: str = "nan",
+               block: int = BLOCK) -> None:
+    """One row a day from ``start``: its date, then each column's value as ``number`` writes
+    it (``missing`` for NaN), formatted a column and ``block`` rows at a time."""
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    first, days = start.toordinal(), len(columns[0])
+
+    def rows():
+        for lo in range(0, days, block):
+            hi = min(lo + block, days)
+            yield from zip(iso_days(first + lo, first + hi), *(
+                [missing if cell == "nan" else cell for cell in map(repr, column[lo:hi].tolist())]
+                for column in columns))
+
+    write_table(path, header, rows())
 
 
 def write_table(path, header: list[str], rows) -> None:

@@ -25,7 +25,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ParameterError, whole
-from .table import number, write_table
+from .table import write_days
 
 __all__ = [
     "Series",
@@ -392,8 +392,6 @@ def write_decomposition_csv(path, series: Series, dec: Decomposition) -> None:
     """Columns: date, observed, trend, seasonal, residual."""
     if len(dec) != len(series):
         raise ParameterError("decomposition length does not match the series")
-    columns = (series.values, dec.trend, dec.seasonal, dec.residual)
-    write_table(path, ["date", "observed", "trend", "seasonal", "residual"],
-                ([day.isoformat(), *map(number, values)]
-                 for day, *values in zip(series.dates(), *columns)))
+    write_days(path, ["date", "observed", "trend", "seasonal", "residual"], series.start_date,
+               [series.values, dec.trend, dec.seasonal, dec.residual])
 

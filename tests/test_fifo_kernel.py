@@ -5,11 +5,15 @@
 issued-or-expired count.  Each property here compares them with
 ``brute_force_unit_sim``, which tracks every unit's age, over shelf lives
 2-40, random initial ages, random order and demand streams and both order
-calendars.
+calendars.  The single-trajectory paths that take their order rule as data
+(``simulate``, ``run_policy`` and the four strategies of ``evaluate_strategy``)
+are compared with a fold over ``step`` under the rule stated per period, and
+each strategy summary with a 1-D recompute of its columns.
 """
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,3 +136,125 @@ def test_sweep_refuses_cumulative_arrivals_beyond_int64():
         state, outcome = step(state, 10**15 - state.total, 90, CostParams())
         total += outcome.cost
     assert row[1] == total / 1000
+
+
+def step_columns(profile, demands, costs, decide):
+    """Orders, demands, urgent, expired, end inventories and costs of a fold over ``step``."""
+    state, rows = profile, []
+    for i, y in enumerate(demands):
+        state, outcome = step(state, decide(i, state.total), y, costs)
+        rows.append(dataclasses.astuple(outcome)[1:])
+    return [list(column) for column in zip(*rows)]
+
+
+def rule_of(name, y_hat, demands, target, reorder, start_weekday):
+    """``decide(i, level)`` of one strategy, stated for one period at a time."""
+    if name == "gold":
+        return lambda i, level: demands[i]
+    if name == "baseline":
+        return lambda i, level: max(0, target - level)
+
+    def decide(i, level):
+        block = 1 if name == "daily" else {1: 3, 4: 4}.get((start_weekday + i) % 7, 0)
+        if not block or level >= reorder:
+            return 0
+        return min(max(half_up(sum(y_hat[i: i + block])), reorder - level), target - level)
+    return decide
+
+
+def recomputed(name, columns, start_weekday):
+    """The summary of ``columns`` from one 1-D ``np.mean``/``np.std`` per column."""
+    orders, demand, urgent, wastage, inventory, cost = (np.array(c, dtype=float)
+                                                        for c in columns)
+    days = [i for i, z in enumerate(columns[0]) if z > 0]
+    qty = orders[days]
+    urgent_available = name != "baseline"
+    return pol.StrategySummary(
+        strategy=name, periods=len(orders), days_with_orders=len(days),
+        order_day_fraction=len(days) / len(orders),
+        order_qty_mean=float(np.mean(qty)) if days else math.nan,
+        order_qty_sd=float(np.std(qty)) if days else math.nan,
+        inventory_mean=float(np.mean(inventory)), inventory_sd=float(np.std(inventory)),
+        urgent_mean=float(np.mean(urgent)) if urgent_available else None,
+        urgent_sd=float(np.std(urgent)) if urgent_available else None,
+        wastage_mean=float(np.mean(wastage)), wastage_sd=float(np.std(wastage)),
+        cost_mean=float(np.mean(cost)), cost_sd=float(np.std(cost)),
+        total_cost=float(np.sum(cost)),
+        doh=(float(np.mean(inventory) / np.mean(demand)) if np.mean(demand) > 0
+             else math.nan),
+        placement_weekdays=tuple(sorted({(start_weekday + i - 1) % 7 for i in days})))
+
+
+def outcome_columns(outcomes):
+    return [list(column) for column in zip(*(dataclasses.astuple(o)[1:] for o in outcomes))]
+
+
+def typed_columns(columns):
+    return [[(type(v), v) for v in column] for column in columns]
+
+
+@given(profile=profiles(), costs=cost_params, start_weekday=st.integers(0, 6), data=st.data())
+def test_rules_as_data_equal_a_step_fold(profile, costs, start_weekday, data):
+    horizon = data.draw(st.integers(1, 30))
+    demands, orders = data.draw(streams(horizon)), data.draw(streams(horizon))
+    y_hat = [y + e for y, e in zip(demands, data.draw(st.lists(
+        st.sampled_from([-2.5, -0.5, 0.0, 0.5, 3.0, 1e300]), min_size=horizon,
+        max_size=horizon)))]
+    # a target below and above the starting stock
+    target = data.draw(st.integers(max(0, profile.total - 40), profile.total + 40))
+    reorder = data.draw(st.integers(0, target))
+    expected = step_columns(profile, demands, costs, lambda i, level: orders[i])
+    outcomes, average = simulate(profile, orders, demands, costs)
+    assert typed_columns(outcome_columns(outcomes)) == typed_columns(expected)
+    assert average == sum(expected[5]) / horizon
+    for kind in ("daily", "semiweekly"):
+        params = pol.PolicyParams(target, reorder, pol.Schedule(kind, start_weekday))
+        expected = step_columns(profile, demands, costs,
+                                rule_of(kind, y_hat, demands, target, reorder, start_weekday))
+        run = pol.run_policy(y_hat, demands, profile, costs, params, profile.shelf_life)
+        assert typed_columns(outcome_columns(run.outcomes)) == typed_columns(expected)
+        assert run.average_cost == sum(expected[5]) / horizon
+    for name in ("gold", "baseline", "daily", "semiweekly"):
+        expected = step_columns(profile, demands, costs,
+                                rule_of(name, y_hat, demands, target, reorder, start_weekday))
+        summary = pol.evaluate_strategy(
+            name, y_hat, demands, profile, costs, params=pol.PolicyParams(target, reorder),
+            baseline_target=target, start_weekday=start_weekday, shelf_life=profile.shelf_life)
+        # repr tells every float bit apart but the NaN payload, and shows each type
+        assert repr(summary) == repr(recomputed(name, expected, start_weekday))
+
+
+bad_values = st.sampled_from([-1, 2.5, math.nan, math.inf, None, "3"])
+
+
+@given(profile=profiles(), costs=cost_params, data=st.data())
+def test_bad_order_or_demand_is_named_by_the_earlier_period(profile, costs, data):
+    horizon = data.draw(st.integers(1, 20))
+    demands, orders = data.draw(streams(horizon)), data.draw(streams(horizon))
+    at_order, at_demand = (data.draw(st.integers(0, horizon - 1)) for _ in range(2))
+    bad_order, bad_demand = data.draw(bad_values), data.draw(bad_values)
+    orders[at_order], demands[at_demand] = bad_order, bad_demand
+    field, value = (("order_qty", bad_order) if at_order <= at_demand
+                    else ("demand", bad_demand))  # the order is checked first
+    message = f"^{field} must be a non-negative integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ParameterError, match=message):
+        simulate(profile, orders, demands, costs)
+    # the gold standard orders each demand, so its bad demand fails as the order
+    with pytest.raises(ParameterError, match=f"^order_qty .* got {re.escape(repr(bad_demand))}$"):
+        pol.evaluate_strategy("gold", None, demands, profile, costs)
+    for name in ("baseline", "daily", "semiweekly"):
+        with pytest.raises(ParameterError,
+                           match=f"^demand .* got {re.escape(repr(bad_demand))}$"):
+            pol.evaluate_strategy(name, [5.0] * horizon, demands, profile, costs,
+                                  params=pol.PolicyParams(60, 30), baseline_target=60,
+                                  shelf_life=profile.shelf_life)
+
+
+def test_rule_levels_beyond_int64_stay_exact():
+    # plain ints past int64 order as the rule states them, with no int64 array between
+    target, reorder = 2**70, 2**65
+    run = pol.run_policy([5.0] * 3, [5] * 3, 40, CostParams(), pol.PolicyParams(target, reorder))
+    levels = [40] + [o.end_inventory for o in run.outcomes]
+    assert [o.order_qty for o in run.outcomes] == [
+        pol.order_quantity(level, 5, pol.PolicyParams(target, reorder)) for level in levels[:3]]
+    assert levels == [40] + [reorder - 5] * 3

@@ -13,7 +13,11 @@ reference already summed in a fixed order with no BLAS or LAPACK call, so a
 change to a split's, a leaf's or a loess fit's arithmetic fails here too, on
 any x86 SIMD level and OpenBLAS kernel.  The ``generate`` digests
 were recorded while the generator still built its records one day at a time,
-so its column-wise construction and both writers must keep every byte.
+so its column-wise construction and both writers must keep every byte.  The run
+ends with ``compare`` under the six-day policy, where every strategy wastes
+units and the semiweekly one runs short, and ``decompose``; their digests were
+recorded while each strategy still chose its orders through a per-period
+callback and the decomposition was written a row at a time.
 """
 
 import hashlib
@@ -26,6 +30,12 @@ from bloodbank.cli import main as cli_main
 from conftest import write_stream
 
 GOLDEN = {
+    ("compare", "comparison.csv"):
+        "012d400bdf7892cfc7416c6f06f5e6b66338c444238cd7fabac07165dbfb40df",
+    ("compare", "comparison.txt"):
+        "7f30841027a1ca8134cd92d24ff5f0ae089a6c3fedfcb243ad42fd4607336bb0",
+    ("decompose", "decomposition.csv"):
+        "75b59a20d4ca75b53ed138a7c5cce8a28a073fadb4d4bffafc376b57a0aa698e",
     ("generate", "dataset.csv"):
         "dea7766bcfca632b98c4e04201b84c5a24ac78b465ff413e25306203cc858de9",
     ("generate", "dataset_truth.csv"):
@@ -74,6 +84,10 @@ def run_root(tmp_path_factory):
          "--target-grid", "0:900:30", "--out-dir", root / "optimize_short"],
         ["simulate", "--orders", root / "orders.csv", "--demands", root / "demands.csv",
          "--initial", "150", "--shelf-life", "6", "--out-dir", root / "simulate"],
+        ["compare", "--report", report, "--policy", root / "optimize_short" / "policy.json",
+         "--initial", "300", "--shelf-life", "6", "--out-dir", root / "compare"],
+        ["decompose", "--data", root / "generate" / "dataset.csv", "--out-dir",
+         root / "decompose"],
     ]
     for command in commands:
         assert cli_main([str(part) for part in command]) == 0

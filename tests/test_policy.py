@@ -1,11 +1,11 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bloodbank import policy as policy_module
 from bloodbank.errors import ParameterError
 from bloodbank.forecast import aggregate_semiweekly
 from bloodbank.inventory import AgeProfile, CostParams, simulate, young_stock
@@ -401,17 +401,18 @@ class TestRunPolicy:
                 assert floor - level <= z <= target - level
 
     @pytest.mark.parametrize("bad", [-1, 2.5, float("nan")])
-    def test_bad_order_at_a_later_period_names_the_field(self, monkeypatch, bad):
-        seen = []
-
-        def order_quantity(inventory, forecast_units, params):
-            seen.append(inventory)
-            return bad if len(seen) == 4 else 0
-
-        monkeypatch.setattr(policy_module, "order_quantity", order_quantity)
-        with pytest.raises(ParameterError, match="order_qty"):
-            run_policy([5.0] * 8, [5] * 8, 40, COSTS, PolicyParams(100, 50))
-        assert len(seen) == 4
+    def test_bad_order_at_a_later_period_names_the_field(self, bad):
+        # the rule's own orders are whole and non-negative, so a bad order comes from a
+        # stream: simulate's orders, or the demands that the gold standard orders
+        stream = [5, 5, 5, bad, 5, 5, 5, 5]
+        message = re.escape(f"order_qty must be a non-negative integer, got {bad!r}")
+        with pytest.raises(ParameterError, match=message):
+            simulate(young_stock(40, 5.0), stream, [5] * 8, COSTS)
+        with pytest.raises(ParameterError, match=message):
+            evaluate_strategy("gold", None, stream, young_stock(40, 5.0), COSTS)
+        # no earlier period fails
+        simulate(young_stock(40, 5.0), stream[:3], [5] * 3, COSTS)
+        evaluate_strategy("gold", None, stream[:3], young_stock(40, 5.0), COSTS)
 
     def test_stream_mismatch(self):
         with pytest.raises(ParameterError):
