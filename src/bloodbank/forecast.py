@@ -26,7 +26,7 @@ import numpy as np
 from . import gbrt
 from .errors import ParameterError, SchemaError, whole
 from .policy import _SEMIWEEKLY_BLOCKS
-from .table import BLOCK as _BLOCK, iso_days, number, read_rows, write_days, write_table
+from .table import BLOCK as _BLOCK, iso_days, read_rows, write_days
 from .timeseries import (TREND_MODES, Decomposition, Series, StlConfig, stl_decompose,
                          stl_extend)
 
@@ -319,7 +319,10 @@ def predict_in_sample(model: HybridModel, train: Dataset) -> np.ndarray:
             f"trained on {model.train_start}..{model.train_end}"
         )
     dec = model.decomposition
-    return dec.trend + dec.seasonal + _predicted_residual(model, _features(model, train))
+    X = _features(model, train)
+    kept = (gbrt.in_sample(model.residual_model, X)
+            if isinstance(model.residual_model, gbrt.Ensemble) else None)
+    return dec.trend + dec.seasonal + (_predicted_residual(model, X) if kept is None else kept)
 
 
 def predict_stl_only(model: HybridModel, horizon: int) -> np.ndarray:
@@ -643,10 +646,9 @@ def write_dataset_csv(path, data: Dataset) -> None:
 
 
 def write_forecast_csv(path, report: ForecastReport) -> None:
-    """Columns: date, actual, predicted."""
-    write_table(path, ["date", "actual", "predicted"], (
-        [day.isoformat(), number(actual), number(predicted)]
-        for day, actual, predicted in zip(report.dates, report.actual, report.predicted)))
+    """Columns: date, actual, predicted; a row for each of the report's dates."""
+    write_days(path, ["date", "actual", "predicted"], report.dates,
+               [report.actual, report.predicted])
 
 
 def read_forecast_csv(path) -> ForecastReport:

@@ -23,6 +23,12 @@ the grower counts rows where a general hessian would be summed.  Node totals
 are sums over the node's rows, and when a round uses every row its leaves
 write the round's predictions, so no tree is walked.
 
+``train`` keeps the in-sample fit its rounds build, ``base + lr * out`` tree
+after tree in the order ``predict`` adds them, with a digest of the rows it was
+fit on (``Ensemble.fitted``).  It equals ``predict`` on those rows bit for bit,
+so ``in_sample`` hands it back for them without a walk.  A loaded ensemble, or
+a copy made with ``dataclasses.replace``, has none and walks its trees.
+
 ``gradients_squared_error``, ``leaf_weight``, ``split_gain`` and
 ``tree_predict`` are the closed forms that the demos and the reference search
 in the tests state the method with.  Row and column subsampling and the seed
@@ -31,6 +37,7 @@ stay in ``GbrtConfig``: the pinned forecasts and the benchmark set them.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -48,6 +55,7 @@ __all__ = [
     "split_gain",
     "train",
     "predict",
+    "in_sample",
     "variable_importance",
     "ensemble_to_dict",
     "ensemble_from_dict",
@@ -144,6 +152,10 @@ class Ensemble:
     base_score: float = 0.0
     feature_names: list[str] = field(default_factory=list)
     config: GbrtConfig | None = None
+    # a digest of ``train``'s rows and its predictions for them: in no document, repr or ==,
+    # and not an ``__init__`` argument, so a ``dataclasses.replace`` copy has none
+    fitted: tuple[bytes, np.ndarray] | None = field(default=None, init=False, repr=False,
+                                                    compare=False)
 
 
 def gradients_squared_error(targets, predictions) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +371,24 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
             out = tree_predict(tree, X.values)
         predictions += config.learning_rate * out
         model.trees.append(tree)
+    model.fitted = _digest(X.values), predictions
     return model
+
+
+def _digest(values: np.ndarray) -> bytes:
+    """SHA-256 of a matrix's shape and bytes: the same only for the same rows."""
+    digest = hashlib.sha256(repr(values.shape).encode())
+    digest.update(np.ascontiguousarray(values))
+    return digest.digest()
+
+
+def in_sample(model: Ensemble, X: FeatureMatrix) -> np.ndarray | None:
+    """``predict(model, X)`` as ``train`` built it, if ``X`` holds the rows the model
+    was trained on; None otherwise, and for a loaded model, which must walk its trees."""
+    if (model.fitted is None or X.feature_names != model.feature_names
+            or _digest(X.values) != model.fitted[0]):
+        return None
+    return model.fitted[1].copy()
 
 
 def predict(model: Ensemble, X: FeatureMatrix) -> np.ndarray:

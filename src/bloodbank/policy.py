@@ -136,20 +136,25 @@ class PolicyRun:
     initial_level: int
 
 
-def _aligned(y_hat, demands) -> tuple[list[float], list]:
-    y_hat = [float(v) for v in y_hat]
+def _aligned(y_hat, demands) -> tuple[np.ndarray, list]:
+    """The forecasts as one float array and the demands as a list, of one length.
+
+    Each forecast converts as ``float`` converts it, which raises what it rejects,
+    so a None is not a NaN.  The first NaN raises ParameterError naming its period.
+    """
+    forecasts = np.array([float(v) for v in y_hat], dtype=float)
     demands = list(demands)
-    if len(y_hat) != len(demands):
+    if forecasts.size != len(demands):
         raise ParameterError(
-            f"stream length mismatch: {len(y_hat)} forecasts vs {len(demands)} demands"
+            f"stream length mismatch: {forecasts.size} forecasts vs {len(demands)} demands"
         )
-    bad = next((i for i, v in enumerate(y_hat) if math.isnan(v)), None)
-    if bad is not None:
-        raise ParameterError(f"forecast for period {bad + 1} is NaN")
-    return y_hat, demands
+    nan = np.isnan(forecasts)
+    if nan.any():
+        raise ParameterError(f"forecast for period {int(nan.argmax()) + 1} is NaN")
+    return forecasts, demands
 
 
-def _order_plan(y_hat: list[float], schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
+def _order_plan(y_hat: np.ndarray, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Rounded forecast units an order would cover, and whether one may be placed.
 
     Daily orders cover one period.  Semiweekly orders are placed only on Mondays and
@@ -158,7 +163,7 @@ def _order_plan(y_hat: list[float], schedule: Schedule) -> tuple[np.ndarray, np.
     """
     horizon = len(y_hat)
     # forecasts this large could sum to inf over a block; every order is capped far below
-    y_hat = np.clip(np.asarray(y_hat, dtype=float), -1e300, 1e300)
+    y_hat = np.clip(y_hat, -1e300, 1e300)
     blocks = np.ones(horizon, dtype=np.int64)
     if schedule.kind == "semiweekly":
         lengths = np.array([_SEMIWEEKLY_BLOCKS.get(day, 0) for day in range(7)])
@@ -172,7 +177,7 @@ def _order_plan(y_hat: list[float], schedule: Schedule) -> tuple[np.ndarray, np.
     return np.where(order_days, np.maximum(np.floor(sums + 0.5), 0.0), 0.0), order_days
 
 
-def _rule(y_hat: list[float], params: PolicyParams) -> tuple[list, list, int, int]:
+def _rule(y_hat: np.ndarray, params: PolicyParams) -> tuple[list, list, int, int]:
     """``_fold``'s ``units``, ``below``, ``lift`` and ``cap`` for the target/reorder rule: below
     the reorder level on order days, lifting to it and capping at the target; never elsewhere."""
     units, order_days = _order_plan(y_hat, params.schedule)

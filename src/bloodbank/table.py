@@ -1,5 +1,13 @@
 """The one CSV writer and row reader of every table artifact: RFC 4180 with
-``\\r\\n`` line ends, floats as their shortest ``repr``, an empty cell for missing."""
+``\\r\\n`` line ends, floats as their shortest ``repr``, an empty cell for missing.
+
+Headers and the rows of ``write_table`` go through ``csv``, which quotes a cell
+that holds a comma, a quote or a line break.  ``write_days`` joins its rows
+itself, cells with ``","`` and lines ended with ``"\\r\\n"``: each of its cells
+is an ISO date, a float ``repr`` (digits, sign, ``.``, ``e``, ``inf`` or
+``nan``) or the missing marker, and none of these ever holds a character that
+needs quoting, so the bytes are those ``csv`` would write.
+"""
 
 import csv
 import datetime as dt
@@ -24,21 +32,30 @@ def iso_days(first: int, stop: int) -> list[str]:
     return np.arange(first - _EPOCH, stop - _EPOCH).astype("datetime64[D]").astype(str).tolist()
 
 
-def write_days(path, header: list[str], start: dt.date, columns, missing: str = "nan",
+def write_days(path, header: list[str], days, columns, missing: str = "nan",
                block: int = BLOCK) -> None:
-    """One row a day from ``start``: its date, then each column's value as ``number`` writes
-    it (``missing`` for NaN), formatted a column and ``block`` rows at a time."""
-    columns = [np.asarray(column, dtype=float) for column in columns]
-    first, days = start.toordinal(), len(columns[0])
+    """One row a day: its date, then each column's value as ``number`` writes it
+    (``missing``, which needs no quoting, for NaN), formatted a column and ``block``
+    rows at a time.
 
-    def rows():
-        for lo in range(0, days, block):
-            hi = min(lo + block, days)
-            yield from zip(iso_days(first + lo, first + hi), *(
+    ``days`` is the first day of consecutive rows, or each row's date.  There are
+    as many rows as the shortest of the dates and the columns.
+    """
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    if isinstance(days, dt.date):
+        first = days.toordinal() - _EPOCH
+        days = np.arange(first, first + len(columns[0]))
+    else:
+        days = np.fromiter(map(dt.date.toordinal, days), dtype=np.int64) - _EPOCH
+    rows = min([len(days), *map(len, columns)])
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerow(header)
+        for lo in range(0, rows, block):
+            hi = min(lo + block, rows)
+            cells = zip(days[lo:hi].astype("datetime64[D]").astype(str).tolist(), *(
                 [missing if cell == "nan" else cell for cell in map(repr, column[lo:hi].tolist())]
                 for column in columns))
-
-    write_table(path, header, rows())
+            handle.write("\r\n".join(map(",".join, cells)) + "\r\n")
 
 
 def write_table(path, header: list[str], rows) -> None:

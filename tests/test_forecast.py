@@ -238,6 +238,24 @@ class TestHybrid:
         with pytest.raises(ParameterError):
             predict_in_sample(model, small_records[1:501])
 
+    @pytest.mark.parametrize("config", [
+        GbrtConfig(n_rounds=20, max_depth=3),
+        GbrtConfig(n_rounds=12, max_depth=None, subsample_rows=0.7, subsample_cols=0.5, seed=4),
+        GbrtConfig(n_rounds=0),
+    ])
+    def test_in_sample_fit_kept_by_training_is_the_walked_one(self, small_records, config):
+        train_part = small_records[:400]
+        model = fit_hybrid(train_part, StlConfig(), config)
+        loaded = hybrid_from_dict(hybrid_to_dict(model))  # no kept fit: walks its trees
+        assert model.residual_model.fitted is not None and loaded.residual_model.fitted is None
+        fitted = predict_in_sample(model, train_part)
+        assert fitted.tobytes() == predict_in_sample(loaded, train_part).tobytes()
+        # other feature values over the same window are walked, not given the kept fit
+        features = train_part.features[::-1].copy()
+        other = Dataset(train_part.start, train_part.demand, features, train_part.feature_names)
+        assert (predict_in_sample(model, other).tobytes()
+                == predict_in_sample(loaded, other).tobytes())
+
     def test_hybrid_serialization_round_trip(self, small_records):
         train_part = small_records[:300]
         model = fit_hybrid(train_part, StlConfig(), GbrtConfig(n_rounds=10, seed=3))

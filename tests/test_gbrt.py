@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -413,6 +414,67 @@ class TestUnitHessian:
         X = make_matrix(rng, 80, ["continuous", "tied", "binary"], 0.15)
         y = np.round(rng.normal(scale=3.0, size=80), 2)
         self.trained_like_reference(X, y, config)
+
+
+class TestInSampleFit:
+    """``train`` keeps the in-sample fit its rounds build; ``in_sample`` returns it for the
+    training rows, equal to ``predict`` bit for bit, and for no other rows."""
+
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=4),
+        nan_fraction=st.sampled_from([0.0, 0.2, 0.6]),
+        config=st.builds(
+            GbrtConfig,
+            n_rounds=st.integers(0, 4),
+            learning_rate=st.sampled_from([0.1, 0.5, 1.0]),
+            max_depth=st.sampled_from([None, 1, 3]),
+            min_child_weight=st.sampled_from([0.0, 1.0, 5.0]),
+            subsample_rows=st.sampled_from([1.0, 0.8, 0.5]),
+            subsample_cols=st.sampled_from([1.0, 0.6]),
+            reg_lambda=st.sampled_from([0.0, 1.0]),
+            seed=st.integers(0, 2**16),
+        ),
+    )
+    def test_kept_fit_is_predict_bit_for_bit(self, data_seed, n, kinds, nan_fraction, config):
+        rng = np.random.default_rng(data_seed)
+        X = make_matrix(rng, n, kinds, nan_fraction)
+        y = np.round(rng.normal(scale=3.0, size=n), 2)
+        model = train(X, y, config)
+        assert gbrt.in_sample(model, X).tobytes() == predict(model, X).tobytes()
+
+    def test_only_the_training_rows_get_the_kept_fit(self):
+        rng = np.random.default_rng(5)
+        X = make_matrix(rng, 40, ["continuous", "tied"], 0.1)
+        model = train(X, rng.normal(size=40), GbrtConfig(n_rounds=5))
+        copy = FeatureMatrix(X.values.copy(), X.feature_names)
+        assert gbrt.in_sample(model, copy).tobytes() == predict(model, X).tobytes()
+        other = X.values.copy()
+        other[0, 0] += 1.0
+        assert gbrt.in_sample(model, FeatureMatrix(other, X.feature_names)) is None
+        assert gbrt.in_sample(model, FeatureMatrix(X.values[:-1], X.feature_names)) is None
+        assert gbrt.in_sample(model, FeatureMatrix(X.values, ["p", "q"])) is None
+        loaded = ensemble_from_dict(ensemble_to_dict(model))
+        assert loaded.fitted is None and gbrt.in_sample(loaded, X) is None
+
+    def test_kept_fit_stays_out_of_documents_repr_and_equality(self):
+        rng = np.random.default_rng(9)
+        X = make_matrix(rng, 30, ["continuous"], 0.0)
+        model = train(X, rng.normal(size=30), GbrtConfig(n_rounds=3))
+        assert model.fitted is not None and "fitted" not in ensemble_to_dict(model)
+        copy = dataclasses.replace(model)
+        assert "fitted" not in repr(model) and copy.fitted is None and copy == model
+
+    def test_replaced_ensembles_walk_their_trees(self):
+        rng = np.random.default_rng(11)
+        X = make_matrix(rng, 40, ["continuous", "tied"], 0.1)
+        model = train(X, rng.normal(size=40), GbrtConfig(n_rounds=6))
+        for copy in (dataclasses.replace(model, trees=model.trees[:2]),
+                     dataclasses.replace(model, learning_rate=0.5),
+                     dataclasses.replace(model, base_score=model.base_score + 1.0)):
+            assert gbrt.in_sample(copy, X) is None
+            assert predict(copy, X).tobytes() != gbrt.in_sample(model, X).tobytes()
 
 
 class TestImportance:

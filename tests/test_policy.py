@@ -1,4 +1,6 @@
 import datetime as dt
+import decimal
+import fractions
 import re
 
 import numpy as np
@@ -24,6 +26,7 @@ from bloodbank.policy import (
     round_units,
     run_policy,
     target_sweep,
+    _aligned,
     write_comparison_csv,
 )
 from conftest import read_csv
@@ -524,9 +527,65 @@ class TestNanForecast:
         with pytest.raises(ParameterError, match=self.MESSAGE):
             reorder_sweep(self.Y_HAT, [5] * 4, 10, COSTS, 100, [0, 50])
 
+    @pytest.mark.parametrize("y_hat, period", [
+        ([float("nan"), 5.0, 5.0, 5.0], 1),
+        ([5.0, 5.0, 5.0, float("nan")], 4),
+        (np.array([5.0, np.nan, 5.0, 5.0], dtype=np.float32), 2),
+        (["5", "5", "nan", "5"], 3),
+    ])
+    def test_first_nan_named_at_either_end(self, y_hat, period):
+        with pytest.raises(ParameterError, match=f"^forecast for period {period} is NaN$"):
+            run_policy(y_hat, [5] * 4, 10, COSTS, PolicyParams(100, 50))
+
     def test_infinite_forecast_orders_up_to_the_target(self):
         run = run_policy([5.0, float("inf"), 5.0, 5.0], [5] * 4, 10, COSTS, PolicyParams(100, 50))
         assert orders_of(run) == [40, 55, 0, 0]
+
+
+class TestForecastConversion:
+    """Forecasts convert as ``float`` converts each one, whatever holds them, and what
+    ``float`` rejects raises as it does."""
+
+    @pytest.mark.parametrize("y_hat", [
+        [5.0, -0.0, 2.5],
+        [5, 2**63 + 1, -3],
+        [True, False, True],
+        ["5", " 2.5 ", "1_000"],
+        [b"1.5", "inf", "-infinity"],
+        [np.float32(0.1), np.int64(7), np.bool_(True)],
+        [np.float16(0.1), np.uint64(2**64 - 1), np.longdouble("0.1")],
+        [decimal.Decimal("0.1"), fractions.Fraction(1, 3), np.array(2.0)],
+        np.array([0.1, 2.0, 3.0], dtype=np.float32),
+        np.array([1, 2, 3], dtype=np.uint8),
+        np.array([1, "2.5", decimal.Decimal(3)], dtype=object),
+        np.array(["0.1", "2", "3e0"]),
+        range(3),
+        "123",
+        {1.5: 0, 2.5: 0, 3.5: 0},
+    ], ids=lambda y_hat: type(y_hat).__name__)
+    def test_values_are_floats_of_each(self, y_hat):
+        forecasts, demands = _aligned(y_hat, [5, 5, 5])
+        assert forecasts.dtype == np.float64 and demands == [5, 5, 5]
+        assert forecasts.tobytes() == np.array([float(v) for v in y_hat]).tobytes()
+
+    @pytest.mark.parametrize("y_hat, error", [
+        ([5.0, None, 5.0], TypeError),
+        ([float("nan"), None, 5.0], TypeError),  # None is no NaN: float rejects it first
+        ([None], TypeError),  # before the length check
+        (np.array([5.0, None, 5.0], dtype=object), TypeError),
+        (["5", "abc", "5"], ValueError),
+        ([5.0, 1j, 5.0], TypeError),
+        ([[5.0], [5.0], [5.0]], TypeError),
+        ([[5.0], [5.0, 5.0], [5.0]], TypeError),
+        (np.ones((3, 1)), TypeError),
+        (np.array(5.0), TypeError),
+        (np.array(["2020-01-01"] * 3, dtype="datetime64[D]"), TypeError),
+        ([5.0, 10**400, 5.0], OverflowError),
+        (5.0, TypeError),
+    ])
+    def test_what_float_rejects_raises_as_float_does(self, y_hat, error):
+        with pytest.raises(error):
+            _aligned(y_hat, [5, 5, 5])
 
 
 def test_comparison_outputs(tmp_path, small_records):
