@@ -172,11 +172,18 @@ def _value(args, kind):
                    for field in dataclasses.fields(kind)})
 
 
-def _young_stock(args, demands) -> inventory.AgeProfile:
-    """The starting stock of every simulation in a run: ``--initial`` young units."""
+def _initial(args) -> int:
+    """``--initial``, a unit count that int64 holds."""
     if args.initial < 0:
         raise ParameterError(f"--initial must be non-negative, got {args.initial}")
-    return inventory._starting_stock(args.initial, demands, args.shelf_life)
+    if args.initial >= 2**63:
+        raise ParameterError(f"--initial must be below 2**63 units, got {args.initial}")
+    return args.initial
+
+
+def _young_stock(args, demands) -> inventory.AgeProfile:
+    """The starting stock of every simulation in a run: ``--initial`` young units."""
+    return inventory._starting_stock(_initial(args), demands, args.shelf_life)
 
 
 @contextlib.contextmanager
@@ -299,8 +306,9 @@ def _read_report(path) -> tuple[list[float], list[int], int]:
 
 def cmd_optimize(args, run: _Run) -> None:
     costs = _value(args, inventory.CostParams)
+    initial = _initial(args)  # before the default grid is sized from it
     target_grid = (_parse_grid("--target-grid", args.target_grid) if args.target_grid
-                   else list(range(args.initial, 2 * args.initial + 1, 10)))
+                   else list(range(initial, 2 * initial + 1, 10)))
     reorder_grid = (_parse_grid("--reorder-grid", args.reorder_grid) if args.reorder_grid
                     else None)
     y_hat, demands, start_weekday = _read_report(args.report)
@@ -329,6 +337,7 @@ def cmd_optimize(args, run: _Run) -> None:
 def cmd_compare(args, run: _Run) -> None:
     costs = _value(args, inventory.CostParams)
     y_hat, demands, start_weekday = _read_report(args.report)
+    stock = _young_stock(args, demands)  # before the default baseline target is scaled from it
 
     if args.policy:
         doc = _load_json(args.policy)
@@ -364,7 +373,6 @@ def cmd_compare(args, run: _Run) -> None:
     strategies = {"baseline": {"baseline_target": baseline_target}, "gold": {},
                   "daily": {"params": policy.PolicyParams(target, reorder_daily)},
                   "semiweekly": {"params": policy.PolicyParams(target, reorder_semiweekly)}}
-    stock = _young_stock(args, demands)
     with _blaming(args.report):  # checked before any write
         summaries = [policy.evaluate_strategy(name, y_hat, demands, stock, costs,
                                               start_weekday=start_weekday,

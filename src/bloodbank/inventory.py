@@ -14,17 +14,20 @@ needed: the cumulative arrivals ``C(t)`` and the units ``gone`` by issue or
 expiry describe the stock exactly, the cumulative-curve view of a FIFO queue
 (Nahmias, Operations Research 30(4), 1982).  A period is five integer
 operations on them, with ``C(t - L + 1)`` read from a ring of the last
-``L - 1`` values of ``C``.  ``_fold`` runs it on plain ints for one
-trajectory under one order rule given as data (``policy.order_quantity`` is
-its scalar form) and returns per-period columns (orders, demands, urgent and
-expired units, end inventories, costs) with the mean cost.  Only the public
-functions that return ``PeriodOutcome``s build them from those columns:
-``simulate`` (a whole fold), ``step`` (one period behind an ``AgeProfile``,
-converted at the boundary) and ``policy.run_policy``.
-``policy.evaluate_strategy`` and ``policy.cost_under_actual`` read the
-columns.  ``policy``'s sweeps run the same period on ``(K,)`` vectors, one row
-per candidate, and price each block of periods with one
-``CostParams.period_cost`` call on ``(periods, K)`` arrays.  No pipeline command calls ``step``: it stays on the library surface
+``L - 1`` values of ``C``, its slot taken from a cycle of the slot numbers.
+A stock is a count that int64 holds: ``AgeProfile`` and ``young_stock``
+refuse a total of ``2**63`` units or more.  ``_fold`` runs the period on
+plain ints for one trajectory under one order rule given as data
+(``policy.order_quantity`` is its scalar form) and returns per-period columns
+(orders, demands, urgent and expired units, end inventories, costs) with the
+mean cost.  Only the public functions that return ``PeriodOutcome``s build
+them from those columns: ``simulate`` (a whole fold), ``step`` (one period
+behind an ``AgeProfile``, converted at the boundary) and
+``policy.run_policy``.  ``policy.evaluate_strategy`` and
+``policy.cost_under_actual`` read the columns.  ``policy``'s sweeps run the
+same period on ``(K,)`` vectors, one row per candidate, and price each block
+of periods with one ``CostParams.period_cost`` call on ``(periods, K)``
+arrays.  No pipeline command calls ``step``: it stays on the library surface
 as the independent single-period loop that the benchmark's cost and replay
 checks and the exhaustive-search acceptance test fold by hand.
 
@@ -95,7 +98,10 @@ class AgeProfile:
     shelf_life: int = 32
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
+        try:
+            counts = np.asarray(self.counts, dtype=np.int64)
+        except OverflowError:
+            raise ParameterError("age counts must each be below 2**63 units") from None
         object.__setattr__(self, "shelf_life", whole("shelf_life", self.shelf_life))
         if self.shelf_life < 2:
             raise ParameterError(f"shelf_life must be >= 2, got {self.shelf_life}")
@@ -105,6 +111,8 @@ class AgeProfile:
             )
         if (counts < 0).any():
             raise ParameterError("age counts must be non-negative")
+        if sum(counts.tolist()) >= 2**63:  # the int64 total would wrap negative
+            raise ParameterError("age counts must total below 2**63 units")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -132,12 +140,14 @@ def young_stock(total: int, mean_demand: float, shelf_life: int = 32) -> AgeProf
         raise ParameterError(f"shelf_life must be >= 2, got {shelf_life}")
     if total < 0:
         raise ParameterError("total stock must be non-negative")
+    if total >= 2**63:
+        raise ParameterError("total stock must be below 2**63 units")
     counts = np.zeros(shelf_life - 1, dtype=np.int64)
     if total == 0:
         return AgeProfile(counts, shelf_life)
     if not 0 < mean_demand < math.inf:  # also NaN
         raise ParameterError(f"mean_demand must be positive and finite, got {mean_demand!r}")
-    n_ages = min(int(math.ceil(total / mean_demand)), shelf_life - 1)
+    n_ages = math.ceil(min(total / mean_demand, shelf_life - 1))  # the ratio may be inf
     base, extra = divmod(total, n_ages)
     counts[:n_ages] = base
     counts[:extra] += 1
@@ -213,12 +223,13 @@ def _fold(ring: list, demands: list, costs: CostParams, units, below=None, lift=
     """
     below = itertools.repeat(math.inf) if below is None else below
     arrived = level = ring[-1]
-    gone, size = 0, len(ring)
+    gone = 0
     delivery, holding = costs.routine_delivery, costs.holding
     rush, waste = costs.urgent, costs.wastage
     n = len(demands)
     columns = orders, issued, urgents, expireds, levels, period_costs = [[0] * n for _ in range(6)]
-    for i, (y, u, b) in enumerate(zip(demands, units, below)):
+    slots = itertools.cycle(range(len(ring)))  # period i reads C(i - L + 1) from slot i % (L - 1)
+    for i, y, u, b, slot in zip(range(n), demands, units, below, slots):
         if type(u) is not int or u < 0:  # anything but a plain non-negative int is checked
             u = _check_units("order_qty", u)
         if type(y) is not int or y < 0:
@@ -227,17 +238,24 @@ def _fold(ring: list, demands: list, costs: CostParams, units, below=None, lift=
         if level < b:  # the stock after the order, clamped to lift..cap
             stock = level + u if level + u > lift else lift
             z = (stock if stock < cap else cap) - level
-        arrived += z
+            arrived += z
         wanted = gone + y  # oldest first, arrivals last
         taken = wanted if wanted < arrived else arrived
         urgent = wanted - taken
-        slot = i % size
-        left = ring[slot] - taken  # of the cohort reaching the shelf-life limit
-        expired = left if left > 0 else 0
+        oldest = ring[slot]  # C(i - L + 1): every unit that arrived by then is gone
         ring[slot] = arrived
-        gone = taken + expired
+        if oldest > taken:
+            expired = oldest - taken
+            gone = oldest
+        else:
+            expired = 0
+            gone = taken
         level = arrived - gone
-        orders[i], issued[i], urgents[i], expireds[i], levels[i] = z, y, urgent, expired, level
+        orders[i] = z
+        issued[i] = y
+        urgents[i] = urgent
+        expireds[i] = expired
+        levels[i] = level
         # CostParams.period_cost's terms, in its order
         period_costs[i] = delivery * (z > 0) + holding * level + rush * urgent + waste * expired
     average = sum(period_costs) / n if n else 0.0

@@ -24,6 +24,10 @@ fold over ``step`` adds them, so the rows are bit-identical to simulating each
 candidate alone.  Single trajectories (``run_policy``, ``evaluate_strategy``,
 ``cost_under_actual``) run ``inventory._fold`` on plain ints, with the same
 rule given to it as data, and only ``run_policy`` builds ``PeriodOutcome``s.
+``_rule`` converts the rule's units and thresholds to those ints through one
+int64 array each when int64 holds every value.  ``evaluate_strategy``
+summarizes the fold's columns from one float array, its means and SDs taken by
+the ufunc steps ``numpy.mean`` and ``numpy.std`` run, to the same bits.
 """
 
 from __future__ import annotations
@@ -72,6 +76,8 @@ __all__ = [
 # semiweekly deliveries by weekday (Monday=0) and the days each covers: Tuesday
 # (ordered Monday) covers Tue-Thu, Friday (ordered Thursday) covers Fri-Mon
 _SEMIWEEKLY_BLOCKS = {1: 3, 4: 4}
+# the block length by weekday of delivery, 0 on the other weekdays
+_SEMIWEEKLY_LENGTHS = np.array([_SEMIWEEKLY_BLOCKS.get(day, 0) for day in range(7)])
 
 
 @dataclass(frozen=True)
@@ -164,14 +170,14 @@ def _order_plan(y_hat: np.ndarray, schedule: Schedule) -> tuple[np.ndarray, np.n
     horizon = len(y_hat)
     # forecasts this large could sum to inf over a block; every order is capped far below
     y_hat = np.clip(y_hat, -1e300, 1e300)
-    blocks = np.ones(horizon, dtype=np.int64)
-    if schedule.kind == "semiweekly":
-        lengths = np.array([_SEMIWEEKLY_BLOCKS.get(day, 0) for day in range(7)])
-        blocks = lengths[(schedule.start_weekday + np.arange(horizon)) % 7]
+    if schedule.kind == "daily":
+        return np.maximum(np.floor(y_hat + 0.5), 0.0), np.ones(horizon, dtype=bool)
+    blocks = _SEMIWEEKLY_LENGTHS[(schedule.start_weekday + np.arange(horizon)) % 7]
     # each block's sum runs left to right, as ``sum`` does; adding 0.0 past its end is exact
-    padded = np.concatenate((y_hat, np.zeros(max(_SEMIWEEKLY_BLOCKS.values()) - 1)))
+    longest = max(_SEMIWEEKLY_BLOCKS.values())
+    padded = np.concatenate((y_hat, np.zeros(longest - 1)))
     sums = y_hat
-    for k in range(1, blocks.max(initial=1)):
+    for k in range(1, longest):
         sums = sums + np.where(blocks > k, padded[k:k + horizon], 0.0)
     order_days = blocks > 0
     return np.where(order_days, np.maximum(np.floor(sums + 0.5), 0.0), 0.0), order_days
@@ -181,8 +187,13 @@ def _rule(y_hat: np.ndarray, params: PolicyParams) -> tuple[list, list, int, int
     """``_fold``'s ``units``, ``below``, ``lift`` and ``cap`` for the target/reorder rule: below
     the reorder level on order days, lifting to it and capping at the target; never elsewhere."""
     units, order_days = _order_plan(y_hat, params.schedule)
-    below = [params.reorder_level if day else 0 for day in order_days.tolist()]  # plain ints
-    return list(map(int, units.tolist())), below, params.reorder_level, params.inventory_target
+    level = params.reorder_level
+    if units.max(initial=0.0) < 2.0**63 and level < 2**63:  # int64 holds every value exactly
+        units, below = units.astype(np.int64).tolist(), np.where(order_days, level, 0).tolist()
+    else:  # plain ints one at a time
+        units = list(map(int, units.tolist()))
+        below = [level if day else 0 for day in order_days.tolist()]
+    return units, below, level, params.inventory_target
 
 
 def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
@@ -410,6 +421,16 @@ _CSV_FIELDS = [f.name for f in fields(StrategySummary)
                if f.name not in ("strategy", "placement_weekdays")]
 
 
+def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and SDs along the last axis, by the ufunc steps of ``mean`` and ``std``: the
+    same bits without their wrappers."""
+    n = values.shape[-1]
+    means = np.add.reduce(values, axis=-1, keepdims=True) / n
+    deviations = values - means
+    np.square(deviations, out=deviations)
+    return means[..., 0], np.sqrt(np.add.reduce(deviations, axis=-1) / n)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised at the end instead
 def _summarize(strategy: str, columns: list[list], start_weekday: int,
                urgent_available: bool = True) -> StrategySummary:
@@ -417,10 +438,12 @@ def _summarize(strategy: str, columns: list[list], start_weekday: int,
     table = np.array(columns, dtype=float)  # one row per column
     periods = table.shape[1]
     order_days = np.flatnonzero(table[0] > 0)
-    qty = table[0, order_days]
+    qty_mean = qty_sd = float("nan")
+    if order_days.size:
+        qty_mean, qty_sd = map(float, _moments(table[0, order_days]))
     means = sds = [0.0] * len(table)
     if periods:
-        means, sds = table.mean(axis=1).tolist(), table.std(axis=1).tolist()
+        means, sds = (m.tolist() for m in _moments(table))
     _, demand_mean, urgent_mean, wastage_mean, inventory_mean, cost_mean = means
     _, _, urgent_sd, wastage_sd, inventory_sd, cost_sd = sds
     summary = StrategySummary(
@@ -428,8 +451,8 @@ def _summarize(strategy: str, columns: list[list], start_weekday: int,
         periods=periods,
         days_with_orders=order_days.size,
         order_day_fraction=order_days.size / periods if periods else 0.0,
-        order_qty_mean=float(qty.mean()) if qty.size else float("nan"),
-        order_qty_sd=float(qty.std()) if qty.size else float("nan"),
+        order_qty_mean=qty_mean,
+        order_qty_sd=qty_sd,
         inventory_mean=inventory_mean,
         inventory_sd=inventory_sd,
         urgent_mean=urgent_mean if urgent_available and periods else None,

@@ -376,6 +376,20 @@ def test_shelf_life_below_two_fails_closed(inputs, tmp_path, capsys, command, sh
     assert f"shelf_life must be >= 2, got {shelf_life}" in err
 
 
+@pytest.mark.parametrize("initial", [2**63, 10**400])
+@pytest.mark.parametrize("command", ["simulate", "optimize", "compare"])
+def test_initial_stock_past_int64_fails_closed(inputs, tmp_path, capsys, command, initial):
+    # at 2**63, simulate and compare once exited 0 with negative end inventories and days on
+    # hand, and optimize died of a MemoryError sizing its default target grid; 10**400 once
+    # raised OverflowError
+    out = tmp_path / "out"
+    code = run([*command_line(command, inputs), "--initial", initial, "--out-dir", out])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    assert f"--initial must be below 2**63 units, got {initial}" in err, err
+    assert not out.exists()  # it fails before the first write, so no run directory is made
+
+
 @pytest.mark.parametrize("command, flags, message, make", [
     ("decompose", ["--s-window", 4], "s_window must be odd and >= 7, got 4", None),
     ("train", ["--learning-rate", 2], "learning_rate must lie in (0, 1], got 2.0", None),

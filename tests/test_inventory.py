@@ -236,6 +236,22 @@ class TestYoungStock:
         assert profile.total == 100
         assert profile.counts.size == 4
 
+    def test_demand_so_small_that_the_ratio_is_inf_fills_every_age(self):
+        # 10**10 / 1e-300 is inf, and math.ceil(inf) once raised OverflowError
+        profile = young_stock(10**10, 1e-300, shelf_life=5)
+        assert profile.counts.tolist() == [2_500_000_000] * 4
+        assert profile.total == 10**10
+
+    def test_largest_int64_stock_keeps_its_total(self):
+        profile = young_stock(2**63 - 1, 5.0, shelf_life=32)
+        assert profile.total == 2**63 - 1
+
+    @pytest.mark.parametrize("total", [2**63, 2**64, 10**400])
+    def test_stock_past_int64_fails_closed(self, total):
+        # 2**63 once gave a profile whose total read negative, 10**400 an OverflowError
+        with pytest.raises(ParameterError, match=r"^total stock must be below 2\*\*63 units$"):
+            young_stock(total, 5.0)
+
     @pytest.mark.parametrize("total", [0, 780])
     @pytest.mark.parametrize("shelf_life", [1, 0, -3])
     def test_shelf_life_below_two_rejected_first(self, total, shelf_life):
@@ -249,6 +265,19 @@ def test_age_profile_validation():
         AgeProfile(np.array([1, 2]), shelf_life=4)  # needs 3 buckets
     with pytest.raises(ParameterError):
         AgeProfile(np.array([1, -2, 0]), shelf_life=4)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ([2**62, 2**62, 0], "age counts must total below 2**63 units"),  # once summed to -2**63
+    ([2**63 - 1, 1, 0], "age counts must total below 2**63 units"),
+    ([2**63, 0, 0], "age counts must each be below 2**63 units"),
+    ([10**400, 0, 0], "age counts must each be below 2**63 units"),
+])
+def test_age_counts_past_int64_fail_closed(counts, message):
+    with pytest.raises(ParameterError) as info:
+        AgeProfile(counts, shelf_life=4)
+    assert str(info.value) == message
+    assert AgeProfile([2**62, 2**62 - 1, 0], shelf_life=4).total == 2**63 - 1
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -2,10 +2,13 @@
 
 ``reference_step`` is the array implementation of one FIFO period that
 ``inventory.step`` used before single trajectories moved to a list of age
-counts.  Every property here requires ``step``, ``simulate``, ``run_policy``
-and ``evaluate_strategy`` to equal a fold over it exactly, field types
-included, on drawn shelf lives, initial ages, order and demand streams,
-calendars and costs.
+counts.  The first four properties require ``step``, ``simulate``,
+``run_policy`` and ``evaluate_strategy`` to equal a fold over it exactly,
+field types included, on drawn shelf lives, initial ages, order and demand
+streams, calendars and costs.  Two more state one step of
+``evaluate_strategy`` on its own: ``_summarize`` against numpy's ``mean`` and
+``std``, and ``_rule``'s columns against converting each value to a Python
+int.
 """
 
 import dataclasses
@@ -185,3 +188,80 @@ def test_evaluate_strategy_equals_reference_fold(profile, stream, costs, start_w
         assert repr(summary) == repr(expected)
         assert [type(v) for v in dataclasses.astuple(summary)] == [
             type(v) for v in dataclasses.astuple(expected)]
+
+
+def reference_summarize(strategy, columns, start_weekday, urgent_available=True):
+    """``_summarize`` stated with numpy's ``mean`` and ``std``."""
+    table = np.array(columns, dtype=float)
+    periods = table.shape[1]
+    order_days = np.flatnonzero(table[0] > 0)
+    qty = table[0, order_days]
+    means = sds = [0.0] * len(table)
+    if periods:
+        means, sds = table.mean(axis=1).tolist(), table.std(axis=1).tolist()
+    _, demand_mean, urgent_mean, wastage_mean, inventory_mean, cost_mean = means
+    _, _, urgent_sd, wastage_sd, inventory_sd, cost_sd = sds
+    urgent = urgent_available and periods
+    return pol.StrategySummary(
+        strategy, periods, order_days.size, order_days.size / periods if periods else 0.0,
+        float(qty.mean()) if qty.size else float("nan"),
+        float(qty.std()) if qty.size else float("nan"),
+        inventory_mean, inventory_sd, urgent_mean if urgent else None,
+        urgent_sd if urgent else None, wastage_mean, wastage_sd, cost_mean, cost_sd,
+        float(table[5].sum()), inventory_mean / demand_mean if demand_mean > 0 else float("nan"),
+        tuple(sorted(set(((start_weekday + order_days - 1) % 7).tolist()))))
+
+
+# whole numbers near 2**53, where a float stops holding every int
+near_2_53 = st.integers(2**53 - 64, 2**53 + 64)
+int_costs = st.builds(CostParams, *[st.integers(0, 500)] * 4)
+
+
+@st.composite
+def fold_columns(draw):
+    """Orders, demands, urgent and expired units, end inventories and costs of some periods."""
+    periods = draw(st.integers(0, 40))
+    column = st.lists(st.one_of(units, near_2_53), min_size=periods, max_size=periods)
+    orders, demands, urgent, expired, levels = (draw(column) for _ in range(5))
+    if draw(st.booleans()):  # no order placed
+        orders = [0] * periods
+    if draw(st.booleans()):  # no demand, so no days on hand
+        demands = [0] * periods
+    costs = draw(st.one_of(cost_params, int_costs))
+    cost = [costs.period_cost(z > 0, level, u, e)
+            for z, u, e, level in zip(orders, urgent, expired, levels)]
+    return [orders, demands, urgent, expired, levels, cost]
+
+
+@given(columns=fold_columns(), start_weekday=st.integers(0, 6), urgent_available=st.booleans())
+def test_summarize_equals_numpy_mean_and_std(columns, start_weekday, urgent_available):
+    summary = pol._summarize("daily", columns, start_weekday, urgent_available)
+    expected = reference_summarize("daily", columns, start_weekday, urgent_available)
+    # repr compares NaN fields (no order placed, zero demand) as equal
+    assert repr(summary) == repr(expected)
+    assert [type(v) for v in dataclasses.astuple(summary)] == [
+        type(v) for v in dataclasses.astuple(expected)]
+
+
+# forecasts from none to past any int64 unit, and levels on both sides of 2**63
+huge_forecasts = st.one_of(st.sampled_from([0.0, 0.5, 2.5, 7.25, 900.0]),
+                           st.floats(-10.0, 1e6, allow_nan=False),
+                           st.sampled_from([2.0**62, 2.0**63 - 1024, 2.0**63, 1e19, 1e300,
+                                            1.7e308]))
+levels = st.one_of(st.integers(0, 400), st.integers(2**63 - 2, 2**63 + 2), st.just(10**30))
+
+
+@given(y_hat=st.lists(huge_forecasts, max_size=30), kind=st.sampled_from(["daily", "semiweekly"]),
+       start_weekday=st.integers(0, 6), data=st.data())
+def test_rule_columns_are_the_plain_int_conversions(y_hat, kind, start_weekday, data):
+    target = data.draw(levels)
+    floor = data.draw(st.one_of(st.integers(0, target), st.just(target)))
+    params = pol.PolicyParams(target, floor, pol.Schedule(kind, start_weekday))
+    y_hat = np.array(y_hat, dtype=float)
+    units, below, lift, cap = pol._rule(y_hat, params)
+    plan, order_days = pol._order_plan(y_hat, params.schedule)
+    # the exact conversions, a Python int at a time
+    assert [(type(u), u) for u in units] == [(int, int(v)) for v in plan.tolist()]
+    assert [(type(b), b) for b in below] == [(int, floor if day else 0)
+                                             for day in order_days.tolist()]
+    assert (lift, cap) == (floor, target)
