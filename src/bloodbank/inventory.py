@@ -18,13 +18,17 @@ operations on them, with ``C(t - L + 1)`` read from a ring of the last
 A stock is a count that int64 holds: ``AgeProfile`` and ``young_stock``
 refuse a total of ``2**63`` units or more.  ``_fold`` runs the period on
 plain ints for one trajectory under one order rule given as data
-(``policy.order_quantity`` is its scalar form) and returns per-period columns
-(orders, demands, urgent and expired units, end inventories, costs) with the
-mean cost.  Only the public functions that return ``PeriodOutcome``s build
-them from those columns: ``simulate`` (a whole fold), ``step`` (one period
-behind an ``AgeProfile``, converted at the boundary) and
-``policy.run_policy``.  ``policy.evaluate_strategy`` and
-``policy.cost_under_actual`` read the columns.  ``policy``'s sweeps run the
+(``policy.order_quantity`` is its scalar form) and tracks units only: it
+returns the per-period unit columns (orders, demands, urgent and expired
+units, end inventories).  The trajectory is priced after the fold by one
+``CostParams.period_cost`` call on those columns as float arrays, or by its
+scalar form a period at a time when a coefficient is not a ``float``
+(``_costs``); ``step``'s one period is priced by the scalar form.  Only the
+public functions that return ``PeriodOutcome``s build them from the priced
+columns: ``simulate`` (a whole fold), ``step`` (one period behind an
+``AgeProfile``, converted at the boundary) and ``policy.run_policy``.
+``policy.evaluate_strategy`` and ``policy.cost_under_actual`` read the
+columns.  ``policy``'s sweeps run the
 same period on ``(K,)`` vectors, one row per candidate, and price each block
 of periods with one ``CostParams.period_cost`` call on ``(periods, K)``
 arrays.  No pipeline command calls ``step``: it stays on the library surface
@@ -98,13 +102,19 @@ class AgeProfile:
     shelf_life: int = 32
 
     def __post_init__(self) -> None:
-        try:
-            counts = np.asarray(self.counts, dtype=np.int64)
-        except OverflowError:
-            raise ParameterError("age counts must each be below 2**63 units") from None
         object.__setattr__(self, "shelf_life", whole("shelf_life", self.shelf_life))
         if self.shelf_life < 2:
             raise ParameterError(f"shelf_life must be >= 2, got {self.shelf_life}")
+        counts = self.counts
+        # an integer array (young_stock's) holds whole numbers; others are checked a count at a time
+        if not (isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"):
+            if not np.iterable(counts):
+                raise ParameterError(f"age counts must be a sequence, got {counts!r}")
+            counts = [whole(f"age {j + 1} count", c) for j, c in enumerate(counts)]
+        try:
+            counts = np.asarray(counts, dtype=np.int64)
+        except OverflowError:
+            raise ParameterError("age counts must each be below 2**63 units") from None
         if counts.ndim != 1 or counts.size != self.shelf_life - 1:
             raise ParameterError(
                 f"age profile needs exactly {self.shelf_life - 1} buckets, got {counts.size}"
@@ -205,29 +215,29 @@ def step(
 ) -> tuple[AgeProfile, PeriodOutcome]:
     """Advance one period: arrivals, FIFO issue, urgent top-up, aging, expiry."""
     ring = _ring(state.counts).tolist()
-    (outcome,) = _outcomes(_fold(ring, [demand], costs, [order_qty])[0])
+    (row,) = zip(*_fold(ring, [demand], [order_qty]))
+    z, _, urgent, expired, level = row
+    outcome = PeriodOutcome(z > 0, *row, costs.period_cost(z > 0, level, urgent, expired))
     counts = _counts(np.array(ring), ring[0] - outcome.end_inventory)
     return AgeProfile(counts, state.shelf_life), outcome
 
 
-def _fold(ring: list, demands: list, costs: CostParams, units, below=None, lift=0,
-          cap=math.inf) -> tuple[list[list], float]:
-    """Per-period columns and mean cost of the FIFO period on a ``_ring`` of plain ints.
+def _fold(ring: list, demands: list, units, below=None, lift=0, cap=math.inf) -> list[list]:
+    """Per-period unit columns of the FIFO period on a ``_ring`` of plain ints.
 
-    The columns are the orders, demands, urgent and expired units, end inventories and costs,
-    in ``PeriodOutcome``'s field order.  The order rule is data, ``policy.order_quantity`` a
-    period at a time: seeing stock ``I`` (the initial total, then the last end inventory),
-    period ``i`` orders ``clamp(units[i], lift - I, cap - I)`` if ``I < below[i]``, else
-    nothing; by default ``units[i]`` unclamped.  Each period checks its units, then its demand,
-    so the earliest bad value names its field.  The ring is updated in place.
+    The columns are the orders, demands, urgent and expired units and end inventories, in
+    ``PeriodOutcome``'s field order; ``_costs`` prices them.  The order rule is data,
+    ``policy.order_quantity`` a period at a time: seeing stock ``I`` (the initial total, then
+    the last end inventory), period ``i`` orders ``clamp(units[i], lift - I, cap - I)`` if
+    ``I < below[i]``, else nothing; by default ``units[i]`` unclamped.  Each period checks its
+    units, then its demand, so the earliest bad value names its field.  The ring is updated in
+    place.
     """
     below = itertools.repeat(math.inf) if below is None else below
     arrived = level = ring[-1]
     gone = 0
-    delivery, holding = costs.routine_delivery, costs.holding
-    rush, waste = costs.urgent, costs.wastage
     n = len(demands)
-    columns = orders, issued, urgents, expireds, levels, period_costs = [[0] * n for _ in range(6)]
+    columns = orders, issued, urgents, expireds, levels = [[0] * n for _ in range(5)]
     slots = itertools.cycle(range(len(ring)))  # period i reads C(i - L + 1) from slot i % (L - 1)
     for i, y, u, b, slot in zip(range(n), demands, units, below, slots):
         if type(u) is not int or u < 0:  # anything but a plain non-negative int is checked
@@ -256,20 +266,39 @@ def _fold(ring: list, demands: list, costs: CostParams, units, below=None, lift=
         urgents[i] = urgent
         expireds[i] = expired
         levels[i] = level
-        # CostParams.period_cost's terms, in its order
-        period_costs[i] = delivery * (z > 0) + holding * level + rush * urgent + waste * expired
-    average = sum(period_costs) / n if n else 0.0
-    return columns, average
+    return columns
+
+
+def _float_priced(costs: CostParams) -> bool:
+    """Whether ``period_cost`` on float arrays gives the scalar costs: when every
+    coefficient is a ``float``, which converts each int as Python's scalar arithmetic does.
+    An int coefficient is exact past 2**53 only in the scalar form."""
+    return all(type(c) is float
+               for c in (costs.routine_delivery, costs.holding, costs.urgent, costs.wastage))
+
+
+@np.errstate(over="ignore")  # an overflow is an infinite cost, as in the scalar form
+def _costs(costs: CostParams, columns: list[list]) -> list:
+    """Each period's ``costs.period_cost`` of ``_fold``'s columns, as the scalar form gives it:
+    one call on the columns as float arrays, or one call a period (``_float_priced``)."""
+    orders, _, urgent, expired, levels = columns
+    if _float_priced(costs):
+        placed = np.array(orders) > 0  # an order past int64 is compared as an int
+        return costs.period_cost(placed, *np.array((levels, urgent, expired), dtype=float)).tolist()
+    return list(map(costs.period_cost, [z > 0 for z in orders], levels, urgent, expired))
 
 
 def _outcomes(columns: list[list]) -> list[PeriodOutcome]:
-    """``PeriodOutcome``s of ``_fold``'s columns."""
+    """``PeriodOutcome``s of ``_fold``'s columns and their ``_costs``."""
     return [PeriodOutcome(row[0] > 0, *row) for row in zip(*columns)]
 
 
 def _run(initial: AgeProfile, demands: list, costs: CostParams, *rule) -> tuple[list[list], float]:
-    """``_fold`` of ``demands`` from ``initial`` under order ``rule``, failing on an overflow."""
-    columns, average = _fold(_ring(initial.counts).tolist(), demands, costs, *rule)
+    """``_fold`` of ``demands`` from ``initial`` under order ``rule`` with its ``_costs``, and
+    their mean, failing on an overflow."""
+    columns = _fold(_ring(initial.counts).tolist(), demands, *rule)
+    columns.append(_costs(costs, columns))
+    average = sum(columns[5]) / len(demands) if demands else 0.0
     if not math.isfinite(average):  # every cost is non-negative, so an overflow is inf
         raise ParameterError("orders, demands or costs so large that the average cost overflows")
     return columns, average

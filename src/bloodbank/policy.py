@@ -25,9 +25,12 @@ candidate alone.  Single trajectories (``run_policy``, ``evaluate_strategy``,
 ``cost_under_actual``) run ``inventory._fold`` on plain ints, with the same
 rule given to it as data, and only ``run_policy`` builds ``PeriodOutcome``s.
 ``_rule`` converts the rule's units and thresholds to those ints through one
-int64 array each when int64 holds every value.  ``evaluate_strategy``
-summarizes the fold's columns from one float array, its means and SDs taken by
-the ufunc steps ``numpy.mean`` and ``numpy.std`` run, to the same bits.
+int64 array each when int64 holds every value.  The fold returns unit columns
+only, and the trajectory is priced after it by one ``CostParams.period_cost``
+call (its scalar form a period at a time when a coefficient is not a
+``float``).  ``evaluate_strategy`` summarizes the columns from one float
+array, its cost row priced on the array's rows, its means and SDs taken by the
+ufunc steps ``numpy.mean`` and ``numpy.std`` run, to the same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .inventory import (
     CostParams,
     PeriodOutcome,
     _check_units,
+    _costs,
+    _float_priced,
     _fold,
     _outcomes,
     _ring,
@@ -419,6 +424,9 @@ class StrategySummary:
 # the numeric fields, in order: comparison.csv's rows
 _CSV_FIELDS = [f.name for f in fields(StrategySummary)
                if f.name not in ("strategy", "placement_weekdays")]
+# every set of weekdays as one tuple, at the index of its bit mask, so that a summary
+# shares its placement weekdays instead of keeping a copy
+_WEEKDAY_SETS = [tuple(day for day in range(7) if mask >> day & 1) for mask in range(128)]
 
 
 def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -432,12 +440,19 @@ def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised at the end instead
-def _summarize(strategy: str, columns: list[list], start_weekday: int,
+def _summarize(strategy: str, columns: list[list], costs: CostParams, start_weekday: int,
                urgent_available: bool = True) -> StrategySummary:
-    """Summary of ``_fold``'s orders, demands, urgent, expired, end inventory and cost."""
-    table = np.array(columns, dtype=float)  # one row per column
-    periods = table.shape[1]
-    order_days = np.flatnonzero(table[0] > 0)
+    """Summary of ``_fold``'s orders, demands, urgent, expired and end inventory, and of their
+    cost under ``costs``."""
+    periods = len(columns[0])
+    table = np.empty((6, periods))  # one row per column, then the costs
+    table[:5] = columns
+    placed = table[0] > 0
+    if _float_priced(costs):
+        table[5] = costs.period_cost(placed, table[4], table[2], table[3])
+    else:
+        table[5] = _costs(costs, columns)
+    order_days = np.flatnonzero(placed)
     qty_mean = qty_sd = float("nan")
     if order_days.size:
         qty_mean, qty_sd = map(float, _moments(table[0, order_days]))
@@ -463,7 +478,8 @@ def _summarize(strategy: str, columns: list[list], start_weekday: int,
         cost_sd=cost_sd,
         total_cost=float(table[5].sum()),
         doh=inventory_mean / demand_mean if demand_mean > 0 else float("nan"),
-        placement_weekdays=tuple(sorted(set(((start_weekday + order_days - 1) % 7).tolist()))),
+        placement_weekdays=_WEEKDAY_SETS[
+            np.bitwise_or.reduce(1 << (start_weekday + order_days - 1) % 7, initial=0)],
     )
     # every series is non-negative, so an overflow leaves an infinite mean, sd or total
     if math.isinf(demand_mean) or any(math.isinf(getattr(summary, f) or 0.0)
@@ -504,8 +520,9 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
         rule = _rule(y_hat, params)
     else:
         raise ParameterError(f"unknown strategy {strategy!r}")
-    columns, _ = _fold(_ring(profile.counts).tolist(), demands, costs, *rule)
-    return _summarize(strategy, columns, start_weekday, urgent_available=strategy != "baseline")
+    columns = _fold(_ring(profile.counts).tolist(), demands, *rule)
+    return _summarize(strategy, columns, costs, start_weekday,
+                      urgent_available=strategy != "baseline")
 
 
 def _mean_sd(mean: float | None, sd: float | None) -> str:

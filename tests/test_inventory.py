@@ -280,6 +280,34 @@ def test_age_counts_past_int64_fail_closed(counts, message):
     assert AgeProfile([2**62, 2**62 - 1, 0], shelf_life=4).total == 2**63 - 1
 
 
+@pytest.mark.parametrize("counts, message", [
+    ([1.5, 0, 0], "age 1 count must be a whole number, got 1.5"),  # once kept 1 unit
+    (["3", 0, 0], "age 1 count must be a whole number, got '3'"),  # once kept 3
+    ((0, float("nan"), 0), "age 2 count must be a whole number, got nan"),  # once a ValueError
+    ([0, 0, True], "age 3 count must be a whole number, got True"),
+    (np.array([3.0, 0.0, 0.0]), "age 1 count must be a whole number, got np.float64(3.0)"),
+    (np.array([1, 0, 1], dtype=bool), "age 1 count must be a whole number, got np.True_"),
+    (7, "age counts must be a sequence, got 7"),
+])
+def test_age_counts_must_be_whole_numbers(counts, message):
+    with pytest.raises(ParameterError) as info:
+        AgeProfile(counts, shelf_life=4)
+    assert str(info.value) == message
+
+
+def test_age_counts_of_whole_numbers_accepted(monkeypatch):
+    for counts in ([5, np.int64(3), np.uint8(2)], (5, 3, 2), range(5, 2, -1)):
+        profile = AgeProfile(counts, shelf_life=4)
+        assert profile.counts.dtype == np.int64 and profile.counts.tolist()[0] == 5
+    # an integer array, as young_stock builds, is not checked a value at a time
+    checked = []
+    monkeypatch.setattr("bloodbank.inventory.whole",
+                        lambda name, value: checked.append(name) or int(value))
+    for dtype in (np.int64, np.int32, np.uint16):
+        assert AgeProfile(np.array([5, 3, 2], dtype=dtype), shelf_life=4).total == 10
+    assert checked == ["shelf_life"] * 3
+
+
 def test_trajectory_csv_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     initial = AgeProfile(rng.integers(0, 5, size=7), shelf_life=8)

@@ -2,10 +2,13 @@
 
 ``reference_step`` is the array implementation of one FIFO period that
 ``inventory.step`` used before single trajectories moved to a list of age
-counts.  The first four properties require ``step``, ``simulate``,
-``run_policy`` and ``evaluate_strategy`` to equal a fold over it exactly,
-field types included, on drawn shelf lives, initial ages, order and demand
-streams, calendars and costs.  Two more state one step of
+counts, priced by the scalar ``CostParams.period_cost``.  The first four
+properties require ``step``, ``simulate``, ``run_policy`` and
+``evaluate_strategy`` to equal a fold over it exactly, field types included,
+on drawn shelf lives, initial ages, order and demand streams, calendars and
+costs.  The costs draw float, int and mixed coefficients, and the stocks and
+streams whole numbers near 2**53, where pricing float arrays gives the scalar
+costs only when every coefficient is a float.  Two more state one step of
 ``evaluate_strategy`` on its own: ``_summarize`` against numpy's ``mean`` and
 ``std``, and ``_rule``'s columns against converting each value to a Python
 int.
@@ -15,7 +18,7 @@ import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bloodbank import policy as pol
@@ -84,9 +87,26 @@ shelf_lives = st.integers(2, 40)
 # sevenths are inexact in binary, so a sum taken in another order shows in the last bits
 coefficients = st.one_of(st.just(0.0), st.integers(1, 3500).map(lambda v: v / 7),
                          st.floats(0.0, 500.0, allow_nan=False, allow_infinity=False))
-cost_params = st.builds(CostParams, coefficients, coefficients, coefficients, coefficients)
-# zero demand, demand near the stock, and demand far above any stock drawn
-units = st.one_of(st.just(0), st.integers(0, 60), st.integers(500, 5000))
+
+
+@st.composite
+def mixed_cost_params(draw):
+    """At least one float and one int coefficient, in drawn places.  An int coefficient
+    other than 0 or a power of two, times a count past 2**53, is exact only in the scalar
+    form, so pricing float arrays gets this mix wrong."""
+    ints = st.integers(3, 500)
+    values = [draw(coefficients), draw(ints), *(draw(st.one_of(coefficients, ints))
+                                                for _ in range(2))]
+    return CostParams(*draw(st.permutations(values)))
+
+
+# every coefficient a float, every one an int (so the costs are ints), or a mix
+cost_params = st.one_of(st.builds(CostParams, *[coefficients] * 4),
+                        st.builds(CostParams, *[st.integers(0, 500)] * 4), mixed_cost_params())
+# whole numbers near 2**53, where a float stops holding every int
+near_2_53 = st.integers(2**53 - 64, 2**53 + 64)
+# zero demand, demand near the stock, demand far above any stock drawn, and counts near 2**53
+units = st.one_of(st.just(0), st.integers(0, 60), st.integers(500, 5000), near_2_53)
 
 
 @st.composite
@@ -94,6 +114,8 @@ def profiles(draw):
     shelf_life = draw(shelf_lives)
     counts = draw(st.lists(st.one_of(st.just(0), st.integers(0, 80)),
                            min_size=shelf_life - 1, max_size=shelf_life - 1))
+    if draw(st.booleans()):  # one age holds a stock near 2**53
+        counts[draw(st.integers(0, shelf_life - 2))] = draw(near_2_53)
     return AgeProfile(np.array(counts, dtype=np.int64), shelf_life)
 
 
@@ -125,6 +147,9 @@ def reference_rule(y_hat, start_weekday, params, kind):
 
 
 @given(profile=profiles(), z=units, y=units, costs=cost_params)
+# a stock past 2**53 held at an int holding cost beside float ones: the mix that pricing
+# float arrays gets wrong
+@example(profile=AgeProfile([2**53 + 1, 0, 0], 4), z=0, y=0, costs=CostParams(100.0, 3, 0.5, 1.0))
 def test_step_equals_reference_step(profile, z, y, costs):
     state, outcome = step(profile, z, y, costs)
     expected_state, expected = reference_step(profile, z, y, costs)
@@ -145,11 +170,18 @@ def test_simulate_equals_reference_fold(profile, costs, data):
     assert type(average) is type(expected_average) and average == expected_average
 
 
-@given(profile=profiles(), stream=forecast_streams(), costs=cost_params, data=st.data())
-def test_run_policy_equals_reference_fold(profile, stream, costs, data):
+# a target and a reorder level at or below it
+policy_levels = st.integers(0, 400).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t)))
+
+
+@given(profile=profiles(), stream=forecast_streams(), costs=cost_params,
+       policy_levels=policy_levels)
+# the same stock as step's example, which no order changes
+@example(profile=AgeProfile([2**53 + 1, 0, 0], 4), stream=([0.0], [0]),
+         costs=CostParams(100.0, 3, 0.5, 1.0), policy_levels=(0, 0))
+def test_run_policy_equals_reference_fold(profile, stream, costs, policy_levels):
     y_hat, demands = stream
-    target = data.draw(st.integers(0, 400))
-    floor = data.draw(st.integers(0, target))
+    target, floor = policy_levels
     for kind in ("daily", "semiweekly"):
         for start_weekday in range(7):
             params = pol.PolicyParams(target, floor, pol.Schedule(kind, start_weekday))
@@ -157,17 +189,21 @@ def test_run_policy_equals_reference_fold(profile, stream, costs, data):
             expected, average = reference_fold(
                 profile, demands, costs, reference_rule(y_hat, start_weekday, params, kind))
             assert typed(run.outcomes) == typed(expected)
-            assert run.average_cost == average
+            assert type(run.average_cost) is type(average) and run.average_cost == average
             assert run.initial_level == profile.total
 
 
 @given(profile=profiles(), stream=forecast_streams(), costs=cost_params,
-       start_weekday=st.integers(0, 6), data=st.data())
-def test_evaluate_strategy_equals_reference_fold(profile, stream, costs, start_weekday, data):
+       start_weekday=st.integers(0, 6), policy_levels=policy_levels,
+       baseline_target=st.integers(0, 400))
+# the same stock as step's example, which no strategy orders to
+@example(profile=AgeProfile([2**53 + 1, 0, 0], 4), stream=([0.0], [0]),
+         costs=CostParams(100.0, 3, 0.5, 1.0), start_weekday=0, policy_levels=(0, 0),
+         baseline_target=0)
+def test_evaluate_strategy_equals_reference_fold(profile, stream, costs, start_weekday,
+                                                 policy_levels, baseline_target):
     y_hat, demands = stream
-    target = data.draw(st.integers(0, 400))
-    params = pol.PolicyParams(target, data.draw(st.integers(0, target)))
-    baseline_target = data.draw(st.integers(0, 400))
+    params = pol.PolicyParams(*policy_levels)
     rules = {
         "gold": lambda i, level: demands[i],
         "baseline": lambda i, level: max(0, baseline_target - level),
@@ -182,10 +218,13 @@ def test_evaluate_strategy_equals_reference_fold(profile, stream, costs, start_w
         outcomes, _ = reference_fold(profile, demands, costs, decide)
         columns = [[getattr(o, name) for o in outcomes] for name in
                    ("order_qty", "demand", "urgent", "expired", "end_inventory", "cost")]
-        expected = pol._summarize(strategy, columns, start_weekday,
+        expected = pol._summarize(strategy, columns[:5], costs, start_weekday,
                                   urgent_available=strategy != "baseline")
+        # and with the scalar costs summarized as numpy's mean and std summarize them
+        scalar = reference_summarize(strategy, columns, start_weekday,
+                                     urgent_available=strategy != "baseline")
         # repr compares NaN fields (no order placed, zero demand) as equal
-        assert repr(summary) == repr(expected)
+        assert repr(summary) == repr(expected) == repr(scalar)
         assert [type(v) for v in dataclasses.astuple(summary)] == [
             type(v) for v in dataclasses.astuple(expected)]
 
@@ -212,14 +251,10 @@ def reference_summarize(strategy, columns, start_weekday, urgent_available=True)
         tuple(sorted(set(((start_weekday + order_days - 1) % 7).tolist()))))
 
 
-# whole numbers near 2**53, where a float stops holding every int
-near_2_53 = st.integers(2**53 - 64, 2**53 + 64)
-int_costs = st.builds(CostParams, *[st.integers(0, 500)] * 4)
-
-
 @st.composite
 def fold_columns(draw):
-    """Orders, demands, urgent and expired units, end inventories and costs of some periods."""
+    """Orders, demands, urgent and expired units, end inventories and costs of some periods,
+    and the ``CostParams`` that priced them a period at a time."""
     periods = draw(st.integers(0, 40))
     column = st.lists(st.one_of(units, near_2_53), min_size=periods, max_size=periods)
     orders, demands, urgent, expired, levels = (draw(column) for _ in range(5))
@@ -227,15 +262,16 @@ def fold_columns(draw):
         orders = [0] * periods
     if draw(st.booleans()):  # no demand, so no days on hand
         demands = [0] * periods
-    costs = draw(st.one_of(cost_params, int_costs))
+    costs = draw(cost_params)
     cost = [costs.period_cost(z > 0, level, u, e)
             for z, u, e, level in zip(orders, urgent, expired, levels)]
-    return [orders, demands, urgent, expired, levels, cost]
+    return [orders, demands, urgent, expired, levels, cost], costs
 
 
-@given(columns=fold_columns(), start_weekday=st.integers(0, 6), urgent_available=st.booleans())
-def test_summarize_equals_numpy_mean_and_std(columns, start_weekday, urgent_available):
-    summary = pol._summarize("daily", columns, start_weekday, urgent_available)
+@given(drawn=fold_columns(), start_weekday=st.integers(0, 6), urgent_available=st.booleans())
+def test_summarize_equals_numpy_mean_and_std(drawn, start_weekday, urgent_available):
+    columns, costs = drawn
+    summary = pol._summarize("daily", columns[:5], costs, start_weekday, urgent_available)
     expected = reference_summarize("daily", columns, start_weekday, urgent_available)
     # repr compares NaN fields (no order placed, zero demand) as equal
     assert repr(summary) == repr(expected)
