@@ -11,7 +11,6 @@ from .errors import ParameterError, SchemaError
 from .timeseries import (
     Series,
     StlConfig,
-    loess_smooth,
     stl_decompose,
     stl_extend,
 )

@@ -222,6 +222,7 @@ def cmd_generate(args, run: _Run) -> None:
 def cmd_decompose(args, run: _Run) -> None:
     config = _value(args, timeseries.StlConfig)
     series = forecast.demand_series(forecast.read_dataset_csv(args.data), args.period)
+    config.resolved_t_window(series.period)  # a flag's fault, not the dataset's
     with _blaming(f"{args.data}: demand"):
         dec = timeseries.stl_decompose(series, config)
     path = run.write("decomposition.csv", timeseries.write_decomposition_csv, series, dec)
@@ -232,6 +233,7 @@ def cmd_train(args, run: _Run) -> None:
     stl_config, gbrt_config = _value(args, timeseries.StlConfig), _value(args, gbrt.GbrtConfig)
     if args.period < 2:  # a flag's fault, not the dataset's
         raise ParameterError(f"period must be >= 2, got {args.period}")
+    stl_config.resolved_t_window(args.period)  # so is a trend window too short to smooth
     data = forecast.read_dataset_csv(args.data)
     if not 0 < args.train_days <= len(data):
         raise ParameterError(

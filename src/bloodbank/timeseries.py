@@ -1,4 +1,4 @@
-"""Loess smoothing and additive seasonal-trend decomposition of daily series.
+"""Additive seasonal-trend decomposition of daily series by loess.
 
 The decomposition splits an evenly spaced series into trend, seasonal, and
 residual components such that ``trend + seasonal + residual`` reproduces the
@@ -7,7 +7,8 @@ holds to float round-off).  Seasonal evolution is controlled by ``s_window``,
 trend smoothness by ``t_window``, and outlier resistance by the number of
 robustness iterations ``n_outer``.
 
-Every loess fit goes through one kernel, ``_loess``, whose arithmetic has a
+Every loess fit goes through one kernel, ``_loess``, which fits evenly spaced
+points (point ``i`` at position ``i``, so every offset is exact in float) in a
 fixed order: a window's moments are summed offset by offset, one elementwise
 operation each, a global fit's exactly (``math.fsum``), and both are solved in
 closed form.  Elementwise IEEE operations round alike at every SIMD width and no
@@ -31,7 +32,6 @@ __all__ = [
     "Series",
     "Decomposition",
     "StlConfig",
-    "loess_smooth",
     "stl_decompose",
     "stl_extend",
     "write_decomposition_csv",
@@ -117,105 +117,55 @@ class StlConfig:
             raise ParameterError(f"loess_degree must be 0, 1 or 2, got {self.loess_degree}")
 
     def resolved_t_window(self, period: int) -> int:
-        if self.t_window is not None:
-            return self.t_window
-        raw = 1.5 * period / (1.0 - 1.5 / self.s_window)
-        window = int(math.ceil(raw))
-        return window if window % 2 == 1 else window + 1
+        """The trend window for ``period``.  Tricube weighs all but the two edge
+        points of a centred window, so one under ``loess_degree + 4`` points fits
+        its weighted points exactly: the residual is then rounding noise, and the
+        robustness weights follow it."""
+        window = self.t_window
+        if window is None:
+            window = int(math.ceil(1.5 * period / (1.0 - 1.5 / self.s_window))) | 1  # odd
+        if window < self.loess_degree + 4:
+            default = "" if self.t_window is not None else f" (the default for period {period})"
+            raise ParameterError(
+                f"t_window {window}{default} is too short for loess_degree {self.loess_degree}: "
+                f"the trend fit needs a window of at least {self.loess_degree + 4} points")
+        return window
 
 
-def _neighbor_count(n: int, span: float, degree: int) -> int:
-    # ceil with a guard against float noise in span * n
-    q = int(math.ceil(span * n - 1e-9))
-    if q < degree + 1:
-        raise ParameterError(
-            f"span {span} keeps {q} neighbors but degree {degree} needs at least {degree + 1}"
-        )
-    return min(q, n)
-
-
-def _window_starts(xs: np.ndarray, q: int) -> np.ndarray:
-    # xs sorted ascending: the q nearest neighbors of each point form a
-    # contiguous block, found with a single forward sweep
-    n = xs.size
-    if np.array_equal(xs, np.arange(n)):  # every STL smoother: the sweep's closed form
-        return np.clip(np.arange(n) - q // 2, 0, max(n - q, 0))
-    starts = np.empty(n, dtype=np.intp)
-    s = 0
-    for i in range(n):
-        while s + q < n and xs[i] - xs[s] > xs[s + q] - xs[i]:
-            s += 1
-        starts[i] = s
-    return starts
-
-
-def loess_smooth(
-    xs,
-    ys,
-    span: float,
-    degree: int = 1,
-    robustness_weights=None,
-) -> np.ndarray:
-    """Locally weighted polynomial smoothing with tricube neighborhood weights.
-
-    The bandwidth at each point is the distance to its ``ceil(span * n)``-th
-    nearest neighbor.  A span of 1.0 covers every observation with uniform
-    weight, so the result degenerates to a single global least-squares fit.
-    Robustness weights, when given, multiply the tricube weights.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ParameterError("xs must be a non-empty 1-d sequence")
-    if ys.shape != xs.shape:
-        raise ParameterError(f"length mismatch: xs has {xs.size} points, ys has {ys.size}")
-    if np.any(np.diff(xs) <= 0):
-        raise ParameterError("xs must be strictly increasing")
-    if not 0.0 < span <= 1.0:
-        raise ParameterError(f"span must lie in (0, 1], got {span}")
-    if degree not in (0, 1, 2):
-        raise ParameterError(f"degree must be 0, 1 or 2, got {degree}")
-    if robustness_weights is None:
-        rw = np.ones_like(xs)
-    else:
-        rw = np.asarray(robustness_weights, dtype=float)
-        if rw.shape != xs.shape:
-            raise ParameterError("robustness_weights must match xs in length")
-    q = _neighbor_count(xs.size, span, degree)
-    if q == 1:  # each point is its own neighborhood
-        return ys.copy()
-    return _loess(xs, ys, rw, q, degree)
+def _window_starts(n: int, q: int) -> np.ndarray:
+    # the first of the q points nearest each of 0 .. n - 1 (a tie keeps the earlier start)
+    return np.clip(np.arange(n) - q // 2, 0, max(n - q, 0))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # stl_decompose checks the result
-def _loess(xs, ys, rw, q: int, degree: int, x0=None, starts=None) -> np.ndarray:
-    """The fit of ``degree`` at each ``x0[i]`` (default: each of ``xs``) to
-    ``xs[starts[i]:starts[i] + q]`` weighted by tricube times ``rw``, or to all
-    of ``xs`` weighted by ``rw`` when ``q >= xs.size``; where robustness zeroed
-    every weight, to the neighborhood weights alone."""
+def _loess(ys, rw, q: int, degree: int, x0=None, starts=None) -> np.ndarray:
+    """The fit of ``degree`` at each ``x0[i]`` (default: each position ``0 .. n - 1``)
+    to the points ``starts[i] .. starts[i] + q - 1``, point ``j`` at position ``j``,
+    weighted by tricube times ``rw``, or to all ``n`` points weighted by ``rw`` when
+    ``q >= n``; where robustness zeroed every weight, to the neighborhood weights alone."""
     if x0 is None:
-        x0, starts = xs, _window_starts(xs, q)
-    if q >= xs.size:
-        s, r, count = _global_moments(xs, ys, rw, x0, degree)
+        x0, starts = np.arange(ys.size, dtype=float), _window_starts(ys.size, q)
+    if q >= ys.size:
+        s, r, count = _global_moments(ys, rw, x0, degree)
     else:
-        s, r, count = _window_moments(xs, ys, rw, x0, starts, q, degree)
+        s, r, count = _window_moments(ys, rw, x0, starts, q, degree)
     fitted = _solve(s, r, count, degree)
     dead = s[0] <= 0.0
     if np.any(dead):
-        fitted[dead] = _loess(xs, ys, np.ones_like(rw), q, degree, x0[dead], starts[dead])
+        fitted[dead] = _loess(ys, np.ones_like(rw), q, degree, x0[dead], starts[dead])
     return fitted
 
 
-def _window_moments(xs, ys, rw, x0, starts, q, degree):
+def _window_moments(ys, rw, x0, starts, q, degree):
     """``s[k] = sum(w t^k)``, ``r[k] = sum(w t^k y)`` of each window, ``t`` the offset
     from ``x0`` scaled into [-1, 1]; and the count of points of positive weight."""
-    h = np.maximum(np.abs(xs[starts] - x0), np.abs(xs[starts + (q - 1)] - x0))
+    h = np.maximum(np.abs(starts - x0), np.abs(starts + (q - 1) - x0))
     s = np.zeros((2 * degree + 1, x0.size))
     r = np.zeros((degree + 1, x0.size))
     count = np.zeros(x0.size, dtype=np.intp)
     for j in range(q):
         at = starts + j
-        t = (xs[at] - x0) / h
+        t = (at - x0) / h
         u = np.abs(t)
         c = 1.0 - u * u * u
         w = c * c * c * rw[at]
@@ -228,11 +178,11 @@ def _window_moments(xs, ys, rw, x0, starts, q, degree):
     return s, r, count
 
 
-def _global_moments(xs, ys, rw, x0, degree):
+def _global_moments(ys, rw, x0, degree):
     """The moments of one fit over every point, about each ``x0``: summed
     exactly once about the centre, then shifted by the binomial expansion."""
-    centre, h = (xs[0] + xs[-1]) / 2.0, max((xs[-1] - xs[0]) / 2.0, 1.0)
-    wt = list(accumulate([rw] + [(xs - centre) / h] * (2 * degree), np.multiply))
+    centre, h = (ys.size - 1) / 2.0, max((ys.size - 1) / 2.0, 1.0)
+    wt = list(accumulate([rw] + [(np.arange(ys.size) - centre) / h] * (2 * degree), np.multiply))
     try:
         about = ([math.fsum(m.tolist()) for m in wt],
                  [math.fsum((m * ys).tolist()) for m in wt[: degree + 1]])
@@ -290,12 +240,10 @@ def _smooth_subseries(
     for k in range(period):
         sub = detrended[k::period]
         m = sub.size
-        xs = np.arange(m, dtype=float)
         q = min(s_window, m)
         # the end points -1 and m take the first and the last q points
-        starts = np.concatenate(([0], _window_starts(xs, q), [m - q]))
-        extended[k::period] = _loess(xs, sub, rw[k::period], q, degree, np.arange(-1.0, m + 1),
-                                     starts)
+        starts = np.concatenate(([0], _window_starts(m, q), [m - q]))
+        extended[k::period] = _loess(sub, rw[k::period], q, degree, np.arange(-1.0, m + 1), starts)
     return extended
 
 
@@ -304,8 +252,7 @@ def _low_pass(values: np.ndarray, period: int) -> np.ndarray:
     filtered = _moving_average(values, period)
     filtered = _moving_average(filtered, period)
     filtered = _moving_average(filtered, 3)
-    xs = np.arange(filtered.size, dtype=float)
-    return _loess(xs, filtered, np.ones_like(filtered), min(window, filtered.size), 1)
+    return _loess(filtered, np.ones_like(filtered), min(window, filtered.size), 1)
 
 
 def stl_decompose(series: Series, config: StlConfig | None = None) -> Decomposition:
@@ -328,7 +275,6 @@ def stl_decompose(series: Series, config: StlConfig | None = None) -> Decomposit
         raise ParameterError("series contains missing or non-finite values")
 
     t_window = config.resolved_t_window(period)
-    t_xs = np.arange(n, dtype=float)
     rw = np.ones(n)
     trend = np.zeros(n)
     seasonal = np.zeros(n)
@@ -339,7 +285,7 @@ def stl_decompose(series: Series, config: StlConfig | None = None) -> Decomposit
             cycle = _smooth_subseries(detrended, period, config.s_window, config.loess_degree, rw)
             seasonal = cycle[period : period + n] - _low_pass(cycle, period)
             deseasonalized = y - seasonal
-            trend = _loess(t_xs, deseasonalized, rw, min(t_window, n), config.loess_degree)
+            trend = _loess(deseasonalized, rw, min(t_window, n), config.loess_degree)
         if outer < config.n_outer:
             rw = _bisquare_weights(y - trend - seasonal)
 

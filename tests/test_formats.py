@@ -397,6 +397,9 @@ def test_initial_stock_past_int64_fails_closed(inputs, tmp_path, capsys, command
     ("train", ["--period", 0], "period must be >= 2, got 0", None),
     ("generate", ["--seed", -1], "seed must be non-negative, got -1", GenConfig),
     ("train", ["--seed", -1], "seed must be non-negative, got -1", gbrt.GbrtConfig),
+    ("train", ["--t-window", 3], "t_window 3 is too short for loess_degree 1", None),
+    ("decompose", ["--period", 2, "--loess-degree", 2],
+     "t_window 5 (the default for period 2) is too short for loess_degree 2", None),
 ])
 def test_bad_flag_value_is_not_blamed_on_the_dataset(inputs, tmp_path, capsys, command, flags,
                                                      message, make):

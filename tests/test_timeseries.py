@@ -11,23 +11,22 @@ from bloodbank.timeseries import (
     Decomposition,
     Series,
     StlConfig,
+    _loess,
     _smooth_subseries,
     _window_starts,
-    loess_smooth,
     stl_decompose,
     stl_extend,
     write_decomposition_csv,
 )
-from conftest import read_csv
+from conftest import make_series, read_csv
 
 MONDAY = dt.date(2010, 1, 4)
 
 
-def tricube_wls_oracle(xs, ys, span, degree):
-    """Per-point weighted least squares with tricube weights, written from
-    scratch so it shares no code with the smoother under test."""
+def tricube_wls_oracle(xs, ys, q, degree):
+    """Per-point weighted least squares with tricube weights over the q nearest
+    points, written from scratch so it shares no code with the smoother under test."""
     n = len(xs)
-    q = min(n, int(math.ceil(span * n - 1e-9)))
     fitted = []
     for i in range(n):
         dist = np.abs(xs - xs[i])
@@ -43,38 +42,37 @@ def tricube_wls_oracle(xs, ys, span, degree):
 
 
 class TestLoess:
+    # the kernel fits points at positions 0 .. n - 1 over windows of q points
     def test_constant_data_is_fixed_point(self):
-        xs = np.arange(10.0)
-        out = loess_smooth(xs, np.full(10, 5.0), span=0.5, degree=1)
+        out = _loess(np.full(10, 5.0), np.ones(10), 5, 1)
         assert np.allclose(out, 5.0, atol=1e-9)
 
     def test_affine_data_reproduced_exactly(self):
-        xs = np.arange(10.0)
-        ys = 2.0 * xs + 1.0
-        out = loess_smooth(xs, ys, span=1.0, degree=1)
+        ys = 2.0 * np.arange(10.0) + 1.0
+        out = _loess(ys, np.ones(10), 10, 1)
         assert np.allclose(out, ys, atol=1e-9)
 
     def test_matches_per_point_wls_oracle(self):
         rng = np.random.default_rng(7)
         xs = np.arange(21.0)
         ys = np.sin(xs / 3.0) + rng.normal(0.0, 0.3, size=21)
-        out = loess_smooth(xs, ys, span=0.4, degree=1)
-        assert np.allclose(out, tricube_wls_oracle(xs, ys, 0.4, 1), atol=1e-9)
+        out = _loess(ys, np.ones(21), 9, 1)
+        assert np.allclose(out, tricube_wls_oracle(xs, ys, 9, 1), atol=1e-9)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_oracle_agreement_other_degrees(self, degree):
         rng = np.random.default_rng(degree + 100)
-        xs = np.sort(rng.uniform(0, 30, size=40))
+        xs = np.arange(40.0)
         ys = np.cos(xs / 4.0) + rng.normal(0.0, 0.2, size=40)
-        out = loess_smooth(xs, ys, span=0.5, degree=degree)
-        assert np.allclose(out, tricube_wls_oracle(xs, ys, 0.5, degree), atol=1e-9)
+        out = _loess(ys, np.ones(40), 20, degree)
+        assert np.allclose(out, tricube_wls_oracle(xs, ys, 20, degree), atol=1e-9)
 
     def test_full_span_equals_global_least_squares(self):
         rng = np.random.default_rng(3)
         xs = np.arange(15.0)
         ys = rng.normal(size=15)
         coef = np.polyfit(xs, ys, 1)
-        out = loess_smooth(xs, ys, span=1.0, degree=1)
+        out = _loess(ys, np.ones(15), 15, 1)
         assert np.allclose(out, np.polyval(coef, xs), atol=1e-9)
 
     def test_robustness_weights_multiply_tricube(self):
@@ -83,22 +81,10 @@ class TestLoess:
         ys[5] = 100.0
         rw = np.ones(12)
         rw[5] = 0.0
-        out = loess_smooth(xs, ys, span=0.6, degree=1, robustness_weights=rw)
+        out = _loess(ys, rw, 8, 1)
         # with the outlier zeroed out the fit recovers the line
         keep = np.arange(12) != 5
         assert np.allclose(out[keep], xs[keep], atol=1e-8)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            loess_smooth([0.0, 1.0], [1.0], span=0.5)
-
-    def test_span_too_small_for_degree(self):
-        with pytest.raises(ParameterError):
-            loess_smooth(np.arange(10.0), np.arange(10.0), span=0.1, degree=2)
-
-    def test_non_increasing_xs_rejected(self):
-        with pytest.raises(ParameterError):
-            loess_smooth([0.0, 0.0, 1.0], [1.0, 2.0, 3.0], span=1.0)
 
 
 def weighted_fit_oracle(xs, ys, q, degree, rw):
@@ -128,24 +114,20 @@ def weighted_fit_oracle(xs, ys, q, degree, rw):
     return np.array(fitted)
 
 
-# Abscissae a whole number 1..5 apart, and robustness weights 0 or at least
-# 0.05, keep every fit well posed.  Offsets are then exact, so a window's edge
-# point gets tricube weight exactly 0 and every point inside it at least 1e-5.
-# With arbitrary float gaps, rounding can leave the edge point a weight of
-# 1e-46, and whether it makes a line or parabola determined is then decided by
-# rounding, in this smoother as in the oracle's lstsq.
+# Robustness weights 0 or at least 0.05 keep every fit well posed.  Offsets
+# between positions are whole numbers, exact in float, so a window's edge point
+# gets tricube weight exactly 0 and every point inside it at least 1e-5.
 weights = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
 
 
 @given(st.integers(0, 2), st.data())
 def test_loess_matches_weighted_fit_oracle(degree, data):
     n = data.draw(st.integers(max(degree + 1, 2), 30))
-    gaps = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
-    xs = np.cumsum(gaps) - 50.0
+    xs = np.arange(n, dtype=float)
     ys = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
     rw = np.array(data.draw(st.lists(weights, min_size=n, max_size=n)))
     q = data.draw(st.integers(max(degree + 1, 2), n))
-    out = loess_smooth(xs, ys, q / n, degree, robustness_weights=rw)
+    out = _loess(ys, rw, q, degree)
     assert np.allclose(out, weighted_fit_oracle(xs, ys, q, degree, rw), rtol=1e-9, atol=1e-9)
 
 
@@ -157,11 +139,10 @@ def test_window_with_one_weighted_point_takes_its_value(degree, q, fits):
     # degree by degree, to the weighted mean, which is that point's value.  With
     # a weight of 0.3 the global fit's slope pivots round to positive values near
     # 1e-17, so the fallback must come from counting the weighted points
-    xs = np.arange(8.0)
     ys = np.array([3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0])
     rw = np.zeros(8)
     rw[3] = 0.3
-    out = loess_smooth(xs, ys, q / 8, degree, robustness_weights=rw)
+    out = _loess(ys, rw, q, degree)
     assert np.all(out[fits] == ys[3])
 
 
@@ -177,19 +158,10 @@ def sweep_window_starts(xs, q):
 
 
 def test_integer_abscissae_window_starts_equal_the_sweep():
-    # every STL smoother passes xs = arange(n) and takes the closed form
+    # the kernel's closed form is the sweep over positions 0 .. n - 1
     for n in range(2, 200):
-        xs = np.arange(n, dtype=float)
         for q in range(1, n):
-            assert _window_starts(xs, q).tolist() == sweep_window_starts(range(n), q), (n, q)
-
-
-@given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=2, max_size=40, unique=True),
-       st.data())
-def test_window_starts_on_arbitrary_abscissae(values, data):
-    xs = np.array(sorted(values))
-    q = data.draw(st.integers(1, xs.size - 1))
-    assert _window_starts(xs, q).tolist() == sweep_window_starts(xs, q)
+            assert _window_starts(n, q).tolist() == sweep_window_starts(range(n), q), (n, q)
 
 
 def end_point_oracle(ys, x0, q, degree, rw):
@@ -340,6 +312,31 @@ class TestStlDecompose:
         if expected % 2 == 0:
             expected += 1
         assert config.resolved_t_window(7) == expected
+
+
+@given(st.integers(2, 7), st.sampled_from([7, 11, 35]),
+       st.one_of(st.none(), st.integers(1, 7).map(lambda k: 2 * k + 1)), st.integers(0, 2),
+       st.data())
+def test_trend_window_is_rejected_exactly_where_its_fit_interpolates(period, s_window, t_window,
+                                                                    degree, data):
+    # a centred window weighs all but its two edge points, so under degree + 4
+    # points the fit of degree ``degree`` passes through every point it weighs; on
+    # 364 days of seed-1 demand such a trend left a median |residual| of 4e-15 to
+    # 1e-14, and the robust pass then weighed rounding noise
+    config = StlConfig(s_window=s_window, t_window=t_window, loess_degree=degree)
+    smallest = math.ceil(1.5 * period / (1.0 - 1.5 / s_window))
+    window = t_window if t_window is not None else smallest // 2 * 2 + 1
+    n = data.draw(st.integers(max(2 * period, window + 1), 60))
+    y = make_series(n, period, seed=data.draw(st.integers(0, 1000)))
+    inside = slice(window // 2, n - window // 2)
+    gap = np.abs(_loess(y, np.ones(n), window, degree) - y)[inside]
+    if window < degree + 4:
+        assert np.all(gap <= 1e-9)
+        with pytest.raises(ParameterError, match=f"t_window {window}.*loess_degree {degree}"):
+            stl_decompose(Series(MONDAY, y, period), config)
+    else:
+        assert np.median(gap) > 1e-3
+        assert config.resolved_t_window(period) == window
 
 
 class TestStlExtend:
