@@ -188,15 +188,15 @@ def split_gain(
 def _gains(gl: np.ndarray, hl: np.ndarray, g_total: float, h_total: int,
            config: GbrtConfig) -> np.ndarray:
     """Split gain for each left-child total (gl, hl); -inf where a child is lighter than
-    ``min_child_weight`` or the sums overflow.  Both children hold rows, so every
-    denominator is at least 1, and a ``min_child_weight`` of at most 1 excludes none."""
+    ``min_child_weight`` or the sums overflow (``train`` grows its trees with numpy's
+    overflow warnings off).  Both children hold rows, so every denominator is at
+    least 1, and a ``min_child_weight`` of at most 1 excludes none."""
     hr = h_total - hl
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = 0.5 * (
-            gl**2 / (hl + config.reg_lambda)
-            + (g_total - gl) ** 2 / (hr + config.reg_lambda)
-            - (g_total**2) / (h_total + config.reg_lambda)
-        ) - config.gamma
+    raw = 0.5 * (
+        gl**2 / (hl + config.reg_lambda)
+        + (g_total - gl) ** 2 / (hr + config.reg_lambda)
+        - (g_total**2) / (h_total + config.reg_lambda)
+    ) - config.gamma
     keep = np.isfinite(raw)
     if config.min_child_weight > 1.0:
         keep &= (hl >= config.min_child_weight) & (hr >= config.min_child_weight)
@@ -205,14 +205,16 @@ def _gains(gl: np.ndarray, hl: np.ndarray, g_total: float, h_total: int,
 
 def _grow(codes: np.ndarray, edges: np.ndarray, features: np.ndarray, rows: np.ndarray,
           g: np.ndarray, depth: int, config: GbrtConfig, out: np.ndarray | None = None,
-          hist: tuple[np.ndarray, np.ndarray] | None = None) -> TreeNode:
+          hist: tuple[np.ndarray, np.ndarray] | None = None,
+          cuts: tuple[np.ndarray, ...] | None = None) -> TreeNode:
     """Grow the subtree over one node's ``rows``, kept in ascending order.
 
     ``codes`` holds each row's flat bin per feature and ``edges`` (features, width)
     each present bin's value, the last bin of a feature being its NaN bin; column
     ``i`` is feature ``features[i]``.  ``hist`` is the node's gradient sum and row
-    count per bin, counted here if None.  Every hessian is 1, so hessian sums are
-    row counts.  ``out`` (if given) receives each row's leaf weight.
+    count per bin, counted here if None, and ``cuts`` its ``_cuts``, found here if
+    None.  Every hessian is 1, so hessian sums are row counts.  ``out`` (if given)
+    receives each row's leaf weight.
     """
     g_total = float(g[rows].sum())
     h_total = rows.size
@@ -222,27 +224,20 @@ def _grow(codes: np.ndarray, edges: np.ndarray, features: np.ndarray, rows: np.n
     if config.max_depth is not None and depth >= config.max_depth:
         return node
 
-    # a candidate cut follows a non-empty present bin whose feature has a present
-    # bin above it in the node; ``at`` and ``above`` are the two bins' flat indices
     hg, hc = _histogram(codes, rows, g, edges.size) if hist is None else hist
     width = edges.shape[1]
-    filled = (hc > 0).nonzero()[0]
-    feature = filled // width
-    after = filled[1:]
-    i = ((feature[:-1] == feature[1:]) & (after % width != width - 1)).nonzero()[0]
-    if i.size == 0:
+    at, above, feature, hl = _cuts(hc, width, h_total) if cuts is None else cuts
+    if at.size == 0:
         return node
-    at, above, feature = filled[i], after[i], feature[i]
-    # within each feature, cumulative sums; each feature's bins count every row
+    # within each feature, cumulative sums
     gl = np.cumsum(hg.reshape(edges.shape), axis=1).ravel()[at]
-    hl = np.cumsum(hc[filled])[i] - feature * h_total
     h_miss = hc[width - 1::width]
     gains_right = _gains(gl, hl, g_total, h_total, config)  # missing rows routed right
     gains_left = gains_right
     if h_miss.any():  # the NaN bin's count decides; with no missing rows g_miss is 0
         g_miss = np.where(h_miss > 0, hg[width - 1::width], 0.0)[feature]
         gains_left = _gains(gl + g_miss, hl + h_miss[feature], g_total, h_total, config)
-    best = np.maximum(gains_left, gains_right)
+    best = gains_right if gains_left is gains_right else np.maximum(gains_left, gains_right)
     # first max: the lowest feature wins ties, then its smallest threshold
     k = int(np.argmax(best))
     if not best[k] > 0.0:
@@ -274,6 +269,18 @@ def _grow(codes: np.ndarray, edges: np.ndarray, features: np.ndarray, rows: np.n
     node.left, node.right = (_grow(codes, edges, features, part, g, depth + 1, config, out, h)
                              for part, h in zip(parts, hists))
     return node
+
+
+def _cuts(hc: np.ndarray, width: int, h_total: int) -> tuple[np.ndarray, ...]:
+    """A node's candidate cuts from its row count per bin: each follows a non-empty
+    present bin whose feature has a present bin above it in the node.  ``at`` and
+    ``above`` are the two bins' flat indices, then the cut's feature and the rows
+    at or below ``at`` (each feature's bins count every row)."""
+    filled = (hc > 0).nonzero()[0]
+    feature = filled // width
+    after = filled[1:]
+    i = ((feature[:-1] == feature[1:]) & (after % width != width - 1)).nonzero()[0]
+    return filled[i], after[i], feature[i], np.cumsum(hc[filled])[i] - feature[i] * h_total
 
 
 def _histogram(codes: np.ndarray, rows: np.ndarray, g: np.ndarray,
@@ -341,6 +348,7 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
     # and, with column subsampling, its columns' codes moved onto a smaller grid
     codes, edges = _bins(X.values)
     counts = np.bincount(codes.ravel(), minlength=edges.size)  # a full round's root
+    root_cuts = _cuts(counts, edges.shape[1], n)
     all_rows, all_cols = np.arange(n), np.arange(d)
     for _ in range(config.n_rounds):
         rows = all_rows
@@ -363,10 +371,12 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
         if not g_bound * g_bound < math.inf:
             raise ParameterError(f"residuals as large as {np.abs(g).max():.6g} make the "
                                  "squared-error sums overflow")
-        root = None
+        root = cuts = None
         if rows.size == n and cols.size == d:  # every row and column: only g is new
             root = np.bincount(codes.ravel(), np.repeat(g, d), edges.size), counts
-        tree = _grow(round_codes, round_edges, cols, rows, g, 0, config, out, root)
+            cuts = root_cuts
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gain is -inf
+            tree = _grow(round_codes, round_edges, cols, rows, g, 0, config, out, root, cuts)
         if out is None:  # rows outside the round still need the walk
             out = tree_predict(tree, X.values)
         predictions += config.learning_rate * out

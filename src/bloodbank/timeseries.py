@@ -9,11 +9,15 @@ robustness iterations ``n_outer``.
 
 Every loess fit goes through one kernel, ``_loess``, which fits evenly spaced
 points (point ``i`` at position ``i``, so every offset is exact in float) in a
-fixed order: a window's moments are summed offset by offset, one elementwise
-operation each, a global fit's exactly (``math.fsum``), and both are solved in
-closed form.  Elementwise IEEE operations round alike at every SIMD width and no
-fit uses a SIMD reduction or a BLAS or LAPACK kernel, so the bytes of the
-decomposition do not depend on the CPU.
+fixed order: a window's moments are summed offset by offset from 0.0, a global
+fit's exactly (``math.fsum``), and both are solved in closed form.  A run of
+points whose windows lie alike about them shares one row of offsets and tricube
+weights and reads its values as a sliding view; where its robustness weights are
+all 1 its ``s`` moments are one Python float sum of that row, term by term.  Every
+other term is formed in blocks of (offsets x points), and each offset's terms are
+added with one elementwise add.  Elementwise IEEE operations round alike at
+every SIMD width and no sum uses a SIMD reduction or a BLAS or LAPACK kernel,
+so the bytes of the decomposition do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -132,6 +138,14 @@ class StlConfig:
         return window
 
 
+# the most (offset, point) cells a block of terms holds at a time
+_CELLS = 1 << 14
+# a run of alike windows, or a group of windows with one first point, that has
+# fewer points than this is gathered into blocks: the calls it would make on its
+# own cost more than the gathers it saves
+_SLIDE = 64
+
+
 def _window_starts(n: int, q: int) -> np.ndarray:
     # the first of the q points nearest each of 0 .. n - 1 (a tie keeps the earlier start)
     return np.clip(np.arange(n) - q // 2, 0, max(n - q, 0))
@@ -158,24 +172,115 @@ def _loess(ys, rw, q: int, degree: int, x0=None, starts=None) -> np.ndarray:
 
 def _window_moments(ys, rw, x0, starts, q, degree):
     """``s[k] = sum(w t^k)``, ``r[k] = sum(w t^k y)`` of each window, ``t`` the offset
-    from ``x0`` scaled into [-1, 1]; and the count of points of positive weight."""
-    h = np.maximum(np.abs(starts - x0), np.abs(starts + (q - 1) - x0))
-    s = np.zeros((2 * degree + 1, x0.size))
-    r = np.zeros((degree + 1, x0.size))
+    from ``x0`` scaled into [-1, 1]; and, for degree 1 and 2, the count of points of
+    positive weight.  Each sum runs offset by offset from 0.0."""
+    ys, rw = (np.ascontiguousarray(v, dtype=float) for v in (ys, rw))
+    moments = np.zeros((3 * degree + 2, x0.size))
     count = np.zeros(x0.size, dtype=np.intp)
-    for j in range(q):
-        at = starts + j
-        t = (at - x0) / h
-        u = np.abs(t)
-        c = 1.0 - u * u * u
-        w = c * c * c * rw[at]
-        y = ys[at]
-        count += w > 0.0
-        for k, wt in enumerate(accumulate([w] + [t] * (2 * degree), np.multiply)):
-            s[k] += wt
-            if k <= degree:
-                r[k] += wt * y
-    return s, r, count
+    lead = starts - x0  # each window's first offset
+    h = np.maximum(np.abs(lead), np.abs(lead + (q - 1)))
+    unit = bool(np.all(rw == 1.0))  # then each weight is the tricube alone
+    # every block's terms, offsets and weights: a block allocated afresh would
+    # fault its pages in again
+    scratch = np.empty((moments.shape[0] + 2) * min(_CELLS, q * x0.size))
+    rest = np.ones(x0.size, dtype=bool)
+    cuts = ((np.diff(x0) != 1.0) | (np.diff(lead) != 0.0)).nonzero()[0].tolist()
+    for a, b in zip([0] + [c + 1 for c in cuts], [c + 1 for c in cuts] + [x0.size]):
+        if b - a >= _SLIDE:  # a run of windows that lie alike about their points
+            rest[a:b] = False
+            for p in range(a, b, _CELLS):
+                run = slice(p, min(p + _CELLS, b))
+                _slide(moments[:, run], count[run], ys, rw, starts[p], lead[a], h[a], q, degree,
+                       unit, scratch)
+    # the rest in blocks: a large group of points whose windows share their first
+    # point reads its values as columns; the small groups' points are gathered
+    rest = rest.nonzero()[0]
+    groups = np.split(rest, (np.diff(starts[rest]) != 0).nonzero()[0] + 1)
+    small = [g for g in groups if g.size < _SLIDE]
+    groups = [g for g in groups if g.size >= _SLIDE] + ([np.concatenate(small)] if small else [])
+    for group in groups:
+        for p in range(0, group.size, _CELLS):
+            at = group[p : p + _CELLS]
+            part = np.zeros((moments.shape[0], at.size)), np.zeros(at.size, dtype=np.intp)
+            _block(*part, ys, None if unit else rw, starts[at], lead[at], h[at], q, degree,
+                   scratch)
+            moments[:, at], count[at] = part
+    return moments[: 2 * degree + 1], moments[2 * degree + 1 :], count
+
+
+def _slide(moments, count, ys, rw, first, lead, h, q, degree, unit, scratch):
+    """The moments of a run of points whose windows start at ``first``, ``first + 1``,
+    ... with the same offsets: one row of offsets and tricube weights serves them
+    all, and row ``j`` of a (offsets x points) view of ``ys`` holds the values at
+    offset ``j``.  Where every robustness weight is 1 the ``s`` moments are shared."""
+    t = (lead + np.arange(q)) / h
+    u = np.abs(t)
+    c = 1.0 - u * u * u
+    c = c * c * c
+    width = moments.shape[1]
+    # (offsets x points) views of float64s: row j starts one value after row j - 1
+    y, w = (np.ndarray((q, width), float, v, first * 8, (8, 8)) for v in (ys, rw))
+    step = max(1, _CELLS // width)
+    if unit or np.all(rw[first : first + width + q - 1] == 1.0):
+        wt = np.array(list(accumulate([c * w[:, 0]] + [t] * (2 * degree), np.multiply)))
+        moments[: 2 * degree + 1] = [[reduce(add, row, 0.0)] for row in wt.tolist()]
+        count[:] = np.count_nonzero(wt[0] > 0.0) if degree else 0
+        for j in range(0, q, step):
+            terms = _block_of(scratch, degree + 1, min(step, q - j), width)
+            np.multiply(wt[: degree + 1, j : j + step, None], y[j : j + step], out=terms)
+            _add_offsets(moments[2 * degree + 1 :], terms)
+        return
+    for j in range(0, q, step):
+        terms = _block_of(scratch, moments.shape[0], min(step, q - j), width)
+        np.multiply(c[j : j + step, None], w[j : j + step], out=terms[0])
+        _add_terms(moments, count, terms, t[j : j + step, None], y[j : j + step], degree)
+
+
+def _block(moments, count, ys, rw, starts, lead, h, q, degree, scratch):
+    """The moments of any points, through blocks of (offsets x points) terms;
+    ``rw`` None means every robustness weight is 1."""
+    shared = bool(np.all(starts == starts[0]))  # every window starts at one point
+    step = max(1, _CELLS // starts.size)
+    for j in range(0, q, step):
+        offsets = np.arange(j, min(j + step, q))[:, None]
+        at = slice(starts[0] + j, starts[0] + j + offsets.size) if shared else starts + offsets
+        block = _block_of(scratch, moments.shape[0] + 2, offsets.size, starts.size)
+        terms, t, c = block[:-2], block[-2], block[-1]
+        np.add(lead, offsets, out=t)
+        t /= h
+        np.abs(t, out=c)
+        w = np.multiply(c, c, out=terms[0])
+        w *= c
+        np.subtract(1.0, w, out=c)
+        np.multiply(c, c, out=w)
+        w *= c
+        if rw is not None:
+            w *= rw[at, None] if shared else rw[at]
+        _add_terms(moments, count, terms, t, ys[at, None] if shared else ys[at], degree)
+
+
+def _block_of(scratch, moments, offsets, points):
+    """A (moments x offsets x points) block at the head of ``scratch``."""
+    return scratch[: moments * offsets * points].reshape(moments, offsets, points)
+
+
+def _add_terms(moments, count, terms, t, ys, degree):
+    """Fill a block of (moments x offsets x points) terms from its weights
+    ``terms[0]`` and add them to ``moments``; for degree 1 and 2, count the
+    positive weights."""
+    if degree:
+        count += np.count_nonzero(terms[0] > 0.0, axis=0)
+    for k in range(1, 2 * degree + 1):
+        np.multiply(terms[k - 1], t, out=terms[k])
+    for k in range(degree + 1):
+        np.multiply(terms[k], ys, out=terms[2 * degree + 1 + k])
+    _add_offsets(moments, terms)
+
+
+def _add_offsets(moments, terms):
+    """Add ``terms[:, j]`` to ``moments`` offset by offset, in order: one row add each."""
+    for j in range(terms.shape[1]):
+        np.add(moments, terms[:, j], out=moments)
 
 
 def _global_moments(ys, rw, x0, degree):
@@ -234,16 +339,31 @@ def _bisquare_weights(residual: np.ndarray) -> np.ndarray:
 def _smooth_subseries(
     detrended: np.ndarray, period: int, s_window: int, degree: int, rw: np.ndarray
 ) -> np.ndarray:
-    """Smooth each cycle-subseries and extend it one cycle on either side."""
-    n = detrended.size
-    extended = np.empty(n + 2 * period)
+    """Smooth each cycle-subseries and extend it one cycle on either side.
+
+    The subseries longer than ``s_window`` are fitted in one call, laid end to end:
+    no window crosses the end of its subseries, so each point gets the sums it
+    would get alone.  A subseries that its window covers is one global fit."""
+    extended = np.empty(detrended.size + 2 * period)
+    batch, x0, starts, base = [], [], [], 0
     for k in range(period):
-        sub = detrended[k::period]
-        m = sub.size
-        q = min(s_window, m)
-        # the end points -1 and m take the first and the last q points
-        starts = np.concatenate(([0], _window_starts(m, q), [m - q]))
-        extended[k::period] = _loess(sub, rw[k::period], q, degree, np.arange(-1.0, m + 1), starts)
+        m = detrended[k::period].size
+        if m <= s_window:
+            extended[k::period] = _loess(detrended[k::period], rw[k::period], m, degree,
+                                         np.arange(-1.0, m + 1), np.zeros(m + 2, dtype=np.intp))
+            continue
+        batch.append(k)
+        x0.append(np.arange(base - 1.0, base + m + 1))
+        # the end points -1 and m take the first and the last s_window points
+        starts.append(base + np.concatenate(([0], _window_starts(m, s_window), [m - s_window])))
+        base += m
+    if batch:
+        fitted = _loess(np.concatenate([detrended[k::period] for k in batch]),
+                        np.concatenate([rw[k::period] for k in batch]), s_window, degree,
+                        np.concatenate(x0), np.concatenate(starts))
+        ends = list(accumulate(x.size for x in x0))
+        for k, part in zip(batch, np.split(fitted, ends[:-1])):
+            extended[k::period] = part
     return extended
 
 

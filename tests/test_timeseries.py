@@ -1,11 +1,14 @@
 import datetime as dt
 import math
+from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bloodbank import timeseries
 from bloodbank.errors import ParameterError
 from bloodbank.timeseries import (
     Decomposition,
@@ -13,6 +16,7 @@ from bloodbank.timeseries import (
     StlConfig,
     _loess,
     _smooth_subseries,
+    _window_moments,
     _window_starts,
     stl_decompose,
     stl_extend,
@@ -185,18 +189,37 @@ def end_point_oracle(ys, x0, q, degree, rw):
     return beta[0]
 
 
+def smooth_each_subseries(detrended, period, s_window, degree, rw):
+    """``_smooth_subseries`` as one kernel call per cycle-subseries, each with its
+    end points -1 and m fitted to its first and its last q points."""
+    extended = np.empty(detrended.size + 2 * period)
+    for k in range(period):
+        sub = detrended[k::period]
+        m = sub.size
+        q = min(s_window, m)
+        starts = np.concatenate(([0], _window_starts(m, q), [m - q]))
+        extended[k::period] = _loess(sub, rw[k::period], q, degree, np.arange(-1.0, m + 1), starts)
+    return extended
+
+
 @pytest.mark.parametrize("degree", [0, 1, 2])
 @pytest.mark.parametrize("n, period, s_window, zero_rw", [
-    (20, 4, 7, False),   # 5 points a subseries: q >= m, a global fit
-    (24, 3, 9, True),    # q = m = 8 with every robustness weight zero
-    (101, 7, 7, False),  # 14 or 15 points: the 7 nearest
-    (90, 2, 11, True),   # 45 points, all-zero robustness: tricube alone
+    (20, 4, 7, False),    # 5 points a subseries: q >= m, a global fit
+    (24, 3, 9, True),     # q = m = 8 with every robustness weight zero
+    (101, 7, 7, False),   # 14 or 15 points: the 7 nearest
+    (90, 2, 11, True),    # 45 points, all-zero robustness: tricube alone
+    (23, 2, 11, False),   # 12 points fitted by window, 11 by one global fit
+    (1000, 7, 7, False),  # 142 or 143 points: long runs of alike windows
+    (1000, 7, 7, True),
 ])
 def test_subseries_end_points_match_weighted_fit_oracle(degree, n, period, s_window, zero_rw):
     rng = np.random.default_rng(degree * 100 + n)
     detrended = np.sin(np.arange(n) / 5.0) * 30.0 + rng.normal(0.0, 4.0, size=n)
     rw = np.zeros(n) if zero_rw else rng.uniform(0.05, 1.0, size=n)
     extended = _smooth_subseries(detrended, period, s_window, degree, rw)
+    # the subseries laid end to end in one call give each point its own fit's bytes
+    assert extended.tobytes() == smooth_each_subseries(detrended, period, s_window, degree,
+                                                       rw).tobytes()
     for k in range(period):
         sub, sub_rw = detrended[k::period], rw[k::period]
         m, q = sub.size, min(s_window, sub.size)
@@ -204,6 +227,91 @@ def test_subseries_end_points_match_weighted_fit_oracle(degree, n, period, s_win
             end_point_oracle(sub, -1.0, q, degree, sub_rw), abs=1e-9)
         assert extended[(m + 1) * period + k] == pytest.approx(
             end_point_oracle(sub, float(m), q, degree, sub_rw), abs=1e-9)
+
+
+@pytest.mark.parametrize("period, s_window", [(7, 11), (3, 7), (5, 35)])
+@pytest.mark.parametrize("weights", ["ones", "mixed", "some zero"])
+def test_subseries_in_one_call_equal_one_call_each(period, s_window, weights):
+    # n not a multiple of the period, so the subseries have two lengths
+    rng = np.random.default_rng(period * 10 + s_window)
+    # 178 days at period 5: s_window 35 covers the 35-point subseries, not the 36-point ones
+    n = 30 * period + 2 if s_window < 35 else 36 * period - 2
+    detrended = rng.normal(0.0, 10.0, size=n)
+    rw = {"ones": np.ones(n), "mixed": rng.uniform(0.0, 1.0, size=n),
+          "some zero": np.where(rng.uniform(size=n) < 0.3, 0.0, 1.0)}[weights]
+    for degree in (0, 1, 2):
+        assert (_smooth_subseries(detrended, period, s_window, degree, rw).tobytes()
+                == smooth_each_subseries(detrended, period, s_window, degree, rw).tobytes())
+
+
+def reference_window_moments(ys, rw, x0, starts, q, degree):
+    """The kernel's moments summed offset by offset, one elementwise operation per
+    moment and offset over every point: the sums and the order they must keep."""
+    h = np.maximum(np.abs(starts - x0), np.abs(starts + (q - 1) - x0))
+    s = np.zeros((2 * degree + 1, x0.size))
+    r = np.zeros((degree + 1, x0.size))
+    count = np.zeros(x0.size, dtype=np.intp)
+    for j in range(q):
+        at = starts + j
+        t = (at - x0) / h
+        u = np.abs(t)
+        c = 1.0 - u * u * u
+        w = c * c * c * rw[at]
+        y = ys[at]
+        count += w > 0.0
+        for k, wt in enumerate(accumulate([w] + [t] * (2 * degree), np.multiply)):
+            s[k] += wt
+            if k <= degree:
+                r[k] += wt * y
+    return s, r, count
+
+
+def end_point_layout(m, q, base=0):
+    """Positions -1 .. m of a series of m points at ``base``, with their windows."""
+    starts = np.concatenate(([0], _window_starts(m, q), [m - q]))
+    return np.arange(base - 1.0, base + m + 1), base + starts
+
+
+@given(st.integers(0, 2), st.data())
+def test_window_moments_equal_the_offset_loop(degree, data):
+    # q up to 200 and series up to 150 points past it: the interior runs of alike
+    # windows, and the edge points that share a window, fall on both sides of the
+    # length at which they share one weight row or read their values as columns
+    q = data.draw(st.integers(2, 200), label="q")
+    layout = data.draw(st.sampled_from(["default", "end points", "subset", "end to end"]))
+    if layout == "end to end":
+        sizes = data.draw(st.lists(st.integers(q + 1, q + 100), min_size=2, max_size=4))
+        bases = np.cumsum([0] + sizes[:-1]).tolist()
+        x0, starts = map(np.concatenate, zip(*(end_point_layout(m, q, base)
+                                                for m, base in zip(sizes, bases))))
+        n = sum(sizes)
+    else:
+        n = data.draw(st.one_of(st.just(q + 1), st.integers(q + 1, q + 150)), label="n")
+        x0, starts = np.arange(n, dtype=float), _window_starts(n, q)
+        if layout == "end points":
+            x0, starts = end_point_layout(n, q)
+        elif layout == "subset":  # as the refit of dead windows passes them
+            keep = np.zeros(n, dtype=bool)
+            for a, b in data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                                           min_size=1, max_size=4)):
+                keep[min(a, b):max(a, b) + 1] = True
+            x0, starts = x0[keep], starts[keep]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ys = rng.normal(0.0, 50.0, size=n)
+    weights = data.draw(st.sampled_from(["ones", "zeros", "mixed", "ones with a patch"]))
+    rw = {"ones": np.ones(n), "zeros": np.zeros(n),
+          "mixed": rng.choice([0.0, 1.0, 0.5, rng.uniform()], size=n)}.get(weights)
+    if weights == "ones with a patch":  # zeros wide enough to empty whole windows
+        rw = np.ones(n)
+        a = data.draw(st.integers(0, n - 1))
+        rw[a : a + data.draw(st.integers(1, 2 * q))] = data.draw(st.sampled_from([0.0, 0.25]))
+    # no block size changes a byte
+    with mock.patch.object(timeseries, "_CELLS", data.draw(st.sampled_from([1 << 14, 1000, 50]))):
+        got = _window_moments(ys, rw, x0, starts, q, degree)
+    want = reference_window_moments(ys, rw, x0, starts, q, degree)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    if degree:  # only the degree 1 and 2 solves read the count
+        assert np.array_equal(got[2], want[2])
 
 
 def weekday_array(start, n):
