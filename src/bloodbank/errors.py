@@ -20,10 +20,13 @@ def whole(name: str, value) -> int:
 
 
 def _finite_real(value) -> bool:
-    """A real number that is neither a bool, infinite nor NaN (no float cast, so a huge
-    int stays finite)."""
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and -math.inf < value < math.inf)
+    """A real number, not a bool, that converts to a finite float: NaN, an infinity and an
+    int past the float range do not."""
+    try:
+        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                and math.isfinite(value))
+    except OverflowError:  # the conversion of such an int
+        return False
 
 
 def finite_real(name: str, value):

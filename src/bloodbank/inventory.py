@@ -20,15 +20,14 @@ refuse a total of ``2**63`` units or more.  ``_fold`` runs the period on
 plain ints for one trajectory under one order rule given as data
 (``policy.order_quantity`` is its scalar form) and tracks units only: it
 returns the per-period unit columns (orders, demands, urgent and expired
-units, end inventories).  The trajectory is priced after the fold by one
-``CostParams.period_cost`` call on those columns as float arrays, or by its
-scalar form a period at a time when a coefficient is not a ``float``
-(``_costs``); ``step``'s one period is priced by the scalar form.  Only the
-public functions that return ``PeriodOutcome``s build them from the priced
-columns: ``simulate`` (a whole fold), ``step`` (one period behind an
-``AgeProfile``, converted at the boundary) and ``policy.run_policy``.
-``policy.evaluate_strategy`` and ``policy.cost_under_actual`` read the
-columns.  ``policy``'s sweeps run the
+units, end inventories).  ``CostParams`` stores its coefficients as floats, so
+one ``CostParams.period_cost`` call on those columns as float arrays prices the
+trajectory after the fold, and the scalar form that prices ``step``'s one period
+gives the same floats.  Only the public functions that return
+``PeriodOutcome``s build them from the priced columns: ``simulate`` (a whole
+fold), ``step`` (one period behind an ``AgeProfile``, converted at the boundary)
+and ``policy.run_policy``.  ``policy.evaluate_strategy`` and
+``policy.cost_under_actual`` read the columns.  ``policy``'s sweeps run the
 same period on ``(K,)`` vectors, one row per candidate, and price each block
 of periods with one ``CostParams.period_cost`` call on ``(periods, K)``
 arrays.  No pipeline command calls ``step``: it stays on the library surface
@@ -66,7 +65,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CostParams:
-    """Per-order delivery, per-unit holding/urgent/wastage cost coefficients."""
+    """Per-order delivery, per-unit holding/urgent/wastage cost coefficients, each stored
+    as a ``float``, so that float arrays of unit counts are priced as the scalar form
+    prices each period."""
 
     routine_delivery: float = 100.0
     holding: float = 1.0
@@ -74,7 +75,9 @@ class CostParams:
     wastage: float = 50.0
 
     def __post_init__(self) -> None:
-        nonnegative_finite(self, ("routine_delivery", "holding", "urgent", "wastage"))
+        for name in ("routine_delivery", "holding", "urgent", "wastage"):
+            nonnegative_finite(self, (name,))
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def period_cost(self, placed, end_inventory, urgent, expired):
         """Cost of one period; takes scalars or equally shaped arrays.
@@ -226,7 +229,7 @@ def _fold(ring: list, demands: list, units, below=None, lift=0, cap=math.inf) ->
     """Per-period unit columns of the FIFO period on a ``_ring`` of plain ints.
 
     The columns are the orders, demands, urgent and expired units and end inventories, in
-    ``PeriodOutcome``'s field order; ``_costs`` prices them.  The order rule is data,
+    ``PeriodOutcome``'s field order; ``_run`` prices them.  The order rule is data,
     ``policy.order_quantity`` a period at a time: seeing stock ``I`` (the initial total, then
     the last end inventory), period ``i`` orders ``clamp(units[i], lift - I, cap - I)`` if
     ``I < below[i]``, else nothing; by default ``units[i]`` unclamped.  Each period checks its
@@ -269,35 +272,21 @@ def _fold(ring: list, demands: list, units, below=None, lift=0, cap=math.inf) ->
     return columns
 
 
-def _float_priced(costs: CostParams) -> bool:
-    """Whether ``period_cost`` on float arrays gives the scalar costs: when every
-    coefficient is a ``float``, which converts each int as Python's scalar arithmetic does.
-    An int coefficient is exact past 2**53 only in the scalar form."""
-    return all(type(c) is float
-               for c in (costs.routine_delivery, costs.holding, costs.urgent, costs.wastage))
-
-
-@np.errstate(over="ignore")  # an overflow is an infinite cost, as in the scalar form
-def _costs(costs: CostParams, columns: list[list]) -> list:
-    """Each period's ``costs.period_cost`` of ``_fold``'s columns, as the scalar form gives it:
-    one call on the columns as float arrays, or one call a period (``_float_priced``)."""
-    orders, _, urgent, expired, levels = columns
-    if _float_priced(costs):
-        placed = np.array(orders) > 0  # an order past int64 is compared as an int
-        return costs.period_cost(placed, *np.array((levels, urgent, expired), dtype=float)).tolist()
-    return list(map(costs.period_cost, [z > 0 for z in orders], levels, urgent, expired))
-
-
 def _outcomes(columns: list[list]) -> list[PeriodOutcome]:
-    """``PeriodOutcome``s of ``_fold``'s columns and their ``_costs``."""
+    """``PeriodOutcome``s of ``_fold``'s columns and their costs."""
     return [PeriodOutcome(row[0] > 0, *row) for row in zip(*columns)]
 
 
+@np.errstate(over="ignore")  # an overflow is an infinite cost, as in the scalar form
 def _run(initial: AgeProfile, demands: list, costs: CostParams, *rule) -> tuple[list[list], float]:
-    """``_fold`` of ``demands`` from ``initial`` under order ``rule`` with its ``_costs``, and
-    their mean, failing on an overflow."""
+    """``_fold`` of ``demands`` from ``initial`` under order ``rule`` with each period's cost,
+    priced by one ``costs.period_cost`` call on the columns as float arrays, and their mean,
+    failing on an overflow."""
     columns = _fold(_ring(initial.counts).tolist(), demands, *rule)
-    columns.append(_costs(costs, columns))
+    orders, _, urgent, expired, levels = columns
+    placed = np.array(orders) > 0  # an order past int64 is compared as an int
+    cost = costs.period_cost(placed, *np.array((levels, urgent, expired), dtype=float))
+    columns.append(cost.tolist())
     average = sum(columns[5]) / len(demands) if demands else 0.0
     if not math.isfinite(average):  # every cost is non-negative, so an overflow is inf
         raise ParameterError("orders, demands or costs so large that the average cost overflows")

@@ -27,10 +27,9 @@ rule given to it as data, and only ``run_policy`` builds ``PeriodOutcome``s.
 ``_rule`` converts the rule's units and thresholds to those ints through one
 int64 array each when int64 holds every value.  The fold returns unit columns
 only, and the trajectory is priced after it by one ``CostParams.period_cost``
-call (its scalar form a period at a time when a coefficient is not a
-``float``).  ``evaluate_strategy`` summarizes the columns from one float
-array, its cost row priced on the array's rows, its means and SDs taken by the
-ufunc steps ``numpy.mean`` and ``numpy.std`` run, to the same bits.
+call on float arrays.  ``evaluate_strategy`` summarizes the columns from one
+float array, its cost row priced on the array's rows, its means and SDs taken
+by the ufunc steps ``numpy.mean`` and ``numpy.std`` run, to the same bits.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from .inventory import (
     CostParams,
     PeriodOutcome,
     _check_units,
-    _costs,
-    _float_priced,
     _fold,
     _outcomes,
     _ring,
@@ -448,10 +445,7 @@ def _summarize(strategy: str, columns: list[list], costs: CostParams, start_week
     table = np.empty((6, periods))  # one row per column, then the costs
     table[:5] = columns
     placed = table[0] > 0
-    if _float_priced(costs):
-        table[5] = costs.period_cost(placed, table[4], table[2], table[3])
-    else:
-        table[5] = _costs(costs, columns)
+    table[5] = costs.period_cost(placed, table[4], table[2], table[3])
     order_days = np.flatnonzero(placed)
     qty_mean = qty_sd = float("nan")
     if order_days.size:

@@ -12,12 +12,12 @@ points (point ``i`` at position ``i``, so every offset is exact in float) in a
 fixed order: a window's moments are summed offset by offset from 0.0, a global
 fit's exactly (``math.fsum``), and both are solved in closed form.  A run of
 points whose windows lie alike about them shares one row of offsets and tricube
-weights and reads its values as a sliding view; where its robustness weights are
-all 1 its ``s`` moments are one Python float sum of that row, term by term.  Every
-other term is formed in blocks of (offsets x points), and each offset's terms are
-added with one elementwise add.  Elementwise IEEE operations round alike at
-every SIMD width and no sum uses a SIMD reduction or a BLAS or LAPACK kernel,
-so the bytes of the decomposition do not depend on the CPU.
+weights and reads its values as a sliding view; where every robustness weight is 1
+its ``s`` moments are one Python float sum of that row, term by term.  Every other
+term is formed in blocks of (offsets x points), the other points' values gathered,
+and each offset's terms are added with one elementwise add.  Elementwise IEEE
+operations round alike at every SIMD width and no sum uses a SIMD reduction or a
+BLAS or LAPACK kernel, so the bytes of the decomposition do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -140,9 +140,8 @@ class StlConfig:
 
 # the most (offset, point) cells a block of terms holds at a time
 _CELLS = 1 << 14
-# a run of alike windows, or a group of windows with one first point, that has
-# fewer points than this is gathered into blocks: the calls it would make on its
-# own cost more than the gathers it saves
+# a run of alike windows that has fewer points than this is gathered into blocks:
+# the calls it would make on its own cost more than the gathers it saves
 _SLIDE = 64
 
 
@@ -192,19 +191,13 @@ def _window_moments(ys, rw, x0, starts, q, degree):
                 run = slice(p, min(p + _CELLS, b))
                 _slide(moments[:, run], count[run], ys, rw, starts[p], lead[a], h[a], q, degree,
                        unit, scratch)
-    # the rest in blocks: a large group of points whose windows share their first
-    # point reads its values as columns; the small groups' points are gathered
+    # the rest in gathered blocks
     rest = rest.nonzero()[0]
-    groups = np.split(rest, (np.diff(starts[rest]) != 0).nonzero()[0] + 1)
-    small = [g for g in groups if g.size < _SLIDE]
-    groups = [g for g in groups if g.size >= _SLIDE] + ([np.concatenate(small)] if small else [])
-    for group in groups:
-        for p in range(0, group.size, _CELLS):
-            at = group[p : p + _CELLS]
-            part = np.zeros((moments.shape[0], at.size)), np.zeros(at.size, dtype=np.intp)
-            _block(*part, ys, None if unit else rw, starts[at], lead[at], h[at], q, degree,
-                   scratch)
-            moments[:, at], count[at] = part
+    for p in range(0, rest.size, _CELLS):
+        at = rest[p : p + _CELLS]
+        part = np.zeros((moments.shape[0], at.size)), np.zeros(at.size, dtype=np.intp)
+        _block(*part, ys, None if unit else rw, starts[at], lead[at], h[at], q, degree, scratch)
+        moments[:, at], count[at] = part
     return moments[: 2 * degree + 1], moments[2 * degree + 1 :], count
 
 
@@ -221,7 +214,7 @@ def _slide(moments, count, ys, rw, first, lead, h, q, degree, unit, scratch):
     # (offsets x points) views of float64s: row j starts one value after row j - 1
     y, w = (np.ndarray((q, width), float, v, first * 8, (8, 8)) for v in (ys, rw))
     step = max(1, _CELLS // width)
-    if unit or np.all(rw[first : first + width + q - 1] == 1.0):
+    if unit:
         wt = np.array(list(accumulate([c * w[:, 0]] + [t] * (2 * degree), np.multiply)))
         moments[: 2 * degree + 1] = [[reduce(add, row, 0.0)] for row in wt.tolist()]
         count[:] = np.count_nonzero(wt[0] > 0.0) if degree else 0
@@ -237,13 +230,12 @@ def _slide(moments, count, ys, rw, first, lead, h, q, degree, unit, scratch):
 
 
 def _block(moments, count, ys, rw, starts, lead, h, q, degree, scratch):
-    """The moments of any points, through blocks of (offsets x points) terms;
-    ``rw`` None means every robustness weight is 1."""
-    shared = bool(np.all(starts == starts[0]))  # every window starts at one point
+    """The moments of any points, through blocks of (offsets x points) terms that gather
+    their values; ``rw`` None means every robustness weight is 1."""
     step = max(1, _CELLS // starts.size)
     for j in range(0, q, step):
         offsets = np.arange(j, min(j + step, q))[:, None]
-        at = slice(starts[0] + j, starts[0] + j + offsets.size) if shared else starts + offsets
+        at = starts + offsets
         block = _block_of(scratch, moments.shape[0] + 2, offsets.size, starts.size)
         terms, t, c = block[:-2], block[-2], block[-1]
         np.add(lead, offsets, out=t)
@@ -255,8 +247,8 @@ def _block(moments, count, ys, rw, starts, lead, h, q, degree, scratch):
         np.multiply(c, c, out=w)
         w *= c
         if rw is not None:
-            w *= rw[at, None] if shared else rw[at]
-        _add_terms(moments, count, terms, t, ys[at, None] if shared else ys[at], degree)
+            w *= rw[at]
+        _add_terms(moments, count, terms, t, ys[at], degree)
 
 
 def _block_of(scratch, moments, offsets, points):

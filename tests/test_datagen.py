@@ -136,6 +136,10 @@ def test_bools_are_not_whole_numbers(field, value):
     (lambda: CovariateSpec("x", lag=True), "lag must be a whole number, got True"),
     (lambda: GenConfig(noise_sd="20"), "noise_sd must be non-negative and finite, got '20'"),
     (lambda: GenConfig(noise_sd=True), "noise_sd must be non-negative and finite, got True"),
+    # an int past the float range once passed, and generate raised a raw OverflowError
+    (lambda: GenConfig(noise_sd=10**400),
+     f"noise_sd must be non-negative and finite, got {10**400}"),
+    (lambda: CovariateSpec("x", sd=10**400), f"sd must be non-negative and finite, got {10**400}"),
 ])
 def test_config_fields_fail_closed(make, message):
     with pytest.raises(ParameterError) as info:
@@ -150,6 +154,9 @@ def test_config_fields_fail_closed(make, message):
     ("weekday_effects", ("1",) * 7, "weekday_effects[0]"),
     ("weekday_effects", (0.0, 0.0, True, 0.0, 0.0, 0.0, 0.0), "weekday_effects[2]"),
     ("weekday_effects", (0.0,) * 6 + (float("nan"),), "weekday_effects[6]"),
+    # an int past the float range once passed, and raised a raw OverflowError later
+    ("base_level", 10**400, "base_level"), ("trend_slope", 10**400, "trend_slope"),
+    ("weekday_effects", (10**400,) + (0.0,) * 6, "weekday_effects[0]"),
 ])
 def test_gen_config_reals_must_be_finite_numbers(field, value, name):
     with pytest.raises(ParameterError) as info:
@@ -161,7 +168,7 @@ def test_gen_config_reals_must_be_finite_numbers(field, value, name):
 @pytest.mark.parametrize("field, value", [
     # text, bools and NaN once passed, or raised a raw TypeError
     ("effect_size", "1"), ("effect_size", True), ("mean", float("nan")), ("mean", "100"),
-    ("ar", "0.5"), ("ar", True),
+    ("ar", "0.5"), ("ar", True), ("effect_size", 10**400), ("mean", 10**400),
 ])
 def test_covariate_reals_must_be_finite_numbers(field, value):
     with pytest.raises(ParameterError) as info:

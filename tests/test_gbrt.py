@@ -566,6 +566,10 @@ def test_config_validation():
     (lambda: GbrtConfig(reg_lambda=True), "reg_lambda must be non-negative and finite, got True"),
     (lambda: GbrtConfig(min_child_weight=float("inf")),
      "min_child_weight must be non-negative and finite, got inf"),
+    # an int past the float range once passed, and train raised a raw OverflowError
+    (lambda: GbrtConfig(reg_lambda=10**400),
+     f"reg_lambda must be non-negative and finite, got {10**400}"),
+    (lambda: GbrtConfig(gamma=10**400), f"gamma must be non-negative and finite, got {10**400}"),
 ])
 def test_config_fields_fail_closed(make, message):
     with pytest.raises(ParameterError) as info:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from bloodbank.inventory import (
     write_trajectory_csv,
     young_stock,
 )
-from bloodbank.policy import evaluate_strategy
+from bloodbank.policy import PolicyParams, evaluate_strategy
 from conftest import read_csv
 
 COSTS = CostParams()  # delivery 100, holding 1, urgent 300, wastage 50
@@ -327,6 +329,9 @@ def test_trajectory_csv_round_trip(tmp_path):
     (lambda: CostParams(holding="1"), "holding must be non-negative and finite, got '1'"),
     (lambda: CostParams(urgent=True), "urgent must be non-negative and finite, got True"),
     (lambda: CostParams(wastage=float("nan")), "wastage must be non-negative and finite, got nan"),
+    # an int past the float range once passed, and evaluate_strategy raised an OverflowError
+    (lambda: CostParams(holding=10**400),
+     f"holding must be non-negative and finite, got {10**400}"),
     (lambda: AgeProfile(np.zeros(2), shelf_life=2.5), "shelf_life must be a whole number, got 2.5"),
     (lambda: AgeProfile(np.zeros(1), shelf_life=True), "shelf_life must be a whole number, got True"),
     (lambda: young_stock(5.5, 3.0), "total must be a whole number, got 5.5"),
@@ -337,6 +342,23 @@ def test_cost_and_stock_fields_fail_closed(make, message):
     with pytest.raises(ParameterError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_int_cost_coefficients_are_stored_and_priced_as_floats():
+    ints, floats = CostParams(100, 1, 300, 50), CostParams(100.0, 1.0, 300.0, 50.0)
+    assert ints == floats and {type(c) for c in dataclasses.astuple(ints)} == {float}
+    # a stock past 2**53, which an int holding cost once priced exactly, as an int
+    profile = AgeProfile([2**53 + 1, 3, 0], 4)
+    orders, demands = [0, 5, 0, 7, 0], [2, 9, 0, 1, 4]
+    # repr tells 2 from 2.0, so these compare field types too
+    assert repr(step(profile, 5, 9, ints)) == repr(step(profile, 5, 9, floats))
+    assert repr(simulate(profile, orders, demands, ints)) == repr(
+        simulate(profile, orders, demands, floats))
+    for strategy in ("gold", "daily"):
+        summaries = [evaluate_strategy(strategy, [3.0] * 5, demands, profile, costs,
+                                       params=PolicyParams(10, 5), shelf_life=4)
+                     for costs in (ints, floats)]
+        assert repr(summaries[0]) == repr(summaries[1])
 
 
 def test_numpy_integers_accepted_as_ints():

@@ -6,9 +6,10 @@ counts, priced by the scalar ``CostParams.period_cost``.  The first four
 properties require ``step``, ``simulate``, ``run_policy`` and
 ``evaluate_strategy`` to equal a fold over it exactly, field types included,
 on drawn shelf lives, initial ages, order and demand streams, calendars and
-costs.  The costs draw float, int and mixed coefficients, and the stocks and
-streams whole numbers near 2**53, where pricing float arrays gives the scalar
-costs only when every coefficient is a float.  Two more state one step of
+costs.  The costs draw float, int and mixed coefficients, which ``CostParams``
+stores as floats, and the stocks and streams whole numbers near 2**53, where a
+float stops holding every int and pricing float arrays must still round each
+count as the scalar form does.  Two more state one step of
 ``evaluate_strategy`` on its own: ``_summarize`` against numpy's ``mean`` and
 ``std``, and ``_rule``'s columns against converting each value to a Python
 int.
@@ -92,15 +93,15 @@ coefficients = st.one_of(st.just(0.0), st.integers(1, 3500).map(lambda v: v / 7)
 @st.composite
 def mixed_cost_params(draw):
     """At least one float and one int coefficient, in drawn places.  An int coefficient
-    other than 0 or a power of two, times a count past 2**53, is exact only in the scalar
-    form, so pricing float arrays gets this mix wrong."""
+    other than 0 or a power of two, times a count past 2**53, is not exact in float: every
+    form prices it as the float that ``CostParams`` stores."""
     ints = st.integers(3, 500)
     values = [draw(coefficients), draw(ints), *(draw(st.one_of(coefficients, ints))
                                                 for _ in range(2))]
     return CostParams(*draw(st.permutations(values)))
 
 
-# every coefficient a float, every one an int (so the costs are ints), or a mix
+# every coefficient a float, every one an int, or a mix; each is stored as a float
 cost_params = st.one_of(st.builds(CostParams, *[coefficients] * 4),
                         st.builds(CostParams, *[st.integers(0, 500)] * 4), mixed_cost_params())
 # whole numbers near 2**53, where a float stops holding every int
@@ -147,8 +148,7 @@ def reference_rule(y_hat, start_weekday, params, kind):
 
 
 @given(profile=profiles(), z=units, y=units, costs=cost_params)
-# a stock past 2**53 held at an int holding cost beside float ones: the mix that pricing
-# float arrays gets wrong
+# a stock past 2**53 held at an int holding cost beside float ones
 @example(profile=AgeProfile([2**53 + 1, 0, 0], 4), z=0, y=0, costs=CostParams(100.0, 3, 0.5, 1.0))
 def test_step_equals_reference_step(profile, z, y, costs):
     state, outcome = step(profile, z, y, costs)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bloodbank import timeseries
@@ -272,41 +272,72 @@ def end_point_layout(m, q, base=0):
     return np.arange(base - 1.0, base + m + 1), base + starts
 
 
-@given(st.integers(0, 2), st.data())
-def test_window_moments_equal_the_offset_loop(degree, data):
-    # q up to 200 and series up to 150 points past it: the interior runs of alike
-    # windows, and the edge points that share a window, fall on both sides of the
-    # length at which they share one weight row or read their values as columns
-    q = data.draw(st.integers(2, 200), label="q")
-    layout = data.draw(st.sampled_from(["default", "end points", "subset", "end to end"]))
+@st.composite
+def moment_inputs(draw):
+    """The draws behind one input of ``_window_moments``, as plain values that an
+    ``@example`` can give as well: q up to 200 and series up to 150 points past it,
+    so the interior runs of alike windows fall on both sides of the length at which
+    they share one weight row."""
+    q = draw(st.integers(2, 200))
+    drawn = dict(q=q, layout=draw(st.sampled_from(["default", "end points", "subset",
+                                                   "end to end"])))
+    if drawn["layout"] == "end to end":
+        drawn["sizes"] = draw(st.lists(st.integers(q + 1, q + 100), min_size=2, max_size=4))
+        n = sum(drawn["sizes"])
+    else:
+        n = drawn["n"] = draw(st.one_of(st.just(q + 1), st.integers(q + 1, q + 150)))
+    if drawn["layout"] == "subset":  # as the refit of dead windows passes them
+        drawn["keep"] = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
+                                      min_size=1, max_size=4))
+    drawn["seed"] = draw(st.integers(0, 2**32 - 1))
+    drawn["weights"] = draw(st.sampled_from(["ones", "zeros", "mixed", "ones with a patch"]))
+    if drawn["weights"] == "ones with a patch":  # zeros wide enough to empty whole windows
+        drawn["patch"] = (draw(st.integers(0, n - 1)), draw(st.integers(1, 2 * q)),
+                          draw(st.sampled_from([0.0, 0.25])))
+    drawn["cells"] = draw(st.sampled_from([1 << 14, 1000, 50]))
+    return drawn
+
+
+def moment_input(q, layout, seed, weights, cells, n=None, sizes=(), keep=(), patch=None):
+    """``ys, rw, x0, starts`` of ``moment_inputs``'s draws."""
     if layout == "end to end":
-        sizes = data.draw(st.lists(st.integers(q + 1, q + 100), min_size=2, max_size=4))
         bases = np.cumsum([0] + sizes[:-1]).tolist()
         x0, starts = map(np.concatenate, zip(*(end_point_layout(m, q, base)
                                                 for m, base in zip(sizes, bases))))
         n = sum(sizes)
     else:
-        n = data.draw(st.one_of(st.just(q + 1), st.integers(q + 1, q + 150)), label="n")
         x0, starts = np.arange(n, dtype=float), _window_starts(n, q)
         if layout == "end points":
             x0, starts = end_point_layout(n, q)
-        elif layout == "subset":  # as the refit of dead windows passes them
-            keep = np.zeros(n, dtype=bool)
-            for a, b in data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)),
-                                           min_size=1, max_size=4)):
-                keep[min(a, b):max(a, b) + 1] = True
-            x0, starts = x0[keep], starts[keep]
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        elif layout == "subset":
+            chosen = np.zeros(n, dtype=bool)
+            for a, b in keep:
+                chosen[min(a, b):max(a, b) + 1] = True
+            x0, starts = x0[chosen], starts[chosen]
+    rng = np.random.default_rng(seed)
     ys = rng.normal(0.0, 50.0, size=n)
-    weights = data.draw(st.sampled_from(["ones", "zeros", "mixed", "ones with a patch"]))
     rw = {"ones": np.ones(n), "zeros": np.zeros(n),
           "mixed": rng.choice([0.0, 1.0, 0.5, rng.uniform()], size=n)}.get(weights)
-    if weights == "ones with a patch":  # zeros wide enough to empty whole windows
+    if weights == "ones with a patch":
+        a, width, value = patch
         rw = np.ones(n)
-        a = data.draw(st.integers(0, n - 1))
-        rw[a : a + data.draw(st.integers(1, 2 * q))] = data.draw(st.sampled_from([0.0, 0.25]))
+        rw[a : a + width] = value
+    return ys, rw, x0, starts
+
+
+@given(st.integers(0, 2), moment_inputs())
+# at q 129 the 64 edge points at each end share their window's first point
+@example(1, dict(q=129, layout="default", n=400, seed=1, weights="ones", cells=1 << 14))
+@example(2, dict(q=257, layout="default", n=400, seed=2, weights="mixed", cells=1 << 14))
+# a patch in the second series only: the first one's interior run reads weights of 1 alone
+@example(1, dict(q=21, layout="end to end", sizes=[150, 150], seed=3,
+                 weights="ones with a patch", patch=(200, 10, 0.0), cells=1 << 14))
+def test_window_moments_equal_the_offset_loop(degree, drawn):
+    # the points outside the runs are gathered, whatever their windows share
+    ys, rw, x0, starts = moment_input(**drawn)
+    q = drawn["q"]
     # no block size changes a byte
-    with mock.patch.object(timeseries, "_CELLS", data.draw(st.sampled_from([1 << 14, 1000, 50]))):
+    with mock.patch.object(timeseries, "_CELLS", drawn["cells"]):
         got = _window_moments(ys, rw, x0, starts, q, degree)
     want = reference_window_moments(ys, rw, x0, starts, q, degree)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
