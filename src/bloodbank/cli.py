@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +57,55 @@ def _run_dir(args) -> Path:
     return path
 
 
+class _NotPlain(Exception):
+    """A value ``_json_text`` leaves to ``json``'s own encoder."""
+
+
+# the text json writes for each scalar type it writes as is; a float only when finite
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+            bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def _json_text(value, indent: str, sort_keys: bool, out: list) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(..., indent=2)`` writes it ``indent``
+    deep: dicts and lists here, a list of scalars in one call to the C encoder."""
+    kind = type(value)
+    if kind in _SCALARS and (kind is not float or math.isfinite(value)):
+        out.append(_SCALARS[kind](value))
+        return
+    inner = indent + "  "
+    if kind is dict and set(map(type, value)) <= {str}:
+        head = "{\n" + inner
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            out.append(f"{head}{encode_basestring_ascii(key)}: ")
+            _json_text(item, inner, sort_keys, out)
+            head = ",\n" + inner
+        out.append(f"\n{indent}}}" if value else "{}")
+    elif kind is list and set(map(type, value)) <= _SCALARS.keys():
+        items = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+        out.append(f"[\n{inner}{items}\n{indent}]" if value else "[]")
+    elif kind is list:
+        head = "[\n" + inner
+        for item in value:
+            out.append(head)
+            _json_text(item, inner, sort_keys, out)
+            head = ",\n" + inner
+        out.append(f"\n{indent}]")
+    else:
+        raise _NotPlain
+
+
 def _write_json(path, doc, sort_keys: bool = False) -> None:
+    """``doc`` as ``json.dump(doc, indent=2, sort_keys=sort_keys)`` writes it, and a line
+    end; ``json``'s own encoder writes a document with a tuple, a non-str key, a
+    non-finite float or a subclass of a JSON type in it."""
+    out = []
+    try:
+        _json_text(doc, "", sort_keys, out)
+    except (_NotPlain, RecursionError):  # RecursionError: a cycle, which json names
+        out = [json.dumps(doc, indent=2, sort_keys=sort_keys)]
     with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=sort_keys)
-        handle.write("\n")
+        handle.write("".join(out) + "\n")
 
 
 def _replace(path: Path, writer, *values) -> None:
@@ -289,7 +335,8 @@ def cmd_simulate(args, run: _Run) -> None:
 
 
 def _read_report(path) -> tuple[list[float], list[int], int]:
-    """Forecasts, realized demands and first weekday of a forecast report.
+    """Forecasts, realized demands and first weekday of a forecast report, whose
+    dates must run on a day a row, as the weekday of each order depends on it.
 
     Demands are rounded half-up as the policy rounds.  The reader has already
     rejected non-finite cells.
@@ -297,6 +344,12 @@ def _read_report(path) -> tuple[list[float], list[int], int]:
     report = forecast.read_forecast_csv(path)
     if not report.dates:
         raise ParameterError(f"{path}: report has no rows")
+    days = np.fromiter(map(dt.date.toordinal, report.dates), dtype=np.int64)
+    gaps = np.flatnonzero(np.diff(days) != 1)
+    if gaps.size:
+        i = int(gaps[0]) + 1
+        raise SchemaError(f"{path}: row {i + 2}, column date: {report.dates[i]} does not "
+                          f"follow {report.dates[i - 1]}; dates must be contiguous")
     for row_number, value in enumerate(report.actual, start=2):
         if value < 0:
             raise ParameterError(

@@ -9,12 +9,13 @@ the same features (``fit_stl_linear``) or none (``fit_stl_only``).  They, CV and
 feature selection share one fit and one forecast; only the hybrid is serialized.
 CV scores each (fold, decomposition) group through one closure over its inputs,
 which forked workers inherit, so only group numbers and scores are pickled.
+A dataset or report file is parsed whole by ``table.read_days`` where it takes
+the file, and otherwise checked row by row, the one place that names a bad cell.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import itertools
 import math
 import multiprocessing
 import os
@@ -26,7 +27,7 @@ import numpy as np
 from . import gbrt
 from .errors import ParameterError, SchemaError, whole
 from .policy import _SEMIWEEKLY_BLOCKS
-from .table import BLOCK as _BLOCK, iso_days, read_rows, write_days
+from .table import BLOCK as _BLOCK, read_days, read_rows, write_days
 from .timeseries import (TREND_MODES, Decomposition, Series, StlConfig, stl_decompose,
                          stl_extend)
 
@@ -565,31 +566,24 @@ def _number_cell(path, row_number: int, column: str, text: str) -> float:
     return value
 
 
-def _parsed_block(block: list, first: int) -> np.ndarray | None:
-    """The (rows, 1 + k) demands and features of dataset rows whose days run on from
-    ordinal ``first``; None where a cell might fail ``_checked_block``.
-
-    The dates must be those days' ISO strings, and each value, parsed by one
-    ``float`` map per column, finite unless its feature cell is empty (missing).
-    """
-    dates, demand, *features = zip(*[cells for _, cells in block])
-    last = min(first + len(block), dt.date.max.toordinal() + 1)
-    if list(dates) != iso_days(first, last):
-        return None
-    try:
-        values = np.array([list(map(float, column)) if all(column)
-                           else [float(cell) if cell else math.nan for cell in column]
-                           for column in (demand, *features)]).T
-    except ValueError:
-        return None
-    empty = sum(column.count("") for column in features)
-    return values if np.isfinite(values).sum() + empty == values.size else None
+def _dataset_names(path, header: list[str] | None) -> list[str]:
+    """The feature names of a dataset header; SchemaError unless it starts date,demand
+    and names each feature once."""
+    if header is None or header[:2] != ["date", "demand"]:
+        raise SchemaError(f"{path}: dataset header must start with date,demand: {header}")
+    names = header[2:]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise SchemaError(f"{path}: dataset column {repeated[0]!r} is repeated")
+    return names
 
 
-def _checked_block(path, block: list, prev: dt.date | None, names: list[str]) -> np.ndarray:
-    """``_parsed_block`` one row at a time: SchemaError naming the first bad cell."""
+def _checked_rows(path, rows, names: list[str]) -> tuple[dt.date, np.ndarray]:
+    """The first day and (rows, 1 + k) demands and features of dataset rows, checked
+    one at a time: SchemaError naming the first bad cell in file order."""
+    start = prev = None
     values = []
-    for row_number, row in block:
+    for row_number, row in rows:
         day = _date_cell(path, row_number, "date", row[0])
         if prev is not None and day.toordinal() != prev.toordinal() + 1:
             raise SchemaError(f"{path}: row {row_number}, column date: {day} does not "
@@ -597,44 +591,26 @@ def _checked_block(path, block: list, prev: dt.date | None, names: list[str]) ->
         values.append([_number_cell(path, row_number, "demand", row[1]), *(
             _number_cell(path, row_number, name, cell) if cell else math.nan
             for name, cell in zip(names, row[2:]))])
-        prev = day
-    return np.array(values)
+        start, prev = start or day, day
+    if start is None:
+        raise SchemaError(f"{path}: dataset has no rows")
+    return start, np.array(values)
 
 
 def read_dataset_csv(path) -> Dataset:
     """Columns: date (every day, no gap), demand, then one per feature; empty = missing.
 
-    Rows are parsed a block at a time; a block that any cell might fail is
-    checked again row by row, which raises the first failure in file order.
+    ``read_days`` parses the whole file at once; a file it does not take is
+    checked row by row, which raises the first failure in file order.
     """
-    rows = read_rows(path)
-    header = next(rows)
-    if header is None or header[:2] != ["date", "demand"]:
-        raise SchemaError(f"{path}: dataset header must start with date,demand: {header}")
-    names = header[2:]
-    repeated = [name for i, name in enumerate(names) if name in names[:i]]
-    if repeated:
-        raise SchemaError(f"{path}: dataset column {repeated[0]!r} is repeated")
-    start, n, blocks = None, 0, []
-    while True:
-        block, failure = [], None
-        try:
-            block.extend(itertools.islice(rows, _BLOCK))  # keeps the rows before a bad one
-        except SchemaError as exc:  # a row's length: raised after a bad cell above it
-            failure = exc
-        if block:
-            start = start or _date_cell(path, block[0][0], "date", block[0][1][0])
-            parsed = _parsed_block(block, start.toordinal() + n)
-            blocks.append(_checked_block(path, block, start + dt.timedelta(days=n - 1)
-                                         if n else None, names) if parsed is None else parsed)
-            n += len(block)
-        if failure:
-            raise failure
-        if len(block) < _BLOCK:
-            break
-    if start is None:
-        raise SchemaError(f"{path}: dataset has no rows")
-    values = np.concatenate(blocks)
+    loaded = read_days(path, contiguous=True, filled=1)
+    if loaded is None:
+        rows = read_rows(path)
+        names = _dataset_names(path, next(rows))
+        start, values = _checked_rows(path, rows, names)
+    else:
+        header, start, values = loaded
+        names = _dataset_names(path, header)
     return Dataset(start, values[:, 0], values[:, 1:], names)
 
 
@@ -645,15 +621,24 @@ def write_dataset_csv(path, data: Dataset) -> None:
                [data.demand, *data.features.T], missing="", block=_BLOCK)
 
 
+_REPORT_HEADER = ["date", "actual", "predicted"]
+
+
 def write_forecast_csv(path, report: ForecastReport) -> None:
     """Columns: date, actual, predicted; a row for each of the report's dates."""
-    write_days(path, ["date", "actual", "predicted"], report.dates,
-               [report.actual, report.predicted])
+    write_days(path, _REPORT_HEADER, report.dates, [report.actual, report.predicted])
 
 
 def read_forecast_csv(path) -> ForecastReport:
+    """A report's rows, whatever their dates: parsed whole by ``read_days``, or
+    checked row by row where it does not take the file."""
+    loaded = read_days(path, contiguous=False, filled=2)
+    if loaded is not None and loaded[0] == _REPORT_HEADER:
+        _, dates, values = loaded
+        actual, predicted = np.ascontiguousarray(values.T)
+        return ForecastReport(dates=dates, actual=actual, predicted=predicted)
     rows = read_rows(path)
-    if (header := next(rows)) != ["date", "actual", "predicted"]:
+    if (header := next(rows)) != _REPORT_HEADER:
         raise SchemaError(f"{path}: unexpected forecast header: {header}")
     dates, actual, predicted = [], [], []
     for row_number, row in rows:
@@ -686,6 +671,16 @@ def hybrid_to_dict(model: HybridModel) -> dict:
 
 
 def _finite_values(values: list, label: str) -> np.ndarray:
+    """``values`` as floats, each an int or a finite float (not a bool): the types are
+    checked at once, and one by one only to name the first bad value."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            array = np.array(values, dtype=float)
+        except OverflowError:  # an int past the largest float, which the loop meets in order
+            pass
+        else:
+            if np.isfinite(array).all():
+                return array
     return np.array([gbrt._finite(value, label) for value in values])
 
 

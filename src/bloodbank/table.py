@@ -1,4 +1,4 @@
-"""The one CSV writer and row reader of every table artifact: RFC 4180 with
+"""The one CSV writer and reader of every table artifact: RFC 4180 with
 ``\\r\\n`` line ends, floats as their shortest ``repr``, an empty cell for missing.
 
 Headers and the rows of ``write_table`` go through ``csv``, which quotes a cell
@@ -7,6 +7,11 @@ itself, cells with ``","`` and lines ended with ``"\\r\\n"``: each of its cells
 is an ISO date, a float ``repr`` (digits, sign, ``.``, ``e``, ``inf`` or
 ``nan``) or the missing marker, and none of these ever holds a character that
 needs quoting, so the bytes are those ``csv`` would write.
+
+``read_days`` reads such a daily table back whole: one ``np.loadtxt`` call
+parses every number.  It takes only what the row-by-row readers built on
+``read_rows`` would take as is, and returns None for anything else, so those
+readers stay the one place that names a bad cell.
 """
 
 import csv
@@ -16,10 +21,11 @@ import numpy as np
 
 from .errors import SchemaError
 
-__all__ = ["number", "iso_days", "write_days", "write_table", "read_rows"]
+__all__ = ["number", "iso_days", "write_days", "write_table", "read_rows", "read_days"]
 
-BLOCK = 1024  # rows of a daily table formatted or parsed at a time: bounds the strings held
+BLOCK = 1024  # rows of a daily table formatted at a time: bounds the strings held
 _EPOCH = dt.date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
+_NUMBER_ROWS = b"0123456789.eE+-,\r\n"  # every byte of rows read_days parses
 
 
 def number(value) -> str:
@@ -77,3 +83,57 @@ def read_rows(path):
                 raise SchemaError(f"{path}: row {row_number}: expected {len(header)} columns, "
                                   f"got {len(cells)}")
             yield row_number, cells
+
+
+def read_days(path, contiguous: bool, filled: int):
+    """``(header, dates, values)`` of a daily table whose cells need no quoting, or None.
+
+    Each row ends with ``\\r\\n`` or ``\\n``, has the header's cell count and starts
+    with a date ``date.fromisoformat`` reads.  With ``contiguous`` each date must be
+    the ISO string of the day after the one above, and ``dates`` is the first day;
+    otherwise ``dates`` lists every row's date.  ``values`` holds the other
+    (rows, columns - 1) cells, parsed by one ``np.loadtxt`` call.  Their bytes are
+    digits, signs, ``.`` and exponents only, so ``nan``, ``inf``, ``1_0`` or a
+    non-ASCII digit is never read, and an overflow to infinity is refused.  An empty
+    cell reads as NaN, except in the first ``filled`` columns.  Anything else, a
+    blank row or no row at all among it, returns None: a row-by-row reader then
+    names what is wrong, or reads what it takes.
+    """
+    try:
+        with open(path, newline="") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        return None
+    newline = "\r\n" if "\r" in text else "\n"
+    head, _, body = text.partition(newline)
+    header = head.split(",")
+    if ('"' in head or not head.isprintable() or len(header) < 2
+            or body.encode().translate(None, _NUMBER_ROWS)):  # a byte outside those of numbers
+        return None
+    if ",," in body or f",{newline}" in body or body.endswith(","):  # an empty cell
+        body = body.replace(",,", ",nan,").replace(",,", ",nan,")  # every other, then the rest
+        body = body.replace(f",{newline}", f",nan{newline}") + ("nan" if body.endswith(",") else "")
+    rows = body.split(newline)
+    if newline == "\r\n" and not body.count("\r") == body.count("\n") == len(rows) - 1:
+        return None  # a lone \r or \n among \r\n line ends
+    if rows[-1] == "":
+        rows.pop()  # the last line end
+    if not rows or body.count(",") != len(rows) * (len(header) - 1):
+        return None
+    date_cells = [row.partition(",")[0] for row in rows]  # a blank row's is empty
+    try:
+        if contiguous:
+            dates = dt.date.fromisoformat(date_cells[0])
+            first = dates.toordinal()
+            last = min(first + len(rows), dt.date.max.toordinal() + 1)
+            if date_cells != iso_days(first, last):
+                return None
+        else:
+            dates = list(map(dt.date.fromisoformat, date_cells))
+        values = np.loadtxt(rows, delimiter=",", comments=None, usecols=range(1, len(header)),
+                            ndmin=2)
+    except ValueError:
+        return None
+    if np.isinf(values).any() or np.isnan(values[:, :filled]).any():
+        return None
+    return header, dates, values

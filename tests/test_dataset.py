@@ -1,9 +1,11 @@
-"""``forecast.Dataset``: the CSV round trip and the sequence of days.
+"""``forecast.Dataset``: the CSV round trip, the sequence of days, and the whole-file
+loader against the row-by-row reader.
 
-The property draws datasets with 0 to 5 features (one name that must be
-quoted), missing cells, ``-0.0``, ``1e-300`` and values near the largest
-float, and reads and writes them in blocks of 1, 3 and the module's own size,
-so that a block boundary falls anywhere.
+The round-trip property draws datasets with 0 to 5 features (two names that
+must be quoted), missing cells, ``-0.0``, ``1e-300`` and values near the largest
+float, and writes them in blocks of 1, 3 and the module's own size, so that a
+block boundary falls anywhere.  The loader property edits one written dataset
+or report and reads it with ``table.read_days`` and without it.
 """
 
 import datetime as dt
@@ -12,15 +14,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bloodbank import forecast
+from bloodbank import forecast, table
 from bloodbank.errors import ParameterError
 from bloodbank.forecast import DailyRecord, Dataset, read_dataset_csv, write_dataset_csv
 
 NAMED = 'lab "x", day 7'  # a feature name that must be quoted
-NAMES = ["a", "prev_week_demand", NAMED, "dow_mon", "date", "é"]
+QUOTED = 'say "hi"'  # quoted too, with no comma for a plain split to stop at
+NAMES = ["a", "prev_week_demand", NAMED, QUOTED, "dow_mon", "date", "é"]
 LARGEST = 1.7976931348623157e308
 SPECIAL = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e308, -1e308, LARGEST, -LARGEST]
 
@@ -100,3 +103,97 @@ def test_only_contiguous_slices_and_real_indices():
         Dataset(dt.date(2010, 1, 4), [1.0], [[1.0, 2.0]], ["a", "a"])
     with pytest.raises(ParameterError, match=r"\(n, 1\) features"):
         Dataset(dt.date(2010, 1, 4), [1.0], [[1.0, 2.0]], ["a"])
+
+
+# one hostile edit of a written table: a number cell's text, or a change to a line
+CELL_EDITS = ["nan", "inf", "-inf", "1e400", "-1e999", "1_0", "\u0661", "\uff11", '"1.5"', "",
+              " 1.5"]
+LINE_EDITS = ["blank line", "\n line end", "\r line end", "\r\r\n line end", "extra cell",
+              "missing cell", "shifted date"]
+
+
+@st.composite
+def reports(draw):
+    """A report as the writer takes it: dates that run on a day a row or any dates."""
+    n = draw(st.integers(1, 12))
+    first = draw(st.integers(1, dt.date.max.toordinal() - n + 1))
+    dates = draw(st.one_of(st.just([dt.date.fromordinal(first + i) for i in range(n)]),
+                           st.lists(st.dates(), min_size=n, max_size=n)))
+    actual, predicted = (np.array(draw(st.lists(values, min_size=n, max_size=n)))
+                         for _ in range(2))
+    return forecast.ForecastReport(dates, actual, predicted)
+
+
+def edited(raw: bytes, edit, where: int, lf: bool) -> bytes:
+    """``raw`` with ``edit`` made at data row and number cell ``where`` (modulo their
+    counts), or at line ``where`` for a blank line or a line end, the header's among
+    them; and every other line end ``\\n`` where ``lf``."""
+    lines = raw.decode().split("\r\n")[:-1]
+    row = 1 + where % (len(lines) - 1)
+    cells = lines[row].split(",")
+    if edit in CELL_EDITS:
+        cells[1 + where % (len(cells) - 1)] = edit
+    elif edit == "extra cell":
+        cells.append("1.0")
+    elif edit == "missing cell":
+        cells.pop()
+    elif edit == "shifted date":
+        day = dt.date.fromisoformat(cells[0])
+        cells[0] = (day + dt.timedelta(days=1 if day < dt.date.max else -1)).isoformat()
+    lines[row] = ",".join(cells)
+    ends = ["\n" if lf else "\r\n"] * len(lines)
+    if edit == "blank line":
+        lines.insert(where % len(lines), "")
+        ends.append(ends[0])
+    elif edit is not None and edit.endswith("line end"):
+        ends[where % len(lines)] = edit.removesuffix(" line end")
+    return "".join(line + end for line, end in zip(lines, ends)).encode()
+
+
+def outcome(read, path):
+    """What ``read(path)`` returns, as bytes where it holds floats, or the class and
+    message of what it raises."""
+    try:
+        got = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Dataset):
+        return (got.start, got.feature_names, got.demand.tobytes(), got.features.shape,
+                got.features.tobytes())
+    return got.dates, got.actual.tobytes(), got.predicted.tobytes()
+
+
+EXAMPLES = [*(Dataset(dt.date(2010, 1, 4), [12.0, -0.0, 3.5],
+                      [[0.1, math.nan], [1e-300, 2.0], [math.nan, -5e-324]], ["a", name])
+              for name in ("é", QUOTED)),
+            forecast.ForecastReport([dt.date(2010, 1, 4), dt.date(2010, 1, 5), dt.date(2009, 1, 1)],
+                                    np.array([7.0, -0.0, 1e300]), np.array([0.1, 5e-324, -2.5]))]
+
+
+def with_each_edit(test):
+    for edit in [None, *CELL_EDITS, *LINE_EDITS]:
+        for drawn in EXAMPLES:
+            test = example(drawn=drawn, edit=edit, where=4, lf=False)(test)
+    return test
+
+
+@with_each_edit
+@given(st.one_of(datasets(), reports()), st.sampled_from([None, *CELL_EDITS, *LINE_EDITS]),
+       st.integers(0, 10**6), st.booleans())
+def test_loader_takes_only_what_the_row_reader_takes(out_file, drawn, edit, where, lf):
+    """Equal bytes, or the same error, with ``read_days`` and with the row-by-row reader
+    alone; and ``read_days`` takes each table ``write_days`` writes, with ``\\r\\n`` or
+    ``\\n`` line ends, unless its header is quoted."""
+    if isinstance(drawn, Dataset):
+        write_dataset_csv(out_file, drawn)
+        read, contiguous, filled = read_dataset_csv, True, 1
+    else:
+        forecast.write_forecast_csv(out_file, drawn)
+        read, contiguous, filled = forecast.read_forecast_csv, False, 2
+    out_file.write_bytes(edited(out_file.read_bytes(), edit, where, lf))
+    with mock.patch.object(forecast, "read_days", lambda *args, **kwargs: None):
+        expected = outcome(read, out_file)
+    assert outcome(read, out_file) == expected
+    if edit is None:
+        quoted = b'"' in out_file.read_bytes().splitlines()[0]
+        assert (table.read_days(out_file, contiguous, filled) is None) == quoted

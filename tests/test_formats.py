@@ -87,6 +87,15 @@ def drop_row(row_number):
     return damage
 
 
+def repeat_date(row_number):
+    """Give a row the date of the row above it; row 1 is the header."""
+    def damage(source, target):
+        header, rows = read_csv(source)
+        rows[row_number - 2][0] = rows[row_number - 3][0]
+        target.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    return damage
+
+
 def extra_cell(row_number):
     """Append one cell to a row; row 1 is the header."""
     def damage(source, target):
@@ -133,6 +142,11 @@ BAD_FILES = [
     ("decompose", "--data", drop_row(11), "row 11, column date"),
     ("train", "--data", drop_row(11), "dates must be contiguous"),
     ("forecast", "--data", drop_row(130), "dates must be contiguous"),
+    # and a report's, every later order onto the wrong weekday
+    ("optimize", "--report", drop_row(11), "row 11, column date"),
+    ("compare", "--report", drop_row(30), "dates must be contiguous"),
+    ("optimize", "--report", repeat_date(6), "row 6, column date"),
+    ("compare", "--report", repeat_date(41), "does not follow"),
     # model documents
     ("forecast", "--model", text('{"format": '), "not valid JSON"),
     ("forecast", "--model", edit_json(lambda doc: doc.update(residual_model=3)),
@@ -640,6 +654,7 @@ def test_model_json_reads_back_equal(out_file, train_records, n_rounds, max_dept
                              subsample_rows=0.8)
     model = forecast.fit_hybrid(train_records[:49], StlConfig(), config, trend_mode=trend_mode)
     _write_json(out_file, forecast.hybrid_to_dict(model))
+    assert out_file.read_text() == json.dumps(forecast.hybrid_to_dict(model), indent=2) + "\n"
     loaded = forecast.hybrid_from_dict(json.loads(out_file.read_text()))
     assert forecast.hybrid_to_dict(loaded) == forecast.hybrid_to_dict(model)
     future = train_records[49:]
@@ -647,16 +662,38 @@ def test_model_json_reads_back_equal(out_file, train_records, n_rounds, max_dept
                           forecast.predict_daily(model, future))
 
 
+json_keys = st.sampled_from(["é", "\u2028", 'a"b', "\x00", "\U0001f600"]) | st.text()
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | finite | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    st.none() | st.booleans() | st.integers() | finite | st.text() | st.sampled_from([[], {}, ()]),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(json_keys, inner, max_size=4)),
     max_leaves=20)
 
 
-@given(st.dictionaries(st.text(), json_values, max_size=6), st.booleans())
+def as_read(value):
+    """``value`` as json reads it back: each tuple a list."""
+    if isinstance(value, (list, tuple)):
+        return [as_read(item) for item in value]
+    if isinstance(value, dict):
+        return {key: as_read(item) for key, item in value.items()}
+    return value
+
+
+@given(st.dictionaries(json_keys, json_values, max_size=6), st.booleans())
 def test_policy_and_manifest_json_read_back_equal(out_file, doc, sort_keys):
     _write_json(out_file, doc, sort_keys)
-    assert json.loads(out_file.read_text()) == doc
+    assert out_file.read_text() == json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+    assert json.loads(out_file.read_text()) == as_read(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": math.nan}, {"a": [1.0, math.inf]}, [-math.inf], {"b": {1: 2}}, {"a": (1, 2.5)},
+    {"a": [np.float64(0.1), 2]}, {"a": np.float64(-0.0)}, {"a": {"b": [True, None, (3,)]}}])
+def test_json_bytes_where_json_writes_the_document_itself(out_file, doc):
+    # non-finite floats, a non-str key, tuples and a float subclass: json.dump's bytes
+    for sort_keys in (False, True):
+        _write_json(out_file, doc, sort_keys)
+        assert out_file.read_text() == json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
 
 
 # the bytes: every CSV writer on fixed values, compared with the literal text
