@@ -241,6 +241,13 @@ def _blaming(prefix):
         raise type(exc)(f"{prefix}: {exc}") from None
 
 
+def _say(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except OSError:  # a closed stdout (``| head -0``) loses the progress line, not the run
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _report(data: forecast.Dataset, predicted) -> forecast.ForecastReport:
     return forecast.ForecastReport(dates=data.dates(), actual=data.demand, predicted=predicted)
 
@@ -262,7 +269,7 @@ def cmd_generate(args, run: _Run) -> None:
     data, truth = datagen.generate_full(config)
     path = run.write("dataset.csv", forecast.write_dataset_csv, data)
     run.write("dataset_truth.csv", datagen.write_truth_csv, config, truth)
-    print(f"wrote {len(data)} days to {path}")
+    _say(f"wrote {len(data)} days to {path}")
 
 
 def cmd_decompose(args, run: _Run) -> None:
@@ -272,7 +279,7 @@ def cmd_decompose(args, run: _Run) -> None:
     with _blaming(f"{args.data}: demand"):
         dec = timeseries.stl_decompose(series, config)
     path = run.write("decomposition.csv", timeseries.write_decomposition_csv, series, dec)
-    print(f"wrote decomposition of {len(series)} days to {path}")
+    _say(f"wrote decomposition of {len(series)} days to {path}")
 
 
 def cmd_train(args, run: _Run) -> None:
@@ -300,9 +307,9 @@ def cmd_train(args, run: _Run) -> None:
         run.write("holdout_report.csv", forecast.write_forecast_csv, report)
         run.write("metrics.csv", Path.write_text,
                   f"metric,value\nrmse,{rmse!r}\nmape_percent,{mape!r}\n")
-        print(f"holdout rmse {rmse:.3f}, " + (f"mape {mape:.2f}%" if zero_day is None else
-                                              f"mape undefined: zero demand on {zero_day}"))
-    print(f"wrote model to {path}")
+        _say(f"holdout rmse {rmse:.3f}, " + (f"mape {mape:.2f}%" if zero_day is None else
+                                             f"mape undefined: zero demand on {zero_day}"))
+    _say(f"wrote model to {path}")
 
 
 def cmd_forecast(args, run: _Run) -> None:
@@ -322,7 +329,7 @@ def cmd_forecast(args, run: _Run) -> None:
     with _blaming(args.data):
         predicted = forecast.predict_daily(model, future)
     path = run.write("forecast.csv", forecast.write_forecast_csv, _report(future, predicted))
-    print(f"wrote {len(future)} forecast days to {path}")
+    _say(f"wrote {len(future)} forecast days to {path}")
 
 
 def cmd_simulate(args, run: _Run) -> None:
@@ -331,7 +338,7 @@ def cmd_simulate(args, run: _Run) -> None:
     demands = inventory.read_stream_csv(args.demands)
     outcomes, average = inventory.simulate(_young_stock(args, demands), orders, demands, costs)
     run.write("trajectory.csv", inventory.write_trajectory_csv, outcomes)
-    print(f"simulated {len(outcomes)} periods, average cost {average:.2f}")
+    _say(f"simulated {len(outcomes)} periods, average cost {average:.2f}")
 
 
 def _read_report(path) -> tuple[list[float], list[int], int]:
@@ -385,8 +392,8 @@ def cmd_optimize(args, run: _Run) -> None:
     for kind in ("daily", "semiweekly"):
         run.write(f"reorder_sweep_{kind}.csv", policy.write_sweep_csv, "reorder_level",
                   sweeps[kind])
-    print(f"inventory target {choices['target']}, reorder daily {choices['daily']}, "
-          f"semiweekly {choices['semiweekly']}")
+    _say(f"inventory target {choices['target']}, reorder daily {choices['daily']}, "
+         f"semiweekly {choices['semiweekly']}")
 
 
 def cmd_compare(args, run: _Run) -> None:
@@ -436,7 +443,7 @@ def cmd_compare(args, run: _Run) -> None:
     table = policy.comparison_table(summaries)
     run.write("comparison.csv", policy.write_comparison_csv, summaries)
     run.write("comparison.txt", Path.write_text, table + "\n")
-    print(table)
+    _say(table)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -572,7 +579,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"error: {exc.filename2 or exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        name = exc.filename2 or exc.filename  # None for a pipe
+        print(f"error: {'' if name is None else f'{name}: '}{exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -699,7 +699,7 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
         components = doc["decomposition"]
         model = HybridModel(
             period=doc["period"],
-            stl_config=StlConfig(**stl),
+            stl_config=StlConfig(**gbrt._every_field(StlConfig, stl, "stl_config")),
             decomposition=Decomposition(*(
                 _finite_values(components[name], f"decomposition {name} value")
                 for name in _COMPONENTS)),

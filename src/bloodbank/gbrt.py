@@ -10,24 +10,27 @@ and optional row/column subsampling; identical seeds produce bit-identical
 ensembles.
 
 ``train`` bins each feature once per fit: one bin per distinct present value,
-plus one for NaN.  A node's histogram holds its gradient sum and row count per
-bin, from one ``np.bincount`` over all features; only the smaller child is
-counted, and the larger one's histogram is its parent's minus its sibling's.
-Cumulative sums within each feature score every boundary between non-empty
-bins.  The rule for ties and missing values: a node with missing rows on a
-feature (by its NaN bin's count) sends them to the better side, ties left; a
-node without sends them to the larger child, ties left; and the first maximum
-in feature-major order wins, so ties go to the lowest feature, then to its
-smallest threshold.  Squared error, the one objective, has a hessian of 1, so
-the grower counts rows where a general hessian would be summed.  Node totals
-are sums over the node's rows, and when a round uses every row its leaves
-write the round's predictions, so no tree is walked.
+plus one for NaN, feature after feature, adjacent features within 2x of each
+other padded to one width.  A node's histogram holds its gradient sum and row
+count per bin, from one ``np.bincount`` over all features; only the smaller
+child is counted, and the larger one's histogram is its parent's minus its
+sibling's.  Cumulative sums within each feature, a call per run of one width,
+score every boundary between non-empty bins.  The rule for ties and missing
+values: a node with missing rows on a feature (by its NaN bin's count) sends
+them to the better side, ties left; a node without sends them to the larger
+child, ties left; and the first maximum in feature-major order wins, so ties go
+to the lowest feature, then to its smallest threshold.  Squared error, the one
+objective, has a hessian of 1, so the grower counts rows where a general hessian
+would be summed.  Node totals are sums over the node's rows, and when a round
+uses every row its leaves write the round's predictions, so no tree is walked.
 
 ``train`` keeps the in-sample fit its rounds build, ``base + lr * out`` tree
 after tree in the order ``predict`` adds them, with a digest of the rows it was
 fit on (``Ensemble.fitted``).  It equals ``predict`` on those rows bit for bit,
 so ``in_sample`` hands it back for them without a walk.  A loaded ensemble, or
-a copy made with ``dataclasses.replace``, has none and walks its trees.
+a copy made with ``dataclasses.replace``, has none and walks its trees, a chunk
+of them at a time, and adds their ``learning_rate * leaf`` terms in tree order
+by one sequential ``cumsum``: the sums of adding tree after tree.
 
 ``gradients_squared_error``, ``leaf_weight``, ``split_gain`` and
 ``tree_predict`` are the closed forms that the demos and the reference search
@@ -39,7 +42,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,18 +207,26 @@ def _gains(gl: np.ndarray, hl: np.ndarray, g_total: float, h_total: int,
     return np.where(keep, raw, -np.inf)
 
 
-def _grow(codes: np.ndarray, edges: np.ndarray, features: np.ndarray, rows: np.ndarray,
+class _Grid(NamedTuple):
+    """Bins, feature after feature: each one's present values ascending (``edges``), NaN
+    padding, its NaN bin (``nan``); ``runs``: (first bin, end, width) per run of one width."""
+    edges: np.ndarray
+    feature: np.ndarray
+    nan: np.ndarray
+    runs: list[tuple[int, int, int]]
+
+
+def _grow(codes: np.ndarray, grid: _Grid, features: np.ndarray, rows: np.ndarray,
           g: np.ndarray, depth: int, config: GbrtConfig, out: np.ndarray | None = None,
           hist: tuple[np.ndarray, np.ndarray] | None = None,
           cuts: tuple[np.ndarray, ...] | None = None) -> TreeNode:
     """Grow the subtree over one node's ``rows``, kept in ascending order.
 
-    ``codes`` holds each row's flat bin per feature and ``edges`` (features, width)
-    each present bin's value, the last bin of a feature being its NaN bin; column
-    ``i`` is feature ``features[i]``.  ``hist`` is the node's gradient sum and row
-    count per bin, counted here if None, and ``cuts`` its ``_cuts``, found here if
-    None.  Every hessian is 1, so hessian sums are row counts.  ``out`` (if given)
-    receives each row's leaf weight.
+    ``codes`` holds each row's bin in ``grid`` per feature; column ``i`` is feature
+    ``features[i]``.  ``hist`` is the node's gradient sum and row count per bin,
+    counted here if None, and ``cuts`` its ``_cuts``, found here if None.  Every
+    hessian is 1, so hessian sums are row counts.  ``out`` (if given) receives each
+    row's leaf weight.
     """
     g_total = float(g[rows].sum())
     h_total = rows.size
@@ -224,18 +236,17 @@ def _grow(codes: np.ndarray, edges: np.ndarray, features: np.ndarray, rows: np.n
     if config.max_depth is not None and depth >= config.max_depth:
         return node
 
-    hg, hc = _histogram(codes, rows, g, edges.size) if hist is None else hist
-    width = edges.shape[1]
-    at, above, feature, hl = _cuts(hc, width, h_total) if cuts is None else cuts
+    hg, hc = _histogram(codes, rows, g, grid.edges.size) if hist is None else hist
+    at, above, feature, hl = _cuts(hc, grid, h_total) if cuts is None else cuts
     if at.size == 0:
         return node
-    # within each feature, cumulative sums
-    gl = np.cumsum(hg.reshape(edges.shape), axis=1).ravel()[at]
-    h_miss = hc[width - 1::width]
+    gl = np.concatenate([np.cumsum(hg[lo:hi].reshape(-1, width), axis=1).ravel()
+                         for lo, hi, width in grid.runs])[at]  # within each feature
+    h_miss = hc[grid.nan]
     gains_right = _gains(gl, hl, g_total, h_total, config)  # missing rows routed right
     gains_left = gains_right
     if h_miss.any():  # the NaN bin's count decides; with no missing rows g_miss is 0
-        g_miss = np.where(h_miss > 0, hg[width - 1::width], 0.0)[feature]
+        g_miss = np.where(h_miss > 0, hg[grid.nan], 0.0)[feature]
         gains_left = _gains(gl + g_miss, hl + h_miss[feature], g_total, h_total, config)
     best = gains_right if gains_left is gains_right else np.maximum(gains_left, gains_right)
     # first max: the lowest feature wins ties, then its smallest threshold
@@ -247,7 +258,7 @@ def _grow(codes: np.ndarray, edges: np.ndarray, features: np.ndarray, rows: np.n
     node.feature = int(features[f])
     # the midpoint, halved first so that it cannot overflow; where it rounds down to
     # the lower value, as between adjacent floats, the upper value separates them
-    low, high = edges.flat[at[k]], edges.flat[above[k]]
+    low, high = grid.edges[at[k]], grid.edges[above[k]]
     mid = 0.5 * low + 0.5 * high
     node.threshold = float(mid if mid > low else high)
     # missing rows follow the better side, ties left; with none, the larger child
@@ -257,70 +268,87 @@ def _grow(codes: np.ndarray, edges: np.ndarray, features: np.ndarray, rows: np.n
     code = codes[:, f][rows]
     left = code <= at[k]  # NaN's bin lies above every present bin of the feature
     if node.default_left and h_miss[f]:
-        left |= code == (f + 1) * width - 1
+        left |= code == grid.nan[f]
     parts = rows.compress(left), rows.compress(~left)
     hists = None, None
     if config.max_depth is None or depth + 2 <= config.max_depth:  # the children search
         # count the smaller child; the larger one's histogram is the rest of the node's
         small = int(parts[1].size < parts[0].size)
-        counted = _histogram(codes, parts[small], g, edges.size)
+        counted = _histogram(codes, parts[small], g, grid.edges.size)
         rest = hg - counted[0], hc - counted[1]
         hists = (counted, rest) if small == 0 else (rest, counted)
-    node.left, node.right = (_grow(codes, edges, features, part, g, depth + 1, config, out, h)
+    node.left, node.right = (_grow(codes, grid, features, part, g, depth + 1, config, out, h)
                              for part, h in zip(parts, hists))
     return node
 
 
-def _cuts(hc: np.ndarray, width: int, h_total: int) -> tuple[np.ndarray, ...]:
+def _cuts(hc: np.ndarray, grid: _Grid, h_total: int) -> tuple[np.ndarray, ...]:
     """A node's candidate cuts from its row count per bin: each follows a non-empty
     present bin whose feature has a present bin above it in the node.  ``at`` and
-    ``above`` are the two bins' flat indices, then the cut's feature and the rows
-    at or below ``at`` (each feature's bins count every row)."""
+    ``above`` are the two bins, then the cut's feature and the rows at or below
+    ``at`` (each feature's bins count every row)."""
     filled = (hc > 0).nonzero()[0]
-    feature = filled // width
+    feature = grid.feature[filled]
     after = filled[1:]
-    i = ((feature[:-1] == feature[1:]) & (after % width != width - 1)).nonzero()[0]
+    i = ((feature[:-1] == feature[1:]) & (after != grid.nan[feature[1:]])).nonzero()[0]
     return filled[i], after[i], feature[i], np.cumsum(hc[filled])[i] - feature[i] * h_total
 
 
 def _histogram(codes: np.ndarray, rows: np.ndarray, g: np.ndarray,
                size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gradient sum and the row count in each of ``size`` flat bins over ``rows``."""
+    """The gradient sum and the row count in each of ``size`` bins over ``rows``."""
     flat = codes.take(rows, axis=0).ravel()
     return (np.bincount(flat, np.repeat(g[rows], codes.shape[1]), size),
             np.bincount(flat, minlength=size))
 
 
-def _bins(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's flat bin, row-major, and each feature's present bin values.
-
-    Feature ``j`` owns bins ``j * width`` to ``(j + 1) * width - 1``: its distinct
-    present values in ascending order, then empty bins, then its NaN bin last.
-    """
+def _bins(values: np.ndarray) -> tuple[np.ndarray, _Grid]:
+    """Each cell's bin, row-major, and the ``_Grid`` of the columns of ``values``: one bin per
+    distinct present value and one for NaN.  Adjacent features whose bin counts lie within
+    2x of each other are padded to the widest, so none holds more than twice its bins."""
     distinct = [np.unique(col[~np.isnan(col)]) for col in values.T]
-    width = max(u.size for u in distinct) + 1
-    edges = np.full((len(distinct), width), np.nan)
-    codes = np.empty(values.shape, dtype=np.intp)
+    runs = [[]]  # the bin counts of adjacent features, run by run
+    for count in (u.size + 1 for u in distinct):
+        if max(runs[-1] + [count]) > 2 * min(runs[-1] + [count]):
+            runs.append([])
+        runs[-1].append(count)
+    widths = np.repeat([max(run) for run in runs], [len(run) for run in runs])
+    start = np.cumsum(widths) - widths
+    edges, codes = np.full(widths.sum(), np.nan), np.empty(values.shape, dtype=np.intp)
     for j, (col, u) in enumerate(zip(values.T, distinct)):
-        edges[j, :u.size] = u
-        codes[:, j] = j * width + np.where(np.isnan(col), width - 1, np.searchsorted(u, col))
-    return codes, edges
+        edges[start[j]:start[j] + u.size] = u
+        codes[:, j] = start[j] + np.where(np.isnan(col), widths[j] - 1, np.searchsorted(u, col))
+    ends = np.cumsum([len(run) * max(run) for run in runs])
+    return codes, _Grid(edges, np.repeat(np.arange(len(distinct)), widths), start + widths - 1,
+                        [(end - len(r) * max(r), end, max(r)) for end, r in zip(ends, runs)])
 
 
-def _tree_apply(node: TreeNode, values: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
-    if node.is_leaf:
-        out[rows] = node.weight
-        return
-    col = values[rows, node.feature]
-    left = np.where(np.isnan(col), node.default_left, col < node.threshold)
-    _tree_apply(node.left, values, out, rows[left])
-    _tree_apply(node.right, values, out, rows[~left])
+_CHUNK = 16  # trees walked together: the walk holds (trees, rows) node indices
+
+
+def _walk(trees: list[TreeNode], values: np.ndarray) -> np.ndarray:
+    """Each tree's leaf weight for each row, shape (trees, rows), a level at a time.  Nodes
+    lie level by level, roots first, so split ``k``'s children follow the roots' ``2 * k``;
+    a leaf is its own child, with a NaN threshold that every row fails."""
+    nodes, level, depth = [], list(trees), -1
+    while level:
+        nodes, depth = nodes + level, depth + 1
+        level = [c for node in level if node.feature is not None for c in (node.left, node.right)]
+    leaf = np.array([node.feature is None for node in nodes], dtype=bool)
+    feature = np.array([node.feature or 0 for node in nodes], dtype=np.intp)
+    threshold = np.where(leaf, math.nan, [node.threshold for node in nodes])
+    default_right = ~(leaf | [node.default_left for node in nodes])
+    child = np.where(leaf, np.arange(leaf.size), len(trees) + 2 * np.cumsum(~leaf) - 2)
+    flat, cells = np.ascontiguousarray(values).ravel(), np.arange(0, values.size, values.shape[1])
+    at = np.repeat(np.arange(len(trees))[:, None], values.shape[0], axis=1)
+    for _ in range(depth):
+        x = flat.take(cells + feature[at])
+        at = child[at] + np.where(np.isnan(x), default_right[at], x >= threshold[at])
+    return np.array([node.weight for node in nodes])[at]
 
 
 def tree_predict(node: TreeNode, values: np.ndarray) -> np.ndarray:
-    out = np.empty(values.shape[0])
-    _tree_apply(node, values, out, np.arange(values.shape[0]))
-    return out
+    return _walk([node], values)[0]
 
 
 def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
@@ -344,23 +372,24 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
         config=config,
     )
 
-    # one bin per distinct value, coded once; a round takes an ascending row set
-    # and, with column subsampling, its columns' codes moved onto a smaller grid
-    codes, edges = _bins(X.values)
-    counts = np.bincount(codes.ravel(), minlength=edges.size)  # a full round's root
-    root_cuts = _cuts(counts, edges.shape[1], n)
+    # one bin per distinct value, coded once; a round takes an ascending row set and,
+    # with column subsampling, its columns' codes, their bins' features renumbered
+    codes, grid = _bins(X.values)
+    counts = np.bincount(codes.ravel(), minlength=grid.edges.size)  # a full round's root
+    root_cuts = _cuts(counts, grid, n)
     all_rows, all_cols = np.arange(n), np.arange(d)
     for _ in range(config.n_rounds):
         rows = all_rows
         if config.subsample_rows < 1.0:
             n_sub = max(1, int(round(config.subsample_rows * n)))
             rows = np.sort(rng.choice(n, size=n_sub, replace=False))
-        cols, round_codes, round_edges = all_cols, codes, edges
+        cols, round_codes, round_grid = all_cols, codes, grid
         if config.subsample_cols < 1.0:
             n_cols = max(1, int(round(config.subsample_cols * d)))
             cols = np.sort(rng.choice(d, size=n_cols, replace=False))
-            round_codes = codes[:, cols] + (np.arange(cols.size) - cols) * edges.shape[1]
-            round_edges = edges[cols]
+            round_codes = codes[:, cols]
+            round_grid = grid._replace(feature=np.searchsorted(cols, grid.feature),
+                                       nan=grid.nan[cols])
 
         # unit hessian; with every row in the round the leaves give the tree's predictions
         g, _ = gradients_squared_error(y, predictions)
@@ -373,10 +402,10 @@ def train(X: FeatureMatrix, y, config: GbrtConfig) -> Ensemble:
                                  "squared-error sums overflow")
         root = cuts = None
         if rows.size == n and cols.size == d:  # every row and column: only g is new
-            root = np.bincount(codes.ravel(), np.repeat(g, d), edges.size), counts
+            root = np.bincount(codes.ravel(), np.repeat(g, d), grid.edges.size), counts
             cuts = root_cuts
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing gain is -inf
-            tree = _grow(round_codes, round_edges, cols, rows, g, 0, config, out, root, cuts)
+            tree = _grow(round_codes, round_grid, cols, rows, g, 0, config, out, root, cuts)
         if out is None:  # rows outside the round still need the walk
             out = tree_predict(tree, X.values)
         predictions += config.learning_rate * out
@@ -408,8 +437,9 @@ def predict(model: Ensemble, X: FeatureMatrix) -> np.ndarray:
             f"{model.feature_names}"
         )
     out = np.full(X.n_rows, model.base_score)
-    for tree in model.trees:
-        out += model.learning_rate * tree_predict(tree, X.values)
+    for lo in range(0, len(model.trees), _CHUNK):
+        terms = model.learning_rate * _walk(model.trees[lo:lo + _CHUNK], X.values)
+        out = np.cumsum(np.concatenate([out[None], terms]), axis=0)[-1]
     return out
 
 
@@ -463,6 +493,14 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
+def _every_field(kind, values, label: str):
+    """``values``; SchemaError naming the first field of the dataclass ``kind`` it lacks."""
+    for f in fields(kind) if isinstance(values, dict) else ():
+        if f.name not in values:
+            raise SchemaError(f"{label} is missing key {f.name!r}")
+    return values
+
+
 def _node_from_dict(data: dict, n_features: int) -> TreeNode:
     if "weight" in data:
         return TreeNode(weight=_finite(data["weight"], "leaf weight"))
@@ -500,7 +538,8 @@ def ensemble_from_dict(doc: dict) -> Ensemble:
         raise SchemaError(f"not an ensemble document: format={found!r}")
     if doc.get("version") != MODEL_VERSION:
         raise SchemaError(f"unsupported ensemble version {doc.get('version')!r}")
-    config = GbrtConfig(**doc["config"]) if "config" in doc else None
+    config = (GbrtConfig(**_every_field(GbrtConfig, doc["config"], "ensemble config"))
+              if "config" in doc else None)
     names = doc["feature_names"]
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise SchemaError(f"feature_names must be a list of names, got {names!r}")

@@ -33,9 +33,9 @@ def number(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def iso_days(first: int, stop: int) -> list[str]:
-    """ISO dates of the day ordinals ``first`` up to ``stop``, as ``datetime64[D]`` strings."""
-    return np.arange(first - _EPOCH, stop - _EPOCH).astype("datetime64[D]").astype(str).tolist()
+def iso_days(days: np.ndarray) -> str:
+    """ISO dates of numpy's day numbers ``days``, joined by commas, from ``S10`` bytes."""
+    return b",".join(days.astype("datetime64[D]").astype("S10").tolist()).decode()
 
 
 def write_days(path, header: list[str], days, columns, missing: str = "nan",
@@ -58,7 +58,7 @@ def write_days(path, header: list[str], days, columns, missing: str = "nan",
         csv.writer(handle).writerow(header)
         for lo in range(0, rows, block):
             hi = min(lo + block, rows)
-            cells = zip(days[lo:hi].astype("datetime64[D]").astype(str).tolist(), *(
+            cells = zip(iso_days(days[lo:hi]).split(","), *(
                 [missing if cell == "nan" else cell for cell in map(repr, column[lo:hi].tolist())]
                 for column in columns))
             handle.write("\r\n".join(map(",".join, cells)) + "\r\n")
@@ -126,7 +126,7 @@ def read_days(path, contiguous: bool, filled: int):
             dates = dt.date.fromisoformat(date_cells[0])
             first = dates.toordinal()
             last = min(first + len(rows), dt.date.max.toordinal() + 1)
-            if date_cells != iso_days(first, last):
+            if ",".join(date_cells) != iso_days(np.arange(first, last) - _EPOCH):
                 return None
         else:
             dates = list(map(dt.date.fromisoformat, date_cells))

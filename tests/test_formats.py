@@ -178,6 +178,12 @@ BAD_FILES = [
      "inventory_target must be non-negative"),
     ("compare", "--policy", edit_json(lambda doc: doc.update(reorder_semiweekly=301)),
      "reorder_semiweekly 301 exceeds inventory_target 300"),
+    # a model document's configs, where present, set every field: none takes its default
+    *[("forecast", "--model", edit_json(lambda doc, key=key: doc["stl_config"].pop(key)),
+       f"stl_config is missing key {key!r}") for key in ("n_outer", "t_window")],
+    *[("forecast", "--model", edit_json(lambda doc, key=key: doc["residual_model"]["config"]
+                                         .pop(key)),
+       f"ensemble config is missing key {key!r}") for key in ("n_rounds", "max_depth")],
 ]
 
 

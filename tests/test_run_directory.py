@@ -1,7 +1,11 @@
 """The run directory every command writes: atomic outputs, manifest last."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,15 +30,12 @@ def command_flags(command):
     return {a.dest for a in actions if a.option_strings and a.dest != "help"}
 
 
-@pytest.fixture(scope="module")
-def runs(tmp_path_factory):
-    """One small successful run of every subcommand; command -> run directory."""
-    root = tmp_path_factory.mktemp("runs")
+def command_lines(root):
+    """Each subcommand's arguments for a small run whose inputs are the earlier runs'
+    outputs under ``root``, one directory per command."""
     d = {command: root / command for command in COMMANDS}
     data = d["generate"] / "dataset.csv"
-    write_stream(root / "orders.csv", [30] * 20)
-    write_stream(root / "demands.csv", [28] * 20)
-    commands = [
+    return [
         ["generate", "--days", 150, "--seed", 3],
         ["decompose", "--data", data],
         ["train", "--data", data, "--train-days", 120, "--rounds", 3],
@@ -46,9 +47,40 @@ def runs(tmp_path_factory):
         ["compare", "--report", d["train"] / "holdout_report.csv",
          "--policy", d["optimize"] / "policy.json", "--initial", 150],
     ]
-    for command in commands:
-        assert run([*command, "--out-dir", d[command[0]]]) == 0
-    return d
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """One small successful run of every subcommand; command -> run directory."""
+    root = tmp_path_factory.mktemp("runs")
+    write_stream(root / "orders.csv", [30] * 20)
+    write_stream(root / "demands.csv", [28] * 20)
+    for command in command_lines(root):
+        assert run([*command, "--out-dir", root / command[0]]) == 0
+    return {command: root / command for command in COMMANDS}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_closed_stdout_fails_no_finished_run(runs, tmp_path, command):
+    """Under ``| head -0`` the progress line meets a pipe nobody reads.  The run's
+    outputs are committed by then: it exits 0 and writes what a normal run writes."""
+    (line,) = [c for c in command_lines(runs["generate"].parent) if c[0] == command]
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe fails with EPIPE
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    try:
+        child = subprocess.run([sys.executable, "-m", "bloodbank.cli", *map(str, line),
+                                "--out-dir", str(tmp_path)], stdout=write,
+                               stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert manifest(tmp_path)["status"] == "ok"
+    names = sorted(path.name for path in runs[command].iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (runs[command] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command", COMMANDS)
