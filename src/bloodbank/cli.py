@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -57,55 +56,17 @@ def _run_dir(args) -> Path:
     return path
 
 
-class _NotPlain(Exception):
-    """A value ``_json_text`` leaves to ``json``'s own encoder."""
-
-
-# the text json writes for each scalar type it writes as is; a float only when finite
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
-            bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
-
-
-def _json_text(value, indent: str, sort_keys: bool, out: list) -> None:
-    """Append ``value`` to ``out`` as ``json.dumps(..., indent=2)`` writes it ``indent``
-    deep: dicts and lists here, a list of scalars in one call to the C encoder."""
-    kind = type(value)
-    if kind in _SCALARS and (kind is not float or math.isfinite(value)):
-        out.append(_SCALARS[kind](value))
-        return
-    inner = indent + "  "
-    if kind is dict and set(map(type, value)) <= {str}:
-        head = "{\n" + inner
-        for key, item in sorted(value.items()) if sort_keys else value.items():
-            out.append(f"{head}{encode_basestring_ascii(key)}: ")
-            _json_text(item, inner, sort_keys, out)
-            head = ",\n" + inner
-        out.append(f"\n{indent}}}" if value else "{}")
-    elif kind is list and set(map(type, value)) <= _SCALARS.keys():
-        items = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
-        out.append(f"[\n{inner}{items}\n{indent}]" if value else "[]")
-    elif kind is list:
-        head = "[\n" + inner
-        for item in value:
-            out.append(head)
-            _json_text(item, inner, sort_keys, out)
-            head = ",\n" + inner
-        out.append(f"\n{indent}]")
-    else:
-        raise _NotPlain
-
-
 def _write_json(path, doc, sort_keys: bool = False) -> None:
-    """``doc`` as ``json.dump(doc, indent=2, sort_keys=sort_keys)`` writes it, and a line
-    end; ``json``'s own encoder writes a document with a tuple, a non-str key, a
-    non-finite float or a subclass of a JSON type in it."""
-    out = []
-    try:
-        _json_text(doc, "", sort_keys, out)
-    except (_NotPlain, RecursionError):  # RecursionError: a cycle, which json names
-        out = [json.dumps(doc, indent=2, sort_keys=sort_keys)]
+    """``doc`` as ``json.dump(doc, indent=2, sort_keys=sort_keys)`` writes it, and a line end."""
     with open(path, "w") as handle:
-        handle.write("".join(out) + "\n")
+        json.dump(doc, handle, indent=2, sort_keys=sort_keys)
+        handle.write("\n")
+
+
+def _write_compact_json(path, doc) -> None:
+    """``doc`` as ``json.dumps(doc, separators=(",", ":"))`` (json's C encoder) and a line
+    end, in one write: ``json.dump`` would hand the file its text chunk by chunk."""
+    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def _replace(path: Path, writer, *values) -> None:
@@ -300,7 +261,7 @@ def cmd_train(args, run: _Run) -> None:
     zeros = np.flatnonzero(holdout.demand == 0.0)  # MAPE divides by demand
     zero_day = report.dates[zeros[0]] if zeros.size else None
     mape = 100.0 * report.mape if holdout and zero_day is None else math.nan
-    path = run.write("model.json", _write_json, forecast.hybrid_to_dict(model))
+    path = run.write("model.json", _write_compact_json, forecast.hybrid_to_dict(model))
     run.write("train_report.csv", forecast.write_forecast_csv,
               _report(train_part, forecast.predict_in_sample(model, train_part)))
     if holdout:
@@ -313,12 +274,12 @@ def cmd_train(args, run: _Run) -> None:
 
 
 def cmd_forecast(args, run: _Run) -> None:
+    if args.horizon < 0:  # a flag's fault, found before any file is read
+        raise ParameterError(f"--horizon must be non-negative, got {args.horizon}")
     doc = _load_json(args.model)
     with _blaming(args.model):
         model = forecast.hybrid_from_dict(doc)
     data = forecast.read_dataset_csv(args.data)
-    if args.horizon < 0:
-        raise ParameterError("horizon must be non-negative")
     after = max(0, (model.train_end - data.start).days + 1)  # the first day after training
     future = data[after : after + args.horizon]
     if len(future) < args.horizon:

@@ -28,8 +28,8 @@ from . import gbrt
 from .errors import ParameterError, SchemaError, whole
 from .policy import _SEMIWEEKLY_BLOCKS
 from .table import BLOCK as _BLOCK, read_days, read_rows, write_days
-from .timeseries import (TREND_MODES, Decomposition, Series, StlConfig, stl_decompose,
-                         stl_extend)
+from .timeseries import (TREND_MODES, Decomposition, Projection, Series, StlConfig,
+                         stl_decompose, stl_projection)
 
 __all__ = [
     "DailyRecord",
@@ -167,6 +167,9 @@ def demand_series(data: Dataset, period: int = 7) -> Series:
 class HybridModel:
     """A decomposition of the training window plus a model of its residual.
 
+    ``projection`` is what a forecast extends; by default the decomposition's
+    under ``trend_mode``.  Only a fitted model holds its ``decomposition``: a
+    loaded one holds None, so ``predict_in_sample`` needs the fitted model.
     ``residual_model`` is a boosted ``gbrt.Ensemble``, the least-squares
     coefficients of the linear reference (intercept first), or ``None`` for
     decomposition alone.
@@ -174,12 +177,17 @@ class HybridModel:
 
     period: int
     stl_config: StlConfig
-    decomposition: Decomposition
+    decomposition: Decomposition | None
     train_start: dt.date
     train_end: dt.date
     residual_model: gbrt.Ensemble | np.ndarray | None
     feature_names: list[str]
     trend_mode: str = _TREND_MODE
+    projection: Projection | None = None
+
+    def __post_init__(self) -> None:
+        if self.projection is None:
+            self.projection = stl_projection(self.decomposition, self.period, self.trend_mode)
 
 
 @dataclass(frozen=True)
@@ -293,7 +301,7 @@ def _predicted_residual(model: HybridModel, X: gbrt.FeatureMatrix | None):
 
 def _forecast(model: HybridModel, horizon: int, X: gbrt.FeatureMatrix | None) -> np.ndarray:
     """The ``horizon`` days after training: trend + seasonal extended, plus residual from ``X``."""
-    base = stl_extend(model.decomposition, horizon, model.period, model.trend_mode)
+    base = model.projection.extend(horizon, model.trend_mode)
     return base + _predicted_residual(model, X)
 
 
@@ -312,6 +320,9 @@ predict_stl_linear = predict_daily
 
 def predict_in_sample(model: HybridModel, train: Dataset) -> np.ndarray:
     """Fitted values over the training window: trend + seasonal + predicted residual."""
+    if model.decomposition is None:
+        raise ParameterError("a loaded model holds no training decomposition: "
+                             "in-sample predictions need the fitted model")
     if not train:
         return np.empty(0)
     if train.start != model.train_start or train.end != model.train_end:
@@ -652,81 +663,83 @@ _COMPONENTS = ("trend", "seasonal", "residual")
 
 
 def hybrid_to_dict(model: HybridModel) -> dict:
-    """The ``bloodbank.hybrid`` v1 document of a boosted model."""
+    """The ``bloodbank.hybrid`` v2 document of a boosted model."""
     if not isinstance(model.residual_model, gbrt.Ensemble):
         raise ParameterError("only a model with a boosted residual can be serialized")
+    projection = model.projection
     return {
         "format": "bloodbank.hybrid",
-        "version": 1,
+        "version": 2,
         "period": model.period,
         "trend_mode": model.trend_mode,
         "train_start": model.train_start.isoformat(),
         "train_end": model.train_end.isoformat(),
         "stl_config": asdict(model.stl_config),
-        "decomposition": {name: getattr(model.decomposition, name).tolist()
-                          for name in _COMPONENTS},
+        "projection": {"level": projection.level, "slope": projection.slope,
+                       "anchor": projection.anchor, "seasonal": projection.seasonal.tolist()},
         "feature_names": list(model.feature_names),
         "residual_model": gbrt.ensemble_to_dict(model.residual_model),
     }
 
 
 def _finite_values(values: list, label: str) -> np.ndarray:
-    """``values`` as floats, each an int or a finite float (not a bool): the types are
-    checked at once, and one by one only to name the first bad value."""
-    if set(map(type, values)) <= {int, float}:
-        try:
-            array = np.array(values, dtype=float)
-        except OverflowError:  # an int past the largest float, which the loop meets in order
-            pass
-        else:
-            if np.isfinite(array).all():
-                return array
+    """``values`` as floats, each an int or a finite float (not a bool)."""
     return np.array([gbrt._finite(value, label) for value in values])
 
 
 def hybrid_from_dict(doc: dict) -> HybridModel:
+    """The model of a v2 document, or of a v1 one, whose decomposition gives the projection."""
     if not isinstance(doc, dict) or doc.get("format") != "bloodbank.hybrid":
         found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
         raise SchemaError(f"not a hybrid model document: format={found!r}")
-    if doc.get("version") != 1:
-        raise SchemaError(f"unsupported hybrid model version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version not in (1, 2):
+        raise SchemaError(f"unsupported hybrid model version {version!r}")
     try:
-        whole("period", doc["period"])
+        period, trend_mode = whole("period", doc["period"]), doc.get("trend_mode", "drift")
         stl = doc["stl_config"]
         for key, value in stl.items() if isinstance(stl, dict) else ():
             if type(value) is not int and not (key == "t_window" and value is None):
                 raise SchemaError(f"stl_config {key} must be a whole number, got {value!r}")
-        components = doc["decomposition"]
-        model = HybridModel(
-            period=doc["period"],
-            stl_config=StlConfig(**gbrt._every_field(StlConfig, stl, "stl_config")),
-            decomposition=Decomposition(*(
-                _finite_values(components[name], f"decomposition {name} value")
-                for name in _COMPONENTS)),
-            train_start=dt.date.fromisoformat(doc["train_start"]),
-            train_end=dt.date.fromisoformat(doc["train_end"]),
-            residual_model=gbrt.ensemble_from_dict(doc["residual_model"]),
-            feature_names=doc["feature_names"],
-            trend_mode=doc.get("trend_mode", "drift"),
-        )
+        stl_config = StlConfig(**gbrt._every_field(StlConfig, stl, "stl_config"))
+        train_start = dt.date.fromisoformat(doc["train_start"])
+        train_end = dt.date.fromisoformat(doc["train_end"])
+        days = (train_end - train_start).days + 1
+        if version == 1:
+            components = doc["decomposition"]
+            dec = Decomposition(*(_finite_values(components[name], f"decomposition {name} value")
+                                  for name in _COMPONENTS))
+        else:
+            block = doc["projection"]
+            projection = Projection(days, *(gbrt._finite(block[key], f"projection {key}")
+                                            for key in ("level", "slope", "anchor")),
+                                    _finite_values(block["seasonal"], "projection seasonal value"))
+        residual_model = gbrt.ensemble_from_dict(doc["residual_model"])
+        feature_names = doc["feature_names"]
     except KeyError as exc:
         raise SchemaError(f"hybrid model document is missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed hybrid model document: {exc}") from exc
-    days = (model.train_end - model.train_start).days + 1
-    if len(model.decomposition) != days:
-        raise SchemaError(
-            f"decomposition has {len(model.decomposition)} days but the training window "
-            f"{model.train_start}..{model.train_end} has {days}"
-        )
-    if not 2 <= model.period <= days // 2:
+    if version == 1 and len(dec) != days:
+        raise SchemaError(f"decomposition has {len(dec)} days but the training window "
+                          f"{train_start}..{train_end} has {days}")
+    if not 2 <= period <= days // 2:
         raise SchemaError(f"period must lie in 2..{days // 2} so that {days} training days "
-                          f"hold two cycles, got {model.period}")
-    if model.trend_mode not in TREND_MODES:
-        raise SchemaError(f"trend_mode must be one of {TREND_MODES}, got {model.trend_mode!r}")
-    if not model.feature_names:
+                          f"hold two cycles, got {period}")
+    if trend_mode not in TREND_MODES:
+        raise SchemaError(f"trend_mode must be one of {TREND_MODES}, got {trend_mode!r}")
+    if not feature_names:
         raise SchemaError("feature_names must name at least one feature")
-    if model.feature_names != model.residual_model.feature_names:
-        raise SchemaError(f"feature_names {model.feature_names} differ from the residual "
-                          f"model's {model.residual_model.feature_names}")
-    return model
+    if feature_names != residual_model.feature_names:
+        raise SchemaError(f"feature_names {feature_names} differ from the residual "
+                          f"model's {residual_model.feature_names}")
+    if version == 1:
+        projection = stl_projection(dec, period, trend_mode)
+    elif projection.seasonal.size != period:
+        raise SchemaError(f"projection seasonal has {projection.seasonal.size} values, "
+                          f"not one a day of the period {period}")
+    elif trend_mode == "flat" and projection.slope != 0.0:
+        raise SchemaError(f"projection slope must be 0 under trend_mode 'flat', "
+                          f"got {projection.slope!r}")
+    return HybridModel(period, stl_config, None, train_start, train_end, residual_model,
+                       feature_names, trend_mode, projection)

@@ -487,10 +487,14 @@ def _exact(value, kind: type, name: str):
 
 
 def _finite(value, name: str) -> float:
-    """A finite JSON number (bool is not one) as a float; SchemaError otherwise."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise SchemaError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    """A finite JSON number (bool is not one, nor an int past the float range) as a
+    float; SchemaError otherwise."""
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # the conversion of such an int
+        pass
+    raise SchemaError(f"{name} must be a finite number, got {value!r}")
 
 
 def _every_field(kind, values, label: str):

@@ -39,6 +39,8 @@ __all__ = [
     "Decomposition",
     "StlConfig",
     "stl_decompose",
+    "Projection",
+    "stl_projection",
     "stl_extend",
     "write_decomposition_csv",
 ]
@@ -411,39 +413,54 @@ def stl_decompose(series: Series, config: StlConfig | None = None) -> Decomposit
 TREND_MODES = ("drift", "flat")
 
 
-def stl_extend(
-    dec: Decomposition, horizon: int, period: int, trend_mode: str = "drift"
-) -> np.ndarray:
-    """Project trend + seasonal over a forecast horizon.
+@dataclass(frozen=True)
+class Projection:
+    """Trend + seasonal past a window of ``days`` days: the trend reads ``level`` at day
+    ``anchor`` (the first is 0) and moves ``slope`` a day, and the ``seasonal`` cycle repeats."""
 
-    The seasonal component repeats its final full cycle.  The trend continues
-    with the linear drift fitted to its last ``period`` values
-    (``trend_mode="drift"``) or stays flat at its final value
-    (``trend_mode="flat"``).
-    """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+    days: int
+    level: float
+    slope: float
+    anchor: float
+    seasonal: np.ndarray
+
+    def extend(self, horizon: int, trend_mode: str = "drift") -> np.ndarray:
+        """Trend + seasonal over the ``horizon`` days after the window; under ``flat``
+        the trend stays at ``level``."""
+        if horizon < 1:
+            raise ParameterError(f"horizon must be >= 1, got {horizon}")
+        seasonal = self.seasonal[np.arange(horizon) % self.seasonal.size]
+        if trend_mode == "flat":
+            return np.full(horizon, self.level) + seasonal
+        future = np.arange(self.days, self.days + horizon, dtype=float)
+        return self.level + self.slope * (future - self.anchor) + seasonal
+
+
+def stl_projection(dec: Decomposition, period: int, trend_mode: str = "drift") -> Projection:
+    """The projection of ``dec``: its last cycle, and under ``drift`` the line fitted to
+    the trend's last ``period`` values (their mean at their mean position), under
+    ``flat`` the trend's final value."""
     if trend_mode not in TREND_MODES:
         raise ParameterError(f"unknown trend_mode {trend_mode!r}")
     n = len(dec)
     if n < period:
         raise ParameterError(f"decomposition of length {n} is shorter than one cycle of {period}")
-
-    last_cycle = dec.seasonal[-period:]
-    seasonal = last_cycle[np.arange(horizon) % period]
-
+    seasonal = dec.seasonal[-period:].copy()
     if trend_mode == "flat":
-        trend = np.full(horizon, dec.trend[-1])
-    else:
-        tail = dec.trend[-period:]
-        x = np.arange(n - period, n, dtype=float)
-        x_mean = x.mean()
-        tail_mean = tail.mean()
-        denom = ((x - x_mean) ** 2).sum()
-        slope = ((x - x_mean) * (tail - tail_mean)).sum() / denom if denom > 0 else 0.0
-        future = np.arange(n, n + horizon, dtype=float)
-        trend = tail_mean + slope * (future - x_mean)
-    return trend + seasonal
+        return Projection(n, float(dec.trend[-1]), 0.0, n - 1.0, seasonal)
+    tail = dec.trend[-period:]
+    x = np.arange(n - period, n, dtype=float)
+    x_mean = x.mean()
+    tail_mean = tail.mean()
+    denom = ((x - x_mean) ** 2).sum()
+    slope = ((x - x_mean) * (tail - tail_mean)).sum() / denom if denom > 0 else 0.0
+    return Projection(n, float(tail_mean), float(slope), float(x_mean), seasonal)
+
+
+def stl_extend(dec: Decomposition, horizon: int, period: int,
+               trend_mode: str = "drift") -> np.ndarray:
+    """Trend + seasonal over the ``horizon`` days after ``dec``: its projection, extended."""
+    return stl_projection(dec, period, trend_mode).extend(horizon, trend_mode)
 
 
 def write_decomposition_csv(path, series: Series, dec: Decomposition) -> None:

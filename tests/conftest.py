@@ -6,6 +6,8 @@ import pytest
 from hypothesis import settings
 
 from bloodbank.datagen import CovariateSpec, GenConfig, generate_full
+from bloodbank.forecast import demand_series
+from bloodbank.timeseries import StlConfig, stl_decompose
 
 # property tests draw the same examples on every run and keep the suite fast
 settings.register_profile("bloodbank", derandomize=True, deadline=None, max_examples=100,
@@ -53,3 +55,23 @@ def read_csv(path):
 def write_stream(path, values):
     """An order or demand stream file as ``simulate`` reads it."""
     path.write_text("period,units\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values, 1)))
+
+
+def v1_document(doc, data):
+    """The version 1 document of the fit behind the version 2 ``doc``, as v1 wrote it.
+
+    The training window of the dataset ``data`` is decomposed again under the
+    document's own settings, and the decomposition takes the projection's place.
+    """
+    first, last = ((dt.date.fromisoformat(doc[key]) - data.start).days
+                   for key in ("train_start", "train_end"))
+    dec = stl_decompose(demand_series(data[first:last + 1], doc["period"]),
+                        StlConfig(**doc["stl_config"]))
+    v1 = {}
+    for key, value in doc.items():  # in order, the decomposition in the projection's place
+        if key == "projection":
+            v1["decomposition"] = {name: getattr(dec, name).tolist()
+                                   for name in ("trend", "seasonal", "residual")}
+        else:
+            v1[key] = 1 if key == "version" else value
+    return v1

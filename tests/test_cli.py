@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import json
 import math
@@ -16,7 +17,7 @@ from bloodbank.forecast import (
 )
 from bloodbank.inventory import CostParams, read_stream_csv, step, young_stock
 from bloodbank.policy import evaluate_strategy
-from conftest import read_csv, write_stream
+from conftest import read_csv, v1_document, write_stream
 
 
 def run(args):
@@ -103,6 +104,13 @@ def trained(dataset, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def v1_model(trained, dataset):
+    """The version 1 document of ``trained``'s fit, as version 1 wrote it."""
+    doc = json.loads((trained / "model.json").read_text())
+    return json.dumps(v1_document(doc, read_dataset_csv(dataset)), indent=2) + "\n"
+
+
 class TestTrainForecast:
     def test_model_and_reports_written(self, trained):
         assert (trained / "model.json").exists()
@@ -135,6 +143,36 @@ class TestTrainForecast:
                     "--horizon", 400, "--out-dir", tmp_path / "fcx"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_model_json_is_compact(self, trained):
+        text = (trained / "model.json").read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+        assert doc["version"] == 2 and "decomposition" not in doc
+
+    def test_v1_model_forecasts_the_v2_bytes(self, trained, v1_model, dataset, tmp_path):
+        (tmp_path / "model.json").write_text(v1_model)
+        for model, out in ((trained / "model.json", "v2"), (tmp_path / "model.json", "v1")):
+            assert run(["forecast", "--model", model, "--data", dataset, "--horizon", 70,
+                        "--out-dir", tmp_path / out]) == 0
+        assert ((tmp_path / "v1" / "forecast.csv").read_bytes()
+                == (tmp_path / "v2" / "forecast.csv").read_bytes()
+                == (trained / "holdout_report.csv").read_bytes())
+
+    def test_forecast_reads_feature_columns_by_name(self, trained, dataset, tmp_path):
+        # reversed feature columns and an extra one forecast the same bytes
+        header, rows = read_csv(dataset)
+        order = [0, 1, *range(len(header) - 1, 1, -1)]
+        moved = tmp_path / "dataset.csv"
+        with open(moved, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow([header[j] for j in order] + ["extra"])
+            writer.writerows([row[j] for j in order] + [str(i % 5)] for i, row in enumerate(rows))
+        for data, out in ((dataset, "given"), (moved, "moved")):
+            assert run(["forecast", "--model", trained / "model.json", "--data", data,
+                        "--horizon", 70, "--out-dir", tmp_path / out]) == 0
+        assert ((tmp_path / "given" / "forecast.csv").read_bytes()
+                == (tmp_path / "moved" / "forecast.csv").read_bytes())
 
     def test_train_days_validated(self, dataset, tmp_path, capsys):
         code = run(["train", "--data", dataset, "--train-days", 9999,
@@ -466,16 +504,76 @@ class TestMalformedInputs:
          "decomposition trend value must be a finite number, got '12'"),
         (lambda doc: doc["decomposition"]["residual"].__setitem__(5, None),
          "decomposition residual value must be a finite number, got None"),
+        # an int past the float range once raised OverflowError, a traceback
+        (lambda doc: doc["decomposition"]["seasonal"].__setitem__(2, 10**400),
+         "decomposition seasonal value must be a finite number, got 1000"),
+        (lambda doc: doc["residual_model"].update(base_score=-10**400),
+         "base_score must be a finite number, got -1000"),
     ])
-    def test_forecast_rejects_damaged_model(self, trained, dataset, tmp_path, capsys,
+    def test_forecast_rejects_damaged_model(self, v1_model, dataset, tmp_path, capsys,
                                             damage, message):
-        doc = json.loads((trained / "model.json").read_text())
+        # a version 1 document: its decomposition keeps every check it had
+        doc = json.loads(v1_model)
         damage(doc)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         code = run(["forecast", "--model", path, "--data", dataset, "--horizon", 5,
                     "--out-dir", tmp_path / "fc"])
         assert_clean_failure(capsys, code, path, message)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda doc: doc.pop("projection"), "missing key 'projection'"),
+        *[(lambda doc, key=key: doc["projection"].pop(key), f"missing key {key!r}")
+          for key in ("level", "slope", "anchor", "seasonal")],
+        (lambda doc: doc["projection"]["seasonal"].pop(),
+         "projection seasonal has 6 values, not one a day of the period 7"),
+        (lambda doc: doc["projection"]["seasonal"].append(0.5), "seasonal has 8 values"),
+        (lambda doc: doc["projection"].update(seasonal=[]), "seasonal has 0 values"),
+        (lambda doc: doc["projection"].update(level=math.nan),
+         "projection level must be a finite number, got nan"),
+        (lambda doc: doc["projection"].update(anchor=-math.inf),
+         "projection anchor must be a finite number, got -inf"),
+        (lambda doc: doc["projection"]["seasonal"].__setitem__(3, math.inf),
+         "projection seasonal value must be a finite number, got inf"),
+        (lambda doc: doc["projection"].update(level=10**400),
+         "projection level must be a finite number, got 1000"),
+        (lambda doc: doc["projection"].update(slope=True),
+         "projection slope must be a finite number, got True"),
+        (lambda doc: doc["projection"]["seasonal"].__setitem__(0, False),
+         "projection seasonal value must be a finite number, got False"),
+        (lambda doc: doc["projection"].update(level="89.5"),
+         "projection level must be a finite number, got '89.5'"),
+        (lambda doc: doc["projection"]["seasonal"].__setitem__(6, "1"),
+         "projection seasonal value must be a finite number, got '1'"),
+        (lambda doc: doc["projection"].update(seasonal="1234567"),
+         "projection seasonal value must be a finite number, got '1'"),
+        (lambda doc: doc.update(projection=[1.0, 0.5]), "malformed"),
+        # flat ignores a slope, so a slope it would ignore is not taken
+        (lambda doc: doc.update(trend_mode="flat"),
+         "projection slope must be 0 under trend_mode 'flat'"),
+        (lambda doc: doc.update(version=3), "unsupported hybrid model version 3"),
+        (lambda doc: doc.update(version=True), "unsupported hybrid model version True"),
+        (lambda doc: doc.update(version=2.0), "unsupported hybrid model version 2.0"),
+    ])
+    def test_forecast_rejects_damaged_projection(self, trained, dataset, tmp_path, capsys,
+                                                 damage, message):
+        doc = json.loads((trained / "model.json").read_text())
+        assert doc["version"] == 2
+        damage(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code = run(["forecast", "--model", path, "--data", dataset, "--horizon", 5,
+                    "--out-dir", tmp_path / "fc"])
+        assert_clean_failure(capsys, code, path, message)
+        assert not (tmp_path / "fc").exists()
+
+    def test_forecast_checks_horizon_before_reading_a_file(self, tmp_path, capsys):
+        # it once read the model and the whole dataset first, and named a missing file
+        code = run(["forecast", "--model", tmp_path / "nope.json", "--data",
+                    tmp_path / "none.csv", "--horizon", -1, "--out-dir", tmp_path / "fc"])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: --horizon must be non-negative, got -1\n"
+        assert not (tmp_path / "fc").exists()
 
     def test_forecast_rejects_truncated_json(self, trained, dataset, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -246,7 +246,9 @@ class TestHybrid:
     def test_in_sample_fit_kept_by_training_is_the_walked_one(self, small_records, config):
         train_part = small_records[:400]
         model = fit_hybrid(train_part, StlConfig(), config)
-        loaded = hybrid_from_dict(hybrid_to_dict(model))  # no kept fit: walks its trees
+        # the fitted model with the loaded ensemble, which keeps no fit: walks its trees
+        loaded = dataclasses.replace(
+            model, residual_model=hybrid_from_dict(hybrid_to_dict(model)).residual_model)
         assert model.residual_model.fitted is not None and loaded.residual_model.fitted is None
         fitted = predict_in_sample(model, train_part)
         assert fitted.tobytes() == predict_in_sample(loaded, train_part).tobytes()
@@ -255,6 +257,14 @@ class TestHybrid:
         other = Dataset(train_part.start, train_part.demand, features, train_part.feature_names)
         assert (predict_in_sample(model, other).tobytes()
                 == predict_in_sample(loaded, other).tobytes())
+
+    def test_loaded_model_needs_the_fitted_one_in_sample(self, small_records):
+        train_part = small_records[:300]
+        model = fit_hybrid(train_part, StlConfig(), GbrtConfig(n_rounds=3))
+        loaded = hybrid_from_dict(hybrid_to_dict(model))
+        assert loaded.decomposition is None
+        with pytest.raises(ParameterError, match="needs? the fitted model"):
+            predict_in_sample(loaded, train_part)
 
     def test_hybrid_serialization_round_trip(self, small_records):
         train_part = small_records[:300]

@@ -15,15 +15,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bloodbank import forecast, gbrt, inventory, policy
-from bloodbank.cli import _write_json, build_parser, main
+from bloodbank.cli import _write_compact_json, build_parser, main
 from bloodbank.datagen import GenConfig, GroundTruth, generate, generate_full, write_truth_csv
 from bloodbank.errors import ParameterError
 from bloodbank.timeseries import Decomposition, Series, StlConfig, write_decomposition_csv
-from conftest import read_csv, write_stream
+from conftest import read_csv, v1_document, write_stream
 
 MONDAY = dt.date(2010, 1, 4)
 POLICY = {"format": "bloodbank.policy", "version": 1, "inventory_target": 300,
@@ -659,8 +659,9 @@ def test_model_json_reads_back_equal(out_file, train_records, n_rounds, max_dept
     config = gbrt.GbrtConfig(n_rounds=n_rounds, max_depth=max_depth, seed=seed,
                              subsample_rows=0.8)
     model = forecast.fit_hybrid(train_records[:49], StlConfig(), config, trend_mode=trend_mode)
-    _write_json(out_file, forecast.hybrid_to_dict(model))
-    assert out_file.read_text() == json.dumps(forecast.hybrid_to_dict(model), indent=2) + "\n"
+    _write_compact_json(out_file, forecast.hybrid_to_dict(model))
+    assert out_file.read_text() == json.dumps(forecast.hybrid_to_dict(model),
+                                              separators=(",", ":")) + "\n"
     loaded = forecast.hybrid_from_dict(json.loads(out_file.read_text()))
     assert forecast.hybrid_to_dict(loaded) == forecast.hybrid_to_dict(model)
     future = train_records[49:]
@@ -668,38 +669,49 @@ def test_model_json_reads_back_equal(out_file, train_records, n_rounds, max_dept
                           forecast.predict_daily(model, future))
 
 
-json_keys = st.sampled_from(["é", "\u2028", 'a"b', "\x00", "\U0001f600"]) | st.text()
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | finite | st.text() | st.sampled_from([[], {}, ()]),
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(json_keys, inner, max_size=4)),
-    max_leaves=20)
+@pytest.fixture(scope="module")
+def version_data():
+    """A short dataset for drawn fits, and the golden fixture's 455 days (seed 31)."""
+    return {"short": generate(GenConfig(n_days=160, seed=9)),
+            "golden": generate(GenConfig(n_days=455, seed=31))}
 
 
-def as_read(value):
-    """``value`` as json reads it back: each tuple a list."""
-    if isinstance(value, (list, tuple)):
-        return [as_read(item) for item in value]
-    if isinstance(value, dict):
-        return {key: as_read(item) for key, item in value.items()}
-    return value
+@given(st.sampled_from(["drift", "flat"]), st.integers(2, 12), st.integers(30, 110),
+       st.integers(1, 50), st.integers(0, 6), st.sampled_from([1.0, 0.7]),
+       st.sampled_from([1.0, 0.6]), st.integers(0, 2**16))
+# the golden fixture's train command: 365 days, 40 rounds, seed 4, its 90-day holdout
+@example("drift", 7, 365, 90, 40, 1.0, 1.0, 4).via("the golden fixture")
+def test_v1_and_v2_model_json_forecast_the_same_bytes(version_data, trend_mode, period,
+                                                      train_days, horizon, n_rounds, rows,
+                                                      cols, seed):
+    data = version_data["golden" if train_days == 365 else "short"]
+    config = gbrt.GbrtConfig(n_rounds=n_rounds, seed=seed, subsample_rows=rows,
+                             subsample_cols=cols)
+    model = forecast.fit_hybrid(data[:train_days], StlConfig(), config, period=period,
+                                trend_mode=trend_mode)
+    v2 = json.loads(json.dumps(forecast.hybrid_to_dict(model)))
+    v1 = json.loads(json.dumps(v1_document(v2, data)))  # the same fit, as version 1 wrote it
+    assert v1["decomposition"] == {name: getattr(model.decomposition, name).tolist()
+                                   for name in ("trend", "seasonal", "residual")}
+    future = data[train_days:train_days + horizon]
+    expected = forecast.predict_daily(model, future).tobytes()
+    for doc in (v1, v2):
+        loaded = forecast.hybrid_from_dict(doc)
+        assert forecast.predict_daily(loaded, future).tobytes() == expected
+        assert forecast.hybrid_to_dict(loaded) == v2
 
 
-@given(st.dictionaries(json_keys, json_values, max_size=6), st.booleans())
-def test_policy_and_manifest_json_read_back_equal(out_file, doc, sort_keys):
-    _write_json(out_file, doc, sort_keys)
-    assert out_file.read_text() == json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
-    assert json.loads(out_file.read_text()) == as_read(doc)
-
-
-@pytest.mark.parametrize("doc", [
-    {"a": math.nan}, {"a": [1.0, math.inf]}, [-math.inf], {"b": {1: 2}}, {"a": (1, 2.5)},
-    {"a": [np.float64(0.1), 2]}, {"a": np.float64(-0.0)}, {"a": {"b": [True, None, (3,)]}}])
-def test_json_bytes_where_json_writes_the_document_itself(out_file, doc):
-    # non-finite floats, a non-str key, tuples and a float subclass: json.dump's bytes
-    for sort_keys in (False, True):
-        _write_json(out_file, doc, sort_keys)
-        assert out_file.read_text() == json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+def test_policy_and_manifests_are_indented_json(inputs, tmp_path):
+    # json.dump(indent=2) bytes, a manifest's keys sorted, and a line end
+    assert run([*command_line("optimize", inputs), "--out-dir", tmp_path]) == 0
+    for path, sort_keys in ((tmp_path / "policy.json", False),
+                            (tmp_path / "manifest.json", True),
+                            (inputs["--model"].with_name("manifest.json"), True)):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=sort_keys) + "\n"
+    assert list(json.loads((tmp_path / "policy.json").read_text())) == [
+        "format", "version", "inventory_target", "reorder_daily", "reorder_semiweekly",
+        "start_weekday"]
 
 
 # the bytes: every CSV writer on fixed values, compared with the literal text
