@@ -210,7 +210,7 @@ def _say(text: str) -> None:
 
 
 def _report(data: forecast.Dataset, predicted) -> forecast.ForecastReport:
-    return forecast.ForecastReport(dates=data.dates(), actual=data.demand, predicted=predicted)
+    return forecast.ForecastReport(data.start, data.demand, predicted)
 
 
 def cmd_generate(args, run: _Run) -> None:
@@ -303,28 +303,22 @@ def cmd_simulate(args, run: _Run) -> None:
 
 
 def _read_report(path) -> tuple[list[float], list[int], int]:
-    """Forecasts, realized demands and first weekday of a forecast report, whose
-    dates must run on a day a row, as the weekday of each order depends on it.
+    """Forecasts, realized demands and first weekday of a forecast report, which runs
+    one row a day, so each order's weekday follows from the first.
 
     Demands are rounded half-up as the policy rounds.  The reader has already
     rejected non-finite cells.
     """
     report = forecast.read_forecast_csv(path)
-    if not report.dates:
+    if not report.actual.size:
         raise ParameterError(f"{path}: report has no rows")
-    days = np.fromiter(map(dt.date.toordinal, report.dates), dtype=np.int64)
-    gaps = np.flatnonzero(np.diff(days) != 1)
-    if gaps.size:
-        i = int(gaps[0]) + 1
-        raise SchemaError(f"{path}: row {i + 2}, column date: {report.dates[i]} does not "
-                          f"follow {report.dates[i - 1]}; dates must be contiguous")
     for row_number, value in enumerate(report.actual, start=2):
         if value < 0:
             raise ParameterError(
                 f"{path}: row {row_number}: actual demand must be non-negative, got {value}"
             )
     return (list(report.predicted), [policy.round_units(v) for v in report.actual],
-            report.dates[0].weekday())
+            report.start.weekday())
 
 
 def cmd_optimize(args, run: _Run) -> None:

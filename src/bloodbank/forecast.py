@@ -9,8 +9,8 @@ the same features (``fit_stl_linear``) or none (``fit_stl_only``).  They, CV and
 feature selection share one fit and one forecast; only the hybrid is serialized.
 CV scores each (fold, decomposition) group through one closure over its inputs,
 which forked workers inherit, so only group numbers and scores are pickled.
-A dataset or report file is parsed whole by ``table.read_days`` where it takes
-the file, and otherwise checked row by row, the one place that names a bad cell.
+A dataset or report file is read by ``table.read_days``, which alone knows its
+rows and cells; this module states only each file's header.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import gbrt
 from .errors import ParameterError, SchemaError, whole
 from .policy import _SEMIWEEKLY_BLOCKS
-from .table import BLOCK as _BLOCK, read_days, read_rows, write_days
+from .table import BLOCK as _BLOCK, read_days, write_days
 from .timeseries import (TREND_MODES, Decomposition, Projection, Series, StlConfig,
                          stl_decompose, stl_projection)
 
@@ -192,9 +192,19 @@ class HybridModel:
 
 @dataclass(frozen=True)
 class ForecastReport:
-    dates: list[dt.date]
+    """Actual and predicted demand, one row a day from ``start``.
+
+    A report with no rows holds no day: ``start`` is then the day a first row
+    would have, or None where a file with a header alone was read.
+    """
+
+    start: dt.date | None
     actual: np.ndarray
     predicted: np.ndarray
+
+    @property
+    def dates(self) -> list[dt.date]:
+        return [self.start + dt.timedelta(days=i) for i in range(len(self.actual))]
 
     @property
     def rmse(self) -> float:
@@ -301,7 +311,7 @@ def _predicted_residual(model: HybridModel, X: gbrt.FeatureMatrix | None):
 
 def _forecast(model: HybridModel, horizon: int, X: gbrt.FeatureMatrix | None) -> np.ndarray:
     """The ``horizon`` days after training: trend + seasonal extended, plus residual from ``X``."""
-    base = model.projection.extend(horizon, model.trend_mode)
+    base = model.projection.extend(horizon)
     return base + _predicted_residual(model, X)
 
 
@@ -557,26 +567,6 @@ def iterative_feature_selection(data: Dataset, stl_config: StlConfig,
     return best_set
 
 
-def _date_cell(path, row_number: int, column: str, text: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: row {row_number}, column {column}: {exc}") from exc
-
-
-def _number_cell(path, row_number: int, column: str, text: str) -> float:
-    """The finite number in one CSV cell; SchemaError naming the cell otherwise."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise SchemaError(
-            f"{path}: row {row_number}, column {column}: not a number: {text!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise SchemaError(f"{path}: row {row_number}, column {column}: not finite: {text!r}")
-    return value
-
-
 def _dataset_names(path, header: list[str] | None) -> list[str]:
     """The feature names of a dataset header; SchemaError unless it starts date,demand
     and names each feature once."""
@@ -589,39 +579,11 @@ def _dataset_names(path, header: list[str] | None) -> list[str]:
     return names
 
 
-def _checked_rows(path, rows, names: list[str]) -> tuple[dt.date, np.ndarray]:
-    """The first day and (rows, 1 + k) demands and features of dataset rows, checked
-    one at a time: SchemaError naming the first bad cell in file order."""
-    start = prev = None
-    values = []
-    for row_number, row in rows:
-        day = _date_cell(path, row_number, "date", row[0])
-        if prev is not None and day.toordinal() != prev.toordinal() + 1:
-            raise SchemaError(f"{path}: row {row_number}, column date: {day} does not "
-                              f"follow {prev}; dates must be contiguous")
-        values.append([_number_cell(path, row_number, "demand", row[1]), *(
-            _number_cell(path, row_number, name, cell) if cell else math.nan
-            for name, cell in zip(names, row[2:]))])
-        start, prev = start or day, day
+def read_dataset_csv(path) -> Dataset:
+    """Columns: date (every day, no gap), demand, then one per feature; empty = missing."""
+    names, start, values = read_days(path, _dataset_names, filled=1)
     if start is None:
         raise SchemaError(f"{path}: dataset has no rows")
-    return start, np.array(values)
-
-
-def read_dataset_csv(path) -> Dataset:
-    """Columns: date (every day, no gap), demand, then one per feature; empty = missing.
-
-    ``read_days`` parses the whole file at once; a file it does not take is
-    checked row by row, which raises the first failure in file order.
-    """
-    loaded = read_days(path, contiguous=True, filled=1)
-    if loaded is None:
-        rows = read_rows(path)
-        names = _dataset_names(path, next(rows))
-        start, values = _checked_rows(path, rows, names)
-    else:
-        header, start, values = loaded
-        names = _dataset_names(path, header)
     return Dataset(start, values[:, 0], values[:, 1:], names)
 
 
@@ -635,28 +597,21 @@ def write_dataset_csv(path, data: Dataset) -> None:
 _REPORT_HEADER = ["date", "actual", "predicted"]
 
 
+def _report_header(path, header: list[str] | None) -> None:
+    if header != _REPORT_HEADER:
+        raise SchemaError(f"{path}: unexpected forecast header: {header}")
+
+
 def write_forecast_csv(path, report: ForecastReport) -> None:
-    """Columns: date, actual, predicted; a row for each of the report's dates."""
-    write_days(path, _REPORT_HEADER, report.dates, [report.actual, report.predicted])
+    """Columns: date, actual, predicted; a row a day from the report's start."""
+    write_days(path, _REPORT_HEADER, report.start, [report.actual, report.predicted])
 
 
 def read_forecast_csv(path) -> ForecastReport:
-    """A report's rows, whatever their dates: parsed whole by ``read_days``, or
-    checked row by row where it does not take the file."""
-    loaded = read_days(path, contiguous=False, filled=2)
-    if loaded is not None and loaded[0] == _REPORT_HEADER:
-        _, dates, values = loaded
-        actual, predicted = np.ascontiguousarray(values.T)
-        return ForecastReport(dates=dates, actual=actual, predicted=predicted)
-    rows = read_rows(path)
-    if (header := next(rows)) != _REPORT_HEADER:
-        raise SchemaError(f"{path}: unexpected forecast header: {header}")
-    dates, actual, predicted = [], [], []
-    for row_number, row in rows:
-        dates.append(_date_cell(path, row_number, "date", row[0]))
-        actual.append(_number_cell(path, row_number, "actual", row[1]))
-        predicted.append(_number_cell(path, row_number, "predicted", row[2]))
-    return ForecastReport(dates=dates, actual=np.asarray(actual), predicted=np.asarray(predicted))
+    """A report as ``write_forecast_csv`` writes it: one row a day, no empty cell."""
+    _, start, values = read_days(path, _report_header, filled=2)
+    actual, predicted = np.ascontiguousarray(values.T)
+    return ForecastReport(start, actual, predicted)
 
 
 _COMPONENTS = ("trend", "seasonal", "residual")
@@ -704,6 +659,8 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
         stl_config = StlConfig(**gbrt._every_field(StlConfig, stl, "stl_config"))
         train_start = dt.date.fromisoformat(doc["train_start"])
         train_end = dt.date.fromisoformat(doc["train_end"])
+        if train_end < train_start:
+            raise SchemaError(f"training window {train_start}..{train_end} ends before it starts")
         days = (train_end - train_start).days + 1
         if version == 1:
             components = doc["decomposition"]
@@ -718,6 +675,8 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
         feature_names = doc["feature_names"]
     except KeyError as exc:
         raise SchemaError(f"hybrid model document is missing key {exc.args[0]!r}") from exc
+    except SchemaError:
+        raise  # already names the field
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed hybrid model document: {exc}") from exc
     if version == 1 and len(dec) != days:

@@ -8,14 +8,15 @@ is an ISO date, a float ``repr`` (digits, sign, ``.``, ``e``, ``inf`` or
 ``nan``) or the missing marker, and none of these ever holds a character that
 needs quoting, so the bytes are those ``csv`` would write.
 
-``read_days`` reads such a daily table back whole: one ``np.loadtxt`` call
-parses every number.  It takes only what the row-by-row readers built on
-``read_rows`` would take as is, and returns None for anything else, so those
-readers stay the one place that names a bad cell.
+``read_days`` is the one reader of a daily table, which runs one row a day:
+``_whole`` parses a file it takes as is with a single ``np.loadtxt`` call, and
+any other file is checked row by row, which names the first bad cell in file
+order.
 """
 
 import csv
 import datetime as dt
+import math
 
 import numpy as np
 
@@ -25,7 +26,7 @@ __all__ = ["number", "iso_days", "write_days", "write_table", "read_rows", "read
 
 BLOCK = 1024  # rows of a daily table formatted at a time: bounds the strings held
 _EPOCH = dt.date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
-_NUMBER_ROWS = b"0123456789.eE+-,\r\n"  # every byte of rows read_days parses
+_NUMBER_ROWS = b"0123456789.eE+-,\r\n"  # every byte of rows _whole parses
 
 
 def number(value) -> str:
@@ -38,26 +39,19 @@ def iso_days(days: np.ndarray) -> str:
     return b",".join(days.astype("datetime64[D]").astype("S10").tolist()).decode()
 
 
-def write_days(path, header: list[str], days, columns, missing: str = "nan",
+def write_days(path, header: list[str], start: dt.date, columns, missing: str = "nan",
                block: int = BLOCK) -> None:
-    """One row a day: its date, then each column's value as ``number`` writes it
-    (``missing``, which needs no quoting, for NaN), formatted a column and ``block``
-    rows at a time.
-
-    ``days`` is the first day of consecutive rows, or each row's date.  There are
-    as many rows as the shortest of the dates and the columns.
+    """One row a day from ``start``: its date, then each column's value as ``number``
+    writes it (``missing``, which needs no quoting, for NaN), formatted a column and
+    ``block`` rows at a time.  There are as many rows as the shortest column has values.
     """
     columns = [np.asarray(column, dtype=float) for column in columns]
-    if isinstance(days, dt.date):
-        first = days.toordinal() - _EPOCH
-        days = np.arange(first, first + len(columns[0]))
-    else:
-        days = np.fromiter(map(dt.date.toordinal, days), dtype=np.int64) - _EPOCH
-    rows = min([len(days), *map(len, columns)])
+    first = start.toordinal() - _EPOCH
+    days = np.arange(first, first + min(map(len, columns)))
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        for lo in range(0, rows, block):
-            hi = min(lo + block, rows)
+        for lo in range(0, len(days), block):
+            hi = min(lo + block, len(days))
             cells = zip(iso_days(days[lo:hi]).split(","), *(
                 [missing if cell == "nan" else cell for cell in map(repr, column[lo:hi].tolist())]
                 for column in columns))
@@ -85,19 +79,17 @@ def read_rows(path):
             yield row_number, cells
 
 
-def read_days(path, contiguous: bool, filled: int):
-    """``(header, dates, values)`` of a daily table whose cells need no quoting, or None.
+def _whole(path, filled: int):
+    """``(header, first day, values)`` of a daily table whose cells need no quoting,
+    parsed whole, or None.
 
     Each row ends with ``\\r\\n`` or ``\\n``, has the header's cell count and starts
-    with a date ``date.fromisoformat`` reads.  With ``contiguous`` each date must be
-    the ISO string of the day after the one above, and ``dates`` is the first day;
-    otherwise ``dates`` lists every row's date.  ``values`` holds the other
+    with the ISO string of the day after the one above.  ``values`` holds the other
     (rows, columns - 1) cells, parsed by one ``np.loadtxt`` call.  Their bytes are
     digits, signs, ``.`` and exponents only, so ``nan``, ``inf``, ``1_0`` or a
     non-ASCII digit is never read, and an overflow to infinity is refused.  An empty
     cell reads as NaN, except in the first ``filled`` columns.  Anything else, a
-    blank row or no row at all among it, returns None: a row-by-row reader then
-    names what is wrong, or reads what it takes.
+    blank row or no row at all among it, returns None.
     """
     try:
         with open(path, newline="") as handle:
@@ -122,18 +114,65 @@ def read_days(path, contiguous: bool, filled: int):
         return None
     date_cells = [row.partition(",")[0] for row in rows]  # a blank row's is empty
     try:
-        if contiguous:
-            dates = dt.date.fromisoformat(date_cells[0])
-            first = dates.toordinal()
-            last = min(first + len(rows), dt.date.max.toordinal() + 1)
-            if ",".join(date_cells) != iso_days(np.arange(first, last) - _EPOCH):
-                return None
-        else:
-            dates = list(map(dt.date.fromisoformat, date_cells))
+        start = dt.date.fromisoformat(date_cells[0])
+        first = start.toordinal()
+        last = min(first + len(rows), dt.date.max.toordinal() + 1)
+        if ",".join(date_cells) != iso_days(np.arange(first, last) - _EPOCH):
+            return None
         values = np.loadtxt(rows, delimiter=",", comments=None, usecols=range(1, len(header)),
                             ndmin=2)
     except ValueError:
         return None
     if np.isinf(values).any() or np.isnan(values[:, :filled]).any():
         return None
-    return header, dates, values
+    return header, start, values
+
+
+def _number(cell: str, text: str, filled: bool) -> float:
+    """The finite number ``text``, NaN if it is empty unless ``filled``; SchemaError
+    led by ``cell``, which names the file, row and column, otherwise."""
+    if not (text or filled):
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        raise SchemaError(f"{cell}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{cell}: not finite: {text!r}")
+    return value
+
+
+def read_days(path, heading, filled: int):
+    """``(heading(path, header), first day, values)`` of a daily table: a date, then
+    number cells, one row a day with no gap.
+
+    ``heading`` checks the header (None for an empty file) before any row, as it
+    is the first line, and returns what the caller keeps of it.  ``values`` holds
+    the (rows, columns - 1) number cells, each finite; an empty one reads as NaN,
+    except in the first ``filled`` columns.  A header with no rows gives None as
+    the first day.  ``_whole`` parses the file where it takes it; otherwise each
+    row is checked in turn, and ``SchemaError`` names the first bad cell in file
+    order: a date that is not the day after the one above among them.
+    """
+    whole = _whole(path, filled)
+    if whole is not None:
+        header, start, values = whole
+        return heading(path, header), start, values
+    rows = read_rows(path)
+    header = next(rows)
+    kept = heading(path, header)
+    start = prev = None
+    values = []
+    for row_number, row in rows:
+        at = f"{path}: row {row_number}, column"
+        try:
+            day = dt.date.fromisoformat(row[0])
+        except ValueError as exc:
+            raise SchemaError(f"{at} {header[0]}: {exc}") from exc
+        if prev is not None and (day - prev).days != 1:
+            raise SchemaError(f"{at} {header[0]}: {day} does not follow {prev}; "
+                              f"dates must be contiguous")
+        values.append([_number(f"{at} {name}", text, j < filled)
+                       for j, (name, text) in enumerate(zip(header[1:], row[1:]))])
+        start, prev = start or day, day
+    return kept, start, np.array(values, dtype=float).reshape(len(values), len(header) - 1)

@@ -424,14 +424,11 @@ class Projection:
     anchor: float
     seasonal: np.ndarray
 
-    def extend(self, horizon: int, trend_mode: str = "drift") -> np.ndarray:
-        """Trend + seasonal over the ``horizon`` days after the window; under ``flat``
-        the trend stays at ``level``."""
+    def extend(self, horizon: int) -> np.ndarray:
+        """Trend + seasonal over the ``horizon`` days after the window."""
         if horizon < 1:
             raise ParameterError(f"horizon must be >= 1, got {horizon}")
         seasonal = self.seasonal[np.arange(horizon) % self.seasonal.size]
-        if trend_mode == "flat":
-            return np.full(horizon, self.level) + seasonal
         future = np.arange(self.days, self.days + horizon, dtype=float)
         return self.level + self.slope * (future - self.anchor) + seasonal
 
@@ -439,7 +436,7 @@ class Projection:
 def stl_projection(dec: Decomposition, period: int, trend_mode: str = "drift") -> Projection:
     """The projection of ``dec``: its last cycle, and under ``drift`` the line fitted to
     the trend's last ``period`` values (their mean at their mean position), under
-    ``flat`` the trend's final value."""
+    ``flat`` the trend's final value with slope 0."""
     if trend_mode not in TREND_MODES:
         raise ParameterError(f"unknown trend_mode {trend_mode!r}")
     n = len(dec)
@@ -460,7 +457,7 @@ def stl_projection(dec: Decomposition, period: int, trend_mode: str = "drift") -
 def stl_extend(dec: Decomposition, horizon: int, period: int,
                trend_mode: str = "drift") -> np.ndarray:
     """Trend + seasonal over the ``horizon`` days after ``dec``: its projection, extended."""
-    return stl_projection(dec, period, trend_mode).extend(horizon, trend_mode)
+    return stl_projection(dec, period, trend_mode).extend(horizon)
 
 
 def write_decomposition_csv(path, series: Series, dec: Decomposition) -> None:

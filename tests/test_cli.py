@@ -11,6 +11,7 @@ from bloodbank.cli import main
 from bloodbank.errors import SchemaError
 from bloodbank.forecast import (
     ForecastReport,
+    hybrid_from_dict,
     read_dataset_csv,
     read_forecast_csv,
     write_forecast_csv,
@@ -304,9 +305,7 @@ def half_unit_report(tmp_path_factory):
     predicted = actual + rng.normal(0.0, 4.0, size=120)
     start = dt.date(2010, 1, 6)
     path = tmp_path_factory.mktemp("report") / "report.csv"
-    write_forecast_csv(path, ForecastReport(
-        dates=[start + dt.timedelta(days=i) for i in range(120)],
-        actual=actual, predicted=predicted))
+    write_forecast_csv(path, ForecastReport(start=start, actual=actual, predicted=predicted))
     return path
 
 
@@ -475,6 +474,9 @@ class TestMalformedInputs:
             {k: v[:-1] for k, v in doc["decomposition"].items()}), "has 349 days"),
         (lambda doc: doc["decomposition"]["trend"].pop(), "equally long"),
         (lambda doc: doc.update(train_start="2010-02-30"), "malformed"),
+        # a reversed training window is named first, not blamed on the period
+        (lambda doc: doc.update(train_start=doc["train_end"], train_end=doc["train_start"]),
+         "ends before it starts"),
         (lambda doc: doc["stl_config"].update(s_windw=7), "malformed"),
         # numbers and flags are taken as written, never coerced
         (lambda doc: doc.update(period=7.9), "period must be a whole number, got 7.9"),
@@ -551,6 +553,9 @@ class TestMalformedInputs:
         # flat ignores a slope, so a slope it would ignore is not taken
         (lambda doc: doc.update(trend_mode="flat"),
          "projection slope must be 0 under trend_mode 'flat'"),
+        # a reversed training window is named first, not blamed on the period
+        (lambda doc: doc.update(train_start=doc["train_end"], train_end=doc["train_start"]),
+         "ends before it starts"),
         (lambda doc: doc.update(version=3), "unsupported hybrid model version 3"),
         (lambda doc: doc.update(version=True), "unsupported hybrid model version True"),
         (lambda doc: doc.update(version=2.0), "unsupported hybrid model version 2.0"),
@@ -566,6 +571,20 @@ class TestMalformedInputs:
                     "--out-dir", tmp_path / "fc"])
         assert_clean_failure(capsys, code, path, message)
         assert not (tmp_path / "fc").exists()
+
+    def test_a_field_message_is_not_wrapped_again(self, trained, dataset, tmp_path, capsys):
+        # it once read "malformed hybrid model document: base_score must be ..."
+        doc = json.loads((trained / "model.json").read_text())
+        doc["residual_model"]["base_score"] = "x"
+        with pytest.raises(SchemaError) as failure:
+            hybrid_from_dict(doc)
+        assert str(failure.value) == "base_score must be a finite number, got 'x'"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code = run(["forecast", "--model", path, "--data", dataset, "--horizon", 5,
+                    "--out-dir", tmp_path / "fc"])
+        err = capsys.readouterr().err
+        assert code == 2 and err == f"error: {path}: base_score must be a finite number, got 'x'\n"
 
     def test_forecast_checks_horizon_before_reading_a_file(self, tmp_path, capsys):
         # it once read the model and the whole dataset first, and named a missing file

@@ -5,7 +5,7 @@ The round-trip property draws datasets with 0 to 5 features (two names that
 must be quoted), missing cells, ``-0.0``, ``1e-300`` and values near the largest
 float, and writes them in blocks of 1, 3 and the module's own size, so that a
 block boundary falls anywhere.  The loader property edits one written dataset
-or report and reads it with ``table.read_days`` and without it.
+or report and reads it with ``table.read_days``'s whole-file parse and without it.
 """
 
 import datetime as dt
@@ -114,14 +114,12 @@ LINE_EDITS = ["blank line", "\n line end", "\r line end", "\r\r\n line end", "ex
 
 @st.composite
 def reports(draw):
-    """A report as the writer takes it: dates that run on a day a row or any dates."""
+    """A report as the writer takes it: one row a day from any first day."""
     n = draw(st.integers(1, 12))
     first = draw(st.integers(1, dt.date.max.toordinal() - n + 1))
-    dates = draw(st.one_of(st.just([dt.date.fromordinal(first + i) for i in range(n)]),
-                           st.lists(st.dates(), min_size=n, max_size=n)))
     actual, predicted = (np.array(draw(st.lists(values, min_size=n, max_size=n)))
                          for _ in range(2))
-    return forecast.ForecastReport(dates, actual, predicted)
+    return forecast.ForecastReport(dt.date.fromordinal(first), actual, predicted)
 
 
 def edited(raw: bytes, edit, where: int, lf: bool) -> bytes:
@@ -166,8 +164,8 @@ def outcome(read, path):
 EXAMPLES = [*(Dataset(dt.date(2010, 1, 4), [12.0, -0.0, 3.5],
                       [[0.1, math.nan], [1e-300, 2.0], [math.nan, -5e-324]], ["a", name])
               for name in ("é", QUOTED)),
-            forecast.ForecastReport([dt.date(2010, 1, 4), dt.date(2010, 1, 5), dt.date(2009, 1, 1)],
-                                    np.array([7.0, -0.0, 1e300]), np.array([0.1, 5e-324, -2.5]))]
+            forecast.ForecastReport(dt.date(2010, 1, 4), np.array([7.0, -0.0, 1e300]),
+                                    np.array([0.1, 5e-324, -2.5]))]
 
 
 def with_each_edit(test):
@@ -181,19 +179,19 @@ def with_each_edit(test):
 @given(st.one_of(datasets(), reports()), st.sampled_from([None, *CELL_EDITS, *LINE_EDITS]),
        st.integers(0, 10**6), st.booleans())
 def test_loader_takes_only_what_the_row_reader_takes(out_file, drawn, edit, where, lf):
-    """Equal bytes, or the same error, with ``read_days`` and with the row-by-row reader
-    alone; and ``read_days`` takes each table ``write_days`` writes, with ``\\r\\n`` or
-    ``\\n`` line ends, unless its header is quoted."""
+    """Equal bytes, or the same error, with the whole-file parse and with the row-by-row
+    check alone; and the whole-file parse takes each table ``write_days`` writes, with
+    ``\\r\\n`` or ``\\n`` line ends, unless its header is quoted."""
     if isinstance(drawn, Dataset):
         write_dataset_csv(out_file, drawn)
-        read, contiguous, filled = read_dataset_csv, True, 1
+        read, filled = read_dataset_csv, 1
     else:
         forecast.write_forecast_csv(out_file, drawn)
-        read, contiguous, filled = forecast.read_forecast_csv, False, 2
+        read, filled = forecast.read_forecast_csv, 2
     out_file.write_bytes(edited(out_file.read_bytes(), edit, where, lf))
-    with mock.patch.object(forecast, "read_days", lambda *args, **kwargs: None):
+    with mock.patch.object(table, "_whole", lambda path, filled: None):
         expected = outcome(read, out_file)
     assert outcome(read, out_file) == expected
     if edit is None:
         quoted = b'"' in out_file.read_bytes().splitlines()[0]
-        assert (table.read_days(out_file, contiguous, filled) is None) == quoted
+        assert (table._whole(out_file, filled) is None) == quoted

@@ -700,7 +700,7 @@ class TestCsv:
 
     def test_forecast_report_round_trip(self, tmp_path):
         report = ForecastReport(
-            dates=[MONDAY, MONDAY + dt.timedelta(days=1)],
+            start=MONDAY,
             actual=np.array([90.0, 95.0]),
             predicted=np.array([88.5, 97.25]),
         )

@@ -154,6 +154,8 @@ BAD_FILES = [
     ("forecast", "--model", edit_json(lambda doc: doc.update(period=0)), "period must lie"),
     ("forecast", "--model", edit_json(lambda doc: doc.update(period=-7)), "period must lie"),
     ("forecast", "--model", edit_json(lambda doc: doc.update(period=61)), "period must lie"),
+    ("forecast", "--model", edit_json(lambda doc: doc.update(train_end="2007-01-01")),
+     "training window 2008-01-07..2007-01-01 ends before it starts"),
     *[("forecast", "--model", edit_json(lambda doc, key=key, value=value:
                                          doc["stl_config"].update({key: value})),
        f"stl_config {key} must be a whole number, got {value!r}")
@@ -573,7 +575,7 @@ def test_forecast_csv_reads_back_equal(out_file, rows, start):
     actual = np.array([a for a, _ in rows], dtype=float)
     predicted = np.array([p for _, p in rows], dtype=float)
     dates = [start + dt.timedelta(days=i) for i in range(len(rows))]
-    forecast.write_forecast_csv(out_file, forecast.ForecastReport(dates, actual, predicted))
+    forecast.write_forecast_csv(out_file, forecast.ForecastReport(start, actual, predicted))
     loaded = forecast.read_forecast_csv(out_file)
     assert loaded.dates == dates
     assert np.array_equal(loaded.actual, actual) and np.array_equal(loaded.predicted, predicted)
@@ -748,7 +750,7 @@ WRITES = {
         "2010-01-05,90.0,95.5,-5.0,-0.5\r\n"),
     "forecast": (
         lambda path: forecast.write_forecast_csv(path, forecast.ForecastReport(
-            [MONDAY], np.array([7.0]), np.array([6.999999999999999]))),
+            MONDAY, np.array([7.0]), np.array([6.999999999999999]))),
         "date,actual,predicted\r\n"
         "2010-01-04,7.0,6.999999999999999\r\n"),
     "trajectory": (

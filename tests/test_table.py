@@ -1,8 +1,11 @@
-"""``table.write_days`` joins its rows itself: its bytes are those of ``csv.writer``."""
+"""``table.write_days`` joins its rows itself: its bytes are those of ``csv.writer``.
+And ``table.read_days`` reads a report one row a day, naming its first fault
+whether it parses the file whole or row by row."""
 
 import csv
 import datetime as dt
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bloodbank import forecast, table
+from bloodbank.errors import SchemaError
 
 MONDAY = dt.date(2010, 1, 4)
 
@@ -53,34 +57,75 @@ def out(tmp_path_factory):
     return tmp_path_factory.mktemp("days")
 
 
-@given(daily_tables(), st.sampled_from(["nan", ""]), st.sampled_from([1, 3, table.BLOCK]),
-       st.booleans())
-def test_write_days_is_csv_writer_byte_for_byte(out, drawn, missing, block, listed):
-    """From a start day or from each row's date, in blocks of any size."""
+@given(daily_tables(), st.sampled_from(["nan", ""]), st.sampled_from([1, 3, table.BLOCK]))
+def test_write_days_is_csv_writer_byte_for_byte(out, drawn, missing, block):
+    """From a start day, in blocks of any size."""
     header, start, columns = drawn
     dates = [start + dt.timedelta(days=i) for i in range(len(columns[0]))]
-    table.write_days(out / "joined.csv", header, dates if listed else start, columns,
-                     missing=missing, block=block)
+    table.write_days(out / "joined.csv", header, start, columns, missing=missing, block=block)
     reference_days(out / "reference.csv", header, dates, columns, missing)
     assert (out / "joined.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
 
-def test_forecast_csv_keeps_the_report_dates(tmp_path):
-    # dates out of order, repeated and years apart are written as given
-    dates = [dt.date(2020, 3, 1), dt.date(2019, 1, 1), dt.date(2019, 1, 1), dt.date(1, 1, 1),
-             dt.date(9999, 12, 31)]
-    actual = np.array([1.0, math.nan, -0.0, 2.5, 1e300])
-    predicted = np.array([0.1, 2.0, math.inf, -3.0, 5e-324])
-    forecast.write_forecast_csv(tmp_path / "report.csv",
-                                forecast.ForecastReport(dates, actual, predicted))
-    reference_days(tmp_path / "reference.csv", ["date", "actual", "predicted"], dates,
-                   [actual, predicted], "nan")
-    assert (tmp_path / "report.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    assert (tmp_path / "report.csv").read_bytes().splitlines()[1:3] == [
-        b"2020-03-01,1.0,0.1", b"2019-01-01,nan,2.0"]
+def report_file(path, days, cells):
+    """A report of ``days`` (offsets from Monday), row ``i``'s actual and predicted
+    ``cells[i]`` where given."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["date", "actual", "predicted"])
+        for i, day in enumerate(days):
+            writer.writerow([(MONDAY + dt.timedelta(days=day)).isoformat(),
+                             *cells.get(i, ("1.0", "2.5"))])
+
+
+@pytest.fixture(params=["whole", "row by row"])
+def reader(request):
+    """``read_forecast_csv`` as it runs, or with the whole-file parse taking nothing."""
+    if request.param == "whole":
+        yield forecast.read_forecast_csv
+    else:
+        with mock.patch.object(table, "_whole", lambda path, filled: None):
+            yield forecast.read_forecast_csv
+
+
+GAP = "dates must be contiguous"
+
+
+@pytest.mark.parametrize("days, cells, message", [
+    # a day skipped, repeated or gone back
+    ([0, 1, 3, 4], {}, f"row 4, column date: 2010-01-07 does not follow 2010-01-05; {GAP}"),
+    ([0, 1, 1, 2], {}, f"row 4, column date: 2010-01-05 does not follow 2010-01-05; {GAP}"),
+    ([5, 4], {}, f"row 3, column date: 2010-01-08 does not follow 2010-01-09; {GAP}"),
+    # a gap above a bad cell, and bad cells above a gap
+    ([0, 1, 3, 4], {3: ("many", "2.5")},
+     f"row 4, column date: 2010-01-07 does not follow 2010-01-05; {GAP}"),
+    ([0, 1, 2, 4], {1: ("1.0", "inf")}, "row 3, column predicted: not finite: 'inf'"),
+    ([0, 1, 2, 4], {1: ("", "2.5")}, "row 3, column actual: not a number: ''"),
+])
+def test_report_names_its_first_fault_in_file_order(tmp_path, reader, days, cells, message):
+    path = tmp_path / "report.csv"
+    report_file(path, days, cells)
+    with pytest.raises(SchemaError) as failure:
+        reader(path)
+    assert str(failure.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text", [
+    "date,actual\r\n2010-01-04,1.0,2.5\r\n",  # a header that lost a cell
+    "date,demand,prev_week_demand\r\n2010-01-04,1.0,\r\n",  # a dataset given as a report
+    "",
+])
+def test_report_header_is_checked_before_its_rows(tmp_path, reader, text):
+    path = tmp_path / "report.csv"
+    path.write_text(text, newline="")
+    with pytest.raises(SchemaError, match=f"^{path}: unexpected forecast header"):
+        reader(path)
 
 
 def test_empty_forecast_report_writes_only_the_header(tmp_path):
     forecast.write_forecast_csv(tmp_path / "report.csv",
-                                forecast.ForecastReport([], np.empty(0), np.empty(0)))
+                                forecast.ForecastReport(MONDAY, np.empty(0), np.empty(0)))
     assert (tmp_path / "report.csv").read_bytes() == b"date,actual,predicted\r\n"
+    report = forecast.read_forecast_csv(tmp_path / "report.csv")
+    assert report.start is None and report.dates == []
+    assert report.actual.shape == report.predicted.shape == (0,)
