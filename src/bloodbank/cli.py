@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datagen, forecast, gbrt, inventory, policy, timeseries
-from .errors import ParameterError, SchemaError
+from .errors import ParameterError, SchemaError, whole
 
 OUTPUT_ROOT_ENV = "BLOODBANK_RUNS"
 # the flags that name input files, and the parsed values that are not config
@@ -358,21 +358,22 @@ def cmd_compare(args, run: _Run) -> None:
 
     if args.policy:
         doc = _load_json(args.policy)
-        if not isinstance(doc, dict) or doc.get("format") != "bloodbank.policy":
-            raise SchemaError(f"{args.policy}: not a policy document")
-        levels = []
-        for key in ("inventory_target", "reorder_daily", "reorder_semiweekly"):
-            if key not in doc:
-                raise SchemaError(f"{args.policy}: policy document is missing key {key!r}")
-            if type(doc[key]) is not int:
-                raise SchemaError(f"{args.policy}: {key} must be a whole number, "
-                                  f"got {doc[key]!r}")
-            if doc[key] < 0:
-                raise SchemaError(f"{args.policy}: {key} must be non-negative, got {doc[key]}")
-            if levels and doc[key] > levels[0]:
-                raise SchemaError(f"{args.policy}: {key} {doc[key]} exceeds "
-                                  f"inventory_target {levels[0]}")
-            levels.append(doc[key])
+        with _blaming(args.policy):
+            if not isinstance(doc, dict) or doc.get("format") != "bloodbank.policy":
+                raise SchemaError("not a policy document")
+            version = doc.get("version")
+            if type(version) is not int or version != 1:
+                raise SchemaError(f"unsupported policy version {version!r}")
+            levels = []
+            for key in ("inventory_target", "reorder_daily", "reorder_semiweekly"):
+                if key not in doc:
+                    raise SchemaError(f"policy document is missing key {key!r}")
+                level = whole(key, doc[key])
+                if level < 0:
+                    raise SchemaError(f"{key} must be non-negative, got {level}")
+                if levels and level > levels[0]:
+                    raise SchemaError(f"{key} {level} exceeds inventory_target {levels[0]}")
+                levels.append(level)
         target, reorder_daily, reorder_semiweekly = levels
     else:
         if args.target is None or args.reorder_daily is None or args.reorder_semiweekly is None:

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the argument rules that raise them."""
+"""Exception types, and the value rules of arguments and JSON fields that raise them."""
 
 import math
 import numbers
+from dataclasses import fields
 
 
 class ParameterError(ValueError):
@@ -14,6 +15,8 @@ class SchemaError(ValueError):
 
 def whole(name: str, value) -> int:
     """``value`` as an int; a bool, text or number that is not a whole number fails."""
+    if type(value) is int:  # the common case, before the slower ABC checks
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be a whole number, got {value!r}")
     return int(value)
@@ -23,8 +26,8 @@ def _finite_real(value) -> bool:
     """A real number, not a bool, that converts to a finite float: NaN, an infinity and an
     int past the float range do not."""
     try:
-        return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-                and math.isfinite(value))
+        return ((type(value) in (int, float) or not isinstance(value, bool)
+                 and isinstance(value, numbers.Real)) and math.isfinite(value))
     except OverflowError:  # the conversion of such an int
         return False
 
@@ -42,3 +45,11 @@ def nonnegative_finite(config, names) -> None:
         value = getattr(config, name)
         if not (_finite_real(value) and value >= 0.0):
             raise ParameterError(f"{name} must be non-negative and finite, got {value!r}")
+
+
+def every_field(kind, values, label: str):
+    """``values``; SchemaError naming the first field of the dataclass ``kind`` it lacks."""
+    for f in fields(kind) if isinstance(values, dict) else ():
+        if f.name not in values:
+            raise SchemaError(f"{label} is missing key {f.name!r}")
+    return values

@@ -25,9 +25,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import gbrt
-from .errors import ParameterError, SchemaError, whole
+from .errors import ParameterError, SchemaError, every_field, finite_real, whole
 from .policy import _SEMIWEEKLY_BLOCKS
-from .table import BLOCK as _BLOCK, read_days, write_days
+from .table import read_days, write_days
 from .timeseries import (TREND_MODES, Decomposition, Projection, Series, StlConfig,
                          stl_decompose, stl_projection)
 
@@ -591,7 +591,7 @@ def write_dataset_csv(path, data: Dataset) -> None:
     """``data``, or its ``DailyRecord`` rows, as ``read_dataset_csv`` reads it back."""
     data = data if isinstance(data, Dataset) else Dataset.from_records(data)
     write_days(path, ["date", "demand", *data.feature_names], data.start,
-               [data.demand, *data.features.T], missing="", block=_BLOCK)
+               [data.demand, *data.features.T], missing="")
 
 
 _REPORT_HEADER = ["date", "actual", "predicted"]
@@ -639,7 +639,7 @@ def hybrid_to_dict(model: HybridModel) -> dict:
 
 def _finite_values(values: list, label: str) -> np.ndarray:
     """``values`` as floats, each an int or a finite float (not a bool)."""
-    return np.array([gbrt._finite(value, label) for value in values])
+    return np.array([float(finite_real(label, value)) for value in values])
 
 
 def hybrid_from_dict(doc: dict) -> HybridModel:
@@ -654,9 +654,9 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
         period, trend_mode = whole("period", doc["period"]), doc.get("trend_mode", "drift")
         stl = doc["stl_config"]
         for key, value in stl.items() if isinstance(stl, dict) else ():
-            if type(value) is not int and not (key == "t_window" and value is None):
-                raise SchemaError(f"stl_config {key} must be a whole number, got {value!r}")
-        stl_config = StlConfig(**gbrt._every_field(StlConfig, stl, "stl_config"))
+            if not (key == "t_window" and value is None):
+                whole(f"stl_config {key}", value)
+        stl_config = StlConfig(**every_field(StlConfig, stl, "stl_config"))
         train_start = dt.date.fromisoformat(doc["train_start"])
         train_end = dt.date.fromisoformat(doc["train_end"])
         if train_end < train_start:
@@ -668,15 +668,15 @@ def hybrid_from_dict(doc: dict) -> HybridModel:
                                   for name in _COMPONENTS))
         else:
             block = doc["projection"]
-            projection = Projection(days, *(gbrt._finite(block[key], f"projection {key}")
+            projection = Projection(days, *(float(finite_real(f"projection {key}", block[key]))
                                             for key in ("level", "slope", "anchor")),
                                     _finite_values(block["seasonal"], "projection seasonal value"))
         residual_model = gbrt.ensemble_from_dict(doc["residual_model"])
         feature_names = doc["feature_names"]
     except KeyError as exc:
         raise SchemaError(f"hybrid model document is missing key {exc.args[0]!r}") from exc
-    except SchemaError:
-        raise  # already names the field
+    except (ParameterError, SchemaError) as exc:  # a field's rule, which names the field
+        raise SchemaError(str(exc)) from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed hybrid model document: {exc}") from exc
     if version == 1 and len(dec) != days:

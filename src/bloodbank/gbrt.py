@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError, finite_real, nonnegative_finite, whole
+from .errors import (ParameterError, SchemaError, every_field, finite_real, nonnegative_finite,
+                     whole)
 
 __all__ = [
     "FeatureMatrix",
@@ -478,45 +479,20 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _exact(value, kind: type, name: str):
-    """A JSON value of exactly ``kind`` (bool is not an int); SchemaError otherwise."""
-    if type(value) is not kind:
-        expected = "true or false" if kind is bool else "a whole number"
-        raise SchemaError(f"split {name} must be {expected}, got {value!r}")
-    return value
-
-
-def _finite(value, name: str) -> float:
-    """A finite JSON number (bool is not one, nor an int past the float range) as a
-    float; SchemaError otherwise."""
-    try:
-        if type(value) in (int, float) and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # the conversion of such an int
-        pass
-    raise SchemaError(f"{name} must be a finite number, got {value!r}")
-
-
-def _every_field(kind, values, label: str):
-    """``values``; SchemaError naming the first field of the dataclass ``kind`` it lacks."""
-    for f in fields(kind) if isinstance(values, dict) else ():
-        if f.name not in values:
-            raise SchemaError(f"{label} is missing key {f.name!r}")
-    return values
-
-
 def _node_from_dict(data: dict, n_features: int) -> TreeNode:
     if "weight" in data:
-        return TreeNode(weight=_finite(data["weight"], "leaf weight"))
-    feature = _exact(data["feature"], int, "feature")
+        return TreeNode(weight=float(finite_real("leaf weight", data["weight"])))
+    feature, default_left = whole("split feature", data["feature"]), data["default_left"]
     if not 0 <= feature < n_features:
         raise SchemaError(f"split feature {feature} is not a column of {n_features} features")
+    if type(default_left) is not bool:
+        raise SchemaError(f"split default_left must be true or false, got {default_left!r}")
     return TreeNode(
         feature=feature,
-        threshold=_finite(data["threshold"], "split threshold"),
-        default_left=_exact(data["default_left"], bool, "default_left"),
-        gain=_finite(data.get("gain", 0.0), "split gain"),
-        cover=_exact(data.get("cover", 0), int, "cover"),
+        threshold=float(finite_real("split threshold", data["threshold"])),
+        default_left=default_left,
+        gain=float(finite_real("split gain", data["gain"])),
+        cover=whole("split cover", data["cover"]),
         left=_node_from_dict(data["left"], n_features),
         right=_node_from_dict(data["right"], n_features),
     )
@@ -542,16 +518,18 @@ def ensemble_from_dict(doc: dict) -> Ensemble:
         raise SchemaError(f"not an ensemble document: format={found!r}")
     if doc.get("version") != MODEL_VERSION:
         raise SchemaError(f"unsupported ensemble version {doc.get('version')!r}")
-    config = (GbrtConfig(**_every_field(GbrtConfig, doc["config"], "ensemble config"))
-              if "config" in doc else None)
-    names = doc["feature_names"]
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise SchemaError(f"feature_names must be a list of names, got {names!r}")
-    return Ensemble(
-        trees=[_node_from_dict(tree, len(names)) for tree in doc["trees"]],
-        learning_rate=_finite(doc["learning_rate"], "learning_rate"),
-        base_score=_finite(doc["base_score"], "base_score"),
-        feature_names=list(names),
-        config=config,
-    )
-
+    try:  # a field that breaks its value rule fails as SchemaError, with the rule's text
+        config = (GbrtConfig(**every_field(GbrtConfig, doc["config"], "ensemble config"))
+                  if "config" in doc else None)
+        names = doc["feature_names"]
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise SchemaError(f"feature_names must be a list of names, got {names!r}")
+        return Ensemble(
+            trees=[_node_from_dict(tree, len(names)) for tree in doc["trees"]],
+            learning_rate=float(finite_real("learning_rate", doc["learning_rate"])),
+            base_score=float(finite_real("base_score", doc["base_score"])),
+            feature_names=list(names),
+            config=config,
+        )
+    except ParameterError as exc:
+        raise SchemaError(str(exc)) from exc

@@ -353,11 +353,14 @@ def read_stream_csv(path) -> list[int]:
     if (header := next(rows)) != ["period", "units"]:
         raise SchemaError(f"{path}: stream header must be period,units: {header}")
     values = []
-    for row_number, row in rows:
+    for row_number, (period, units) in rows:
+        if period != str(row_number - 1):  # as write_trajectory_csv numbers its rows
+            raise SchemaError(f"{path}: row {row_number}, column period: expected "
+                              f"{row_number - 1}, got {period!r}")
         try:
-            values.append(_check_units("units", int(row[1])))
+            values.append(_check_units("units", int(units)))
         except (ValueError, ParameterError):
             raise SchemaError(f"{path}: row {row_number}: units must be a non-negative "
-                              f"integer, got {row[1]!r}") from None
+                              f"integer, got {units!r}") from None
     return values
 

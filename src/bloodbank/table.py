@@ -39,19 +39,18 @@ def iso_days(days: np.ndarray) -> str:
     return b",".join(days.astype("datetime64[D]").astype("S10").tolist()).decode()
 
 
-def write_days(path, header: list[str], start: dt.date, columns, missing: str = "nan",
-               block: int = BLOCK) -> None:
+def write_days(path, header: list[str], start: dt.date, columns, missing: str = "nan") -> None:
     """One row a day from ``start``: its date, then each column's value as ``number``
     writes it (``missing``, which needs no quoting, for NaN), formatted a column and
-    ``block`` rows at a time.  There are as many rows as the shortest column has values.
+    ``BLOCK`` rows at a time.  There are as many rows as the shortest column has values.
     """
     columns = [np.asarray(column, dtype=float) for column in columns]
     first = start.toordinal() - _EPOCH
     days = np.arange(first, first + min(map(len, columns)))
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        for lo in range(0, len(days), block):
-            hi = min(lo + block, len(days))
+        for lo in range(0, len(days), BLOCK):
+            hi = min(lo + BLOCK, len(days))
             cells = zip(iso_days(days[lo:hi]).split(","), *(
                 [missing if cell == "nan" else cell for cell in map(repr, column[lo:hi].tolist())]
                 for column in columns))

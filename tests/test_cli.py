@@ -16,6 +16,7 @@ from bloodbank.forecast import (
     read_forecast_csv,
     write_forecast_csv,
 )
+from bloodbank.gbrt import ensemble_from_dict
 from bloodbank.inventory import CostParams, read_stream_csv, step, young_stock
 from bloodbank.policy import evaluate_strategy
 from conftest import read_csv, v1_document, write_stream
@@ -478,8 +479,12 @@ class TestMalformedInputs:
         (lambda doc: doc.update(train_start=doc["train_end"], train_end=doc["train_start"]),
          "ends before it starts"),
         (lambda doc: doc["stl_config"].update(s_windw=7), "malformed"),
-        # numbers and flags are taken as written, never coerced
-        (lambda doc: doc.update(period=7.9), "period must be a whole number, got 7.9"),
+        # numbers and flags are taken as written, never coerced, and a field's rule
+        # names it without a "malformed hybrid model document: " prefix
+        (lambda doc: doc.update(period=7.9),
+         "model.json: period must be a whole number, got 7.9"),
+        (lambda doc: doc["residual_model"]["config"].update(n_rounds=1.5),
+         "model.json: n_rounds must be a whole number, got 1.5"),
         (lambda doc: doc.update(period=True), "period must be a whole number, got True"),
         (lambda doc: doc["residual_model"]["trees"][0].update(feature=2.7),
          "split feature must be a whole number, got 2.7"),
@@ -579,6 +584,9 @@ class TestMalformedInputs:
         with pytest.raises(SchemaError) as failure:
             hybrid_from_dict(doc)
         assert str(failure.value) == "base_score must be a finite number, got 'x'"
+        with pytest.raises(SchemaError) as failure:
+            ensemble_from_dict(doc["residual_model"])
+        assert str(failure.value) == "base_score must be a finite number, got 'x'"
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         code = run(["forecast", "--model", path, "--data", dataset, "--horizon", 5,
@@ -619,12 +627,14 @@ class TestMalformedInputs:
         assert not (tmp_path / "fc").exists()
 
     @pytest.mark.parametrize("doc, message", [
-        ({"format": "bloodbank.policy", "inventory_target": 300, "reorder_daily": 100},
-         "missing key 'reorder_semiweekly'"),
-        ({"format": "bloodbank.policy", "inventory_target": "lots", "reorder_daily": 100,
-          "reorder_semiweekly": 150}, "inventory_target must be a whole number"),
-        ({"format": "bloodbank.policy", "inventory_target": 300, "reorder_daily": 100.7,
-          "reorder_semiweekly": 150}, "reorder_daily must be a whole number, got 100.7"),
+        ({"format": "bloodbank.policy", "version": 1, "inventory_target": 300,
+          "reorder_daily": 100}, "missing key 'reorder_semiweekly'"),
+        ({"format": "bloodbank.policy", "version": 1, "inventory_target": "lots",
+          "reorder_daily": 100, "reorder_semiweekly": 150},
+         "inventory_target must be a whole number"),
+        ({"format": "bloodbank.policy", "version": 1, "inventory_target": 300,
+          "reorder_daily": 100.7, "reorder_semiweekly": 150},
+         "reorder_daily must be a whole number, got 100.7"),
         ([1, 2], "not a policy document"),
     ])
     def test_compare_rejects_damaged_policy(self, half_unit_report, tmp_path, capsys,

@@ -56,9 +56,9 @@ def out_file(tmp_path_factory):
     return tmp_path_factory.mktemp("dataset") / "dataset.csv"
 
 
-@given(datasets(), st.sampled_from([1, 3, forecast._BLOCK]))
+@given(datasets(), st.sampled_from([1, 3, table.BLOCK]))
 def test_csv_reads_back_equal_and_writes_the_same_bytes(out_file, data, block):
-    with mock.patch.object(forecast, "_BLOCK", block):
+    with mock.patch.object(table, "BLOCK", block):
         write_dataset_csv(out_file, data)
         written = out_file.read_bytes()
         loaded = read_dataset_csv(out_file)

@@ -132,6 +132,9 @@ BAD_FILES = [
     ("forecast", "--data", cell(140, "date", "2008-02-30"), "row 140, column date"),
     ("simulate", "--demands", cell(4, "units", "2.5"), "row 4"),
     ("simulate", "--orders", cell(3, "units", "-1"), "row 3"),
+    # a stream numbers its periods 1, 2, ... as simulate's trajectory does
+    ("simulate", "--demands", cell(5, "period", "x"), "row 5, column period: expected 4, got 'x'"),
+    ("simulate", "--orders", cell(3, "period", ""), "row 3, column period: expected 2, got ''"),
     ("optimize", "--report", cell(7, "predicted", "nan"), "row 7, column predicted"),
     ("compare", "--report", cell(7, "actual", "many"), "row 7, column actual"),
     # a row longer than the header
@@ -168,12 +171,18 @@ BAD_FILES = [
         feature_names="abc")), "feature_names must be a list"),
     ("forecast", "--model", edit_json(lambda doc: doc["residual_model"]["config"].update(
         reg_lambda=math.nan)), "reg_lambda"),
+    # a split without its gain or cover once weighed 0 in variable_importance
+    *[("forecast", "--model", edit_json(lambda doc, key=key: doc["residual_model"]["trees"][0]
+                                         .pop(key)),
+       f"hybrid model document is missing key {key!r}") for key in ("gain", "cover")],
     # leaf-only trees over no feature once failed on the first prediction
     # without naming the model file
     ("forecast", "--model", edit_json(no_features),
      "feature_names must name at least one feature"),
     # policy documents
     ("compare", "--policy", text("{"), "not valid JSON"),
+    ("compare", "--policy", edit_json(lambda doc: doc.update(version=99, start_weekday="x")),
+     "unsupported policy version 99"),
     ("compare", "--policy", edit_json(lambda doc: doc.update(reorder_daily=-5)),
      "reorder_daily must be non-negative"),
     ("compare", "--policy", edit_json(lambda doc: doc.update(inventory_target=-1)),

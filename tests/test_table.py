@@ -62,7 +62,8 @@ def test_write_days_is_csv_writer_byte_for_byte(out, drawn, missing, block):
     """From a start day, in blocks of any size."""
     header, start, columns = drawn
     dates = [start + dt.timedelta(days=i) for i in range(len(columns[0]))]
-    table.write_days(out / "joined.csv", header, start, columns, missing=missing, block=block)
+    with mock.patch.object(table, "BLOCK", block):
+        table.write_days(out / "joined.csv", header, start, columns, missing=missing)
     reference_days(out / "reference.csv", header, dates, columns, missing)
     assert (out / "joined.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
