@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datagen, forecast, gbrt, inventory, policy, timeseries
-from .errors import ParameterError, SchemaError, whole
+from .errors import ParameterError, SchemaError, document_version, whole
 
 OUTPUT_ROOT_ENV = "BLOODBANK_RUNS"
 # the flags that name input files, and the parsed values that are not config
@@ -359,11 +359,7 @@ def cmd_compare(args, run: _Run) -> None:
     if args.policy:
         doc = _load_json(args.policy)
         with _blaming(args.policy):
-            if not isinstance(doc, dict) or doc.get("format") != "bloodbank.policy":
-                raise SchemaError("not a policy document")
-            version = doc.get("version")
-            if type(version) is not int or version != 1:
-                raise SchemaError(f"unsupported policy version {version!r}")
+            document_version(doc, "bloodbank.policy", (1,), "policy")
             levels = []
             for key in ("inventory_target", "reorder_daily", "reorder_semiweekly"):
                 if key not in doc:

@@ -53,3 +53,15 @@ def every_field(kind, values, label: str):
         if f.name not in values:
             raise SchemaError(f"{label} is missing key {f.name!r}")
     return values
+
+
+def document_version(doc, form: str, versions, kind: str) -> int:
+    """The ``version`` of an object ``doc`` whose ``format`` is ``form``: an int in ``versions``."""
+    if not isinstance(doc, dict) or doc.get("format") != form:
+        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise SchemaError(f"not {article} {kind} document: format={found!r}")
+    version = doc.get("version")
+    if type(version) is not int or version not in versions:
+        raise SchemaError(f"unsupported {kind} version {version!r}")
+    return version

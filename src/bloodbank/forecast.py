@@ -8,24 +8,26 @@ model is the boosted ensemble of the hybrid (``fit_hybrid``), least squares on
 the same features (``fit_stl_linear``) or none (``fit_stl_only``).  They, CV and
 feature selection share one fit and one forecast; only the hybrid is serialized.
 CV scores each (fold, decomposition) group through one closure over its inputs,
-which forked workers inherit, so only group numbers and scores are pickled.
+which forked workers inherit, so no task is pickled: only the results coming back.
 A dataset or report file is read by ``table.read_days``, which alone knows its
 rows and cells; this module states only each file's header.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import gbrt
-from .errors import ParameterError, SchemaError, every_field, finite_real, whole
+from .errors import ParameterError, SchemaError, document_version, every_field, finite_real, whole
 from .policy import _SEMIWEEKLY_BLOCKS
 from .table import read_days, write_days
 from .timeseries import (TREND_MODES, Decomposition, Projection, Series, StlConfig,
@@ -407,48 +409,59 @@ def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.da
     return out
 
 
-# the scoring closure of the CV call in progress, set before its pool forks so
-# that the workers inherit it: only group numbers and their triples are pickled
-_INHERITED = None
-
-
-def _score_inherited(group: int) -> list[tuple[int, int, float]]:
-    return _INHERITED(group)
-
-
 def _cv_workers(groups: int) -> int:
-    """Worker processes for ``groups`` CV groups; below 2, they run in this process.
-
-    Workers are forked, one per usable CPU.  A daemonic process may not have
-    children, and a process with other threads is not safe to fork.
-    """
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "sched_getaffinity")
-            or multiprocessing.current_process().daemon
-            or threading.active_count() > 1):
+    """Worker processes for ``groups`` CV groups, one per usable CPU; below 2, none is forked."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):  # a process with other threads is not safe to fork
         return 1
     return min(len(os.sched_getaffinity(0)), groups)
 
 
-def _scored_groups(score, groups: int) -> list[tuple[int, int, float]]:
-    """``score(0) + score(1) + ...``, on a fork pool when more than one worker is usable.
+def _worker(score, groups: range, out) -> None:
+    """In a forked child: pickle each group's result to ``out`` until one fails, then exit."""
+    try:
+        with out:
+            try:
+                for group in groups:
+                    pickle.dump((group, True, score(group)), out)
+            except Exception as exc:  # the parent raises it
+                pickle.dump((group, False, exc), out)
+    finally:  # so that no caller code and no atexit handler runs in the child
+        os._exit(0)
 
-    Results come back in group order, so the first failing group raises its
-    own error, as in this process; leaving the pool ends every worker.
-    """
-    global _INHERITED
+
+def _scored_groups(score, groups: int) -> list[tuple[int, int, float]]:
+    """``score(0) + score(1) + ...``, on forked workers when more than one is usable.
+
+    Worker ``w`` sends groups ``w, w + workers, ...`` down its own pipe.  Read in group
+    order, the first group that failed raises its own error, as in this process, and one
+    whose worker died before sending it raises ParameterError."""
     workers = _cv_workers(groups)
     if workers < 2:
         return [t for group in range(groups) for t in score(group)]
     # np.median (robust STL) imports numpy.ma on its first call: import it once
     # here, so the workers inherit it instead of each importing it again
     import numpy.ma
-    _INHERITED = score
-    try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return [t for part in pool.imap(_score_inherited, range(groups)) for t in part]
-    finally:
-        _INHERITED = None
+    pipes, scores = [], []
+    with contextlib.ExitStack() as stack:  # leaving it, every worker is killed and reaped
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(stack.enter_context(os.fdopen(read, "rb")))
+            with os.fdopen(write, "wb") as out:  # the child's end: closed here once forked
+                pid = os.fork()
+                if pid == 0:
+                    _worker(score, range(w, groups, workers), out)
+            stack.callback(os.waitpid, pid, 0)
+            stack.callback(os.kill, pid, signal.SIGKILL)  # first: its groups are read or unwanted
+        for group in range(groups):
+            try:
+                _, ok, value = pickle.load(pipes[group % workers])
+            except (EOFError, pickle.UnpicklingError):  # no record, or a truncated one
+                raise ParameterError(f"the cross-validation worker for group {group} died")
+            if not ok:
+                raise value
+            scores += value
+    return scores
 
 
 def _cv_scores(data: Dataset, grid: list[tuple[StlConfig, gbrt.GbrtConfig]], k: int,
@@ -644,12 +657,7 @@ def _finite_values(values: list, label: str) -> np.ndarray:
 
 def hybrid_from_dict(doc: dict) -> HybridModel:
     """The model of a v2 document, or of a v1 one, whose decomposition gives the projection."""
-    if not isinstance(doc, dict) or doc.get("format") != "bloodbank.hybrid":
-        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
-        raise SchemaError(f"not a hybrid model document: format={found!r}")
-    version = doc.get("version")
-    if type(version) is not int or version not in (1, 2):
-        raise SchemaError(f"unsupported hybrid model version {version!r}")
+    version = document_version(doc, "bloodbank.hybrid", (1, 2), "hybrid model")
     try:
         period, trend_mode = whole("period", doc["period"]), doc.get("trend_mode", "drift")
         stl = doc["stl_config"]

@@ -47,8 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ParameterError, SchemaError, every_field, finite_real, nonnegative_finite,
-                     whole)
+from .errors import (ParameterError, SchemaError, document_version, every_field, finite_real,
+                     nonnegative_finite, whole)
 
 __all__ = [
     "FeatureMatrix",
@@ -513,11 +513,7 @@ def ensemble_to_dict(model: Ensemble) -> dict:
 
 
 def ensemble_from_dict(doc: dict) -> Ensemble:
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
-        raise SchemaError(f"not an ensemble document: format={found!r}")
-    if doc.get("version") != MODEL_VERSION:
-        raise SchemaError(f"unsupported ensemble version {doc.get('version')!r}")
+    document_version(doc, MODEL_FORMAT, (MODEL_VERSION,), "ensemble")
     try:  # a field that breaks its value rule fails as SchemaError, with the rule's text
         config = (GbrtConfig(**every_field(GbrtConfig, doc["config"], "ensemble config"))
                   if "config" in doc else None)

@@ -357,9 +357,11 @@ def read_stream_csv(path) -> list[int]:
         if period != str(row_number - 1):  # as write_trajectory_csv numbers its rows
             raise SchemaError(f"{path}: row {row_number}, column period: expected "
                               f"{row_number - 1}, got {period!r}")
-        try:
-            values.append(_check_units("units", int(units)))
-        except (ValueError, ParameterError):
+        try:  # ASCII digits: int() alone also takes "1_0", " 5", "+7" and other scripts' digits
+            if not (units.isascii() and units.isdigit()):
+                raise ValueError(units)
+            values.append(int(units))
+        except ValueError:  # or more digits than int() converts
             raise SchemaError(f"{path}: row {row_number}: units must be a non-negative "
                               f"integer, got {units!r}") from None
     return values

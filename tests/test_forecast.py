@@ -4,6 +4,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+import signal
 import threading
 import warnings
 
@@ -550,6 +551,12 @@ def usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
 
 
+def assert_no_child_process():
+    """Every child process of this one has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def overflowing(records):
     """``records`` with a last demand whose squared error overflows fold 3's RMSE."""
     demand = records.demand.copy()
@@ -589,10 +596,10 @@ class TestParallelCv:
     def test_no_worker_outlives_a_call(self, gappy_records, monkeypatch):
         usable_cpus(monkeypatch, {0, 1})
         grid_search_cv(gappy_records, CV_GRID, k=3)
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
         with pytest.raises(ParameterError):
             grid_search_cv(overflowing(gappy_records), CV_GRID, k=3)
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
     def test_worker_error_reaches_the_caller_as_in_process(self, gappy_records, monkeypatch):
         messages = []
@@ -603,13 +610,36 @@ class TestParallelCv:
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
 
-    def test_no_scoring_closure_outlives_a_call(self, gappy_records, monkeypatch):
+    def test_no_child_process_outlives_a_call(self, gappy_records, monkeypatch):
         usable_cpus(monkeypatch, {0, 1})
-        grid_search_cv(gappy_records, CV_GRID, k=3)
-        assert forecast._INHERITED is None
+        cv_rmse(gappy_records, *CV_GRID[3], k=3)
+        assert_no_child_process()
         with pytest.raises(ParameterError):
-            grid_search_cv(overflowing(gappy_records), CV_GRID, k=3)
-        assert forecast._INHERITED is None
+            cv_rmse(overflowing(gappy_records), *CV_GRID[3], k=3)
+        assert_no_child_process()
+
+    def test_a_dead_worker_raises_naming_its_group(self, gappy_records, monkeypatch):
+        usable_cpus(monkeypatch, {0, 1})
+        original, caller = forecast.stl_decompose, os.getpid()
+
+        def dying(series, config):
+            if os.getpid() != caller:  # only ever a forked worker, never this process
+                os._exit(1)
+            return original(series, config)
+
+        def hung(signum, frame):
+            raise TimeoutError("grid_search_cv still waits for a dead worker after 60 s")
+
+        monkeypatch.setattr(forecast, "stl_decompose", dying)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ParameterError, match="worker for group 0 died"):
+                grid_search_cv(gappy_records, CV_GRID, k=3)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_process()
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
     def test_a_tie_goes_to_the_first_entry(self, gappy_records, monkeypatch, cpus):
@@ -618,7 +648,7 @@ class TestParallelCv:
         usable_cpus(monkeypatch, cpus)
         assert grid_search_cv(gappy_records, grid, k=3)[1] is gbrt_config
 
-    def test_daemonic_caller_runs_the_groups_in_process(self, gappy_records, monkeypatch):
+    def test_a_daemonic_caller_gets_the_same_winner(self, gappy_records, monkeypatch):
         usable_cpus(monkeypatch, {0, 1})
         expected = grid_search_cv(gappy_records, CV_GRID, k=3)
         with multiprocessing.get_context("fork").Pool(1) as pool:
@@ -637,7 +667,7 @@ class TestParallelCv:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         assert forecast._cv_workers(6) == 1
 
 

@@ -132,6 +132,10 @@ BAD_FILES = [
     ("forecast", "--data", cell(140, "date", "2008-02-30"), "row 140, column date"),
     ("simulate", "--demands", cell(4, "units", "2.5"), "row 4"),
     ("simulate", "--orders", cell(3, "units", "-1"), "row 3"),
+    # what int() alone would take: an underscore, a space, a sign and a non-ASCII digit
+    *[("simulate", "--demands", cell(4, "units", value),
+       f"row 4: units must be a non-negative integer, got {value!r}")
+      for value in ("1_0", " 5", "+7", "\u0663")],
     # a stream numbers its periods 1, 2, ... as simulate's trajectory does
     ("simulate", "--demands", cell(5, "period", "x"), "row 5, column period: expected 4, got 'x'"),
     ("simulate", "--orders", cell(3, "period", ""), "row 3, column period: expected 2, got ''"),
@@ -154,6 +158,9 @@ BAD_FILES = [
     ("forecast", "--model", text('{"format": '), "not valid JSON"),
     ("forecast", "--model", edit_json(lambda doc: doc.update(residual_model=3)),
      "not an ensemble document"),
+    # an ensemble's version is the int 1 itself, as a model's and a policy's are
+    *[("forecast", "--model", edit_json(lambda doc, value=value: doc["residual_model"].update(
+        version=value)), f"unsupported ensemble version {value!r}") for value in (True, 1.0, "1")],
     ("forecast", "--model", edit_json(lambda doc: doc.update(period=0)), "period must lie"),
     ("forecast", "--model", edit_json(lambda doc: doc.update(period=-7)), "period must lie"),
     ("forecast", "--model", edit_json(lambda doc: doc.update(period=61)), "period must lie"),
