@@ -27,7 +27,9 @@ gives the same floats.  Only the public functions that return
 ``PeriodOutcome``s build them from the priced columns: ``simulate`` (a whole
 fold), ``step`` (one period behind an ``AgeProfile``, converted at the boundary)
 and ``policy.run_policy``.  ``policy.evaluate_strategy`` and
-``policy.cost_under_actual`` read the columns.  ``policy``'s sweeps run the
+``policy.cost_under_actual`` read the columns.  For the gold standard, which orders
+each period's demand, ``_gold`` gives the same columns in closed form: a cumulative sum
+and a running maximum in one int64 pass.  ``policy``'s sweeps run the
 same period on ``(K,)`` vectors, one row per candidate, and price each block
 of periods with one ``CostParams.period_cost`` call on ``(periods, K)``
 arrays.  No pipeline command calls ``step``: it stays on the library surface
@@ -188,13 +190,25 @@ def _check_units(name: str, value: int) -> int:
     return units
 
 
-def _starting_stock(initial, demands: list, shelf_life: int) -> AgeProfile:
-    """``initial`` if an ``AgeProfile``, else that many young units at the mean demand (>= 1)."""
+def _units(name: str, values) -> list[int]:
+    """``values`` as plain ints, each checked as ``_check_units`` checks it."""
+    return [v if type(v) is int and v >= 0 else _check_units(name, v) for v in values]
+
+
+def _starting_stock(initial, demands: list[int], shelf_life: int | None) -> AgeProfile:
+    """``initial`` if an ``AgeProfile``, else that many young units at the mean of the checked
+    ``demands`` (>= 1).  ``shelf_life`` defaults to the stock's own, or 32 for a unit count;
+    one that contradicts the stock's raises."""
+    if shelf_life is not None:
+        shelf_life = whole("shelf_life", shelf_life)
     if isinstance(initial, AgeProfile):
+        if shelf_life not in (None, initial.shelf_life):
+            raise ParameterError(f"shelf_life {shelf_life} contradicts the starting stock's "
+                                 f"shelf life {initial.shelf_life}")
         return initial
     total = _check_units("initial", initial)
     mean_demand = sum(demands) / len(demands) if demands else 1.0
-    return young_stock(total, max(mean_demand, 1.0), shelf_life)
+    return young_stock(total, max(mean_demand, 1.0), 32 if shelf_life is None else shelf_life)
 
 
 def _ring(counts: np.ndarray) -> np.ndarray:
@@ -229,7 +243,7 @@ def _fold(ring: list, demands: list, units, below=None, lift=0, cap=math.inf) ->
     """Per-period unit columns of the FIFO period on a ``_ring`` of plain ints.
 
     The columns are the orders, demands, urgent and expired units and end inventories, in
-    ``PeriodOutcome``'s field order; ``_run`` prices them.  The order rule is data,
+    ``PeriodOutcome``'s field order; ``_priced`` prices them.  The order rule is data,
     ``policy.order_quantity`` a period at a time: seeing stock ``I`` (the initial total, then
     the last end inventory), period ``i`` orders ``clamp(units[i], lift - I, cap - I)`` if
     ``I < below[i]``, else nothing; by default ``units[i]`` unclamped.  Each period checks its
@@ -272,25 +286,43 @@ def _fold(ring: list, demands: list, units, below=None, lift=0, cap=math.inf) ->
     return columns
 
 
+def _gold(ring: np.ndarray, demands: list[int]) -> np.ndarray | list[list]:
+    """``_fold(ring.tolist(), demands, demands)`` of checked ``demands``, as one int64 table.
+
+    Ordering each demand, no unit is short, the arrivals are ``C(t) = C(-1) + Y(t)`` with ``Y``
+    the cumulative demand, and the units gone are ``G(t) = Y(t) + max(0, running max of
+    C(t - L + 1) - Y(t))``.  Where int64 cannot hold the arrivals the fold runs instead."""
+    total = int(ring[-1])  # C(-1)
+    if total + sum(demands) >= 2**63:
+        return _fold(ring.tolist(), demands, demands)
+    table = np.zeros((5, len(demands)), dtype=np.int64)  # _fold's columns: urgent stays 0
+    table[:2] = demands
+    demanded = np.cumsum(table[1])  # Y(t)
+    oldest = np.concatenate((ring, demanded + total))[:len(demands)]  # C(t - L + 1)
+    beyond = np.maximum.accumulate(np.maximum(oldest - demanded, 0))  # G(t) - Y(t)
+    table[3] = beyond  # expired: G(t) - G(t - 1) - y(t)
+    table[3, 1:] -= beyond[:-1]
+    table[4] = total - beyond  # left: C(t) - G(t)
+    return table
+
+
 def _outcomes(columns: list[list]) -> list[PeriodOutcome]:
     """``PeriodOutcome``s of ``_fold``'s columns and their costs."""
     return [PeriodOutcome(row[0] > 0, *row) for row in zip(*columns)]
 
 
 @np.errstate(over="ignore")  # an overflow is an infinite cost, as in the scalar form
-def _run(initial: AgeProfile, demands: list, costs: CostParams, *rule) -> tuple[list[list], float]:
-    """``_fold`` of ``demands`` from ``initial`` under order ``rule`` with each period's cost,
-    priced by one ``costs.period_cost`` call on the columns as float arrays, and their mean,
-    failing on an overflow."""
-    columns = _fold(_ring(initial.counts).tolist(), demands, *rule)
+def _priced(columns, costs: CostParams) -> tuple[list, float]:
+    """``_fold``'s or ``_gold``'s unit columns with each period's cost appended, priced by one
+    ``costs.period_cost`` call on the columns as float arrays, and their mean, failing on an
+    overflow."""
     orders, _, urgent, expired, levels = columns
     placed = np.array(orders) > 0  # an order past int64 is compared as an int
-    cost = costs.period_cost(placed, *np.array((levels, urgent, expired), dtype=float))
-    columns.append(cost.tolist())
-    average = sum(columns[5]) / len(demands) if demands else 0.0
+    cost = costs.period_cost(placed, *np.array((levels, urgent, expired), dtype=float)).tolist()
+    average = sum(cost) / len(cost) if cost else 0.0
     if not math.isfinite(average):  # every cost is non-negative, so an overflow is inf
         raise ParameterError("orders, demands or costs so large that the average cost overflows")
-    return columns, average
+    return [*columns, cost], average
 
 
 def simulate(
@@ -301,7 +333,7 @@ def simulate(
     if len(orders) != len(demands):
         raise ParameterError(
             f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
-    columns, average = _run(initial, demands, costs, orders)
+    columns, average = _priced(_fold(_ring(initial.counts).tolist(), demands, orders), costs)
     return _outcomes(columns), average
 
 

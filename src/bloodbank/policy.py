@@ -21,15 +21,19 @@ time into preallocated buffers, and each block of ``_BLOCK`` periods is priced
 by one ``CostParams.period_cost`` call on its (periods, rows) columns.  A
 running ``cumsum`` down the block adds each row's costs left to right, as a
 fold over ``step`` adds them, so the rows are bit-identical to simulating each
-candidate alone.  Single trajectories (``run_policy``, ``evaluate_strategy``,
-``cost_under_actual``) run ``inventory._fold`` on plain ints, with the same
-rule given to it as data, and only ``run_policy`` builds ``PeriodOutcome``s.
-``_rule`` converts the rule's units and thresholds to those ints through one
-int64 array each when int64 holds every value.  The fold returns unit columns
-only, and the trajectory is priced after it by one ``CostParams.period_cost``
-call on float arrays.  ``evaluate_strategy`` summarizes the columns from one
-float array, its cost row priced on the array's rows, its means and SDs taken
-by the ufunc steps ``numpy.mean`` and ``numpy.std`` run, to the same bits.
+candidate alone.  Single trajectories (``run_policy``, ``evaluate_strategy``)
+run ``inventory._fold`` on plain ints, with the same rule given to it as data,
+and only ``run_policy`` builds ``PeriodOutcome``s; the gold standard
+(``cost_under_actual`` too) takes the fold's columns in closed form from
+``inventory._gold``.  ``_rule`` converts the rule's units and thresholds to
+those ints through one int64 array each when int64 holds every value.  The fold
+returns unit columns only, and the trajectory is priced after it by one
+``CostParams.period_cost`` call on float arrays.  ``evaluate_strategy``
+summarizes the columns from one float array, its cost row priced on the array's
+rows, its means and SDs taken by the ufunc steps ``numpy.mean`` and
+``numpy.std`` run, to the same bits.  Demands are checked before their mean
+sizes a unit-count stock, and ``shelf_life`` defaults to an ``AgeProfile``
+stock's own; a given one that differs raises.
 """
 
 from __future__ import annotations
@@ -47,10 +51,12 @@ from .inventory import (
     PeriodOutcome,
     _check_units,
     _fold,
+    _gold,
     _outcomes,
+    _priced,
     _ring,
-    _run,
     _starting_stock,
+    _units,
 )
 from .table import number, write_table
 
@@ -199,29 +205,32 @@ def _rule(y_hat: np.ndarray, params: PolicyParams) -> tuple[list, list, int, int
 
 
 def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
-               shelf_life: int = 32) -> PolicyRun:
+               shelf_life: int | None = None) -> PolicyRun:
     """Simulate the target/reorder rule over aligned forecast/demand streams."""
     y_hat, demands = _aligned(y_hat, demands)
+    demands = _units("demand", demands)
     profile = _starting_stock(initial, demands, shelf_life)
-    columns, average = _run(profile, demands, costs, *_rule(y_hat, params))
+    columns = _fold(_ring(profile.counts).tolist(), demands, *_rule(y_hat, params))
+    columns, average = _priced(columns, costs)
     return PolicyRun(_outcomes(columns), average, profile.total)
 
 
-def cost_under_actual(demands, initial, costs: CostParams, shelf_life: int = 32) -> float:
+def cost_under_actual(demands, initial, costs: CostParams,
+                      shelf_life: int | None = None) -> float:
     """Average cost when every period orders exactly the realized demand."""
-    demands = list(demands)
+    demands = _units("order_qty", demands)  # its orders, as the fold would name them
     if not demands:
         raise ParameterError("demand stream must be non-empty")
     profile = _starting_stock(initial, demands, shelf_life)
-    return _run(profile, demands, costs, demands)[1]
+    return _priced(_gold(_ring(profile.counts), demands), costs)[1]
 
 
-def _streams(y_hat, demands, initial, costs: CostParams, shelf_life: int):
+def _streams(y_hat, demands, initial, costs: CostParams, shelf_life: int | None):
     """Checked forecasts and demands, the starting stock and the gold standard's cost."""
     y_hat, demands = _aligned(y_hat, demands)
-    demands = [_check_units("demand", y) for y in demands]
+    demands = _units("demand", demands)
     profile = _starting_stock(initial, demands, shelf_life)
-    return y_hat, demands, profile, cost_under_actual(demands, profile, costs, shelf_life)
+    return y_hat, demands, profile, cost_under_actual(demands, profile, costs)
 
 
 def _capped(units: np.ndarray, top: int) -> np.ndarray:
@@ -319,7 +328,7 @@ def _candidates(grid, name: str, target: int | None = None) -> list[int]:
 
 
 def target_sweep(y_hat, demands, initial, costs: CostParams, target_grid,
-                 shelf_life: int = 32) -> list[tuple[int, float, float]]:
+                 shelf_life: int | None = None) -> list[tuple[int, float, float]]:
     """(target, average cost, |gold - cost|) for every candidate target.
 
     Candidate orders are the rounded daily forecasts capped so stock never
@@ -345,7 +354,7 @@ def best_candidate(rows: list[tuple[int, float, float]], objective: str = "match
 
 
 def optimize_target(y_hat, demands, initial, costs: CostParams, target_grid,
-                    shelf_life: int = 32, objective: str = "match_gold") -> int:
+                    shelf_life: int | None = None, objective: str = "match_gold") -> int:
     """Target whose simulated cost best matches the gold standard.
 
     ``objective="min_cost"`` instead picks the cheapest candidate outright.
@@ -356,7 +365,7 @@ def optimize_target(y_hat, demands, initial, costs: CostParams, target_grid,
 
 
 def reorder_sweep(y_hat, demands, initial, costs: CostParams, target: int, reorder_grid,
-                  schedule: Schedule = Schedule(), shelf_life: int = 32,
+                  schedule: Schedule = Schedule(), shelf_life: int | None = None,
                   ) -> list[tuple[int, float, float]]:
     """(reorder level, average cost, |gold - cost|) for every candidate level."""
     levels = _candidates(reorder_grid, "reorder", target)
@@ -366,7 +375,7 @@ def reorder_sweep(y_hat, demands, initial, costs: CostParams, target: int, reord
 
 
 def optimize_reorder(y_hat, demands, initial, costs: CostParams, target: int, reorder_grid,
-                     schedule: Schedule = Schedule(), shelf_life: int = 32,
+                     schedule: Schedule = Schedule(), shelf_life: int | None = None,
                      objective: str = "match_gold") -> int:
     """Reorder level whose simulated cost best matches the gold standard."""
     rows = reorder_sweep(y_hat, demands, initial, costs, target, reorder_grid,
@@ -375,7 +384,8 @@ def optimize_reorder(y_hat, demands, initial, costs: CostParams, target: int, re
 
 
 def learn_policy(y_hat, demands, initial, costs: CostParams, target_grid, reorder_grid=None,
-                 start_weekday: int = 0, shelf_life: int = 32, objective: str = "match_gold",
+                 start_weekday: int = 0, shelf_life: int | None = None,
+                 objective: str = "match_gold",
                  ) -> tuple[dict[str, int], dict[str, list[tuple[int, float, float]]]]:
     """Choices and sweep rows, keyed ``"target"``, ``"daily"`` and ``"semiweekly"``.
 
@@ -437,10 +447,10 @@ def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised at the end instead
-def _summarize(strategy: str, columns: list[list], costs: CostParams, start_weekday: int,
-               urgent_available: bool = True) -> StrategySummary:
-    """Summary of ``_fold``'s orders, demands, urgent, expired and end inventory, and of their
-    cost under ``costs``."""
+def _summarize(strategy: str, columns: list[list] | np.ndarray, costs: CostParams,
+               start_weekday: int, urgent_available: bool = True) -> StrategySummary:
+    """Summary of ``_fold``'s or ``_gold``'s orders, demands, urgent, expired and end inventory,
+    and of their cost under ``costs``."""
     periods = len(columns[0])
     table = np.empty((6, periods))  # one row per column, then the costs
     table[:5] = columns
@@ -487,7 +497,7 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
                       params: PolicyParams | None = None,
                       baseline_target: int | None = None,
                       start_weekday: int = 0,
-                      shelf_life: int = 32) -> StrategySummary:
+                      shelf_life: int | None = None) -> StrategySummary:
     """Summary statistics for one named ordering strategy.
 
     ``gold`` orders the realized demand, ``baseline`` tops stock up to a fixed
@@ -496,24 +506,25 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
     target/reorder rule with the given ``params``.
     """
     Schedule(start_weekday=start_weekday)  # checked for every strategy
-    demands = list(demands)
+    if strategy not in ("gold", "baseline", "daily", "semiweekly"):
+        raise ParameterError(f"unknown strategy {strategy!r}")
+    # gold's orders are its demands, so a bad one is named as its order, as the fold names it
+    demands = _units("order_qty" if strategy == "gold" else "demand", demands)
     profile = _starting_stock(initial, demands, shelf_life)
     if strategy == "gold":
-        rule = (demands,)
-    elif strategy == "baseline":
+        return _summarize(strategy, _gold(_ring(profile.counts), demands), costs, start_weekday)
+    if strategy == "baseline":
         if baseline_target is None:
             raise ParameterError("baseline strategy needs baseline_target")
         top = _check_units("baseline_target", baseline_target)
         rule = itertools.repeat(0), itertools.repeat(top), top, top  # 0 lifted to the target
-    elif strategy in ("daily", "semiweekly"):
+    else:  # daily or semiweekly
         if params is None:
             raise ParameterError(f"{strategy} strategy needs policy params")
         schedule = Schedule(kind=strategy, start_weekday=start_weekday)
         params = PolicyParams(params.inventory_target, params.reorder_level, schedule)
         y_hat, demands = _aligned(y_hat, demands)
         rule = _rule(y_hat, params)
-    else:
-        raise ParameterError(f"unknown strategy {strategy!r}")
     columns = _fold(_ring(profile.counts).tolist(), demands, *rule)
     return _summarize(strategy, columns, costs, start_weekday,
                       urgent_available=strategy != "baseline")

@@ -8,7 +8,8 @@ issued-or-expired count.  Each property here compares them with
 calendars.  The single-trajectory paths that take their order rule as data
 (``simulate``, ``run_policy`` and the four strategies of ``evaluate_strategy``)
 are compared with a fold over ``step`` under the rule stated per period, and
-each strategy summary with a 1-D recompute of its columns.
+each strategy summary with a 1-D recompute of its columns.  The gold standard's
+closed form (``inventory._gold``) is compared with the plain-int fold it replaces.
 """
 
 import dataclasses
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 
 from bloodbank import policy as pol
 from bloodbank.errors import ParameterError
-from bloodbank.inventory import (AgeProfile, CostParams, brute_force_unit_sim, simulate, step,
-                                 young_stock)
+from bloodbank.inventory import (AgeProfile, CostParams, _fold, _gold, _ring,
+                                 brute_force_unit_sim, simulate, step, young_stock)
 
 shelf_lives = st.integers(2, 40)
 cost_params = st.builds(CostParams, *[st.integers(0, 2100).map(lambda v: v / 7)] * 4)
@@ -258,3 +259,43 @@ def test_rule_levels_beyond_int64_stay_exact():
     assert [o.order_qty for o in run.outcomes] == [
         pol.order_quantity(level, 5, pol.PolicyParams(target, reorder)) for level in levels[:3]]
     assert levels == [40] + [reorder - 5] * 3
+
+
+@st.composite
+def gold_profiles(draw):
+    """A stock of 2-40 days' shelf life: empty, light or far above any demand."""
+    shelf_life = draw(shelf_lives)
+    top = draw(st.sampled_from([0, 8, 500]))
+    return AgeProfile(np.array(draw(st.lists(st.integers(0, top), min_size=shelf_life - 1,
+                                             max_size=shelf_life - 1))), shelf_life)
+
+
+@given(profile=gold_profiles(), data=st.data())
+def test_gold_closed_form_equals_the_fold(profile, data):
+    horizon = data.draw(st.integers(0, 60))
+    demands = data.draw(streams(horizon))
+    # runs of zero demand let the stock age out between orders
+    for start, length in data.draw(st.lists(st.tuples(st.integers(0, 60), st.integers(1, 20)),
+                                            max_size=3)):
+        demands[start:start + length] = [0] * len(demands[start:start + length])
+    ring = _ring(profile.counts)
+    table = _gold(ring, demands)
+    assert table.dtype == np.int64 and table.shape == (5, len(demands))
+    assert typed_columns(table.tolist()) == typed_columns(_fold(ring.tolist(), demands, demands))
+
+
+@pytest.mark.parametrize("past_int64", [False, True], ids=["closed-form", "fold"])
+def test_gold_arrivals_at_the_int64_limit_stay_exact(past_int64):
+    # cumulative arrivals of 2**63 - 1 fit int64 and take the closed form; one unit more
+    # falls back to the fold on plain ints; both equal a fold over ``step``
+    profile = young_stock(780, 90.0, 3)
+    demands = [0, 0, 2**62, 0, 5, 0, 0]
+    demands.append(2**63 - 1 + past_int64 - profile.total - sum(demands))
+    columns = _gold(_ring(profile.counts), demands)
+    assert isinstance(columns, list) == past_int64
+    costs = CostParams()
+    expected = step_columns(profile, demands, costs, lambda i, level: demands[i])
+    assert typed_columns(np.asarray(columns).tolist()) == typed_columns(expected[:5])
+    assert pol.cost_under_actual(demands, profile, costs) == sum(expected[5]) / len(demands)
+    summary = pol.evaluate_strategy("gold", None, demands, profile, costs)
+    assert repr(summary) == repr(recomputed("gold", expected, 0))

@@ -639,3 +639,63 @@ def test_initial_that_is_not_a_unit_count_rejected(entry, value):
 @pytest.mark.parametrize("entry", _INITIAL_ENTRIES)
 def test_whole_initial_accepted_as_its_int(entry, value):
     assert _INITIAL_ENTRIES[entry](value) == _INITIAL_ENTRIES[entry](780)
+
+
+def _strategy(name):
+    return lambda demands: evaluate_strategy(name, [5.0] * len(demands), demands, 10, COSTS,
+                                             params=PolicyParams(40, 10), baseline_target=20)
+
+
+# every entry point that takes its mean demand for a unit-count starting stock; the gold
+# standard and ``cost_under_actual`` order their demands, so a bad one is named as the order
+_DEMAND_ENTRIES = {
+    "gold": ("order_qty", _strategy("gold")),
+    **{name: ("demand", _strategy(name)) for name in ("baseline", "daily", "semiweekly")},
+    "cost_under_actual": ("order_qty", lambda demands: cost_under_actual(demands, 10, COSTS)),
+    "run_policy": ("demand", lambda demands: run_policy([1.0] * len(demands), demands, 10, COSTS,
+                                                       PolicyParams(40, 10))),
+}
+
+
+@pytest.mark.parametrize("value", [None, "3", float("nan"), float("inf"), -1])
+@pytest.mark.parametrize("entry", _DEMAND_ENTRIES)
+def test_bad_demand_beside_a_unit_count_is_named(entry, value):
+    # the mean demand that sizes the young stock once raised TypeError on None and "3",
+    # and blamed NaN and inf on a ``mean_demand`` the caller never passed
+    field, call = _DEMAND_ENTRIES[entry]
+    with pytest.raises(ParameterError,
+                       match=f"^{field} must be a non-negative integer, got {value!r}$"):
+        call([5, value])
+
+
+# every entry point that takes a shelf life beside its starting stock
+_SHELF_LIFE_ENTRIES = {
+    "evaluate_strategy": lambda initial, **life: evaluate_strategy(
+        "gold", None, [10] * 40, initial, COSTS, **life),
+    "cost_under_actual": lambda initial, **life: cost_under_actual([10] * 40, initial, COSTS,
+                                                                   **life),
+    "run_policy": lambda initial, **life: run_policy([10.0] * 40, [10] * 40, initial, COSTS,
+                                                     PolicyParams(100, 50), **life),
+    "target_sweep": lambda initial, **life: target_sweep([10.0] * 40, [10] * 40, initial, COSTS,
+                                                         [60, 100], **life),
+    "optimize_target": lambda initial, **life: optimize_target(
+        [10.0] * 40, [10] * 40, initial, COSTS, [60, 100], **life),
+    "reorder_sweep": lambda initial, **life: reorder_sweep(
+        [10.0] * 40, [10] * 40, initial, COSTS, 100, [20, 50], **life),
+    "optimize_reorder": lambda initial, **life: optimize_reorder(
+        [10.0] * 40, [10] * 40, initial, COSTS, 100, [20, 50], **life),
+    "learn_policy": lambda initial, **life: learn_policy([10.0] * 40, [10] * 40, initial, COSTS,
+                                                         [60, 100], **life),
+}
+
+
+@pytest.mark.parametrize("entry", _SHELF_LIFE_ENTRIES)
+def test_shelf_life_that_contradicts_the_starting_stock_rejected(entry):
+    # a shelf life of 5 beside a 32-day stock was once ignored: the stock wasted nothing
+    call = _SHELF_LIFE_ENTRIES[entry]
+    with pytest.raises(ParameterError, match="^shelf_life 5 contradicts the starting stock's "
+                                             "shelf life 32$"):
+        call(young_stock(100, 10.0, 32), shelf_life=5)
+    # by default the stock's own shelf life, or 32 for a unit count
+    assert call(young_stock(100, 10.0, 5)) == call(young_stock(100, 10.0, 5), shelf_life=5)
+    assert call(100) == call(100, shelf_life=32)
