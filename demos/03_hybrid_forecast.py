@@ -10,7 +10,6 @@ signal, mirroring how abnormal lab counts a week earlier foreshadow demand.
 
 from bloodbank.datagen import CovariateSpec, GenConfig, generate
 from bloodbank.forecast import (
-    aggregate_semiweekly,
     fit_hybrid,
     fit_stl_linear,
     fit_stl_only,
@@ -21,6 +20,7 @@ from bloodbank.forecast import (
     rmse,
 )
 from bloodbank.gbrt import GbrtConfig, variable_importance
+from bloodbank.policy import aggregate_semiweekly
 from bloodbank.timeseries import StlConfig
 
 config = GenConfig(

@@ -26,7 +26,6 @@ from .forecast import (
     DailyRecord,
     fit_hybrid,
     predict_daily,
-    aggregate_semiweekly,
     grid_search_cv,
     iterative_feature_selection,
     rmse,
@@ -47,5 +46,6 @@ from .policy import (
     optimize_target,
     optimize_reorder,
     evaluate_strategy,
+    aggregate_semiweekly,
 )
 from .datagen import CovariateSpec, GenConfig, generate

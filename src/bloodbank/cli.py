@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__, datagen, forecast, gbrt, inventory, policy, timeseries
 from .errors import ParameterError, SchemaError, document_version, whole
+from .table import read_text
 
 OUTPUT_ROOT_ENV = "BLOODBANK_RUNS"
 # the flags that name input files, and the parsed values that are not config
@@ -145,12 +146,11 @@ def _write_manifest(run: _Run, status: dict) -> None:
 
 
 def _load_json(path):
-    """Parsed content of a JSON file; SchemaError naming the file if it is not JSON."""
-    with open(path) as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    """Parsed content of a JSON file; SchemaError naming the file if it is not UTF-8 JSON."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _parse_grid(flag: str, text: str) -> list[int]:

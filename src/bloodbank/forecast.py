@@ -10,7 +10,9 @@ feature selection share one fit and one forecast; only the hybrid is serialized.
 CV scores each (fold, decomposition) group through one closure over its inputs,
 which forked workers inherit, so no task is pickled: only the results coming back.
 A dataset or report file is read by ``table.read_days``, which alone knows its
-rows and cells; this module states only each file's header.
+rows and cells; this module states only each file's header.  It imports nothing
+of the ordering code: the semiweekly blocks a forecast is scored on are
+``policy.aggregate_semiweekly``'s, beside the orders that cover them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 
 from . import gbrt
 from .errors import ParameterError, SchemaError, document_version, every_field, finite_real, whole
-from .policy import _SEMIWEEKLY_BLOCKS
 from .table import read_days, write_days
 from .timeseries import (TREND_MODES, Decomposition, Projection, Series, StlConfig,
                          stl_decompose, stl_projection)
@@ -45,7 +46,6 @@ __all__ = [
     "predict_stl_only",
     "fit_stl_linear",
     "predict_stl_linear",
-    "aggregate_semiweekly",
     "grid_search_cv",
     "cv_rmse",
     "iterative_feature_selection",
@@ -383,30 +383,6 @@ def mape(pred, actual) -> float:
     if zeros.size:
         raise ParameterError(f"mape undefined: actual value at index {zeros[0]} is zero")
     return float(np.mean(np.abs(pred - actual) / np.abs(actual)))
-
-
-def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.date, float]]:
-    """Sum daily values into Tue-Thu and Fri-Mon blocks labeled by start date.
-
-    Partial blocks at either end are dropped.
-    """
-    for (prev, _), (cur, _) in zip(daily, daily[1:]):
-        if cur != prev + dt.timedelta(days=1):
-            raise ParameterError(f"dates must be contiguous: {prev} is followed by {cur}")
-    out: list[tuple[dt.date, float]] = []
-    i = 0
-    while i < len(daily):
-        day, _ = daily[i]
-        length = _SEMIWEEKLY_BLOCKS.get(day.weekday())
-        if length is None:
-            i += 1  # leading partial block
-            continue
-        if i + length > len(daily):
-            break  # trailing partial block
-        total = float(sum(value for _, value in daily[i : i + length]))
-        out.append((day, total))
-        i += length
-    return out
 
 
 def _cv_workers(groups: int) -> int:

@@ -230,8 +230,15 @@ def _counts(ring: np.ndarray, gone) -> np.ndarray:
 def step(
     state: AgeProfile, order_qty: int, demand: int, costs: CostParams
 ) -> tuple[AgeProfile, PeriodOutcome]:
-    """Advance one period: arrivals, FIFO issue, urgent top-up, aging, expiry."""
+    """Advance one period: arrivals, FIFO issue, urgent top-up, aging, expiry.
+
+    An order that takes the stock to ``2**63`` units or more raises, as ``young_stock``
+    refuses such a total."""
     ring = _ring(state.counts).tolist()
+    order_qty = _check_units("order_qty", order_qty)
+    if ring[-1] + order_qty >= 2**63:  # the stock with the order must fit its int64 counts
+        raise ParameterError(f"order_qty must keep the stock below 2**63 units, got "
+                             f"{order_qty} on {ring[-1]} units")
     (row,) = zip(*_fold(ring, [demand], [order_qty]))
     z, _, urgent, expired, level = row
     outcome = PeriodOutcome(z > 0, *row, costs.period_cost(z > 0, level, urgent, expired))

@@ -9,7 +9,9 @@ demand itself (the gold standard), sweeping candidate grids.
 
 A semiweekly variant places orders only on Mondays and Thursdays; the forecast
 at an order point covers every period until the next delivery (Tue-Thu after a
-Monday order, Fri-Mon after a Thursday order).
+Monday order, Fri-Mon after a Thursday order).  One table of block lengths by
+delivery weekday, read by ``_block_lengths``, serves ``_order_plan`` (a float64
+vector sum an order) and ``aggregate_semiweekly`` (``sum`` over each full block).
 
 ``learn_policy`` simulates the gold standard once, sweeps the target grid, then
 sweeps the daily and semiweekly reorder grids together under the chosen target.
@@ -38,6 +40,7 @@ stock's own; a given one that differs raises.
 
 from __future__ import annotations
 
+import datetime as dt
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -75,17 +78,23 @@ __all__ = [
     "reorder_sweep",
     "optimize_reorder",
     "learn_policy",
+    "aggregate_semiweekly",
     "evaluate_strategy",
     "comparison_table",
     "write_comparison_csv",
     "write_sweep_csv",
 ]
 
-# semiweekly deliveries by weekday (Monday=0) and the days each covers: Tuesday
-# (ordered Monday) covers Tue-Thu, Friday (ordered Thursday) covers Fri-Mon
-_SEMIWEEKLY_BLOCKS = {1: 3, 4: 4}
-# the block length by weekday of delivery, 0 on the other weekdays
-_SEMIWEEKLY_LENGTHS = np.array([_SEMIWEEKLY_BLOCKS.get(day, 0) for day in range(7)])
+# the days each semiweekly delivery covers, by its weekday (Monday=0): Tuesday's (ordered
+# Monday) covers Tue-Thu, Friday's (ordered Thursday) Fri-Mon; 0 on the other weekdays
+_SEMIWEEKLY_LENGTHS = np.array([0, 3, 0, 0, 4, 0, 0])
+_LONGEST_BLOCK = int(_SEMIWEEKLY_LENGTHS.max())
+
+
+def _block_lengths(first_weekday: int, days: int) -> np.ndarray:
+    """Each of ``days`` days' semiweekly block length from a first day of ``first_weekday``:
+    the days its delivery covers, 0 on a day with no delivery."""
+    return _SEMIWEEKLY_LENGTHS[(first_weekday + np.arange(days)) % 7]
 
 
 @dataclass(frozen=True)
@@ -180,15 +189,28 @@ def _order_plan(y_hat: np.ndarray, schedule: Schedule) -> tuple[np.ndarray, np.n
     y_hat = np.clip(y_hat, -1e300, 1e300)
     if schedule.kind == "daily":
         return np.maximum(np.floor(y_hat + 0.5), 0.0), np.ones(horizon, dtype=bool)
-    blocks = _SEMIWEEKLY_LENGTHS[(schedule.start_weekday + np.arange(horizon)) % 7]
+    blocks = _block_lengths(schedule.start_weekday, horizon)
     # each block's sum runs left to right, as ``sum`` does; adding 0.0 past its end is exact
-    longest = max(_SEMIWEEKLY_BLOCKS.values())
-    padded = np.concatenate((y_hat, np.zeros(longest - 1)))
+    padded = np.concatenate((y_hat, np.zeros(_LONGEST_BLOCK - 1)))
     sums = y_hat
-    for k in range(1, longest):
+    for k in range(1, _LONGEST_BLOCK):
         sums = sums + np.where(blocks > k, padded[k:k + horizon], 0.0)
     order_days = blocks > 0
     return np.where(order_days, np.maximum(np.floor(sums + 0.5), 0.0), 0.0), order_days
+
+
+def aggregate_semiweekly(daily: list[tuple[dt.date, float]]) -> list[tuple[dt.date, float]]:
+    """Sum daily values into Tue-Thu and Fri-Mon blocks labeled by start date, each by
+    ``sum`` left to right: the blocks that ``_order_plan``'s semiweekly orders cover.
+
+    Partial blocks at either end are dropped.
+    """
+    for (prev, _), (cur, _) in zip(daily, daily[1:]):
+        if cur != prev + dt.timedelta(days=1):
+            raise ParameterError(f"dates must be contiguous: {prev} is followed by {cur}")
+    lengths = _block_lengths(daily[0][0].weekday() if daily else 0, len(daily)).tolist()
+    return [(daily[i][0], float(sum(value for _, value in daily[i:i + length])))
+            for i, length in enumerate(lengths) if 0 < length <= len(daily) - i]
 
 
 def _rule(y_hat: np.ndarray, params: PolicyParams) -> tuple[list, list, int, int]:

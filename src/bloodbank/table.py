@@ -11,22 +11,26 @@ needs quoting, so the bytes are those ``csv`` would write.
 ``read_days`` is the one reader of a daily table, which runs one row a day:
 ``_whole`` parses a file it takes as is with a single ``np.loadtxt`` call, and
 any other file is checked row by row, which names the first bad cell in file
-order.
+order.  Both paths read a number cell only of the bytes of ``_NUMBER_BYTES``,
+and every reader takes its file's text through ``read_text``, as UTF-8.
 """
 
 import csv
 import datetime as dt
+import io
 import math
 
 import numpy as np
 
 from .errors import SchemaError
 
-__all__ = ["number", "iso_days", "write_days", "write_table", "read_rows", "read_days"]
+__all__ = ["number", "iso_days", "write_days", "write_table", "read_text", "read_rows",
+           "read_days"]
 
 BLOCK = 1024  # rows of a daily table formatted at a time: bounds the strings held
 _EPOCH = dt.date(1970, 1, 1).toordinal()  # day 0 of numpy's datetime64
-_NUMBER_ROWS = b"0123456789.eE+-,\r\n"  # every byte of rows _whole parses
+_NUMBER_BYTES = b"0123456789.eE+-"  # every byte of a number cell either path reads
+_NUMBER_ROWS = _NUMBER_BYTES + b",\r\n"  # every byte of rows _whole parses
 
 
 def number(value) -> str:
@@ -64,18 +68,28 @@ def write_table(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def read_text(path) -> str:
+    """The file's text, decoded as UTF-8; SchemaError naming the file and its first byte
+    that is not UTF-8 otherwise."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: byte {exc.start} is not UTF-8 text: {exc.reason}") from None
+
+
 def read_rows(path):
     """Yield the header (``None`` for an empty file), then ``(row_number, cells)`` row
     by row; a row whose length differs from the header's raises ``SchemaError``."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        yield header
-        for row_number, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise SchemaError(f"{path}: row {row_number}: expected {len(header)} columns, "
-                                  f"got {len(cells)}")
-            yield row_number, cells
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    yield header
+    for row_number, cells in enumerate(reader, start=2):
+        if len(cells) != len(header):
+            raise SchemaError(f"{path}: row {row_number}: expected {len(header)} columns, "
+                              f"got {len(cells)}")
+        yield row_number, cells
 
 
 def _whole(path, filled: int):
@@ -88,13 +102,10 @@ def _whole(path, filled: int):
     digits, signs, ``.`` and exponents only, so ``nan``, ``inf``, ``1_0`` or a
     non-ASCII digit is never read, and an overflow to infinity is refused.  An empty
     cell reads as NaN, except in the first ``filled`` columns.  Anything else, a
-    blank row or no row at all among it, returns None.
+    blank row or no row at all among it, returns None; a file that is not UTF-8
+    raises as ``read_text`` does.
     """
-    try:
-        with open(path, newline="") as handle:
-            text = handle.read()
-    except UnicodeDecodeError:
-        return None
+    text = read_text(path)
     newline = "\r\n" if "\r" in text else "\n"
     head, _, body = text.partition(newline)
     header = head.split(",")
@@ -128,12 +139,14 @@ def _whole(path, filled: int):
 
 
 def _number(cell: str, text: str, filled: bool) -> float:
-    """The finite number ``text``, NaN if it is empty unless ``filled``; SchemaError
-    led by ``cell``, which names the file, row and column, otherwise."""
+    """The finite number ``text``, of the bytes ``_whole`` reads, NaN if it is empty unless
+    ``filled``; SchemaError led by ``cell``, which names the file, row and column, otherwise."""
     if not (text or filled):
         return math.nan
     try:
         value = float(text)
+        if math.isfinite(value) and text.encode().translate(None, _NUMBER_BYTES):
+            raise ValueError(text)  # float() also takes `1_0`, ` 5` and other scripts' digits
     except ValueError:
         raise SchemaError(f"{cell}: not a number: {text!r}") from None
     if not math.isfinite(value):
@@ -149,9 +162,11 @@ def read_days(path, heading, filled: int):
     is the first line, and returns what the caller keeps of it.  ``values`` holds
     the (rows, columns - 1) number cells, each finite; an empty one reads as NaN,
     except in the first ``filled`` columns.  A header with no rows gives None as
-    the first day.  ``_whole`` parses the file where it takes it; otherwise each
-    row is checked in turn, and ``SchemaError`` names the first bad cell in file
-    order: a date that is not the day after the one above among them.
+    the first day.  A file that is not UTF-8 text raises before its header is
+    checked.  ``_whole`` parses the file where it takes it; otherwise each row is
+    checked in turn, and ``SchemaError`` names the first bad cell in file order: a
+    date that is not the day after the one above among them, or a number cell that
+    holds a byte ``_whole`` would not read.
     """
     whole = _whole(path, filled)
     if whole is not None:

@@ -18,7 +18,6 @@ from bloodbank.forecast import (
     Dataset,
     ForecastReport,
     HybridModel,
-    aggregate_semiweekly,
     cv_rmse,
     fit_hybrid,
     fit_stl_linear,
@@ -39,6 +38,7 @@ from bloodbank.forecast import (
     write_forecast_csv,
 )
 from bloodbank.gbrt import Ensemble, FeatureMatrix, GbrtConfig, variable_importance
+from bloodbank.policy import aggregate_semiweekly
 from bloodbank.timeseries import Decomposition, StlConfig
 
 MONDAY = dt.date(2010, 1, 4)

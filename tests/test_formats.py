@@ -105,6 +105,12 @@ def extra_cell(row_number):
     return damage
 
 
+def non_utf8(source, target):
+    """The file with a byte that is not UTF-8 at its middle."""
+    raw = source.read_bytes()
+    target.write_bytes(raw[:len(raw) // 2] + b"\xff" + raw[len(raw) // 2:])
+
+
 def edit_json(change):
     def damage(source, target):
         doc = json.loads(source.read_text())
@@ -141,6 +147,20 @@ BAD_FILES = [
     ("simulate", "--orders", cell(3, "period", ""), "row 3, column period: expected 2, got ''"),
     ("optimize", "--report", cell(7, "predicted", "nan"), "row 7, column predicted"),
     ("compare", "--report", cell(7, "actual", "many"), "row 7, column actual"),
+    # what float() alone would take, and the whole-file parse never reads: an underscore,
+    # a space and non-ASCII digits
+    *[(command, flag, cell(9, column, value), f"row 9, column {column}: not a number: {value!r}")
+      for command, flag, column in (("decompose", "--data", "demand"),
+                                    ("train", "--data", "prev_week_demand"),
+                                    ("optimize", "--report", "actual"))
+      for value in ("1_0", " 5", "\u0663", "\uff11")],
+    # a byte that is not UTF-8, in each kind of input file
+    *[(command, flag, non_utf8, "is not UTF-8 text: invalid start byte")
+      for command, flag in (("train", "--data"), ("optimize", "--report"),
+                            ("simulate", "--orders"), ("forecast", "--model"),
+                            ("compare", "--policy"))],
+    ("train", "--config", lambda source, target: target.write_bytes(b'{"rounds": 2}\xff'),
+     "byte 13 is not UTF-8 text: invalid start byte"),
     # a row longer than the header
     ("decompose", "--data", extra_cell(9), "row 9: expected 12 columns, got 13"),
     ("optimize", "--report", extra_cell(5), "row 5: expected 3 columns, got 4"),

@@ -282,6 +282,19 @@ def test_age_counts_past_int64_fail_closed(counts, message):
     assert AgeProfile([2**62, 2**62 - 1, 0], shelf_life=4).total == 2**63 - 1
 
 
+@pytest.mark.parametrize("order", [2**63 - 5, 2**64 + 3])
+def test_step_order_past_int64_names_the_order(order):
+    # once blamed an age count the caller never passed, or the profile's counts
+    stock = young_stock(10, 1.0, 3)
+    with pytest.raises(ParameterError) as info:
+        step(stock, order, 0, CostParams())
+    assert str(info.value) == (f"order_qty must keep the stock below 2**63 units, "
+                               f"got {order} on 10 units")
+    # arrivals of 2**63 - 1 still step
+    _, outcome = step(stock, 2**63 - 11, 0, CostParams())
+    assert outcome.end_inventory == 2**63 - 6
+
+
 @pytest.mark.parametrize("counts, message", [
     ([1.5, 0, 0], "age 1 count must be a whole number, got 1.5"),  # once kept 1 unit
     (["3", 0, 0], "age 1 count must be a whole number, got '3'"),  # once kept 3

@@ -5,15 +5,15 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bloodbank.errors import ParameterError
-from bloodbank.forecast import aggregate_semiweekly
 from bloodbank.inventory import AgeProfile, CostParams, simulate, young_stock
 from bloodbank.policy import (
     PolicyParams,
     Schedule,
+    aggregate_semiweekly,
     best_candidate,
     comparison_table,
     cost_under_actual,
@@ -699,3 +699,44 @@ def test_shelf_life_that_contradicts_the_starting_stock_rejected(entry):
     # by default the stock's own shelf life, or 32 for a unit count
     assert call(young_stock(100, 10.0, 5)) == call(young_stock(100, 10.0, 5), shelf_life=5)
     assert call(100) == call(100, shelf_life=32)
+
+
+def walked_blocks(daily):
+    """The semiweekly blocks by the walk ``aggregate_semiweekly`` once ran over its own
+    copy of the calendar: the reference its block-length lookup must reproduce."""
+    out = []
+    i = 0
+    while i < len(daily):
+        day, _ = daily[i]
+        length = {1: 3, 4: 4}.get(day.weekday())
+        if length is None:
+            i += 1  # leading partial block
+            continue
+        if i + length > len(daily):
+            break  # trailing partial block
+        out.append((day, float(sum(value for _, value in daily[i : i + length]))))
+        i += length
+    return out
+
+
+# values whose sums an arithmetic other than ``sum``'s would change: signed zeros, overflow
+# to inf, NaN, ints past 2**53 (exact as ints, not as float64) and float32 (summed as float32)
+CALENDAR_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e300, -1e300, 1.7e308,
+                     1 / 3, 2**53 + 1, np.float32(0.1)]),
+    st.integers(-(2**60), 2**60),
+    st.floats(-1e6, 1e6, width=32).map(np.float32),
+    st.floats(-500.0, 500.0),
+)
+
+
+@given(first_weekday=st.integers(0, 6), values=st.lists(CALENDAR_VALUES, max_size=30))
+# summed as float64, these would give 9007199254740992.0 and 0.30000000447034836
+@example(first_weekday=1, values=[2**53 + 1, 1, 1])
+@example(first_weekday=1, values=[np.float32(0.1)] * 3)
+def test_aggregate_semiweekly_is_the_block_walk(first_weekday, values):
+    first_day = dt.date(2010, 1, 4) + dt.timedelta(days=first_weekday)  # a Monday, then on
+    daily = [(first_day + dt.timedelta(days=i), value) for i, value in enumerate(values)]
+    with np.errstate(all="ignore"):  # float32 sums that overflow or meet inf - inf warn
+        assert repr(aggregate_semiweekly(daily)) == repr(walked_blocks(daily))
+

@@ -159,11 +159,12 @@ def test_earlier_output_read_as_input_is_kept(runs, tmp_path):
 
 
 @pytest.mark.parametrize("doc", [{"outputs": ["../outside.txt"]}, {"outputs": "model.json"},
-                                 ["model.json"]], ids=["parent-path", "not-a-list", "not-object"])
+                                 ["model.json"], b'{"outputs": ["\xff"]}'],
+                         ids=["parent-path", "not-a-list", "not-object", "not-utf8"])
 def test_damaged_earlier_manifest_fails_cleanly(runs, tmp_path, capsys, doc):
     out = tmp_path / "run"
     out.mkdir()
-    (out / "manifest.json").write_text(json.dumps(doc))
+    (out / "manifest.json").write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     (tmp_path / "outside.txt").write_text("kept")
     assert run(["decompose", "--data", runs["generate"] / "dataset.csv", "--out-dir", out]) == 2
     err = capsys.readouterr().err
