@@ -59,7 +59,7 @@ def _run_dir(args) -> Path:
 
 def _write_json(path, doc, sort_keys: bool = False) -> None:
     """``doc`` as ``json.dump(doc, indent=2, sort_keys=sort_keys)`` writes it, and a line end."""
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=sort_keys)
         handle.write("\n")
 
@@ -67,7 +67,7 @@ def _write_json(path, doc, sort_keys: bool = False) -> None:
 def _write_compact_json(path, doc) -> None:
     """``doc`` as ``json.dumps(doc, separators=(",", ":"))`` (json's C encoder) and a line
     end, in one write: ``json.dump`` would hand the file its text chunk by chunk."""
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 def _replace(path: Path, writer, *values) -> None:

@@ -11,13 +11,12 @@ needs quoting, so the bytes are those ``csv`` would write.
 ``read_days`` is the one reader of a daily table, which runs one row a day:
 ``_whole`` parses a file it takes as is with a single ``np.loadtxt`` call, and
 any other file is checked row by row, which names the first bad cell in file
-order.  Both paths read a number cell only of the bytes of ``_NUMBER_BYTES``,
-and every reader takes its file's text through ``read_text``, as UTF-8.
+order.  Both paths read a number cell only of the bytes of ``_NUMBER_BYTES``.
+Every file is written and read as UTF-8; ``read_text`` names a byte that is not.
 """
 
 import csv
 import datetime as dt
-import io
 import math
 
 import numpy as np
@@ -51,7 +50,7 @@ def write_days(path, header: list[str], start: dt.date, columns, missing: str = 
     columns = [np.asarray(column, dtype=float) for column in columns]
     first = start.toordinal() - _EPOCH
     days = np.arange(first, first + min(map(len, columns)))
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(header)
         for lo in range(0, len(days), BLOCK):
             hi = min(lo + BLOCK, len(days))
@@ -62,7 +61,7 @@ def write_days(path, header: list[str], start: dt.date, columns, missing: str = 
 
 
 def write_table(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -81,15 +80,21 @@ def read_text(path) -> str:
 
 def read_rows(path):
     """Yield the header (``None`` for an empty file), then ``(row_number, cells)`` row
-    by row; a row whose length differs from the header's raises ``SchemaError``."""
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    header = next(reader, None)
-    yield header
-    for row_number, cells in enumerate(reader, start=2):
-        if len(cells) != len(header):
-            raise SchemaError(f"{path}: row {row_number}: expected {len(header)} columns, "
-                              f"got {len(cells)}")
-        yield row_number, cells
+    by row, streamed; a row whose length differs from the header's, or a file that is
+    not UTF-8, raises ``SchemaError``."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            yield header
+            for row_number, cells in enumerate(reader, start=2):
+                if len(cells) != len(header):
+                    raise SchemaError(f"{path}: row {row_number}: expected {len(header)} "
+                                      f"columns, got {len(cells)}")
+                yield row_number, cells
+        except UnicodeDecodeError:
+            read_text(path)  # names the bad byte's offset in the file, not in a chunk
+            raise
 
 
 def _whole(path, filled: int):

@@ -11,7 +11,11 @@ import argparse
 import datetime as dt
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -841,3 +845,21 @@ def test_quoted_feature_name_reads_back(tmp_path):
     assert first.features[NAMED] == 0.1 and math.isnan(first.features["c"])
     assert (second.date, second.demand, second.features) == (
         MONDAY + dt.timedelta(days=1), 3.5, {NAMED: 1e-300, "c": 2.0})
+
+
+def test_non_ascii_feature_name_reads_back_under_an_ascii_locale(tmp_path):
+    # every file is written and read as UTF-8, whatever the locale's encoding
+    path = tmp_path / "dataset.csv"
+    script = ("import datetime as dt, sys\n"
+              "from bloodbank import forecast\n"
+              "data = forecast.Dataset(dt.date(2010, 1, 4), [1.0, 2.0], [[0.5], [1.5]],"
+              " ('t\\u00e9',))\n"
+              "forecast.write_dataset_csv(sys.argv[1], data)\n"
+              "assert forecast.read_dataset_csv(sys.argv[1]) == data\n")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join([str(Path(forecast.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert path.read_bytes().startswith("date,demand,té\r\n".encode())

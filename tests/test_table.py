@@ -130,3 +130,15 @@ def test_empty_forecast_report_writes_only_the_header(tmp_path):
     report = forecast.read_forecast_csv(tmp_path / "report.csv")
     assert report.start is None and report.dates == []
     assert report.actual.shape == report.predicted.shape == (0,)
+
+
+def test_read_rows_streams_and_names_a_late_byte_that_is_not_utf8(tmp_path):
+    # the file is streamed: rows ahead of the bad byte are yielded before the decoder
+    # reaches it, and the error gives the byte's offset in the file, not in a chunk
+    head = b"period,units\r\n" + b"".join(b"%d,1\r\n" % p for p in range(1, 100_001))
+    path = tmp_path / "orders.csv"
+    path.write_bytes(head + b"\xff\r\n")
+    rows = table.read_rows(path)
+    assert next(rows) == ["period", "units"] and next(rows) == (2, ["1", "1"])
+    with pytest.raises(SchemaError, match=f"^{path}: byte {len(head)} is not UTF-8 text"):
+        list(rows)
