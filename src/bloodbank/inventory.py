@@ -10,31 +10,34 @@ and charged as wastage.  The period cost is
     + urgent * shortage units + wastage * expired units.
 
 With oldest-first issue and a fixed shelf life ``L`` no age buckets are
-needed: the cumulative arrivals ``C(t)`` and the units ``gone`` by issue or
+needed: the cumulative arrivals ``C(t)`` and the units ``G(t)`` gone by issue or
 expiry describe the stock exactly, the cumulative-curve view of a FIFO queue
-(Nahmias, Operations Research 30(4), 1982).  A period is five integer
-operations on them, with ``C(t - L + 1)`` read from a ring of the last
-``L - 1`` values of ``C``, its slot taken from a cycle of the slot numbers.
-A stock is a count that int64 holds: ``AgeProfile`` and ``young_stock``
-refuse a total of ``2**63`` units or more.  ``_fold`` runs the period on
-plain ints for one trajectory under one order rule given as data
-(``policy.order_quantity`` is its scalar form) and tracks units only: it
-returns the per-period unit columns (orders, demands, urgent and expired
-units, end inventories).  ``CostParams`` stores its coefficients as floats, so
-one ``CostParams.period_cost`` call on those columns as float arrays prices the
-trajectory after the fold, and the scalar form that prices ``step``'s one period
-gives the same floats.  Only the public functions that return
-``PeriodOutcome``s build them from the priced columns: ``simulate`` (a whole
-fold), ``step`` (one period behind an ``AgeProfile``, converted at the boundary)
-and ``policy.run_policy``.  ``policy.evaluate_strategy`` and
-``policy.cost_under_actual`` read the columns.  For the gold standard, which orders
-each period's demand, ``_gold`` gives the same columns in closed form: a cumulative sum
-and a running maximum in one int64 pass.  ``policy``'s sweeps run the
-same period on ``(K,)`` vectors, one row per candidate, and price each block
-of periods with one ``CostParams.period_cost`` call on ``(periods, K)``
-arrays.  No pipeline command calls ``step``: it stays on the library surface
-as the independent single-period loop that the benchmark's cost and replay
-checks and the exhaustive-search acceptance test fold by hand.
+(Nahmias, Operations Research 30(4), 1982).  A period updates the two: the
+order adds to ``C``, and ``G(t) = max(C(t - L + 1), min(G(t - 1) + y(t), C(t)))``
+with ``C(t - L + 1)`` read from a ring of the last ``L - 1`` values of ``C``,
+its slot taken from a cycle of the slot numbers.  A stock is a count that
+int64 holds: ``AgeProfile`` and ``young_stock`` refuse a total of ``2**63``
+units or more.  ``_fold`` runs the period on plain ints for one trajectory
+under one order rule given as data (``policy.order_quantity`` is its scalar
+form) and stores ``C`` and ``G`` alone; one vectorised pass then derives its
+``(5, periods)`` unit table (orders, demands, urgent and expired units, end
+inventories), int64 where int64 holds every value and exact Python ints
+otherwise.  Its callers check its units: ``simulate`` and ``step`` each
+period's order before its demand.  ``CostParams`` stores its coefficients as
+floats, so one ``CostParams.period_cost`` call on the table's rows as float
+arrays prices the trajectory after the fold, and the scalar form that prices
+``step``'s one period gives the same floats.  Only the public functions that
+return ``PeriodOutcome``s build them from the priced table: ``simulate`` (a
+whole fold), ``step`` (one period behind an ``AgeProfile``, converted at the
+boundary) and ``policy.run_policy``.  ``policy.evaluate_strategy`` and
+``policy.cost_under_actual`` read the table.  For the gold standard, which
+orders each period's demand, ``_gold`` gives the same table in closed form:
+a cumulative sum and a running maximum in one int64 pass.  ``policy``'s
+sweeps run the same period on ``(K,)`` vectors, one row per candidate, and
+price each block of periods with one ``CostParams.period_cost`` call on
+``(periods, K)`` arrays.  No pipeline command calls ``step``: it stays on the
+library surface as the independent single-period loop that the benchmark's
+cost and replay checks and the exhaustive-search acceptance test fold by hand.
 
 ``brute_force_unit_sim`` re-runs the same dynamics tracking every physical
 unit individually and exists purely as a verification oracle for
@@ -232,77 +235,78 @@ def step(
 ) -> tuple[AgeProfile, PeriodOutcome]:
     """Advance one period: arrivals, FIFO issue, urgent top-up, aging, expiry.
 
-    An order that takes the stock to ``2**63`` units or more raises, as ``young_stock``
-    refuses such a total."""
+    The order is checked before the demand.  An order that takes the stock to ``2**63`` units
+    or more raises, as ``young_stock`` refuses such a total."""
     ring = _ring(state.counts).tolist()
     order_qty = _check_units("order_qty", order_qty)
     if ring[-1] + order_qty >= 2**63:  # the stock with the order must fit its int64 counts
         raise ParameterError(f"order_qty must keep the stock below 2**63 units, got "
                              f"{order_qty} on {ring[-1]} units")
-    (row,) = zip(*_fold(ring, [demand], [order_qty]))
-    z, _, urgent, expired, level = row
+    demand = _check_units("demand", demand)
+    z, _, urgent, expired, level = row = _fold(ring, [demand], [order_qty])[:, 0].tolist()
     outcome = PeriodOutcome(z > 0, *row, costs.period_cost(z > 0, level, urgent, expired))
-    counts = _counts(np.array(ring), ring[0] - outcome.end_inventory)
+    counts = _counts(np.array(ring), ring[0] - level)
     return AgeProfile(counts, state.shelf_life), outcome
 
 
-def _fold(ring: list, demands: list, units, below=None, lift=0, cap=math.inf) -> list[list]:
-    """Per-period unit columns of the FIFO period on a ``_ring`` of plain ints.
+def _fold(ring: list, demands: list, units, below=None, lift=0, cap=math.inf) -> np.ndarray:
+    """The ``(5, periods)`` unit table of the FIFO period on a ``_ring`` of plain ints, its rows
+    in ``PeriodOutcome``'s field order; the callers check every unit and demand.
 
-    The columns are the orders, demands, urgent and expired units and end inventories, in
-    ``PeriodOutcome``'s field order; ``_priced`` prices them.  The order rule is data,
-    ``policy.order_quantity`` a period at a time: seeing stock ``I`` (the initial total, then
-    the last end inventory), period ``i`` orders ``clamp(units[i], lift - I, cap - I)`` if
-    ``I < below[i]``, else nothing; by default ``units[i]`` unclamped.  Each period checks its
-    units, then its demand, so the earliest bad value names its field.  The ring is updated in
-    place.
+    The order rule is data, ``policy.order_quantity`` a period at a time: seeing stock ``I``
+    (the initial total, then the last end inventory), period ``i`` orders
+    ``clamp(units[i], lift - I, cap - I)`` if ``I < below[i]``, else nothing; by default
+    ``units[i]`` unclamped.  The loop keeps the curves ``C`` and ``G`` alone.  A period then
+    orders ``C(t) - C(t - 1)``, issues ``min(y(t), C(t) - G(t - 1))`` from stock, tops the rest
+    up urgently, and its other units gone expired, leaving ``C(t) - G(t)``.  Every value lies
+    between 0 and ``C`` or a demand, so the table is int64 where int64 holds those and exact
+    Python ints otherwise.  The ring is updated in place.
     """
     below = itertools.repeat(math.inf) if below is None else below
     arrived = level = ring[-1]
     gone = 0
     n = len(demands)
-    columns = orders, issued, urgents, expireds, levels = [[0] * n for _ in range(5)]
-    slots = itertools.cycle(range(len(ring)))  # period i reads C(i - L + 1) from slot i % (L - 1)
-    for i, y, u, b, slot in zip(range(n), demands, units, below, slots):
-        if type(u) is not int or u < 0:  # anything but a plain non-negative int is checked
-            u = _check_units("order_qty", u)
-        if type(y) is not int or y < 0:
-            y = _check_units("demand", y)
-        z = 0
+    arrivals, gones = [arrived] * (n + 1), [gone] * (n + 1)  # C(t) and G(t) from t = -1
+    slots = itertools.cycle(range(len(ring)))  # period t reads C(t - L + 1) from slot t % (L - 1)
+    for i, y, u, b, slot in zip(range(1, n + 1), demands, units, below, slots):
         if level < b:  # the stock after the order, clamped to lift..cap
             stock = level + u if level + u > lift else lift
-            z = (stock if stock < cap else cap) - level
-            arrived += z
-        wanted = gone + y  # oldest first, arrivals last
-        taken = wanted if wanted < arrived else arrived
-        urgent = wanted - taken
-        oldest = ring[slot]  # C(i - L + 1): every unit that arrived by then is gone
+            arrived = gone + (stock if stock < cap else cap)
+        taken = gone + y  # oldest first, arrivals last
+        if taken > arrived:
+            taken = arrived
+        oldest = ring[slot]  # C(t - L + 1): every unit that arrived by then is gone
         ring[slot] = arrived
-        if oldest > taken:
-            expired = oldest - taken
-            gone = oldest
-        else:
-            expired = 0
-            gone = taken
+        gone = oldest if oldest > taken else taken
         level = arrived - gone
-        orders[i] = z
-        issued[i] = y
-        urgents[i] = urgent
-        expireds[i] = expired
-        levels[i] = level
-    return columns
+        arrivals[i] = arrived
+        gones[i] = gone
+    try:
+        curves, y = np.array((arrivals, gones), dtype=np.int64), np.array(demands, dtype=np.int64)
+    except OverflowError:
+        curves, y = np.array((arrivals, gones), dtype=object), np.array(demands, dtype=object)
+    table = np.empty((5, n), dtype=y.dtype)
+    # orders C(t) - C(t - 1) and, in the expired row, the units gone G(t) - G(t - 1)
+    np.subtract(curves[:, 1:], curves[:, :-1], out=table[::3])
+    table[1] = y
+    c, g = curves[:, 1:]
+    issued = np.minimum(y, c - curves[1, :-1], out=table[2])  # from the stock C(t) - G(t - 1)
+    table[3] -= issued
+    np.subtract(y, issued, out=table[2])
+    np.subtract(c, g, out=table[4])
+    return table
 
 
-def _gold(ring: np.ndarray, demands: list[int]) -> np.ndarray | list[list]:
+def _gold(ring: np.ndarray, demands: list[int]) -> np.ndarray:
     """``_fold(ring.tolist(), demands, demands)`` of checked ``demands``, as one int64 table.
 
     Ordering each demand, no unit is short, the arrivals are ``C(t) = C(-1) + Y(t)`` with ``Y``
     the cumulative demand, and the units gone are ``G(t) = Y(t) + max(0, running max of
-    C(t - L + 1) - Y(t))``.  Where int64 cannot hold the arrivals the fold runs instead."""
+    C(t - L + 1) - Y(t))``.  Where int64 cannot hold the arrivals, the fold's table instead."""
     total = int(ring[-1])  # C(-1)
     if total + sum(demands) >= 2**63:
         return _fold(ring.tolist(), demands, demands)
-    table = np.zeros((5, len(demands)), dtype=np.int64)  # _fold's columns: urgent stays 0
+    table = np.zeros((5, len(demands)), dtype=np.int64)  # _fold's rows: urgent stays 0
     table[:2] = demands
     demanded = np.cumsum(table[1])  # Y(t)
     oldest = np.concatenate((ring, demanded + total))[:len(demands)]  # C(t - L + 1)
@@ -313,35 +317,38 @@ def _gold(ring: np.ndarray, demands: list[int]) -> np.ndarray | list[list]:
     return table
 
 
-def _outcomes(columns: list[list]) -> list[PeriodOutcome]:
-    """``PeriodOutcome``s of ``_fold``'s columns and their costs."""
-    return [PeriodOutcome(row[0] > 0, *row) for row in zip(*columns)]
+def _outcomes(table: np.ndarray, cost: list) -> list[PeriodOutcome]:
+    """``PeriodOutcome``s of a unit table and its periods' costs."""
+    return [PeriodOutcome(row[0] > 0, *row) for row in zip(*table.tolist(), cost)]
 
 
 @np.errstate(over="ignore")  # an overflow is an infinite cost, as in the scalar form
-def _priced(columns, costs: CostParams) -> tuple[list, float]:
-    """``_fold``'s or ``_gold``'s unit columns with each period's cost appended, priced by one
-    ``costs.period_cost`` call on the columns as float arrays, and their mean, failing on an
+def _priced(table: np.ndarray, costs: CostParams) -> tuple[list, float]:
+    """Each period's cost of ``_fold``'s or ``_gold``'s unit table, priced by one
+    ``costs.period_cost`` call on its rows as float arrays, and their mean, failing on an
     overflow."""
-    orders, _, urgent, expired, levels = columns
-    placed = np.array(orders) > 0  # an order past int64 is compared as an int
-    cost = costs.period_cost(placed, *np.array((levels, urgent, expired), dtype=float)).tolist()
+    urgent, expired, levels = table[2:].astype(float)
+    cost = costs.period_cost(table[0] > 0, levels, urgent, expired).tolist()
     average = sum(cost) / len(cost) if cost else 0.0
     if not math.isfinite(average):  # every cost is non-negative, so an overflow is inf
         raise ParameterError("orders, demands or costs so large that the average cost overflows")
-    return [*columns, cost], average
+    return cost, average
 
 
 def simulate(
     initial: AgeProfile, orders, demands, costs: CostParams
 ) -> tuple[list[PeriodOutcome], float]:
-    """Fold one period over aligned order/demand streams; also return mean cost."""
+    """Fold one period over aligned order/demand streams, checked period by period with the
+    order before the demand; also return mean cost."""
     orders, demands = list(orders), list(demands)
     if len(orders) != len(demands):
         raise ParameterError(
             f"stream length mismatch: {len(orders)} orders vs {len(demands)} demands")
-    columns, average = _priced(_fold(_ring(initial.counts).tolist(), demands, orders), costs)
-    return _outcomes(columns), average
+    units = [v if type(v) is int and v >= 0 else _check_units(name, v) for name, v in
+             zip(itertools.cycle(("order_qty", "demand")), itertools.chain(*zip(orders, demands)))]
+    table = _fold(_ring(initial.counts).tolist(), units[1::2], units[::2])
+    cost, average = _priced(table, costs)
+    return _outcomes(table, cost), average
 
 
 def brute_force_unit_sim(

@@ -26,16 +26,17 @@ fold over ``step`` adds them, so the rows are bit-identical to simulating each
 candidate alone.  Single trajectories (``run_policy``, ``evaluate_strategy``)
 run ``inventory._fold`` on plain ints, with the same rule given to it as data,
 and only ``run_policy`` builds ``PeriodOutcome``s; the gold standard
-(``cost_under_actual`` too) takes the fold's columns in closed form from
+(``cost_under_actual`` too) takes the fold's table in closed form from
 ``inventory._gold``.  ``_rule`` converts the rule's units and thresholds to
-those ints through one int64 array each when int64 holds every value.  The fold
-returns unit columns only, and the trajectory is priced after it by one
-``CostParams.period_cost`` call on float arrays.  ``evaluate_strategy``
-summarizes the columns from one float array, its cost row priced on the array's
-rows, its means and SDs taken by the ufunc steps ``numpy.mean`` and
-``numpy.std`` run, to the same bits.  Demands are checked before their mean
-sizes a unit-count stock, and ``shelf_life`` defaults to an ``AgeProfile``
-stock's own; a given one that differs raises.
+those ints through one int64 array each when int64 holds every value.  The
+fold tracks the cumulative arrivals and units gone alone and derives its unit
+table from them in one pass, int64 when int64 holds it; the trajectory is
+priced after it by one ``CostParams.period_cost`` call on float arrays.
+``evaluate_strategy`` summarizes the table from one float array cast from it
+whole, its cost row priced on the array's rows, its means and SDs taken by the
+ufunc steps ``numpy.mean`` and ``numpy.std`` run, to the same bits.  Demands
+are checked before their mean sizes a unit-count stock, and ``shelf_life``
+defaults to an ``AgeProfile`` stock's own; a given one that differs raises.
 """
 
 from __future__ import annotations
@@ -162,9 +163,12 @@ class PolicyRun:
 def _aligned(y_hat, demands) -> tuple[np.ndarray, list]:
     """The forecasts as one float array and the demands as a list, of one length.
 
-    Each forecast converts as ``float`` converts it, which raises what it rejects,
-    so a None is not a NaN.  The first NaN raises ParameterError naming its period.
+    Forecasts that are no sequence raise ParameterError.  Each converts as ``float`` converts
+    it, which raises what it rejects, so a None is not a NaN; the first NaN raises
+    ParameterError naming its period.
     """
+    if not np.iterable(y_hat):
+        raise ParameterError(f"forecasts must be a sequence, got {y_hat!r}")
     forecasts = np.array([float(v) for v in y_hat], dtype=float)
     demands = list(demands)
     if forecasts.size != len(demands):
@@ -232,9 +236,9 @@ def run_policy(y_hat, demands, initial, costs: CostParams, params: PolicyParams,
     y_hat, demands = _aligned(y_hat, demands)
     demands = _units("demand", demands)
     profile = _starting_stock(initial, demands, shelf_life)
-    columns = _fold(_ring(profile.counts).tolist(), demands, *_rule(y_hat, params))
-    columns, average = _priced(columns, costs)
-    return PolicyRun(_outcomes(columns), average, profile.total)
+    table = _fold(_ring(profile.counts).tolist(), demands, *_rule(y_hat, params))
+    cost, average = _priced(table, costs)
+    return PolicyRun(_outcomes(table, cost), average, profile.total)
 
 
 def cost_under_actual(demands, initial, costs: CostParams,
@@ -471,8 +475,8 @@ def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised at the end instead
 def _summarize(strategy: str, columns: list[list] | np.ndarray, costs: CostParams,
                start_weekday: int, urgent_available: bool = True) -> StrategySummary:
-    """Summary of ``_fold``'s or ``_gold``'s orders, demands, urgent, expired and end inventory,
-    and of their cost under ``costs``."""
+    """Summary of ``_fold``'s or ``_gold``'s unit table (orders, demands, urgent, expired and
+    end inventory), cast to floats whole, and of its cost under ``costs``."""
     periods = len(columns[0])
     table = np.empty((6, periods))  # one row per column, then the costs
     table[:5] = columns
@@ -485,6 +489,8 @@ def _summarize(strategy: str, columns: list[list] | np.ndarray, costs: CostParam
     means = sds = [0.0] * len(table)
     if periods:
         means, sds = (m.tolist() for m in _moments(table))
+        # kept summaries share one 0.0 for a unit row's zero (never -0.0), as weekday tuples
+        means[:5], sds[:5] = ([v or 0.0 for v in row[:5]] for row in (means, sds))
     _, demand_mean, urgent_mean, wastage_mean, inventory_mean, cost_mean = means
     _, _, urgent_sd, wastage_sd, inventory_sd, cost_sd = sds
     summary = StrategySummary(
@@ -547,8 +553,8 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
         params = PolicyParams(params.inventory_target, params.reorder_level, schedule)
         y_hat, demands = _aligned(y_hat, demands)
         rule = _rule(y_hat, params)
-    columns = _fold(_ring(profile.counts).tolist(), demands, *rule)
-    return _summarize(strategy, columns, costs, start_weekday,
+    table = _fold(_ring(profile.counts).tolist(), demands, *rule)
+    return _summarize(strategy, table, costs, start_weekday,
                       urgent_available=strategy != "baseline")
 
 

@@ -10,6 +10,8 @@ calendars.  The single-trajectory paths that take their order rule as data
 are compared with a fold over ``step`` under the rule stated per period, and
 each strategy summary with a 1-D recompute of its columns.  The gold standard's
 closed form (``inventory._gold``) is compared with the plain-int fold it replaces.
+At the int64 limit, streams whose cumulative arrivals or units wanted end just
+below, at or just past ``2**63`` are compared with a fold over ``step`` too.
 """
 
 import dataclasses
@@ -281,7 +283,8 @@ def test_gold_closed_form_equals_the_fold(profile, data):
     ring = _ring(profile.counts)
     table = _gold(ring, demands)
     assert table.dtype == np.int64 and table.shape == (5, len(demands))
-    assert typed_columns(table.tolist()) == typed_columns(_fold(ring.tolist(), demands, demands))
+    assert typed_columns(table.tolist()) == typed_columns(
+        _fold(ring.tolist(), demands, demands).tolist())
 
 
 @pytest.mark.parametrize("past_int64", [False, True], ids=["closed-form", "fold"])
@@ -292,10 +295,48 @@ def test_gold_arrivals_at_the_int64_limit_stay_exact(past_int64):
     demands = [0, 0, 2**62, 0, 5, 0, 0]
     demands.append(2**63 - 1 + past_int64 - profile.total - sum(demands))
     columns = _gold(_ring(profile.counts), demands)
-    assert isinstance(columns, list) == past_int64
+    assert (columns.dtype == object) == past_int64
     costs = CostParams()
     expected = step_columns(profile, demands, costs, lambda i, level: demands[i])
     assert typed_columns(np.asarray(columns).tolist()) == typed_columns(expected[:5])
     assert pol.cost_under_actual(demands, profile, costs) == sum(expected[5]) / len(demands)
     summary = pol.evaluate_strategy("gold", None, demands, profile, costs)
     assert repr(summary) == repr(recomputed("gold", expected, 0))
+
+
+@given(profile=profiles(), costs=cost_params, curve=st.sampled_from(["arrivals", "wanted"]),
+       end=st.sampled_from([2**63 - 1, 2**63, 2**63 + 1]), data=st.data())
+def test_curves_at_the_int64_limit_stay_exact(profile, costs, curve, end, data):
+    # two periods whose arrivals C(1), or units wanted G(0) + y(1), end just below, at or just
+    # past 2**63 while every stock stays below it; each path equals a fold over ``step``.
+    # Ordering up to ``top``, period 0 orders top - C(-1) and period 1 (daily) orders back what
+    # went, so C(1) = G(0) + top; the gold standard orders each demand, so C(1) = C(-1) + Y(1)
+    top = 2**62 + data.draw(st.integers(1, 2**40))  # above end / 2: no demand below is short
+    small = data.draw(st.integers(0, 40))
+    start_weekday = data.draw(st.sampled_from([1, 4]))  # period 0 a semiweekly order day
+    if curve == "arrivals":
+        streams = {name: [end - top, small] for name in ("baseline", "daily")}
+        streams["gold"] = [top, end - profile.total - top]
+    else:  # G(0) = C(0) - I(0); the gold standard's C(t) is at least G(t - 1) + y(t)
+        _, first = step(profile, top - profile.total, small, costs)
+        streams = {name: [small, end - top + first.end_inventory]
+                   for name in ("baseline", "daily", "semiweekly")}
+    for name, demands in streams.items():
+        expected = step_columns(profile, demands, costs,
+                                rule_of(name, [0.0, 0.0], demands, top, top, start_weekday))
+        orders, levels = expected[0], expected[4]
+        gone = profile.total + orders[0] - levels[0]
+        assert (profile.total + sum(orders) if curve == "arrivals"
+                else gone + demands[1]) == end
+        outcomes, average = simulate(profile, orders, demands, costs)
+        assert typed_columns(outcome_columns(outcomes)) == typed_columns(expected)
+        assert average == sum(expected[5]) / 2
+        if name in ("daily", "semiweekly"):
+            params = pol.PolicyParams(top, top, pol.Schedule(name, start_weekday))
+            run = pol.run_policy([0.0, 0.0], demands, profile, costs, params)
+            assert typed_columns(outcome_columns(run.outcomes)) == typed_columns(expected)
+            assert run.average_cost == sum(expected[5]) / 2
+        summary = pol.evaluate_strategy(name, [0.0, 0.0], demands, profile, costs,
+                                        params=pol.PolicyParams(top, top), baseline_target=top,
+                                        start_weekday=start_weekday)
+        assert repr(summary) == repr(recomputed(name, expected, start_weekday))

@@ -58,6 +58,12 @@ class TestStep:
         with pytest.raises(ParameterError):
             step(AgeProfile.empty(4), 0, -2, COSTS)
 
+    def test_order_is_checked_before_the_demand(self):
+        with pytest.raises(ParameterError, match="^order_qty must be a non-negative integer"):
+            step(AgeProfile.empty(4), -1, -1, COSTS)
+        with pytest.raises(ParameterError, match="^demand must be a non-negative integer"):
+            step(AgeProfile.empty(4), 1, -1, COSTS)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 2.5, None, "7"])
     def test_non_integer_inputs_name_the_field(self, bad):
         with pytest.raises(ParameterError, match="order_qty"):

@@ -542,6 +542,28 @@ class TestNanForecast:
         assert orders_of(run) == [40, 55, 0, 0]
 
 
+# every entry point that reads a forecast stream
+_FORECAST_ENTRIES = {
+    "_aligned": lambda y_hat: _aligned(y_hat, [1, 2]),
+    "run_policy": lambda y_hat: run_policy(y_hat, [1, 2], 10, COSTS, PolicyParams(5, 2)),
+    "target_sweep": lambda y_hat: target_sweep(y_hat, [1, 2], 10, COSTS, [5]),
+    "reorder_sweep": lambda y_hat: reorder_sweep(y_hat, [1, 2], 10, COSTS, 5, [2]),
+    "learn_policy": lambda y_hat: learn_policy(y_hat, [1, 2], 10, COSTS, [5]),
+    **{kind: lambda y_hat, kind=kind: evaluate_strategy(kind, y_hat, [1, 2], 10, COSTS,
+                                                        params=PolicyParams(5, 2))
+       for kind in ("daily", "semiweekly")},
+}
+
+
+@pytest.mark.parametrize("y_hat", [None, 5.0, np.array(5.0)], ids=["None", "float", "0-d"])
+@pytest.mark.parametrize("entry", _FORECAST_ENTRIES)
+def test_forecasts_that_are_no_sequence_are_named(entry, y_hat):
+    # each once raised a raw TypeError: 'NoneType' (or 'float') object is not iterable
+    with pytest.raises(ParameterError,
+                       match=f"^forecasts must be a sequence, got {re.escape(repr(y_hat))}$"):
+        _FORECAST_ENTRIES[entry](y_hat)
+
+
 class TestForecastConversion:
     """Forecasts convert as ``float`` converts each one, whatever holds them, and what
     ``float`` rejects raises as it does."""
@@ -578,10 +600,8 @@ class TestForecastConversion:
         ([[5.0], [5.0], [5.0]], TypeError),
         ([[5.0], [5.0, 5.0], [5.0]], TypeError),
         (np.ones((3, 1)), TypeError),
-        (np.array(5.0), TypeError),
         (np.array(["2020-01-01"] * 3, dtype="datetime64[D]"), TypeError),
         ([5.0, 10**400, 5.0], OverflowError),
-        (5.0, TypeError),
     ])
     def test_what_float_rejects_raises_as_float_does(self, y_hat, error):
         with pytest.raises(error):
