@@ -577,8 +577,7 @@ def read_dataset_csv(path) -> Dataset:
 
 
 def write_dataset_csv(path, data: Dataset) -> None:
-    """``data``, or its ``DailyRecord`` rows, as ``read_dataset_csv`` reads it back."""
-    data = data if isinstance(data, Dataset) else Dataset.from_records(data)
+    """``data`` as ``read_dataset_csv`` reads it back."""
     write_days(path, ["date", "demand", *data.feature_names], data.start,
                [data.demand, *data.features.T], missing="")
 

@@ -210,7 +210,10 @@ def _starting_stock(initial, demands: list[int], shelf_life: int | None) -> AgeP
                                  f"shelf life {initial.shelf_life}")
         return initial
     total = _check_units("initial", initial)
-    mean_demand = sum(demands) / len(demands) if demands else 1.0
+    try:
+        mean_demand = sum(demands) / len(demands) if demands else 1.0
+    except OverflowError:  # a mean past the float range
+        raise ParameterError("demands so large that their mean overflows") from None
     return young_stock(total, max(mean_demand, 1.0), 32 if shelf_life is None else shelf_life)
 
 
@@ -244,7 +247,11 @@ def step(
                              f"{order_qty} on {ring[-1]} units")
     demand = _check_units("demand", demand)
     z, _, urgent, expired, level = row = _fold(ring, [demand], [order_qty])[:, 0].tolist()
-    outcome = PeriodOutcome(z > 0, *row, costs.period_cost(z > 0, level, urgent, expired))
+    try:
+        cost = costs.period_cost(z > 0, level, urgent, expired)
+    except OverflowError:  # a demand past the float range
+        raise ParameterError("demand so large that its cost overflows") from None
+    outcome = PeriodOutcome(z > 0, *row, cost)
     counts = _counts(np.array(ring), ring[0] - level)
     return AgeProfile(counts, state.shelf_life), outcome
 
@@ -327,7 +334,10 @@ def _priced(table: np.ndarray, costs: CostParams) -> tuple[list, float]:
     """Each period's cost of ``_fold``'s or ``_gold``'s unit table, priced by one
     ``costs.period_cost`` call on its rows as float arrays, and their mean, failing on an
     overflow."""
-    urgent, expired, levels = table[2:].astype(float)
+    try:
+        urgent, expired, levels = table[2:].astype(float)
+    except OverflowError:  # a unit count past the float range
+        raise ParameterError("orders, demands or costs so large that the cost overflows") from None
     cost = costs.period_cost(table[0] > 0, levels, urgent, expired).tolist()
     average = sum(cost) / len(cost) if cost else 0.0
     if not math.isfinite(average):  # every cost is non-negative, so an overflow is inf

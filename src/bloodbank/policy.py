@@ -451,15 +451,10 @@ class StrategySummary:
     cost_sd: float
     total_cost: float
     doh: float
-    placement_weekdays: tuple[int, ...]
 
 
 # the numeric fields, in order: comparison.csv's rows
-_CSV_FIELDS = [f.name for f in fields(StrategySummary)
-               if f.name not in ("strategy", "placement_weekdays")]
-# every set of weekdays as one tuple, at the index of its bit mask, so that a summary
-# shares its placement weekdays instead of keeping a copy
-_WEEKDAY_SETS = [tuple(day for day in range(7) if mask >> day & 1) for mask in range(128)]
+_CSV_FIELDS = [f.name for f in fields(StrategySummary)][1:]
 
 
 def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -474,12 +469,15 @@ def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised at the end instead
 def _summarize(strategy: str, columns: list[list] | np.ndarray, costs: CostParams,
-               start_weekday: int, urgent_available: bool = True) -> StrategySummary:
+               urgent_available: bool = True) -> StrategySummary:
     """Summary of ``_fold``'s or ``_gold``'s unit table (orders, demands, urgent, expired and
     end inventory), cast to floats whole, and of its cost under ``costs``."""
     periods = len(columns[0])
     table = np.empty((6, periods))  # one row per column, then the costs
-    table[:5] = columns
+    try:
+        table[:5] = columns
+    except OverflowError:  # a unit count past the float range: an infinite mean, raised below
+        table[:5] = math.inf
     placed = table[0] > 0
     table[5] = costs.period_cost(placed, table[4], table[2], table[3])
     order_days = np.flatnonzero(placed)
@@ -489,7 +487,7 @@ def _summarize(strategy: str, columns: list[list] | np.ndarray, costs: CostParam
     means = sds = [0.0] * len(table)
     if periods:
         means, sds = (m.tolist() for m in _moments(table))
-        # kept summaries share one 0.0 for a unit row's zero (never -0.0), as weekday tuples
+        # kept summaries share one 0.0 for a unit row's zero (never -0.0)
         means[:5], sds[:5] = ([v or 0.0 for v in row[:5]] for row in (means, sds))
     _, demand_mean, urgent_mean, wastage_mean, inventory_mean, cost_mean = means
     _, _, urgent_sd, wastage_sd, inventory_sd, cost_sd = sds
@@ -510,8 +508,6 @@ def _summarize(strategy: str, columns: list[list] | np.ndarray, costs: CostParam
         cost_sd=cost_sd,
         total_cost=float(table[5].sum()),
         doh=inventory_mean / demand_mean if demand_mean > 0 else float("nan"),
-        placement_weekdays=_WEEKDAY_SETS[
-            np.bitwise_or.reduce(1 << (start_weekday + order_days - 1) % 7, initial=0)],
     )
     # every series is non-negative, so an overflow leaves an infinite mean, sd or total
     if math.isinf(demand_mean) or any(math.isinf(getattr(summary, f) or 0.0)
@@ -540,7 +536,7 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
     demands = _units("order_qty" if strategy == "gold" else "demand", demands)
     profile = _starting_stock(initial, demands, shelf_life)
     if strategy == "gold":
-        return _summarize(strategy, _gold(_ring(profile.counts), demands), costs, start_weekday)
+        return _summarize(strategy, _gold(_ring(profile.counts), demands), costs)
     if strategy == "baseline":
         if baseline_target is None:
             raise ParameterError("baseline strategy needs baseline_target")
@@ -554,8 +550,7 @@ def evaluate_strategy(strategy: str, y_hat, demands, initial, costs: CostParams,
         y_hat, demands = _aligned(y_hat, demands)
         rule = _rule(y_hat, params)
     table = _fold(_ring(profile.counts).tolist(), demands, *rule)
-    return _summarize(strategy, table, costs, start_weekday,
-                      urgent_available=strategy != "baseline")
+    return _summarize(strategy, table, costs, urgent_available=strategy != "baseline")
 
 
 def _mean_sd(mean: float | None, sd: float | None) -> str:

@@ -66,9 +66,6 @@ class Series:
     def __len__(self) -> int:
         return self.values.size
 
-    def dates(self) -> list[dt.date]:
-        return [self.start_date + dt.timedelta(days=i) for i in range(len(self))]
-
 
 @dataclass(frozen=True)
 class Decomposition:

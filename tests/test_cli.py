@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import json
 import math
@@ -237,6 +238,21 @@ class TestSimulate:
         assert str(demands) in err and "row 3" in err and "units" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stream, message", [
+        ("orders", "orders, demands or costs so large that the cost overflows"),
+        ("demands", "demands so large that their mean overflows"),  # sizing --initial's ages
+    ], ids=["orders", "demands"])
+    def test_units_past_the_float_range_fail_cleanly(self, tmp_path, capsys, stream, message):
+        # a 401-digit cell reads as an int, and once raised a raw OverflowError
+        paths = {name: tmp_path / f"{name}.csv" for name in ("orders", "demands")}
+        for name, path in paths.items():
+            write_stream(path, [10**400 if name == stream else 0, 5])
+        out = tmp_path / "sim"
+        code = run(["simulate", "--orders", paths["orders"], "--demands", paths["demands"],
+                    "--initial", 780, "--out-dir", out])
+        assert_clean_failure(capsys, code, message)
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -387,6 +403,16 @@ class TestSingleSweepOptimize:
         table = comparison(out / "comparison.csv")
         assert table["gold"]["days_with_orders"] == gold.days_with_orders == 120
         assert table["gold"]["total_cost"] == gold.total_cost
+
+    def test_comparison_rows_are_the_summary_fields(self, half_unit_report, tmp_path):
+        # StrategySummary alone states comparison.csv's schema: every field after strategy
+        out = tmp_path / "cmp"
+        assert run(["compare", "--report", half_unit_report, "--target", 300,
+                    "--reorder-daily", 100, "--reorder-semiweekly", 150, "--initial", 150,
+                    "--out-dir", out]) == 0
+        _, rows = read_csv(out / "comparison.csv")
+        assert [row[0] for row in rows] == [
+            f.name for f in dataclasses.fields(policy.StrategySummary)][1:]
 
     @pytest.mark.parametrize("bad", ["-3.0", "nan", "inf"])
     def test_bad_actual_fails_cleanly(self, half_unit_report, tmp_path, capsys, bad):

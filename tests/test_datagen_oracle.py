@@ -29,6 +29,9 @@ from bloodbank.datagen import (
 from bloodbank.errors import ParameterError
 from bloodbank.forecast import DailyRecord, Dataset
 
+# every test here runs again at 1,000 examples in the deep property run (-m deep)
+pytestmark = pytest.mark.deep
+
 
 def reference_ar1_counts(rng, spec, length):
     innovation_sd = spec.sd * math.sqrt(1.0 - spec.ar**2)

@@ -21,6 +21,9 @@ from bloodbank import forecast, table
 from bloodbank.errors import ParameterError
 from bloodbank.forecast import DailyRecord, Dataset, read_dataset_csv, write_dataset_csv
 
+# every test here runs again at 1,000 examples in the deep property run (-m deep)
+pytestmark = pytest.mark.deep
+
 NAMED = 'lab "x", day 7'  # a feature name that must be quoted
 QUOTED = 'say "hi"'  # quoted too, with no comma for a plain split to stop at
 NAMES = ["a", "prev_week_demand", NAMED, QUOTED, "dow_mon", "date", "é"]

@@ -603,7 +603,7 @@ def test_dataset_csv_reads_back_equal(out_file, rows, start):
     records = [forecast.DailyRecord(start + dt.timedelta(days=i), demand,
                                     {"f": math.nan if f is None else f})
                for i, (demand, f) in enumerate(rows)]
-    forecast.write_dataset_csv(out_file, records)
+    forecast.write_dataset_csv(out_file, forecast.Dataset.from_records(records))
     loaded = forecast.read_dataset_csv(out_file)
     assert [(r.date, r.demand) for r in loaded] == [(r.date, r.demand) for r in records]
     assert np.array_equal([r.features["f"] for r in loaded],
@@ -718,6 +718,7 @@ def version_data():
             "golden": generate(GenConfig(n_days=455, seed=31))}
 
 
+@pytest.mark.deep
 @given(st.sampled_from(["drift", "flat"]), st.integers(2, 12), st.integers(30, 110),
        st.integers(1, 50), st.integers(0, 6), st.sampled_from([1.0, 0.7]),
        st.sampled_from([1.0, 0.6]), st.integers(0, 2**16))
@@ -763,14 +764,14 @@ NAMED = 'lab "x", day 7'  # a feature name that must be quoted
 
 def summary(strategy, urgent, doh):
     return policy.StrategySummary(strategy, 3, 2, 2 / 3, 10.5, 0.5, 20.0, 1.25, urgent, urgent,
-                                  0.0, 0.0, 101.5, 3.0, 304.5, doh, (0, 3))
+                                  0.0, 0.0, 101.5, 3.0, 304.5, doh)
 
 
 WRITES = {
     "dataset": (
-        lambda path: forecast.write_dataset_csv(path, [
+        lambda path: forecast.write_dataset_csv(path, forecast.Dataset.from_records([
             forecast.DailyRecord(MONDAY, 12.0, {NAMED: np.float64(0.1), "c": math.nan}),
-            forecast.DailyRecord(MONDAY + dt.timedelta(days=1), 3.5, {NAMED: 1e-300, "c": 2})]),
+            forecast.DailyRecord(MONDAY + dt.timedelta(days=1), 3.5, {NAMED: 1e-300, "c": 2})])),
         'date,demand,"lab ""x"", day 7",c\r\n'
         "2010-01-04,12.0,0.1,\r\n"
         "2010-01-05,3.5,1e-300,2.0\r\n"),

@@ -420,6 +420,7 @@ class TestInSampleFit:
     """``train`` keeps the in-sample fit its rounds build; ``in_sample`` returns it for the
     training rows, equal to ``predict`` bit for bit, and for no other rows."""
 
+    @pytest.mark.deep
     @given(
         data_seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 30),

@@ -15,12 +15,16 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from bloodbank import gbrt
 from bloodbank.gbrt import FeatureMatrix, GbrtConfig, TreeNode, predict, tree_predict
 from test_gbrt_oracle import assert_matches_reference
+
+# every test here runs again at 1,000 examples in the deep property run (-m deep)
+pytestmark = pytest.mark.deep
 
 KINDS = ("binary", "wide", "tied", "constant", "all_nan", "continuous")
 

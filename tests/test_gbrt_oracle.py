@@ -37,6 +37,9 @@ from bloodbank.gbrt import (
     tree_predict,
 )
 
+# every test here runs again at 1,000 examples in the deep property run (-m deep)
+pytestmark = pytest.mark.deep
+
 # ---------------------------------------------------------------------------
 # reference search: one feature at a time
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ plan and its int64 cap are compared with their per-day statement.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -23,6 +24,9 @@ from bloodbank.inventory import (
     step,
     young_stock,
 )
+
+# every test here runs again at 1,000 examples in the deep property run (-m deep)
+pytestmark = pytest.mark.deep
 
 shelf_lives = st.integers(2, 40)
 # sevenths are inexact in binary, so a sum taken in another order shows in the last bits

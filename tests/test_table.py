@@ -57,6 +57,7 @@ def out(tmp_path_factory):
     return tmp_path_factory.mktemp("days")
 
 
+@pytest.mark.deep
 @given(daily_tables(), st.sampled_from(["nan", ""]), st.sampled_from([1, 3, table.BLOCK]))
 def test_write_days_is_csv_writer_byte_for_byte(out, drawn, missing, block):
     """From a start day, in blocks of any size."""

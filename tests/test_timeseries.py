@@ -124,6 +124,7 @@ def weighted_fit_oracle(xs, ys, q, degree, rw):
 weights = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
 
 
+@pytest.mark.deep
 @given(st.integers(0, 2), st.data())
 def test_loess_matches_weighted_fit_oracle(degree, data):
     n = data.draw(st.integers(max(degree + 1, 2), 30))
@@ -325,6 +326,7 @@ def moment_input(q, layout, seed, weights, cells, n=None, sizes=(), keep=(), pat
     return ys, rw, x0, starts
 
 
+@pytest.mark.deep
 @given(st.integers(0, 2), moment_inputs())
 # at q 129 the 64 edge points at each end share their window's first point
 @example(1, dict(q=129, layout="default", n=400, seed=1, weights="ones", cells=1 << 14))
@@ -453,6 +455,7 @@ class TestStlDecompose:
         assert config.resolved_t_window(7) == expected
 
 
+@pytest.mark.deep
 @given(st.integers(2, 7), st.sampled_from([7, 11, 35]),
        st.one_of(st.none(), st.integers(1, 7).map(lambda k: 2 * k + 1)), st.integers(0, 2),
        st.data())
@@ -535,7 +538,8 @@ def test_decomposition_csv_round_trip(tmp_path):
     write_decomposition_csv(path, series, dec)
     header, rows = read_csv(path)
     assert header == ["date", "observed", "trend", "seasonal", "residual"]
-    assert [row[0] for row in rows] == [day.isoformat() for day in series.dates()]
+    assert [row[0] for row in rows] == [
+        (series.start_date + dt.timedelta(days=i)).isoformat() for i in range(len(series))]
     observed, trend, seasonal, residual = np.array([row[1:] for row in rows], dtype=float).T
     assert np.array_equal(observed, y)
     assert np.array_equal(trend, dec.trend)
